@@ -93,17 +93,6 @@ class VnfGroup:
         return seen
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Simulated monitoring cadence."""
-
-    tau: float = 5.0
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-
-
 def _sample(vm, r):
     if vm.utilization is None or r not in vm.utilization:
         raise ClassificationError(

@@ -1,15 +1,17 @@
 """Command line front end: run scenario files, size models, compare solvers.
 
 Exit codes: 0 success, 1 expectation failure, 2 parse or usage error,
-3 infeasible model, 4 solver divergence.
+3 infeasible model, 4 solver gave no usable point (divergence, breakdown or
+no placement signal).
 """
 
 import argparse
 import sys
 
 from . import scenario as sc
+from .lp import LpError
 from .rpadmm import AdmmDivergenceError
-from .scaling import ModelInfeasibleError
+from .scaling import DecodeError, ModelInfeasibleError
 
 
 def _overrides(args):
@@ -40,8 +42,7 @@ def main(argv=None):
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--solver", default=None,
-                       choices=("lp", "milp", "rpadmm"))
+        p.add_argument("--solver", default=None, choices=tuple(sc.SOLVERS))
         p.add_argument("--out-dir", default=None)
 
     args = parser.parse_args(argv)
@@ -73,6 +74,9 @@ def main(argv=None):
         return 3
     except AdmmDivergenceError as err:
         sys.stderr.write("diverged: %s\n" % err)
+        return 4
+    except (DecodeError, LpError) as err:
+        sys.stderr.write("no usable solution: %s\n" % err)
         return 4
 
 

@@ -14,10 +14,9 @@ best-bound re-sort of the open list every 16 nodes. Deterministic.
 import io
 from dataclasses import dataclass, field
 
-from . import lp
+from . import lp, scaling
 from .netflow import FlowNet
 from .scaling import Penalties, Weights
-from .topology import forwarding_cost
 
 
 @dataclass
@@ -42,6 +41,9 @@ class MilpSolution:
     proven: bool
     total: float = None
     placement: dict = field(default_factory=dict)   # vm id -> PM or None
+    kept: dict = field(default_factory=dict)        # online vm id -> PM
+    launched: dict = field(default_factory=dict)    # offline vm id -> PM
+    terminated: dict = field(default_factory=dict)  # online vm id -> old host
     b: dict = field(default_factory=dict)           # (PM, vm id) -> 0 or 1
     alpha: dict = field(default_factory=dict)
     shares: dict = field(default_factory=dict)      # vm id -> carried share
@@ -171,17 +173,19 @@ def _decode(mp, point, total, nodes, proven):
     for j in placement:
         shares[j] = sum(alpha[(q, j)] for q in mp.problem.topology.pms
                         if (q, j) in alpha)
+    online = {vm.id: vm.host for vm in mp.problem.group.online}
+    placed = {j: q for j, q in placement.items() if q is not None}
     flows_n, flows_m = mp.fv.flows_from_point(point)
-    topo = mp.problem.topology
-    fwd = sum(forwarding_cost(topo, i, jj) * v
-              for flows in (flows_n, flows_m)
-              for (i, jj, _d), v in flows.items())
+    fwd = scaling.forwarding_cost_of(flows_n, flows_m, mp.problem.topology)
     dep = deployment_cost(placement, mp.penalties, mp.online_ids)
-    return MilpSolution(status="optimal" if proven else "budget_exhausted",
-                        proven=proven, total=total, placement=placement, b=b,
-                        alpha=alpha, shares=shares, flows_n=flows_n,
-                        flows_m=flows_m, deployment_cost=dep,
-                        forwarding_cost=fwd, nodes=nodes, point=point)
+    return MilpSolution(
+        status="optimal" if proven else "budget_exhausted", proven=proven,
+        total=total, placement=placement,
+        kept={j: q for j, q in placed.items() if j in online},
+        launched={j: q for j, q in placed.items() if j not in online},
+        terminated={j: host for j, host in online.items() if j not in placed},
+        b=b, alpha=alpha, shares=shares, flows_n=flows_n, flows_m=flows_m,
+        deployment_cost=dep, forwarding_cost=fwd, nodes=nodes, point=point)
 
 
 def solve_milp(mp, budget=20000, int_tol=1e-6, tol=1e-8):
@@ -243,14 +247,4 @@ def placement_table(solution):
         q = solution.placement[j]
         out.write("%s,%s,%.6g\n" % (j, "-" if q is None else q,
                                     solution.shares.get(j, 0.0)))
-    return out.getvalue()
-
-
-def milp_flows_csv(solution, threshold=1e-9):
-    out = io.StringIO()
-    out.write("from,to,vm,flow,value\n")
-    for name, flows in (("n", solution.flows_n), ("m", solution.flows_m)):
-        for (i, j, d), val in sorted(flows.items(), key=lambda kv: str(kv[0])):
-            if abs(val) > threshold:
-                out.write("%s,%s,%s,%s,%.9g\n" % (i, j, d, name, val))
     return out.getvalue()

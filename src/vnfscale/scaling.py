@@ -17,6 +17,7 @@ the decode degenerates.
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
@@ -96,6 +97,12 @@ class ScalingProblem:
             raise ValueError("ingress and egress PM sets must be nonempty")
         if self.penalties is None:
             self.penalties = Penalties.for_mode(self.mode)
+
+    @cached_property
+    def baseline_cost(self):
+        """baseline_forwarding_cost(self), solved on the first read and
+        kept: fields changed after that read do not re-solve it."""
+        return baseline_forwarding_cost(self)
 
     # -- capacity helpers ------------------------------------------------
 
@@ -430,7 +437,7 @@ def decode(solution, p):
     fwd = forwarding_cost_of(flows_n, flows_m, p.topology)
     delta = None
     if p.baseline_traffic:
-        base = baseline_forwarding_cost(p)
+        base = p.baseline_cost
         if base > 0:
             delta = (fwd - base) / base
     return ScalingDecision(mode=p.mode, kept=kept, launched=launched,

@@ -26,18 +26,17 @@ machine of the tree.
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 
-import numpy as np
-
-from . import lp, milp, rpadmm, scaling
-from .chain_state import (OVERLOAD, UNDERLOAD, NORMAL, Thresholds, VmInstance,
-                          VnfGroup, classify_group, required_instances)
-from .scaling import (ScalingProblem, Weights, build_overload_lp,
-                      build_underload_lp, decode, uniform_capacity,
-                      baseline_forwarding_cost, forwarding_cost_of,
-                      decision_csv, flows_csv, ModelInfeasibleError)
+from . import lp, milp, rpadmm
+from .chain_state import (OVERLOAD, NORMAL, Thresholds, VmInstance, VnfGroup,
+                          classify_group, required_instances)
+from .scaling import (ScalingProblem, build_overload_lp, build_underload_lp,
+                      decode, uniform_capacity, decision_csv, flows_csv,
+                      ModelInfeasibleError)
 from .topology import PM, NodeId, build_fat_tree
 
 TIME_BUDGET_ENV = "VNFSCALE_TIME_BUDGET"
@@ -46,6 +45,16 @@ DEFAULT_TIME_BUDGET = 1200.0
 
 class ScenarioParseError(ValueError):
     pass
+
+
+@contextmanager
+def _bad_values_named(where):
+    """Re-raise a ValueError met inside the block as a ScenarioParseError
+    that starts with `where` (the file and the key or row)."""
+    try:
+        yield
+    except ValueError as err:
+        raise ScenarioParseError("%s: %s" % (where, err)) from None
 
 
 def parse_pm(token, topo=None):
@@ -63,7 +72,8 @@ def parse_pm_list(text, topo=None):
     for token in text.split():
         if "-" in token[1:]:
             a, b = token.split("-", 1)
-            lo, hi = int(a.lstrip("P")), int(b.lstrip("P"))
+            with _bad_values_named("bad PM range %r" % token):
+                lo, hi = int(a.lstrip("P")), int(b.lstrip("P"))
             out.extend(parse_pm("P%d" % i, topo) for i in range(lo, hi + 1))
         else:
             out.append(parse_pm(token, topo))
@@ -73,9 +83,17 @@ def parse_pm_list(text, topo=None):
 def _pairs(text):
     out = {}
     for token in text.split():
-        k, v = token.split(":", 1)
-        out[k] = float(v)
+        k, _, v = token.partition(":")
+        with _bad_values_named("bad name:value token %r" % token):
+            out[k] = float(v)
     return out
+
+
+def _thresholds(text, resources):
+    thr = _pairs(text)
+    if set(thr) != {"hot", "warm", "cold"}:
+        raise ScenarioParseError("need exactly hot, warm and cold")
+    return Thresholds.uniform(resources, **thr)
 
 
 def parse_scenario(path):
@@ -118,6 +136,7 @@ class Scenario:
     beta: float
     seed: int
     iters: int
+    admm_config: rpadmm.AdmmConfig
     pm_capacity: dict
     expect: dict
 
@@ -126,21 +145,29 @@ def load_scenario(path, overrides=None):
     sec = parse_scenario(path)
     overrides = overrides or {}
 
-    t = sec["topology"]["kv"]
-    kwargs = {}
-    if "costs" in t:
-        kwargs["layer_costs"] = tuple(float(v) for v in t["costs"].split())
-    topo = build_fat_tree(int(t.get("k", 4)),
-                          pms_per_rack=int(t.get("pms_per_rack", 2)), **kwargs)
+    def value(section, key, convert, default=None):
+        """One key's text through convert(); a missing key without a
+        default, or a bad value, is a parse error naming file and key."""
+        text = sec.get(section, {"kv": {}})["kv"].get(key, default)
+        if text is None:
+            raise ScenarioParseError("%s: [%s] needs %s" % (path, section, key))
+        with _bad_values_named("%s: [%s] %s = %s" % (path, section, key, text)):
+            return convert(text)
 
-    g = sec["group"]["kv"]
-    omega = _pairs(g.get("omega", "cpu:1.0"))
-    thr_vals = _pairs(g.get("thresholds", "hot:0.90 warm:0.80 cold:0.30"))
-    thresholds = Thresholds.uniform(
-        tuple(omega), hot=thr_vals["hot"], warm=thr_vals["warm"],
-        cold=thr_vals["cold"])
-    chain = g.get("chain", "c")
-    vnf_type = g.get("vnf_type", "fw")
+    kwargs = {}
+    if "costs" in sec["topology"]["kv"]:
+        kwargs["layer_costs"] = value(
+            "topology", "costs", lambda s: tuple(float(v) for v in s.split()))
+    pms_per_rack = value("topology", "pms_per_rack", int, "2")
+    topo = value("topology", "k", lambda s: build_fat_tree(
+        int(s), pms_per_rack=pms_per_rack, **kwargs), "4")
+
+    omega = value("group", "omega", _pairs, "cpu:1.0")
+    thresholds = value("group", "thresholds",
+                       partial(_thresholds, resources=tuple(omega)),
+                       "hot:0.90 warm:0.80 cold:0.30")
+    chain = value("group", "chain", str, "c")
+    vnf_type = value("group", "vnf_type", str, "fw")
 
     online = []
     for row in sec["vms"]["rows"]:
@@ -148,32 +175,38 @@ def load_scenario(path, overrides=None):
             raise ScenarioParseError("vm row needs: id host capacity util, got %r"
                                      % " ".join(row))
         vm_id, host, cap, util = row
-        online.append(VmInstance(
-            vm_id, vnf_type, chain, {r: float(cap) for r in omega},
-            host=parse_pm(host, topo),
-            utilization={r: float(util) for r in omega}))
+        with _bad_values_named("%s: [vms] row %r" % (path, " ".join(row))):
+            online.append(VmInstance(
+                vm_id, vnf_type, chain, {r: float(cap) for r in omega},
+                host=parse_pm(host, topo),
+                utilization={r: float(util) for r in omega}))
     if not online:
         raise ScenarioParseError("scenario has no online VMs")
     pool_cap = online[0].capacity
     pool = [VmInstance("off%d" % (i + 1), vnf_type, chain, dict(pool_cap))
-            for i in range(int(g.get("offline", 8)))]
+            for i in range(value("group", "offline", int, "8"))]
 
-    group = VnfGroup(
-        chain=chain, vnf_type=vnf_type, online=online, offline_pool=pool,
-        thresholds=thresholds, gamma=float(g.get("gamma", 1.0)),
-        phi=float(g.get("phi", 1.0)), omega=omega,
-        ingress_pms=parse_pm_list(g["ingress"], topo),
-        egress_pms=parse_pm_list(g["egress"], topo),
-        candidate_pms=parse_pm_list(g["candidates"], topo))
+    pm_list = partial(parse_pm_list, topo=topo)
+    gamma = value("group", "gamma", float, "1.0")
+    phi = value("group", "phi", float, "1.0")
+    ingress = value("group", "ingress", pm_list)
+    egress = value("group", "egress", pm_list)
+    candidates = value("group", "candidates", pm_list)
+    with _bad_values_named("%s: [group]" % path):
+        group = VnfGroup(
+            chain=chain, vnf_type=vnf_type, online=online, offline_pool=pool,
+            thresholds=thresholds, gamma=gamma, phi=phi, omega=omega,
+            ingress_pms=ingress, egress_pms=egress, candidate_pms=candidates)
 
     ev = sec["event"]["kv"]
-    baseline = float(ev["baseline"])
+    baseline = value("event", "baseline", float)
     if "traffic" in ev:
-        traffic = float(ev["traffic"])
+        traffic = value("event", "traffic", float)
     elif "preset" in ev:
         preset = ev["preset"]
         if preset.startswith("overload"):
-            extra = int(preset.split(":", 1)[1]) if ":" in preset else 1
+            extra = value("event", "preset",
+                          lambda s: int(s.split(":", 1)[1]) if ":" in s else 1)
             traffic = baseline * (1.0 + 0.5 * extra)
         elif preset == "underload":
             traffic = baseline * 0.5
@@ -182,14 +215,18 @@ def load_scenario(path, overrides=None):
     else:
         raise ScenarioParseError("[event] needs a preset or explicit traffic")
 
-    sv = sec["solver"]["kv"]
-    method = overrides.get("method") or sv.get("method", "lp")
-    if method not in ("lp", "milp", "rpadmm"):
+    method = overrides.get("method") or value("solver", "method", str, "lp")
+    if method not in SOLVERS:
         raise ScenarioParseError("unknown solver method %r" % method)
+    beta = float(overrides.get("beta") or value("solver", "beta", float, "5.0"))
+    seed = (int(overrides["seed"]) if overrides.get("seed") is not None
+            else value("solver", "seed", int, "0"))
+    iters = int(overrides.get("iters") or value("solver", "iters", int, "25"))
+    with _bad_values_named("%s: [solver]" % path):
+        admm_config = rpadmm.AdmmConfig(beta=beta, max_iters=iters, seed=seed)
 
-    cap_text = sec.get("pms", {"kv": {}})["kv"].get("capacity", "none")
-    pm_capacity = None if cap_text == "none" \
-        else uniform_capacity(topo, _pairs(cap_text))
+    pm_capacity = value("pms", "capacity", lambda s: None if s == "none"
+                        else uniform_capacity(topo, _pairs(s)), "none")
 
     expect = {}
     if "expect" in sec:
@@ -197,20 +234,17 @@ def load_scenario(path, overrides=None):
         if "state" in e:
             expect["state"] = e["state"]
         if "v_star" in e:
-            expect["v_star"] = int(e["v_star"])
+            expect["v_star"] = value("expect", "v_star", int)
         for key in ("launch", "keep", "terminate"):
             if key in e:
-                expect[key] = set(parse_pm_list(e[key], topo))
+                expect[key] = set(value("expect", key, pm_list))
         if "cost_delta" in e:
             expect["cost_delta"] = e["cost_delta"]
 
     return Scenario(
         name=os.path.splitext(os.path.basename(path))[0], topology=topo,
         group=group, baseline=baseline, traffic=traffic, method=method,
-        beta=float(overrides.get("beta") or sv.get("beta", 5.0)),
-        seed=int(overrides.get("seed") if overrides.get("seed") is not None
-                 else sv.get("seed", 0)),
-        iters=int(overrides.get("iters") or sv.get("iters", 25)),
+        beta=beta, seed=seed, iters=iters, admm_config=admm_config,
         pm_capacity=pm_capacity, expect=expect)
 
 
@@ -238,21 +272,17 @@ class RunReport:
             lines.append("  thresholds hold, no reconfiguration")
             return "\n".join(lines) + "\n"
         lines.append("  v* = %d, solved with %s" % (self.v_star, self.method))
-        if self.table:
-            lines.extend("  " + row for row in self.table.rstrip().splitlines())
-        if self.cost_delta is not None:
-            pct = ("" if not self.baseline_cost
-                   else " = %+.1f%%" % (100 * self.cost_delta / self.baseline_cost))
-            lines.append("  forwarding cost %.6g (baseline %.6g, %+.6g%s)"
-                         % (self.forwarding_cost, self.baseline_cost,
-                            self.cost_delta, pct))
-        if self.stats:
-            lines.append("  model: %(num_vars)d variables, %(num_rows)d rows,"
-                         " solve %(runtime_s).3f s" % self.stats)
-            if "iterations" in self.stats:
-                lines.append("  sweeps: %d, converged: %s"
-                             % (self.stats["iterations"],
-                                self.stats.get("converged")))
+        lines.extend("  " + row for row in self.table.rstrip().splitlines())
+        pct = ("" if not self.baseline_cost
+               else " = %+.1f%%" % (100 * self.cost_delta / self.baseline_cost))
+        lines.append("  forwarding cost %.6g (baseline %.6g, %+.6g%s)"
+                     % (self.forwarding_cost, self.baseline_cost,
+                        self.cost_delta, pct))
+        lines.append("  model: %(num_vars)d variables, %(num_rows)d rows,"
+                     " solve %(runtime_s).3f s" % self.stats)
+        if "iterations" in self.stats:
+            lines.append("  sweeps: %d, converged: %s"
+                         % (self.stats["iterations"], self.stats["converged"]))
         for name, p in sorted(self.trace_paths.items()):
             lines.append("  wrote %s" % p)
         for msg in self.expect_failures:
@@ -272,17 +302,23 @@ def _problem_for(sc, state):
         baseline_traffic=sc.baseline)
 
 
-def _decision_table(decision, topo):
+def _decision_table(dec):
+    if isinstance(dec, milp.MilpSolution):
+        rows = ["vm        host    share"]
+        for j in sorted(dec.placement, key=str):
+            q = dec.placement[j]
+            rows.append("%-9s %-7s %.4f" % (j, "-" if q is None else _pm_name(q),
+                                            dec.shares.get(j, 0.0)))
+        return "\n".join(rows) + "\n"
     rows = ["instance  action     host    share"]
-    order = sorted(decision.kept.items(), key=lambda kv: str(kv[0]))
-    for vm_id, q in order:
-        key = decision.vm_slot.get(vm_id, "")
+    for vm_id, q in sorted(dec.kept.items(), key=lambda kv: str(kv[0])):
+        key = dec.vm_slot.get(vm_id, "")
         rows.append("%-9s keep       %-7s %.4f"
-                    % (vm_id, _pm_name(q), decision.shares.get(key, 0.0)))
-    for key, q in sorted(decision.launched.items()):
+                    % (vm_id, _pm_name(q), dec.shares.get(key, 0.0)))
+    for key, q in sorted(dec.launched.items()):
         rows.append("%-9s launch     %-7s %.4f"
-                    % (key, _pm_name(q), decision.shares.get(key, 0.0)))
-    for vm_id, q in sorted(decision.terminated.items(), key=lambda kv: str(kv[0])):
+                    % (key, _pm_name(q), dec.shares.get(key, 0.0)))
+    for vm_id, q in sorted(dec.terminated.items(), key=lambda kv: str(kv[0])):
         rows.append("%-9s terminate  %-7s -" % (vm_id, _pm_name(q)))
     return "\n".join(rows) + "\n"
 
@@ -291,7 +327,7 @@ def _pm_name(node):
     return "P%d" % (node.index + 1) if node.kind == PM else str(node)
 
 
-def _check_expectations(report, sc, hosts_launched, hosts_kept, hosts_terminated):
+def _check_expectations(report, sc):
     exp = sc.expect
     if "state" in exp and exp["state"] != report.state:
         report.expect_failures.append(
@@ -301,19 +337,69 @@ def _check_expectations(report, sc, hosts_launched, hosts_kept, hosts_terminated
     if "v_star" in exp and exp["v_star"] != report.v_star:
         report.expect_failures.append(
             "v_star %d, expected %d" % (report.v_star, exp["v_star"]))
-    for key, got in (("launch", hosts_launched), ("keep", hosts_kept),
-                     ("terminate", hosts_terminated)):
+    dec = report.decision
+    for key, hosts in (("launch", dec.launched), ("keep", dec.kept),
+                       ("terminate", dec.terminated)):
+        got = set(hosts.values())
         if key in exp and exp[key] != got:
             report.expect_failures.append(
                 "%s %s, expected %s"
                 % (key, sorted(_pm_name(q) for q in got),
                    sorted(_pm_name(q) for q in exp[key])))
-    if "cost_delta" in exp and report.cost_delta is not None:
+    if "cost_delta" in exp:
         want_positive = exp["cost_delta"] == "positive"
         if (report.cost_delta > 0) != want_positive:
             report.expect_failures.append(
                 "cost delta %+.6g, expected %s"
                 % (report.cost_delta, exp["cost_delta"]))
+
+
+# -- solvers -------------------------------------------------------------------
+#
+# SOLVERS[method](problem, admm_config) builds the method's model and returns
+# it with a solve step; solve() returns (decision, extra stats, ADMM trace or
+# None).  Every decision carries kept / launched / terminated maps (id -> PM)
+# and its forwarding cost.
+
+def _lp(p, admm_config):
+    model = (build_overload_lp if p.mode == OVERLOAD else build_underload_lp)(p)
+
+    def solve():
+        sol = lp.solve(model)
+        if sol.status != lp.OPTIMAL:
+            raise ModelInfeasibleError("relaxation is %s" % sol.status)
+        return decode(sol, p), {}, None
+    return model, solve
+
+
+def _milp(p, admm_config):
+    mp = milp.build_milp(p)
+
+    def solve():
+        sol = milp.solve_milp(mp)
+        if sol.status != "optimal":
+            raise ModelInfeasibleError("joint model is %s" % sol.status)
+        return sol, {"binaries": len(mp.binaries)}, None
+    return mp.base, solve
+
+
+def _rpadmm(p, admm_config):
+    if p.mode != OVERLOAD:
+        raise ScenarioParseError(
+            "the distributed solver handles only overload scenarios")
+    system = rpadmm.reformulate(p)
+
+    def solve():
+        x, trace = rpadmm.run(system, admm_config)
+        sol = lp.LpSolution(status=lp.OPTIMAL, point=x,
+                            objective_value=trace.objectives[-1],
+                            model=system.model)
+        stats = {"iterations": len(trace.records), "converged": trace.converged}
+        return decode(sol, p), stats, trace
+    return system.model, solve
+
+
+SOLVERS = {"lp": _lp, "milp": _milp, "rpadmm": _rpadmm}
 
 
 def run_scenario(path, out_dir=None, overrides=None):
@@ -322,109 +408,37 @@ def run_scenario(path, out_dir=None, overrides=None):
     state = classify_group(sc.group)
     report = RunReport(scenario=sc.name, state=state, method=sc.method)
     if state == NORMAL:
-        _check_expectations(report, sc, set(), set(), set())
+        _check_expectations(report, sc)
         return report
 
     p = _problem_for(sc, state)
     report.v_star = p.v_star
-    report.baseline_cost = baseline_forwarding_cost(p)
-
+    report.baseline_cost = p.baseline_cost
     t0 = time.perf_counter()
-    if sc.method == "milp":
-        mp = milp.build_milp(p)
-        sol = milp.solve_milp(mp)
-        elapsed = time.perf_counter() - t0
-        if sol.status != "optimal":
-            raise ModelInfeasibleError("joint model is %s" % sol.status)
-        report.decision = sol
-        rows = ["vm        host    share"]
-        for j in sorted(sol.placement, key=str):
-            q = sol.placement[j]
-            rows.append("%-9s %-7s %.4f"
-                        % (j, "-" if q is None else _pm_name(q),
-                           sol.shares.get(j, 0.0)))
-        report.table = "\n".join(rows) + "\n"
-        report.forwarding_cost = forwarding_cost_of(
-            sol.flows_n, sol.flows_m, sc.topology)
-        report.stats = {"num_vars": mp.base.num_vars,
-                        "num_rows": mp.base.num_rows,
-                        "binaries": len(mp.binaries), "runtime_s": elapsed}
-        online = {vm.id for vm in sc.group.online}
-        hosts_launched = {q for j, q in sol.placement.items()
-                          if q is not None and j not in online}
-        hosts_kept = {q for j, q in sol.placement.items()
-                      if q is not None and j in online}
-        hosts_terminated = {vm.host for vm in sc.group.online
-                            if sol.placement.get(vm.id) is None}
-    elif sc.method == "rpadmm":
-        if state != OVERLOAD:
-            raise ScenarioParseError(
-                "the distributed solver handles only overload scenarios")
-        system = rpadmm.reformulate(p)
-        cfg = rpadmm.AdmmConfig(beta=sc.beta, max_iters=sc.iters, seed=sc.seed)
-        x, trace = rpadmm.run(system, cfg)
-        elapsed = time.perf_counter() - t0
-        sol = lp.LpSolution(status=lp.OPTIMAL, point=x,
-                            objective_value=trace.objectives[-1],
-                            model=system.model)
-        dec = decode(sol, p)
-        report.decision = dec
-        report.admm_trace = trace
-        report.table = _decision_table(dec, sc.topology)
-        report.forwarding_cost = forwarding_cost_of(
-            dec.flows_n, dec.flows_m, sc.topology)
-        report.stats = {"num_vars": system.model.num_vars,
-                        "num_rows": system.model.num_rows,
-                        "iterations": len(trace.records),
-                        "converged": trace.converged, "runtime_s": elapsed}
-        hosts_launched = set(dec.launched.values())
-        hosts_kept = set(dec.kept.values())
-        hosts_terminated = set(dec.terminated.values())
-    else:
-        build = build_overload_lp if state == OVERLOAD else build_underload_lp
-        model = build(p)
-        sol = lp.solve(model)
-        elapsed = time.perf_counter() - t0
-        if sol.status != lp.OPTIMAL:
-            raise ModelInfeasibleError("relaxation is %s" % sol.status)
-        dec = decode(sol, p)
-        report.decision = dec
-        report.table = _decision_table(dec, sc.topology)
-        report.forwarding_cost = forwarding_cost_of(
-            dec.flows_n, dec.flows_m, sc.topology)
-        report.stats = {"num_vars": model.num_vars, "num_rows": model.num_rows,
-                        "runtime_s": elapsed}
-        hosts_launched = set(dec.launched.values())
-        hosts_kept = set(dec.kept.values())
-        hosts_terminated = set(dec.terminated.values())
-
-    if report.forwarding_cost is not None and report.baseline_cost is not None:
-        report.cost_delta = report.forwarding_cost - report.baseline_cost
+    model, solve = SOLVERS[sc.method](p, sc.admm_config)
+    dec, extra, report.admm_trace = solve()
+    report.stats = {"num_vars": model.num_vars, "num_rows": model.num_rows,
+                    **extra, "runtime_s": time.perf_counter() - t0}
+    report.decision = dec
+    report.table = _decision_table(dec)
+    report.forwarding_cost = dec.forwarding_cost
+    report.cost_delta = dec.forwarding_cost - report.baseline_cost
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        if isinstance(report.decision, scaling.ScalingDecision):
-            dec_path = os.path.join(out_dir, "%s_decisions.csv" % sc.name)
-            with open(dec_path, "w") as fh:
-                fh.write(decision_csv(report.decision))
-            report.trace_paths["decisions"] = dec_path
-            flows_path = os.path.join(out_dir, "%s_flows.csv" % sc.name)
-            with open(flows_path, "w") as fh:
-                fh.write(flows_csv(report.decision))
-            report.trace_paths["flows"] = flows_path
-        elif isinstance(report.decision, milp.MilpSolution):
-            dec_path = os.path.join(out_dir, "%s_decisions.csv" % sc.name)
-            with open(dec_path, "w") as fh:
-                fh.write(milp.placement_table(report.decision))
-            report.trace_paths["decisions"] = dec_path
+        if isinstance(dec, milp.MilpSolution):
+            files = {"decisions": milp.placement_table(dec)}
+        else:
+            files = {"decisions": decision_csv(dec), "flows": flows_csv(dec)}
         if report.admm_trace is not None:
-            trace_path = os.path.join(out_dir, "%s_trace.csv" % sc.name)
-            with open(trace_path, "w") as fh:
-                fh.write(report.admm_trace.csv())
-            report.trace_paths["trace"] = trace_path
+            files["trace"] = report.admm_trace.csv()
+        for kind, text in files.items():
+            path = os.path.join(out_dir, "%s_%s.csv" % (sc.name, kind))
+            with open(path, "w") as fh:
+                fh.write(text)
+            report.trace_paths[kind] = path
 
-    _check_expectations(report, sc, hosts_launched, hosts_kept,
-                        hosts_terminated)
+    _check_expectations(report, sc)
     return report
 
 
@@ -450,43 +464,27 @@ def _sweep_problem(k):
                           pm_capacity=uniform_capacity(topo, {"cpu": 100.0}))
 
 
-def _solve_job(method, k, queue):
+def _solve_job(method, k, conn):
     p = _sweep_problem(k)
     t0 = time.perf_counter()
-    if method == "milp":
-        mp = milp.build_milp(p)
-        milp.solve_milp(mp)
-        nv, nr = mp.base.num_vars, mp.base.num_rows
-    elif method == "rpadmm":
-        system = rpadmm.reformulate(p)
-        rpadmm.run(system, rpadmm.AdmmConfig())
-        nv, nr = system.model.num_vars, system.model.num_rows
-    else:
-        model = build_overload_lp(p)
-        lp.solve(model)
-        nv, nr = model.num_vars, model.num_rows
-    queue.put((nv, nr, time.perf_counter() - t0))
+    model, solve = SOLVERS[method](p, rpadmm.AdmmConfig())
+    solve()
+    conn.send((model.num_vars, model.num_rows, time.perf_counter() - t0))
 
 
 def model_counts(method, k):
     """Variable and row counts without solving."""
-    p = _sweep_problem(k)
-    if method == "milp":
-        mp = milp.build_milp(p)
-        return mp.base.num_vars, mp.base.num_rows
-    if method == "rpadmm":
-        system = rpadmm.reformulate(p)
-        return system.model.num_vars, system.model.num_rows
-    model = build_overload_lp(p)
+    model, _ = SOLVERS[method](_sweep_problem(k), None)
     return model.num_vars, model.num_rows
 
 
 def sweep_topologies(ks, method="lp", time_budget=None):
     """Size/time table rows: (k, switches, pms, variables, constraints,
-    seconds or None once the budget is exhausted).
+    seconds or None when the budget ran out or the worker died).
 
-    Each solve runs in a worker process so a blown budget cannot wedge
-    the sweep; counts are still reported for budget-exceeded rows.
+    Each solve runs in a worker process so neither a blown budget nor a
+    crashed solve can wedge the sweep; counts are still reported for the
+    rows without a time.
     """
     if time_budget is None:
         time_budget = float(os.environ.get(TIME_BUDGET_ENV,
@@ -495,18 +493,22 @@ def sweep_topologies(ks, method="lp", time_budget=None):
     rows = []
     for k in ks:
         topo = build_fat_tree(k, pms_per_rack=2)
-        queue = ctx.Queue()
-        worker = ctx.Process(target=_solve_job, args=(method, k, queue))
+        recv, send = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=_solve_job, args=(method, k, send))
         worker.start()
         worker.join(time_budget)
         if worker.is_alive():
             worker.terminate()
             worker.join()
-            nv, nr = model_counts(method, k)
-            rows.append((k, len(topo.switches), len(topo.pms), nv, nr, None))
+        # the parent keeps the sending end open, so poll() never sees an
+        # end of file: it is true only once the worker sent its result
+        if recv.poll():
+            nv, nr, elapsed = recv.recv()
         else:
-            nv, nr, elapsed = queue.get()
-            rows.append((k, len(topo.switches), len(topo.pms), nv, nr, elapsed))
+            (nv, nr), elapsed = model_counts(method, k), None
+        recv.close()
+        send.close()
+        rows.append((k, len(topo.switches), len(topo.pms), nv, nr, elapsed))
     return rows
 
 
@@ -561,9 +563,7 @@ def compare_solvers(path_or_scenario, overrides=None, out_dir=None):
     central = lp.solve(build_overload_lp(p))
     if central.status != lp.OPTIMAL:
         raise ModelInfeasibleError("central relaxation is %s" % central.status)
-    system = rpadmm.reformulate(p)
-    cfg = rpadmm.AdmmConfig(beta=sc.beta, max_iters=sc.iters, seed=sc.seed)
-    x, trace = rpadmm.run(system, cfg)
+    x, trace = rpadmm.run(rpadmm.reformulate(p), sc.admm_config)
     opt = central.objective_value
     if opt != 0.0:
         gaps = [abs(o - opt) / abs(opt) for o in trace.objectives]

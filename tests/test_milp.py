@@ -210,5 +210,5 @@ def test_placement_and_flow_tables():
     table = milp.placement_table(sol)
     assert table.splitlines()[0] == "vm,host,share"
     assert len(table.splitlines()) == 4
-    flows = milp.milp_flows_csv(sol)
-    assert flows.splitlines()[0] == "from,to,vm,flow,value"
+    flows = vs.flows_csv(sol)
+    assert flows.splitlines()[0] == "from,to,instance,flow,value"

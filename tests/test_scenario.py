@@ -4,7 +4,7 @@ import time
 import pytest
 
 import vnfscale as vs
-from vnfscale import scenario
+from vnfscale import lp, scenario
 from vnfscale.cli import main as cli_main
 from vnfscale.scaling import forwarding_cost_of
 
@@ -163,6 +163,26 @@ def test_cost_delta_round_trips_through_flow_costs():
     assert recomputed - report.baseline_cost == report.cost_delta
 
 
+@pytest.mark.parametrize("name, lp_solves", [
+    ("scale_out_v4.scn", 2),            # relaxation + baseline
+    ("distributed_scale_out.scn", 1),   # baseline only
+])
+def test_baseline_is_solved_once_per_decision(monkeypatch, name, lp_solves):
+    calls = []
+    real_solve = lp.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0].name)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    report = scenario.run_scenario(scen(name))
+    assert len(calls) == lp_solves
+    dec = report.decision
+    assert dec.cost_delta_vs_baseline == pytest.approx(
+        report.cost_delta / report.baseline_cost)
+
+
 def test_underload_terminates_and_saves():
     report = scenario.run_scenario(scen("scale_in_two_hosts.scn"))
     assert report.state == vs.UNDERLOAD
@@ -209,6 +229,17 @@ def test_sweep_counts_match_the_small_tree():
 def test_model_sizes_grow_with_k():
     sizes = [scenario.model_counts("lp", k)[0] for k in (2, 4, 8)]
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+def test_sweep_reports_a_dead_worker_without_blocking(monkeypatch):
+    monkeypatch.setattr(scenario, "_solve_job",
+                        lambda method, k, conn: os._exit(1))
+    t0 = time.perf_counter()
+    rows = scenario.sweep_topologies([2], time_budget=5)
+    assert time.perf_counter() - t0 < 5
+    assert rows[0][5] is None
+    assert rows[0][3:5] == scenario.model_counts("lp", 2)
+    assert "N/A" in scenario.sweep_table(rows, "lp")
 
 
 def test_sweep_marks_budget_exhaustion():
@@ -258,16 +289,36 @@ def test_cli_expectation_failure_is_exit_one(tmp_path, capsys):
     assert "EXPECT FAILED" in capsys.readouterr().out
 
 
-def test_cli_parse_error_is_exit_two(tmp_path, capsys):
-    body = minimal().replace("[solver]", "[solvers]")
+@pytest.mark.parametrize("old, new", [
+    ("[solver]", "[solvers]"),
+    ("k = 2", "k = four"),
+    ("candidates = P1-P4", "candidates = P1-Px"),
+    ("gamma = 1.0", "gamma = 1.0\nomega = cpu"),
+    ("vm1  P2  100  0.95", "vm1  P2  big  0.5"),
+], ids=["section", "k", "candidates", "omega", "vm_row"])
+def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new):
+    body = minimal().replace(old, new)
+    assert body != minimal()
     assert cli_main(["run", write_scenario(tmp_path, body)]) == 2
     assert cli_main(["run", str(tmp_path / "missing.scn")]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "error: " in captured.err
 
 
 def test_cli_infeasible_is_exit_three(tmp_path, capsys):
     # four instances at share cap 25/200 cannot carry the load
     body = minimal(event="traffic = 200").replace("vm1  P2  100", "vm1  P2  25")
     assert cli_main(["run", write_scenario(tmp_path, body)]) == 3
+
+
+def test_cli_unusable_solver_point_is_exit_four(capsys):
+    # one sweep leaves the new instance's interest column all zero
+    assert cli_main(["run", scen("distributed_scale_out.scn"),
+                     "--iters", "1"]) == 4
+    captured = capsys.readouterr()
+    assert "all-zero interest column" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_sweep_and_compare(capsys):
