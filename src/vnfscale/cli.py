@@ -19,6 +19,18 @@ def _overrides(args):
             "method": args.solver}
 
 
+def _degrees(text):
+    """--k: a comma list of positive even fat-tree degrees."""
+    try:
+        ks = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        ks = []
+    if not ks or any(k <= 0 or k % 2 for k in ks):
+        raise argparse.ArgumentTypeError(
+            "need a comma list of positive even integers, got %r" % text)
+    return ks
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="vnfscale",
@@ -28,8 +40,8 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("file")
     p_sweep = sub.add_parser("sweep", help="model size and solve time per k")
-    p_sweep.add_argument("--k", default="2,4,8",
-                         help="comma separated fat-tree degrees")
+    p_sweep.add_argument("--k", type=_degrees, default="2,4,8",
+                         help="comma separated even fat-tree degrees")
     p_sweep.add_argument("--budget", type=float, default=None,
                          help="seconds per solve before the N/A marker "
                               "(default from %s or %.0f)"
@@ -53,9 +65,8 @@ def main(argv=None):
             sys.stdout.write(report.text())
             return 1 if report.expect_failures else 0
         if args.verb == "sweep":
-            ks = [int(v) for v in args.k.split(",") if v]
             method = args.solver or "lp"
-            rows = sc.sweep_topologies(ks, method=method,
+            rows = sc.sweep_topologies(args.k, method=method,
                                        time_budget=args.budget)
             sys.stdout.write(sc.sweep_table(rows, method))
             return 0

@@ -1,9 +1,14 @@
 """Sparse linear-program container and exact solver.
 
 LpModel is a plain registry of variables (name, bounds), a sparse
-linear objective and relational rows.  solve() hands the model to
-scipy's HiGHS dual simplex, which is deterministic for a fixed model
-and returns a basic (vertex) optimal point; that matters downstream
+linear objective and relational rows.  matrices() exports the objective
+and rows as arrays for every reader of the rows: a CSR in model row
+order, each row's coefficients in insertion order with explicit zeros
+kept, plus the split linprog takes.  The export is cached until
+add_var, add_row or add_objective; bounds stay out of it, so
+branch-and-bound nodes share one export.  solve() hands it to scipy's
+HiGHS dual simplex, which is deterministic for a fixed model and
+returns a basic (vertex) optimal point; that matters downstream
 because placement decisions are decoded from vertex structure.
 """
 
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -21,6 +27,9 @@ UNBOUNDED = "unbounded"
 EQ, LE, GE = "=", "<=", ">="
 
 Violation = namedtuple("Violation", "row amount label")
+
+# c, every row as (a, b, rel), then the same rows split for linprog
+Matrices = namedtuple("Matrices", "c a b rel a_ub b_ub a_eq b_eq")
 
 
 class LpError(RuntimeError):
@@ -37,6 +46,7 @@ class LpModel:
     obj_const: float = 0.0
     rows: list = field(default_factory=list)        # (coeffs dict, rel, rhs, label)
     _by_name: dict = field(default_factory=dict, repr=False)
+    _matrices: Matrices = field(default=None, repr=False, compare=False)
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         if name in self._by_name:
@@ -48,13 +58,11 @@ class LpModel:
         self.lower.append(float(lo))
         self.upper.append(float(hi))
         self._by_name[name] = idx
+        self._matrices = None
         return idx
 
     def var(self, name):
         return self._by_name[name]
-
-    def has_var(self, name):
-        return name in self._by_name
 
     def add_row(self, coeffs, rel, rhs, label=""):
         if rel not in (EQ, LE, GE):
@@ -63,12 +71,14 @@ class LpModel:
             if not (0 <= idx < len(self.var_names)):
                 raise ValueError("row %r references unknown variable %d" % (label, idx))
         self.rows.append((dict(coeffs), rel, float(rhs), label))
+        self._matrices = None
         return len(self.rows) - 1
 
     def add_objective(self, coeffs, const=0.0):
         for idx, c in coeffs.items():
             self.objective[idx] = self.objective.get(idx, 0.0) + float(c)
         self.obj_const += const
+        self._matrices = None
 
     @property
     def num_vars(self):
@@ -78,12 +88,34 @@ class LpModel:
     def num_rows(self):
         return len(self.rows)
 
-    def row_value(self, row_idx, point):
-        coeffs, _, _, _ = self.rows[row_idx]
-        return sum(c * point[i] for i, c in coeffs.items())
-
     def objective_value(self, point):
         return sum(c * point[i] for i, c in self.objective.items()) + self.obj_const
+
+    def matrices(self):
+        """The cached sparse export of the objective and rows."""
+        if self._matrices is None:
+            self._matrices = _export(self)
+        return self._matrices
+
+
+def _export(model):
+    n, m = model.num_vars, model.num_rows
+    c = np.zeros(n)
+    c[list(model.objective)] = list(model.objective.values())
+    lens = np.fromiter((len(r[0]) for r in model.rows), int, m)
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    nnz = int(indptr[-1])
+    indices = np.fromiter((i for r in model.rows for i in r[0]), int, nnz)
+    data = np.fromiter((v for r in model.rows for v in r[0].values()), float, nnz)
+    b = np.fromiter((r[2] for r in model.rows), float, m)
+    rel = np.array([r[1] for r in model.rows], dtype="<U2")
+    a = csr_array((data, indices, indptr), shape=(m, n))
+    flip = rel == GE
+    signed = csr_array((np.where(np.repeat(flip, lens), -data, data),
+                        indices, indptr), shape=(m, n))
+    ub, eq = np.flatnonzero(rel != EQ), np.flatnonzero(rel == EQ)
+    return Matrices(c, a, b, rel, signed[ub], np.where(flip, -b, b)[ub],
+                    a[eq], b[eq])
 
 
 @dataclass
@@ -100,55 +132,26 @@ class LpSolution:
 def solve(model, tol=1e-8, bounds_override=None):
     """Solve min objective over the model's rows and bounds.
 
-    bounds_override exists so branch-and-bound can pin binaries
-    without copying the row set: either a dict {index: (lo, hi)} of
-    sparse patches or a full length-num_vars list of (lo, hi) pairs.
-    Infeasible and unbounded come back as statuses; solver failures
-    raise LpError.
+    bounds_override, a length-num_vars list of (lo, hi) pairs, replaces
+    the model's bounds so branch-and-bound can pin binaries while reusing
+    the model's cached matrices.  Infeasible and unbounded come back as
+    statuses; solver failures raise LpError.
     """
-    n = model.num_vars
-    c = np.zeros(n)
-    for i, v in model.objective.items():
-        c[i] = v
-
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for coeffs, rel, rhs, _ in model.rows:
-        row = np.zeros(n)
-        for i, v in coeffs.items():
-            row[i] = v
-        if rel == EQ:
-            a_eq.append(row)
-            b_eq.append(rhs)
-        elif rel == LE:
-            a_ub.append(row)
-            b_ub.append(rhs)
-        else:
-            a_ub.append(-row)
-            b_ub.append(-rhs)
-
-    lower = list(model.lower)
-    upper = list(model.upper)
-    if bounds_override:
-        if hasattr(bounds_override, "items"):
-            pairs = bounds_override.items()
-        else:
-            if len(bounds_override) != n:
-                raise ValueError(
-                    "bounds_override list must cover all %d variables" % n
-                )
-            pairs = enumerate(bounds_override)
-        for i, (lo, hi) in pairs:
-            lower[i] = lo
-            upper[i] = hi
-    bounds = list(zip(lower, upper))
-
+    if bounds_override is None:
+        bounds = list(zip(model.lower, model.upper))
+    elif len(bounds_override) != model.num_vars:
+        raise ValueError("bounds_override must cover all %d variables"
+                         % model.num_vars)
+    else:
+        bounds = bounds_override
+    mats = model.matrices()
     feas_tol = max(tol / 10.0, 1e-10)
     res = linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        mats.c,
+        A_ub=mats.a_ub,
+        b_ub=mats.b_ub,
+        A_eq=mats.a_eq,
+        b_eq=mats.b_eq,
         bounds=bounds,
         method="highs-ds",
         options={
@@ -177,17 +180,13 @@ def check_feasibility(model, point, tol=1e-8):
     if point.shape != (model.num_vars,):
         raise ValueError("point covers %d variables, model has %d"
                          % (point.size, model.num_vars))
-    out = []
-    for k, (coeffs, rel, rhs, label) in enumerate(model.rows):
-        lhs = sum(c * point[i] for i, c in coeffs.items())
-        diff = lhs - rhs
-        if rel == EQ and abs(diff) > tol:
-            out.append(Violation(k, diff, label))
-        elif rel == LE and diff > tol:
-            out.append(Violation(k, diff, label))
-        elif rel == GE and diff < -tol:
-            out.append(Violation(k, diff, label))
-    return out
+    mats = model.matrices()
+    diff = mats.a @ point - mats.b
+    bad = (((mats.rel == EQ) & (np.abs(diff) > tol))
+           | ((mats.rel == LE) & (diff > tol))
+           | ((mats.rel == GE) & (diff < -tol)))
+    return [Violation(k, diff[k], model.rows[k][3])
+            for k in np.flatnonzero(bad).tolist()]
 
 
 def _safe_names(names, prefix):

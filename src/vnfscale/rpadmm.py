@@ -15,6 +15,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import lp, scaling
 from .chain_state import OVERLOAD
@@ -207,17 +208,15 @@ def system_from_model(model, owner="agent"):
 
 def lift_point(system, base_point):
     """Extend a central-model point over the difference variables by
-    evaluating each one's defining row."""
+    evaluating their defining rows, which read only base variables and
+    hold their own variable with coefficient -1."""
     model = system.model
     x = np.zeros(model.num_vars)
     x[:system.base_width] = np.asarray(base_point, dtype=float)
-    for idx in sorted(system.aux_def):
-        coeffs, _, rhs, _ = model.rows[system.aux_def[idx]]
-        val = -rhs
-        for i, c in coeffs.items():
-            if i != idx:
-                val += c * x[i]
-        x[idx] = val   # its own coefficient is -1 by construction
+    aux = sorted(system.aux_def)
+    rows = [system.aux_def[i] for i in aux]
+    mats = model.matrices()
+    x[aux] = mats.a[rows] @ x - mats.b[rows]
     return x
 
 
@@ -236,15 +235,13 @@ def agent_partition(system):
 def message_footprint(system):
     """Total distinct foreign values the agents read per sweep: for each
     block, the variables sharing a row with it but owned elsewhere."""
-    peers = [set() for _ in range(system.model.num_vars)]
-    for coeffs, _, _, _ in system.model.rows:
-        idxs = list(coeffs)
-        for i in idxs:
-            own = system.owners[i]
-            for j in idxs:
-                if j != i and system.owners[j] != own:
-                    peers[i].add(j)
-    return sum(len(s) for s in peers)
+    a = system.model.matrices().a
+    pattern = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    shared = (pattern.T @ pattern).tocoo()
+    codes = {}
+    owner = np.array([codes.setdefault(system.owners[i], len(codes))
+                      for i in range(a.shape[1])], dtype=int)
+    return int(np.count_nonzero(owner[shared.row] != owner[shared.col]))
 
 
 def scalar_block_update(c, terms, lo, hi, beta):
@@ -301,10 +298,8 @@ def _normalize(cur, baseline):
 
 
 def _residuals(model, point):
-    res = np.zeros(model.num_rows)
-    for t, (coeffs, _, rhs, _) in enumerate(model.rows):
-        res[t] = sum(c * point[i] for i, c in coeffs.items()) - rhs
-    return res
+    mats = model.matrices()
+    return mats.a @ point - mats.b
 
 
 def normalized_violations(point, system, baseline=None):
@@ -340,9 +335,6 @@ class AdmmTrace:
     @property
     def objectives(self):
         return [r.objective for r in self.records]
-
-    def violation_curve(self, family):
-        return [r.violations.get(family, 0.0) for r in self.records]
 
     def csv(self):
         out = io.StringIO()
@@ -387,19 +379,18 @@ def run(problem, cfg=None):
     system = problem if isinstance(problem, ReformulatedSystem) else reformulate(problem)
     model = system.model
     nv, nr = model.num_vars, model.num_rows
-    for _, rel, _, label in model.rows:
-        if rel != lp.EQ:
-            raise ValueError("the sweep needs equality rows, got %r in %r"
-                             % (rel, label))
+    mats = model.matrices()
+    bad = np.flatnonzero(mats.rel != lp.EQ)
+    if bad.size:
+        raise ValueError("the sweep needs equality rows, got %r in %r"
+                         % (str(mats.rel[bad[0]]), model.rows[bad[0]][3]))
 
     lo, hi = np.asarray(model.lower), np.asarray(model.upper)
-    cost = np.zeros(nv)
-    for i, c in model.objective.items():
-        cost[i] = c
-    cols = [[] for _ in range(nv)]
-    for t, (coeffs, _, _, _) in enumerate(model.rows):
-        for i, a in coeffs.items():
-            cols[i].append((t, a))
+    cost = mats.c
+    csc = mats.a.tocsc()
+    ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+    cols = [list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
+            for i in range(nv)]
 
     if cfg.init is None:
         x = np.zeros(nv)

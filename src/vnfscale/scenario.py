@@ -80,6 +80,13 @@ def parse_pm_list(text, topo=None):
     return out
 
 
+def _nonnegative(text):
+    v = float(text)
+    if not v >= 0:
+        raise ValueError("must be a non-negative number")
+    return v
+
+
 def _pairs(text):
     out = {}
     for token in text.split():
@@ -199,9 +206,9 @@ def load_scenario(path, overrides=None):
             ingress_pms=ingress, egress_pms=egress, candidate_pms=candidates)
 
     ev = sec["event"]["kv"]
-    baseline = value("event", "baseline", float)
+    baseline = value("event", "baseline", _nonnegative)
     if "traffic" in ev:
-        traffic = value("event", "traffic", float)
+        traffic = value("event", "traffic", _nonnegative)
     elif "preset" in ev:
         preset = ev["preset"]
         if preset.startswith("overload"):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from vnfscale import lp
+import vnfscale as vs
+from vnfscale import lp, milp, rpadmm
+
+from corpus import admm_fixture, k2_instance
 
 
 def small_model():
@@ -139,3 +143,112 @@ def test_knapsack_relaxation_properties(costs, demand):
     whole, frac = int(demand), demand - int(demand)
     expect = sum(ordered[:whole]) + (ordered[whole] * frac if frac > 1e-12 else 0.0)
     assert sol.objective_value == pytest.approx(expect, rel=1e-6)
+
+
+# -- the sparse matrix export -------------------------------------------------
+
+SOLVED = ["lp", "milp0", "milp1", "milp2", "milp3"]
+
+
+def corpus_model(name):
+    """The central LP and the ADMM lift of the ADMM fixture, and the MILP
+    bases of four k=2 instances."""
+    if name == "lp":
+        return vs.build_overload_lp(admm_fixture())
+    if name == "lift":
+        return rpadmm.reformulate(admm_fixture()).model
+    return milp.build_milp(k2_instance(int(name[-1]))).base
+
+
+def dense_rows(model):
+    a = np.zeros((model.num_rows, model.num_vars))
+    for t, (coeffs, _, _, _) in enumerate(model.rows):
+        for i, v in coeffs.items():
+            a[t, i] = v
+    return a
+
+
+@pytest.mark.parametrize("name", SOLVED + ["lift"])
+def test_export_matches_the_row_dicts(name):
+    model = corpus_model(name)
+    mats = model.matrices()
+    a = dense_rows(model)
+    assert np.array_equal(mats.a.toarray(), a)
+    assert list(mats.b) == [r[2] for r in model.rows]
+    assert list(mats.rel) == [r[1] for r in model.rows]
+    assert list(mats.c) == [model.objective.get(i, 0.0)
+                            for i in range(model.num_vars)]
+    eq = mats.rel == lp.EQ
+    sign = np.where(mats.rel == lp.GE, -1.0, 1.0)
+    assert np.array_equal(mats.a_eq.toarray(), a[eq])
+    assert np.array_equal(mats.b_eq, mats.b[eq])
+    assert np.array_equal(mats.a_ub.toarray(), (sign[:, None] * a)[~eq])
+    assert np.array_equal(mats.b_ub, (sign * mats.b)[~eq])
+    # each row keeps its insertion order, so A @ x adds the terms in the
+    # order the row was written
+    x = np.random.default_rng(0).normal(size=model.num_vars)
+    by_hand = [sum(c * x[i] for i, c in coeffs.items()) - rhs
+               for coeffs, _, rhs, _ in model.rows]
+    assert (mats.a @ x - mats.b).tolist() == by_hand
+
+
+@pytest.mark.parametrize("name", SOLVED)
+def test_solve_lands_on_the_dense_assembly_vertex(name):
+    model = corpus_model(name)
+    a = dense_rows(model)
+    rel = np.array([r[1] for r in model.rows])
+    b = np.array([r[2] for r in model.rows])
+    ub, eq = rel != lp.EQ, rel == lp.EQ
+    sign = np.where(rel == lp.GE, -1.0, 1.0)[:, None]
+    feas_tol = 1e-9
+    res = linprog(model.matrices().c, A_ub=(sign * a)[ub],
+                  b_ub=(sign[:, 0] * b)[ub], A_eq=a[eq], b_eq=b[eq],
+                  bounds=list(zip(model.lower, model.upper)),
+                  method="highs-ds",
+                  options={"presolve": True,
+                           "primal_feasibility_tolerance": feas_tol,
+                           "dual_feasibility_tolerance": feas_tol})
+    assert np.array_equal(lp.solve(model).point, res.x)
+
+
+def test_export_is_cached_until_the_model_changes():
+    m, x, y = small_model()
+    first = m.matrices()
+    assert m.matrices() is first
+    z = m.add_var("z", 0.0, 1.0)
+    assert m.matrices() is not first and m.matrices().a.shape == (1, 3)
+    second = m.matrices()
+    m.add_objective({z: 3.0})
+    assert m.matrices() is not second and m.matrices().c[z] == 3.0
+    third = m.matrices()
+    m.add_row({z: 1.0}, "<=", 1.0)
+    assert m.matrices() is not third and m.matrices().a.shape == (2, 3)
+
+
+def test_resolve_after_a_new_row_sees_the_row():
+    m, x, y = small_model()
+    assert lp.solve(m).objective_value == pytest.approx(4.0)
+    m.add_row({x: 1.0}, "<=", 1.0, "cap")
+    sol = lp.solve(m)
+    assert sol.value("x") == pytest.approx(1.0)
+    assert sol.value("y") == pytest.approx(3.0)
+    assert sol.objective_value == pytest.approx(7.0)
+
+
+def test_bounds_override_must_cover_every_variable():
+    m, x, y = small_model()
+    with pytest.raises(ValueError):
+        lp.solve(m, bounds_override=[(0.0, 1.0)])
+    sol = lp.solve(m, bounds_override=[(0.0, 1.0), (0.0, 10.0)])
+    assert sol.value("y") == pytest.approx(3.0)
+
+
+def test_message_footprint_counts_an_explicit_zero():
+    m = lp.LpModel("zero")
+    a = m.add_var("a", -np.inf, np.inf)
+    b = m.add_var("b", -np.inf, np.inf)
+    m.add_row({a: 1.0, b: 0.0}, "=", 0.0, "r")
+    assert m.matrices().a.nnz == 2
+    system = rpadmm.ReformulatedSystem(model=m, owners={a: "p", b: "q"},
+                                       row_family=["r"])
+    assert rpadmm.message_footprint(system) == 2

@@ -295,7 +295,10 @@ def test_cli_expectation_failure_is_exit_one(tmp_path, capsys):
     ("candidates = P1-P4", "candidates = P1-Px"),
     ("gamma = 1.0", "gamma = 1.0\nomega = cpu"),
     ("vm1  P2  100  0.95", "vm1  P2  big  0.5"),
-], ids=["section", "k", "candidates", "omega", "vm_row"])
+    ("preset = overload:1", "traffic = -5"),
+    ("baseline = 100", "baseline = -1"),
+], ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
+        "baseline"])
 def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new):
     body = minimal().replace(old, new)
     assert body != minimal()
@@ -304,6 +307,16 @@ def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("bad", ["four", "3", "0"])
+def test_cli_sweep_bad_k_is_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--k", bad])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "positive even integers" in captured.err
 
 
 def test_cli_infeasible_is_exit_three(tmp_path, capsys):
