@@ -15,8 +15,7 @@ from .scaling import DecodeError, ModelInfeasibleError
 
 
 def _overrides(args):
-    return {"beta": args.beta, "seed": args.seed, "iters": args.iters,
-            "method": args.solver}
+    return {"beta": args.beta, "seed": args.seed, "iters": args.iters}
 
 
 def _degrees(text):
@@ -31,6 +30,18 @@ def _degrees(text):
     return ks
 
 
+def _seconds(text):
+    """--budget: a positive, finite number of seconds."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = 0.0
+    if not 0 < v < float("inf"):
+        raise argparse.ArgumentTypeError(
+            "need a positive number of seconds, got %r" % text)
+    return v
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="vnfscale",
@@ -39,36 +50,38 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("file")
-    p_sweep = sub.add_parser("sweep", help="model size and solve time per k")
-    p_sweep.add_argument("--k", type=_degrees, default="2,4,8",
-                         help="comma separated even fat-tree degrees")
-    p_sweep.add_argument("--budget", type=float, default=None,
-                         help="seconds per solve before the N/A marker "
-                              "(default from %s or %.0f)"
-                              % (sc.TIME_BUDGET_ENV, sc.DEFAULT_TIME_BUDGET))
     p_cmp = sub.add_parser("compare",
                            help="central relaxation vs distributed solver")
     p_cmp.add_argument("file")
-
-    for p in (p_run, p_sweep, p_cmp):
+    # flags override the file's [solver] section
+    for p in (p_run, p_cmp):
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--iters", type=int, default=None)
-        p.add_argument("--solver", default=None, choices=tuple(sc.SOLVERS))
         p.add_argument("--out-dir", default=None)
+    p_run.add_argument("--solver", default=None, choices=tuple(sc.SOLVERS))
+
+    p_sweep = sub.add_parser("sweep", help="model size and solve time per k")
+    p_sweep.add_argument("--k", type=_degrees, default="2,4,8",
+                         help="comma separated even fat-tree degrees")
+    p_sweep.add_argument("--solver", default="lp", choices=tuple(sc.SOLVERS))
+    p_sweep.add_argument("--budget", type=_seconds,
+                         default=sc.DEFAULT_TIME_BUDGET,
+                         help="seconds per solve before the N/A marker "
+                              "(default %(default).0f)")
 
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
             report = sc.run_scenario(args.file, out_dir=args.out_dir,
-                                     overrides=_overrides(args))
+                                     overrides=dict(_overrides(args),
+                                                    method=args.solver))
             sys.stdout.write(report.text())
             return 1 if report.expect_failures else 0
         if args.verb == "sweep":
-            method = args.solver or "lp"
-            rows = sc.sweep_topologies(args.k, method=method,
+            rows = sc.sweep_topologies(args.k, method=args.solver,
                                        time_budget=args.budget)
-            sys.stdout.write(sc.sweep_table(rows, method))
+            sys.stdout.write(sc.sweep_table(rows, args.solver))
             return 0
         report = sc.compare_solvers(args.file, overrides=_overrides(args),
                                     out_dir=args.out_dir)

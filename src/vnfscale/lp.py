@@ -12,7 +12,6 @@ returns a basic (vertex) optimal point; that matters downstream
 because placement decisions are decoded from vertex structure.
 """
 
-import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -25,6 +24,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 EQ, LE, GE = "=", "<=", ">="
+
+# HiGHS primal and dual feasibility tolerance
+FEASIBILITY_TOL = 1e-9
 
 Violation = namedtuple("Violation", "row amount label")
 
@@ -129,7 +131,7 @@ class LpSolution:
         return float(self.point[self.model.var(name)])
 
 
-def solve(model, tol=1e-8, bounds_override=None):
+def solve(model, bounds_override=None):
     """Solve min objective over the model's rows and bounds.
 
     bounds_override, a length-num_vars list of (lo, hi) pairs, replaces
@@ -145,7 +147,6 @@ def solve(model, tol=1e-8, bounds_override=None):
     else:
         bounds = bounds_override
     mats = model.matrices()
-    feas_tol = max(tol / 10.0, 1e-10)
     res = linprog(
         mats.c,
         A_ub=mats.a_ub,
@@ -156,8 +157,8 @@ def solve(model, tol=1e-8, bounds_override=None):
         method="highs-ds",
         options={
             "presolve": True,
-            "primal_feasibility_tolerance": feas_tol,
-            "dual_feasibility_tolerance": feas_tol,
+            "primal_feasibility_tolerance": FEASIBILITY_TOL,
+            "dual_feasibility_tolerance": FEASIBILITY_TOL,
         },
     )
     if res.status == 2:
@@ -187,51 +188,3 @@ def check_feasibility(model, point, tol=1e-8):
            | ((mats.rel == GE) & (diff < -tol)))
     return [Violation(k, diff[k], model.rows[k][3])
             for k in np.flatnonzero(bad).tolist()]
-
-
-def _safe_names(names, prefix):
-    return ["%s%d_%s" % (prefix, i, re.sub(r"[^A-Za-z0-9]+", "_", s).strip("_"))
-            for i, s in enumerate(names)]
-
-
-def _terms(coeffs, names):
-    parts = []
-    for i in sorted(coeffs):
-        v = coeffs[i]
-        if v == 0:
-            continue
-        sign = "-" if v < 0 else "+"
-        parts.append("%s %.17g %s" % (sign, abs(v), names[i]))
-    if not parts:
-        return "0 %s" % names[0]
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else text
-
-
-def lp_format(model):
-    """Render the model as LP-format text for external cross-checking."""
-    vnames = _safe_names(model.var_names, "v")
-    lines = ["\\ Problem: %s" % model.name]
-    if model.obj_const:
-        lines.append("\\ objective constant %.17g not representable; add it to the optimum"
-                     % model.obj_const)
-    lines.append("Minimize")
-    lines.append(" obj: " + _terms(model.objective, vnames))
-    lines.append("Subject To")
-    for k, (coeffs, rel, rhs, label) in enumerate(model.rows):
-        rowname = _safe_names([label or "row"], "c%d" % k)[0] if label else "c%d" % k
-        lines.append(" %s: %s %s %.17g" % (rowname, _terms(coeffs, vnames),
-                                           rel if rel != EQ else "=", rhs))
-    lines.append("Bounds")
-    for i, name in enumerate(vnames):
-        lo, hi = model.lower[i], model.upper[i]
-        if lo == -np.inf and hi == np.inf:
-            lines.append(" %s free" % name)
-        elif hi == np.inf:
-            lines.append(" %.17g <= %s" % (lo, name))
-        elif lo == -np.inf:
-            lines.append(" -inf <= %s <= %.17g" % (name, hi))
-        else:
-            lines.append(" %.17g <= %s <= %.17g" % (lo, name, hi))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -18,6 +18,9 @@ from . import lp, scaling
 from .netflow import FlowNet
 from .scaling import Penalties, Weights
 
+# a binary within this distance of 0 or 1 counts as integral
+INT_TOL = 1e-6
+
 
 @dataclass
 class MilpProblem:
@@ -44,7 +47,6 @@ class MilpSolution:
     kept: dict = field(default_factory=dict)        # online vm id -> PM
     launched: dict = field(default_factory=dict)    # offline vm id -> PM
     terminated: dict = field(default_factory=dict)  # online vm id -> old host
-    b: dict = field(default_factory=dict)           # (PM, vm id) -> 0 or 1
     alpha: dict = field(default_factory=dict)
     shares: dict = field(default_factory=dict)      # vm id -> carried share
     flows_n: dict = field(default_factory=dict)
@@ -160,11 +162,8 @@ def deployment_cost(placement, penalties, online_ids):
 
 def _decode(mp, point, total, nodes, proven):
     placement = {}
-    b = {}
     for (q, j), idx in mp.b_idx.items():
-        val = int(round(point[idx]))
-        b[(q, j)] = val
-        if val:
+        if round(point[idx]):
             placement[j] = q
     for j in mp.online_ids + mp.offline_ids:
         placement.setdefault(j, None)
@@ -184,11 +183,11 @@ def _decode(mp, point, total, nodes, proven):
         kept={j: q for j, q in placed.items() if j in online},
         launched={j: q for j, q in placed.items() if j not in online},
         terminated={j: host for j, host in online.items() if j not in placed},
-        b=b, alpha=alpha, shares=shares, flows_n=flows_n, flows_m=flows_m,
+        alpha=alpha, shares=shares, flows_n=flows_n, flows_m=flows_m,
         deployment_cost=dep, forwarding_cost=fwd, nodes=nodes, point=point)
 
 
-def solve_milp(mp, budget=20000, int_tol=1e-6, tol=1e-8):
+def solve_milp(mp, budget=20000):
     """Branch-and-bound over the binaries. Within budget LP-solves the
     result is the proven optimum; past it the best incumbent is returned
     flagged non-proven."""
@@ -213,14 +212,14 @@ def solve_milp(mp, budget=20000, int_tol=1e-6, tol=1e-8):
         if parent_bound >= best_obj - 1e-9:
             continue
         nodes += 1
-        sol = lp.solve(model, tol, bounds_override=node_bounds(fixed))
+        sol = lp.solve(model, bounds_override=node_bounds(fixed))
         if sol.status != lp.OPTIMAL:
             continue
         if sol.objective_value >= best_obj - 1e-9:
             continue
         frac = [(min(sol.point[i] - 0.0, 1.0 - sol.point[i]), i)
                 for i in mp.binaries if i not in fixed]
-        frac = [(f, i) for f, i in frac if f > int_tol]
+        frac = [(f, i) for f, i in frac if f > INT_TOL]
         if not frac:
             best_obj = sol.objective_value
             best_point = sol.point

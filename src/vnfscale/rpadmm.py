@@ -54,14 +54,15 @@ class AdmmConfig:
     primal_tol: float = 1e-3       # stop when max normalized violation drops below
     seed: int = 0
     divergence_limit: float = 1e12
-    init: object = None            # starting primal point, default all zeros
-    permutations: object = None    # explicit sweep orders; overrides the RNG
+    permutations: object = None    # list of sweep orders; overrides the RNG
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
 
 
 @dataclass
@@ -70,7 +71,6 @@ class ReformulatedSystem:
     variables, plus the agent bookkeeping the sweep needs."""
 
     model: object
-    problem: object = None
     base_width: int = 0        # leading variables shared with the central model
     aux_def: dict = field(default_factory=dict)   # aux var -> its defining row
     owners: dict = field(default_factory=dict)    # var index -> owning agent
@@ -191,7 +191,7 @@ def reformulate(p):
     model.add_row({i: 1.0 for i in taps}, "=", p.traffic * gamma, "e_sum")
 
     system = ReformulatedSystem(
-        model=model, problem=p, base_width=base_width, aux_def=aux_def,
+        model=model, base_width=base_width, aux_def=aux_def,
         owners=owners, row_family=[_family_of(r[3]) for r in model.rows])
     agent_partition(system)   # fail fast on any orphan block
     return system
@@ -352,12 +352,9 @@ class AdmmTrace:
 def _sweep_orders(cfg, num_vars):
     if cfg.permutations is None:
         return None
-    orders = cfg.permutations
-    if orders and np.isscalar(orders[0]):
-        orders = [orders]
     checked = []
     want = np.arange(num_vars)
-    for order in orders:
+    for order in cfg.permutations:
         arr = np.asarray(order, dtype=int)
         if not np.array_equal(np.sort(arr), want):
             raise ValueError("override is not a permutation of all %d blocks"
@@ -366,7 +363,7 @@ def _sweep_orders(cfg, num_vars):
     return checked
 
 
-def run(problem, cfg=None):
+def run(system, cfg=None):
     """Randomly permuted ADMM over the reformulated system.
 
     Returns (point, trace).  Each round: draw a sweep order, update
@@ -376,7 +373,6 @@ def run(problem, cfg=None):
     primal_tol; raises AdmmDivergenceError past the divergence limit.
     """
     cfg = cfg if cfg is not None else AdmmConfig()
-    system = problem if isinstance(problem, ReformulatedSystem) else reformulate(problem)
     model = system.model
     nv, nr = model.num_vars, model.num_rows
     mats = model.matrices()
@@ -392,13 +388,7 @@ def run(problem, cfg=None):
     cols = [list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
             for i in range(nv)]
 
-    if cfg.init is None:
-        x = np.zeros(nv)
-    else:
-        x = np.asarray(cfg.init, dtype=float)
-        if x.shape != (nv,):
-            raise ValueError("init must cover all %d blocks" % nv)
-        x = np.clip(x, lo, hi)
+    x = np.zeros(nv)
     res = _residuals(model, x)
     duals = np.zeros(nr)
 

@@ -328,8 +328,6 @@ def build_underload_lp(p):
     """Relaxed scale-in model: v_star kept slots over the current hosts."""
     if p.mode != UNDERLOAD:
         raise ValueError("problem is not in underload mode")
-    if p.v_star < 1:
-        raise ValueError("at least one instance must be kept")
     return _build_relaxation(p)
 
 
@@ -447,14 +445,14 @@ def decode(solution, p):
                            warnings=warnings, vm_slot=vm_slot)
 
 
-def baseline_forwarding_cost(p, tol=1e-8):
+def baseline_forwarding_cost(p):
     """Forwarding cost of the pre-event configuration: all online VMs
     pinned at their hosts serving the baseline traffic."""
     base = ScalingProblem(
         topology=p.topology, group=p.group, traffic=p.baseline_traffic,
         v_star=len(p.group.online), mode=OVERLOAD, pm_capacity=p.pm_capacity,
         epsilon=p.epsilon, weights=p.weights)
-    sol = lp.solve(build_overload_lp(base), tol)
+    sol = lp.solve(build_overload_lp(base))
     if sol.status != lp.OPTIMAL:
         raise ModelInfeasibleError("baseline configuration is %s" % sol.status)
     return sol.objective_value

@@ -17,6 +17,9 @@ a comment.  Sections:
   [expect]    optional self-checks: state, v_star, launch, keep,
               terminate (host sets) and cost_delta (positive | negative)
 
+Numbers must be finite.  An unknown section or key, a bare row outside
+[vms] or a bad value is a parse error naming the file and the key.
+
 The runner classifies the group from the recorded utilizations, sizes the
 instance set for the event traffic, picks the penalty profile for the
 detected state, solves with the requested method and renders a decision
@@ -24,6 +27,7 @@ table plus solver statistics.  PM names are 1-based: "P5" is the fifth
 machine of the tree.
 """
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -32,15 +36,27 @@ from functools import partial
 from multiprocessing import get_context
 
 from . import lp, milp, rpadmm
-from .chain_state import (OVERLOAD, NORMAL, Thresholds, VmInstance, VnfGroup,
-                          classify_group, required_instances)
+from .chain_state import (OVERLOAD, UNDERLOAD, NORMAL, Thresholds, VmInstance,
+                          VnfGroup, classify_group, required_instances)
 from .scaling import (ScalingProblem, build_overload_lp, build_underload_lp,
                       decode, uniform_capacity, decision_csv, flows_csv,
                       ModelInfeasibleError)
 from .topology import PM, NodeId, build_fat_tree
 
-TIME_BUDGET_ENV = "VNFSCALE_TIME_BUDGET"
 DEFAULT_TIME_BUDGET = 1200.0
+
+# the keys each section reads; only [vms] holds bare rows
+SECTION_KEYS = {
+    "topology": ("k", "pms_per_rack", "costs"),
+    "group": ("chain", "vnf_type", "gamma", "phi", "omega", "thresholds",
+              "ingress", "egress", "candidates", "offline"),
+    "vms": (),
+    "pms": ("capacity",),
+    "event": ("baseline", "traffic", "preset"),
+    "solver": ("method", "beta", "seed", "iters"),
+    "expect": ("state", "v_star", "launch", "keep", "terminate",
+               "cost_delta"),
+}
 
 
 class ScenarioParseError(ValueError):
@@ -80,11 +96,25 @@ def parse_pm_list(text, topo=None):
     return out
 
 
-def _nonnegative(text):
-    v = float(text)
-    if not v >= 0:
-        raise ValueError("must be a non-negative number")
+def _number(text, kind=float, at_least=None, above=None):
+    """Every numeric value of a scenario file: a finite int or float,
+    at least `at_least` and above `above` where those are given."""
+    v = kind(text)
+    if not math.isfinite(v):
+        raise ValueError("must be a finite number")
+    if at_least is not None and v < at_least:
+        raise ValueError("must be at least %g" % at_least)
+    if above is not None and v <= above:
+        raise ValueError("must be above %g" % above)
     return v
+
+
+def _one_of(*choices):
+    def convert(text):
+        if text not in choices:
+            raise ValueError("must be one of %s" % ", ".join(choices))
+        return text
+    return convert
 
 
 def _pairs(text):
@@ -92,7 +122,7 @@ def _pairs(text):
     for token in text.split():
         k, _, v = token.partition(":")
         with _bad_values_named("bad name:value token %r" % token):
-            out[k] = float(v)
+            out[k] = _number(v, at_least=0)
     return out
 
 
@@ -112,18 +142,27 @@ def parse_scenario(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = "%s:%d" % (path, lineno)
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
+                if current not in SECTION_KEYS:
+                    raise ScenarioParseError(
+                        "%s unknown section [%s]" % (where, current))
                 if current in sections:
                     raise ScenarioParseError(
-                        "%s:%d duplicate section [%s]" % (path, lineno, current))
+                        "%s duplicate section [%s]" % (where, current))
                 sections[current] = {"kv": {}, "rows": []}
             elif current is None:
-                raise ScenarioParseError(
-                    "%s:%d content before any section" % (path, lineno))
+                raise ScenarioParseError("%s content before any section" % where)
             elif "=" in line:
                 key, val = (s.strip() for s in line.split("=", 1))
+                if key not in SECTION_KEYS[current]:
+                    raise ScenarioParseError(
+                        "%s [%s] has no key %r" % (where, current, key))
                 sections[current]["kv"][key] = val
+            elif current != "vms":
+                raise ScenarioParseError(
+                    "%s bare row %r outside [vms]" % (where, line))
             else:
                 sections[current]["rows"].append(line.split())
     for required in ("topology", "group", "vms", "event", "solver"):
@@ -140,15 +179,14 @@ class Scenario:
     baseline: float
     traffic: float
     method: str
-    beta: float
-    seed: int
-    iters: int
     admm_config: rpadmm.AdmmConfig
     pm_capacity: dict
     expect: dict
 
 
 def load_scenario(path, overrides=None):
+    """Parse and check a scenario file.  overrides maps method, beta, seed
+    and iters to a value, or None to keep the file's [solver] value."""
     sec = parse_scenario(path)
     overrides = overrides or {}
 
@@ -161,13 +199,16 @@ def load_scenario(path, overrides=None):
         with _bad_values_named("%s: [%s] %s = %s" % (path, section, key, text)):
             return convert(text)
 
+    def integer(text):
+        return _number(text, int)
+
     kwargs = {}
     if "costs" in sec["topology"]["kv"]:
         kwargs["layer_costs"] = value(
-            "topology", "costs", lambda s: tuple(float(v) for v in s.split()))
-    pms_per_rack = value("topology", "pms_per_rack", int, "2")
+            "topology", "costs", lambda s: tuple(_number(v) for v in s.split()))
+    pms_per_rack = value("topology", "pms_per_rack", integer, "2")
     topo = value("topology", "k", lambda s: build_fat_tree(
-        int(s), pms_per_rack=pms_per_rack, **kwargs), "4")
+        integer(s), pms_per_rack=pms_per_rack, **kwargs), "4")
 
     omega = value("group", "omega", _pairs, "cpu:1.0")
     thresholds = value("group", "thresholds",
@@ -183,21 +224,30 @@ def load_scenario(path, overrides=None):
                                      % " ".join(row))
         vm_id, host, cap, util = row
         with _bad_values_named("%s: [vms] row %r" % (path, " ".join(row))):
+            cap, util = _number(cap, above=0), _number(util, at_least=0)
             online.append(VmInstance(
-                vm_id, vnf_type, chain, {r: float(cap) for r in omega},
-                host=parse_pm(host, topo),
-                utilization={r: float(util) for r in omega}))
+                vm_id, vnf_type, chain, {r: cap for r in omega},
+                host=parse_pm(host, topo), utilization={r: util for r in omega}))
     if not online:
         raise ScenarioParseError("scenario has no online VMs")
     pool_cap = online[0].capacity
+    offline = value("group", "offline", lambda s: _number(s, int, at_least=0),
+                    "8")
     pool = [VmInstance("off%d" % (i + 1), vnf_type, chain, dict(pool_cap))
-            for i in range(value("group", "offline", int, "8"))]
+            for i in range(offline)]
 
     pm_list = partial(parse_pm_list, topo=topo)
-    gamma = value("group", "gamma", float, "1.0")
-    phi = value("group", "phi", float, "1.0")
-    ingress = value("group", "ingress", pm_list)
-    egress = value("group", "egress", pm_list)
+
+    def endpoints(text):
+        pms = pm_list(text)
+        if not pms:
+            raise ValueError("needs at least one PM")
+        return pms
+
+    gamma = value("group", "gamma", _number, "1.0")
+    phi = value("group", "phi", _number, "1.0")
+    ingress = value("group", "ingress", endpoints)
+    egress = value("group", "egress", endpoints)
     candidates = value("group", "candidates", pm_list)
     with _bad_values_named("%s: [group]" % path):
         group = VnfGroup(
@@ -205,54 +255,55 @@ def load_scenario(path, overrides=None):
             thresholds=thresholds, gamma=gamma, phi=phi, omega=omega,
             ingress_pms=ingress, egress_pms=egress, candidate_pms=candidates)
 
+    def preset(text):
+        kind, colon, extra = text.partition(":")
+        if kind == "overload":
+            extra = _number(extra, int, at_least=0) if colon else 1
+            return baseline * (1.0 + 0.5 * extra)
+        if text == "underload":
+            return baseline * 0.5
+        raise ValueError("must be overload, overload:<extra> or underload")
+
     ev = sec["event"]["kv"]
-    baseline = value("event", "baseline", _nonnegative)
+    rate = partial(_number, at_least=0)
+    baseline = value("event", "baseline", rate)
     if "traffic" in ev:
-        traffic = value("event", "traffic", _nonnegative)
+        traffic = value("event", "traffic", rate)
     elif "preset" in ev:
-        preset = ev["preset"]
-        if preset.startswith("overload"):
-            extra = value("event", "preset",
-                          lambda s: int(s.split(":", 1)[1]) if ":" in s else 1)
-            traffic = baseline * (1.0 + 0.5 * extra)
-        elif preset == "underload":
-            traffic = baseline * 0.5
-        else:
-            raise ScenarioParseError("unknown event preset %r" % preset)
+        traffic = value("event", "preset", preset)
     else:
         raise ScenarioParseError("[event] needs a preset or explicit traffic")
 
-    method = overrides.get("method") or value("solver", "method", str, "lp")
+    def setting(key, convert, default):
+        given = overrides.get(key)
+        return given if given is not None else value("solver", key, convert,
+                                                     default)
+
+    method = setting("method", str, "lp")
     if method not in SOLVERS:
         raise ScenarioParseError("unknown solver method %r" % method)
-    beta = float(overrides.get("beta") or value("solver", "beta", float, "5.0"))
-    seed = (int(overrides["seed"]) if overrides.get("seed") is not None
-            else value("solver", "seed", int, "0"))
-    iters = int(overrides.get("iters") or value("solver", "iters", int, "25"))
+    beta = setting("beta", _number, "5.0")
+    seed = setting("seed", integer, "0")
+    iters = setting("iters", integer, "25")
     with _bad_values_named("%s: [solver]" % path):
         admm_config = rpadmm.AdmmConfig(beta=beta, max_iters=iters, seed=seed)
 
     pm_capacity = value("pms", "capacity", lambda s: None if s == "none"
                         else uniform_capacity(topo, _pairs(s)), "none")
 
-    expect = {}
-    if "expect" in sec:
-        e = sec["expect"]["kv"]
-        if "state" in e:
-            expect["state"] = e["state"]
-        if "v_star" in e:
-            expect["v_star"] = value("expect", "v_star", int)
-        for key in ("launch", "keep", "terminate"):
-            if key in e:
-                expect[key] = set(value("expect", key, pm_list))
-        if "cost_delta" in e:
-            expect["cost_delta"] = e["cost_delta"]
+    def hosts(text):
+        return set(pm_list(text))
+
+    convert = {"state": _one_of(OVERLOAD, UNDERLOAD, NORMAL), "v_star": integer,
+               "launch": hosts, "keep": hosts, "terminate": hosts,
+               "cost_delta": _one_of("positive", "negative")}
+    expect = {key: value("expect", key, convert[key])
+              for key in sec.get("expect", {"kv": {}})["kv"]}
 
     return Scenario(
         name=os.path.splitext(os.path.basename(path))[0], topology=topo,
         group=group, baseline=baseline, traffic=traffic, method=method,
-        beta=beta, seed=seed, iters=iters, admm_config=admm_config,
-        pm_capacity=pm_capacity, expect=expect)
+        admm_config=admm_config, pm_capacity=pm_capacity, expect=expect)
 
 
 # -- running -------------------------------------------------------------------
@@ -277,21 +328,22 @@ class RunReport:
         lines = ["scenario %s: %s" % (self.scenario, self.state)]
         if self.state == NORMAL:
             lines.append("  thresholds hold, no reconfiguration")
-            return "\n".join(lines) + "\n"
-        lines.append("  v* = %d, solved with %s" % (self.v_star, self.method))
-        lines.extend("  " + row for row in self.table.rstrip().splitlines())
-        pct = ("" if not self.baseline_cost
-               else " = %+.1f%%" % (100 * self.cost_delta / self.baseline_cost))
-        lines.append("  forwarding cost %.6g (baseline %.6g, %+.6g%s)"
-                     % (self.forwarding_cost, self.baseline_cost,
-                        self.cost_delta, pct))
-        lines.append("  model: %(num_vars)d variables, %(num_rows)d rows,"
-                     " solve %(runtime_s).3f s" % self.stats)
-        if "iterations" in self.stats:
-            lines.append("  sweeps: %d, converged: %s"
-                         % (self.stats["iterations"], self.stats["converged"]))
-        for name, p in sorted(self.trace_paths.items()):
-            lines.append("  wrote %s" % p)
+        else:
+            lines.append("  v* = %d, solved with %s"
+                         % (self.v_star, self.method))
+            lines.extend("  " + row for row in self.table.rstrip().splitlines())
+            pct = ("" if not self.baseline_cost else " = %+.1f%%"
+                   % (100 * self.cost_delta / self.baseline_cost))
+            lines.append("  forwarding cost %.6g (baseline %.6g, %+.6g%s)"
+                         % (self.forwarding_cost, self.baseline_cost,
+                            self.cost_delta, pct))
+            lines.append("  model: %(num_vars)d variables, %(num_rows)d rows,"
+                         " solve %(runtime_s).3f s" % self.stats)
+            if "iterations" in self.stats:
+                lines.append("  sweeps: %d, converged: %s" % (
+                    self.stats["iterations"], self.stats["converged"]))
+            for name, p in sorted(self.trace_paths.items()):
+                lines.append("  wrote %s" % p)
         for msg in self.expect_failures:
             lines.append("  EXPECT FAILED: %s" % msg)
         return "\n".join(lines) + "\n"
@@ -485,7 +537,7 @@ def model_counts(method, k):
     return model.num_vars, model.num_rows
 
 
-def sweep_topologies(ks, method="lp", time_budget=None):
+def sweep_topologies(ks, method="lp", time_budget=DEFAULT_TIME_BUDGET):
     """Size/time table rows: (k, switches, pms, variables, constraints,
     seconds or None when the budget ran out or the worker died).
 
@@ -493,9 +545,6 @@ def sweep_topologies(ks, method="lp", time_budget=None):
     crashed solve can wedge the sweep; counts are still reported for the
     rows without a time.
     """
-    if time_budget is None:
-        time_budget = float(os.environ.get(TIME_BUDGET_ENV,
-                                           DEFAULT_TIME_BUDGET))
     ctx = get_context("fork")
     rows = []
     for k in ks:
@@ -558,10 +607,9 @@ class CompareReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_solvers(path_or_scenario, overrides=None, out_dir=None):
+def compare_solvers(path, overrides=None, out_dir=None):
     """Gap of the distributed run against the central relaxation optimum."""
-    sc = path_or_scenario if isinstance(path_or_scenario, Scenario) \
-        else load_scenario(path_or_scenario, overrides)
+    sc = load_scenario(path, overrides)
     state = classify_group(sc.group)
     if state != OVERLOAD:
         raise ScenarioParseError(

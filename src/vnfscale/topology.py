@@ -69,9 +69,6 @@ class Topology:
     def switches(self):
         return [v for v in self.nodes if v.kind != PM]
 
-    def has_node(self, i):
-        return i in self._adj
-
     def pod_of(self, i):
         """Pod number of i, or -1 for core switches (pod-less)."""
         self._require(i)

@@ -41,7 +41,7 @@ def _passes_quick_filters(mp, assign):
     return placed * p.share_cap >= 1.0 - 1e-9
 
 
-def enumerate_single_host(mp, prefilter=True, tol=1e-8):
+def enumerate_single_host(mp, prefilter=True):
     """Best total over all assignments of each VM to one PM or to none.
 
     Assignments putting a VM on two PMs violate the single-host row, so
@@ -56,7 +56,7 @@ def enumerate_single_host(mp, prefilter=True, tol=1e-8):
         assign = dict(zip(keys, combo))
         if prefilter and not _passes_quick_filters(mp, assign):
             continue
-        sol = lp.solve(mp.base, tol, bounds_override=_assignment_bounds(mp, assign))
+        sol = lp.solve(mp.base, bounds_override=_assignment_bounds(mp, assign))
         if sol.status != lp.OPTIMAL:
             continue
         if best_obj is None or sol.objective_value < best_obj - 1e-12:
@@ -64,7 +64,7 @@ def enumerate_single_host(mp, prefilter=True, tol=1e-8):
     return best_obj, best_assign
 
 
-def enumerate_all_bits(mp, tol=1e-8):
+def enumerate_all_bits(mp):
     """Literal sweep of every b vector in {0,1}^n, no shortcuts. Only
     sensible for small binary grids."""
     model = mp.base
@@ -75,7 +75,7 @@ def enumerate_all_bits(mp, tol=1e-8):
         bounds = list(base_bounds)
         for idx, val in zip(indices, bits):
             bounds[idx] = (val, val)
-        sol = lp.solve(model, tol, bounds_override=bounds)
+        sol = lp.solve(model, bounds_override=bounds)
         if sol.status != lp.OPTIMAL:
             continue
         if best_obj is None or sol.objective_value < best_obj:

@@ -117,12 +117,6 @@ def test_deterministic_vertex():
     assert points[0] == points[1] == points[2]
 
 
-def test_lp_format_dump():
-    m, x, y = small_model()
-    text = lp.lp_format(m)
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=6),
        st.floats(0.5, 5.0))

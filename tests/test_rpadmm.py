@@ -221,7 +221,7 @@ def test_zero_traffic_converges_at_the_start(topo):
     g = scenario4()
     p = vs.ScalingProblem(topology=topo, group=g, traffic=0.0, v_star=3,
                           mode=vs.OVERLOAD, pm_capacity=None)
-    x, trace = rpadmm.run(p, rpadmm.AdmmConfig(max_iters=5))
+    x, trace = rpadmm.run(rpadmm.reformulate(p), rpadmm.AdmmConfig(max_iters=5))
     assert trace.converged
     assert len(trace.records) == 1
     rec = trace.records[0]
@@ -250,7 +250,8 @@ def run_digest_in_subprocess(hashseed):
         "import hashlib, numpy as np\n"
         "from corpus import admm_fixture\n"
         "from vnfscale import rpadmm\n"
-        "x, t = rpadmm.run(admm_fixture(), rpadmm.AdmmConfig(beta=5.0,"
+        "x, t = rpadmm.run(rpadmm.reformulate(admm_fixture()),"
+        " rpadmm.AdmmConfig(beta=5.0,"
         " max_iters=10, seed=0))\n"
         "h = hashlib.sha256()\n"
         "h.update(np.asarray(t.objectives).tobytes())\n"

@@ -119,8 +119,8 @@ def test_cli_overrides_beat_file_values(tmp_path):
     path = write_scenario(tmp_path, minimal(method="rpadmm",
                                             extra="seed = 3\nbeta = 2.0"))
     sc = scenario.load_scenario(path, {"seed": 7, "method": "lp"})
-    assert sc.seed == 7
-    assert sc.beta == 2.0
+    assert sc.admm_config.seed == 7
+    assert sc.admm_config.beta == 2.0
     assert sc.method == "lp"
 
 
@@ -289,6 +289,12 @@ def test_cli_expectation_failure_is_exit_one(tmp_path, capsys):
     assert "EXPECT FAILED" in capsys.readouterr().out
 
 
+def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
+    body = minimal(util="0.50") + "\n[expect]\nstate = overload\n"
+    assert cli_main(["run", write_scenario(tmp_path, body)]) == 1
+    assert "EXPECT FAILED: state normal" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("old, new", [
     ("[solver]", "[solvers]"),
     ("k = 2", "k = four"),
@@ -297,8 +303,32 @@ def test_cli_expectation_failure_is_exit_one(tmp_path, capsys):
     ("vm1  P2  100  0.95", "vm1  P2  big  0.5"),
     ("preset = overload:1", "traffic = -5"),
     ("baseline = 100", "baseline = -1"),
+    ("gamma = 1.0", "gamma = nan"),
+    ("capacity = cpu:100", "capacity = cpu:nan"),
+    ("k = 2", "k = 2\ncosts = nan 20 40"),
+    ("method = lp", "method = lp\nbeta = nan"),
+    ("baseline = 100", "baseline = inf"),
+    ("vm1  P2  100  0.95", "vm1  P2  0  0.95"),
+    ("ingress = P1", "ingress ="),
+    ("egress = P4", "egress ="),
+    ("preset = overload:1", "preset = overload:-1"),
+    ("offline = 1", "offline = -1"),
+    ("[pms]", "[pm]"),
+    ("method = lp", "method = lp\nbta = 0.1"),
+    ("method = lp", "method = lp\n\n[expect]\nlauch = P4"),
+    ("capacity = cpu:100", "capacity = cpu:100\nP1 100"),
+    ("method = lp", "method = lp\n\n[expect]\nstate = overlaod"),
+    ("method = lp", "method = lp\n\n[expect]\ncost_delta = zero"),
+    ("preset = overload:1", "preset = overloaded"),
+    ("vm1  P2  100  0.95", "vm1  P2  100  -0.95"),
+    ("gamma = 1.0", "gamma = 1.0\nomega = cpu:-1"),
 ], ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
-        "baseline"])
+        "baseline", "gamma_nan", "capacity_nan", "costs_nan", "beta_nan",
+        "baseline_inf", "vm_capacity_zero", "ingress_empty", "egress_empty",
+        "preset_negative", "offline_negative", "unknown_section",
+        "unknown_solver_key", "unknown_expect_key", "bare_row",
+        "expect_state", "expect_cost_delta", "preset_unknown",
+        "vm_util_negative", "omega_negative"])
 def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new):
     body = minimal().replace(old, new)
     assert body != minimal()
@@ -317,6 +347,41 @@ def test_cli_sweep_bad_k_is_usage_error(capsys, bad):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert "positive even integers" in captured.err
+
+
+@pytest.mark.parametrize("flag, val", [
+    ("--beta", "0"), ("--iters", "0"), ("--seed", "-1")])
+def test_cli_bad_solver_setting_is_exit_two(capsys, flag, val):
+    assert cli_main(["run", scen("scale_out_v3.scn"), flag, val]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k", "2", "--beta", "2"],
+    ["sweep", "--k", "2", "--seed", "1"],
+    ["sweep", "--k", "2", "--iters", "3"],
+    ["sweep", "--k", "2", "--out-dir", "d"],
+    ["compare", scen("distributed_scale_out.scn"), "--solver", "milp"],
+])
+def test_cli_flag_a_verb_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1", "0"])
+def test_cli_sweep_bad_budget_is_usage_error(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--k", "2", "--budget", bad])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "positive number of seconds" in captured.err
 
 
 def test_cli_infeasible_is_exit_three(tmp_path, capsys):
