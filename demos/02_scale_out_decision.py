@@ -48,13 +48,7 @@ def run(g, traffic, baseline):
     build = vs.build_overload_lp if state == vs.OVERLOAD else vs.build_underload_lp
     sol = lp.solve(build(p))
     dec = vs.decode(sol, p)
-    for vm_id, q in sorted(dec.kept.items()):
-        print("  keep      %-4s on %s  (share %.3f)"
-              % (vm_id, q, dec.shares[dec.vm_slot[vm_id]]))
-    for key, q in sorted(dec.launched.items()):
-        print("  launch    %-4s on %s  (share %.3f)" % (key, q, dec.shares[key]))
-    for vm_id, q in sorted(dec.terminated.items()):
-        print("  terminate %-4s on %s" % (vm_id, q))
+    print(vs.decision_table(dec), end="")
     print("forwarding cost %.6g, %+.1f%% vs the baseline routing"
           % (dec.forwarding_cost, 100 * dec.cost_delta_vs_baseline))
 

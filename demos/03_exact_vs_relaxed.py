@@ -37,7 +37,7 @@ for vm_id, q in sorted(sol.placement.items()):
     was = {v.id: v.host for v in vms}.get(vm_id)
     tag = ""
     if was is not None and q != was:
-        tag = "  <- migrated from %s" % was
+        tag = "  <- migrated from %s" % vs.pm_name(was)
     elif was is None and q is not None:
         tag = "  <- activated"
-    print("  %-5s -> %s%s" % (vm_id, q, tag))
+    print("  %-5s -> %s%s" % (vm_id, vs.pm_name(q) if q else "-", tag))

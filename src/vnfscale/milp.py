@@ -11,12 +11,11 @@ fractional variable first (ties to the lowest index), depth-first with a
 best-bound re-sort of the open list every 16 nodes. Deterministic.
 """
 
-import io
 from dataclasses import dataclass, field
 
 from . import lp, scaling
 from .netflow import FlowNet
-from .scaling import Penalties, Weights
+from .scaling import Penalties, ScalingDecision, Weights
 
 # a binary within this distance of 0 or 1 counts as integral
 INT_TOL = 1e-6
@@ -38,23 +37,19 @@ class MilpProblem:
     offline_ids: list
 
 
-@dataclass
-class MilpSolution:
+@dataclass(kw_only=True)
+class MilpSolution(ScalingDecision):
+    """A ScalingDecision in which every VM is its own instance key: a kept
+    VM (at its new host, if it migrated) maps to itself in vm_slot, shares
+    are keyed by VM id and e holds the placement binaries b."""
+
     status: str                 # optimal | budget_exhausted | infeasible
     proven: bool
     total: float = None
-    placement: dict = field(default_factory=dict)   # vm id -> PM or None
-    kept: dict = field(default_factory=dict)        # online vm id -> PM
-    launched: dict = field(default_factory=dict)    # offline vm id -> PM
-    terminated: dict = field(default_factory=dict)  # online vm id -> old host
-    alpha: dict = field(default_factory=dict)
-    shares: dict = field(default_factory=dict)      # vm id -> carried share
-    flows_n: dict = field(default_factory=dict)
-    flows_m: dict = field(default_factory=dict)
-    deployment_cost: float = None
-    forwarding_cost: float = None
     nodes: int = 0
     point: object = None
+    placement: dict = field(default_factory=dict)   # vm id -> PM or None
+    deployment_cost: float = None
 
 
 def build_milp(p):
@@ -167,24 +162,29 @@ def _decode(mp, point, total, nodes, proven):
             placement[j] = q
     for j in mp.online_ids + mp.offline_ids:
         placement.setdefault(j, None)
+    p = mp.problem
     alpha = {k: float(point[i]) for k, i in mp.alpha_idx.items()}
     shares = {}
     for j in placement:
-        shares[j] = sum(alpha[(q, j)] for q in mp.problem.topology.pms
+        shares[j] = sum(alpha[(q, j)] for q in p.topology.pms
                         if (q, j) in alpha)
-    online = {vm.id: vm.host for vm in mp.problem.group.online}
+    online = {vm.id: vm.host for vm in p.group.online}
     placed = {j: q for j, q in placement.items() if q is not None}
+    kept = {j: q for j, q in placed.items() if j in online}
     flows_n, flows_m = mp.fv.flows_from_point(point)
-    fwd = scaling.forwarding_cost_of(flows_n, flows_m, mp.problem.topology)
+    fwd = scaling.forwarding_cost_of(flows_n, flows_m, p.topology)
     dep = deployment_cost(placement, mp.penalties, mp.online_ids)
     return MilpSolution(
-        status="optimal" if proven else "budget_exhausted", proven=proven,
-        total=total, placement=placement,
-        kept={j: q for j, q in placed.items() if j in online},
+        mode=p.mode, kept=kept,
         launched={j: q for j, q in placed.items() if j not in online},
         terminated={j: host for j, host in online.items() if j not in placed},
-        alpha=alpha, shares=shares, flows_n=flows_n, flows_m=flows_m,
-        deployment_cost=dep, forwarding_cost=fwd, nodes=nodes, point=point)
+        alpha=alpha, e={k: float(point[i]) for k, i in mp.b_idx.items()},
+        shares=shares, flows_n=flows_n, flows_m=flows_m, forwarding_cost=fwd,
+        cost_delta_vs_baseline=p.relative_cost_delta(fwd),
+        vm_slot={j: j for j in kept},
+        status="optimal" if proven else "budget_exhausted", proven=proven,
+        total=total, nodes=nodes, point=point, placement=placement,
+        deployment_cost=dep)
 
 
 def solve_milp(mp, budget=20000):
@@ -233,17 +233,8 @@ def solve_milp(mp, budget=20000):
             open_list.sort(key=lambda t: t[0], reverse=True)
 
     if best_point is None:
-        return MilpSolution(status="infeasible" if proven else "budget_exhausted",
+        return MilpSolution(mode=mp.problem.mode,
+                            status="infeasible" if proven else "budget_exhausted",
                             proven=proven, nodes=nodes)
     return _decode(mp, best_point, best_obj, nodes, proven)
 
-
-def placement_table(solution):
-    """CSV: one row per VM with its host and carried share."""
-    out = io.StringIO()
-    out.write("vm,host,share\n")
-    for j in sorted(solution.placement, key=str):
-        q = solution.placement[j]
-        out.write("%s,%s,%.6g\n" % (j, "-" if q is None else q,
-                                    solution.shares.get(j, 0.0)))
-    return out.getvalue()

@@ -22,7 +22,7 @@ from functools import cached_property
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
 from .netflow import FlowNet
-from .topology import PM, NodeId, forwarding_cost
+from .topology import forwarding_cost, pm_name
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -135,6 +135,21 @@ class ScalingProblem:
     def free_capacity(self, p, r):
         return max(0.0, self.total_capacity(p, r) - self.vm_capacity(r) * self.online_count(p))
 
+    def free_slots(self, q):
+        """New instances PM q has room for: the fewest over the capped
+        resources, inf when no resource is capped."""
+        capped = self.pm_capacity or {}
+        per_r = [self.free_capacity(q, r) // max(self.vm_capacity(r), 1e-30)
+                 for r in self.resources if r in capped]
+        return int(min(per_r)) if per_r else float("inf")
+
+    def relative_cost_delta(self, cost):
+        """(cost - baseline cost) / baseline cost, or None without a
+        baseline traffic or with a zero baseline cost."""
+        if self.baseline_traffic and self.baseline_cost > 0:
+            return (cost - self.baseline_cost) / self.baseline_cost
+        return None
+
     def candidate_pms(self):
         """Candidate PMs for new instances: the configured candidate set
         filtered down to PMs with enough free capacity for one VM."""
@@ -174,11 +189,7 @@ def _check_total_capacity(p, slots):
             % (p.v_star, p.share_cap))
     if p.mode == OVERLOAD and p.pm_capacity is not None:
         new = sum(1 for s in slots if s.vm_id is None)
-        room = 0
-        for q in p.candidate_pms():
-            per_r = [p.free_capacity(q, r) // max(p.vm_capacity(r), 1e-30)
-                     for r in p.resources if r in p.pm_capacity]
-            room += int(min(per_r)) if per_r else new
+        room = sum(p.free_slots(q) for q in p.candidate_pms())
         if room < new:
             raise ModelInfeasibleError(
                 "candidate PMs fit %d new instances, %d required" % (room, new))
@@ -333,30 +344,23 @@ def build_underload_lp(p):
 
 @dataclass
 class ScalingDecision:
+    """Which VMs to keep, launch or terminate and how the traffic splits
+    between the instances: the one decision record of every solver.  A
+    solver that found no decision leaves the maps empty."""
+
     mode: str
-    kept: dict            # vm id -> host PM
-    launched: dict        # instance key -> PM chosen for the new VM
-    terminated: dict      # vm id -> PM the VM is removed from
-    alpha: dict           # (PM, instance key) -> share variable value
-    e: dict               # (PM, instance key) -> interest value
-    shares: dict          # instance key -> traffic share of that instance
-    flows_n: dict
-    flows_m: dict
-    forwarding_cost: float
+    kept: dict = field(default_factory=dict)        # vm id -> host PM
+    launched: dict = field(default_factory=dict)    # instance key -> PM of the new VM
+    terminated: dict = field(default_factory=dict)  # vm id -> PM the VM is removed from
+    alpha: dict = field(default_factory=dict)       # (PM, instance key) -> share variable
+    e: dict = field(default_factory=dict)           # (PM, instance key) -> interest value
+    shares: dict = field(default_factory=dict)      # instance key -> traffic share
+    flows_n: dict = field(default_factory=dict)
+    flows_m: dict = field(default_factory=dict)
+    forwarding_cost: float = None
     cost_delta_vs_baseline: float = None
     warnings: list = field(default_factory=list)
-    vm_slot: dict = field(default_factory=dict)  # kept vm id -> instance key
-
-
-def _slot_supply(p, q):
-    """How many instances may decode onto PM q."""
-    if p.mode == UNDERLOAD:
-        return p.online_count(q)
-    if p.pm_capacity is None:
-        return float("inf")
-    per_r = [p.free_capacity(q, r) // max(p.vm_capacity(r), 1e-30)
-             for r in p.resources if r in p.pm_capacity]
-    return int(min(per_r)) if per_r else float("inf")
+    vm_slot: dict = field(default_factory=dict)     # kept vm id -> instance key
 
 
 def decode(solution, p):
@@ -381,7 +385,9 @@ def decode(solution, p):
         q0 = layout.rel_pms[0]
         shares[s.key] = alpha_vals[(q0, s.key)]
 
-    supply = {q: _slot_supply(p, q) for q in layout.rel_pms}
+    # how many instances may decode onto each PM
+    supply = {q: p.online_count(q) if p.mode == UNDERLOAD else p.free_slots(q)
+              for q in layout.rel_pms}
     placed = {}
     for s in slots:
         if s.host is not None:
@@ -433,15 +439,11 @@ def decode(solution, p):
 
     flows_n, flows_m = fv.flows_from_point(point)
     fwd = forwarding_cost_of(flows_n, flows_m, p.topology)
-    delta = None
-    if p.baseline_traffic:
-        base = p.baseline_cost
-        if base > 0:
-            delta = (fwd - base) / base
     return ScalingDecision(mode=p.mode, kept=kept, launched=launched,
                            terminated=terminated, alpha=alpha_vals, e=e_vals,
                            shares=shares, flows_n=flows_n, flows_m=flows_m,
-                           forwarding_cost=fwd, cost_delta_vs_baseline=delta,
+                           forwarding_cost=fwd,
+                           cost_delta_vs_baseline=p.relative_cost_delta(fwd),
                            warnings=warnings, vm_slot=vm_slot)
 
 
@@ -468,21 +470,37 @@ def forwarding_cost_of(flows_n, flows_m, topo):
     return total
 
 
-def decision_csv(decision):
-    """One row per instance: id, action, host, share, interest at host."""
-    out = io.StringIO()
-    out.write("instance,action,host,share,e_at_host\n")
+def _decision_rows(decision):
+    """(instance, action, host, share, interest at host) per instance:
+    kept VMs, then launches, then terminations with share and interest 0."""
     for vm_id, q in sorted(decision.kept.items(), key=lambda kv: str(kv[0])):
         key = decision.vm_slot.get(vm_id, "")
-        out.write("%s,keep,%s,%.6g,%.6g\n"
-                  % (vm_id, q, decision.shares.get(key, 0.0),
-                     decision.e.get((q, key), 0.0)))
+        yield (vm_id, "keep", q, decision.shares.get(key, 0.0),
+               decision.e.get((q, key), 0.0))
     for key, q in sorted(decision.launched.items()):
-        out.write("%s,launch,%s,%.6g,%.6g\n"
-                  % (key, q, decision.shares.get(key, 0.0),
-                     decision.e.get((q, key), 0.0)))
+        yield (key, "launch", q, decision.shares.get(key, 0.0),
+               decision.e.get((q, key), 0.0))
     for vm_id, q in sorted(decision.terminated.items(), key=lambda kv: str(kv[0])):
-        out.write("%s,terminate,%s,0,0\n" % (vm_id, q))
+        yield vm_id, "terminate", q, 0.0, 0.0
+
+
+def decision_table(decision):
+    """Text table: one row per instance with its action, host and share."""
+    rows = ["instance  action     host    share"]
+    for inst, action, q, share, _ in _decision_rows(decision):
+        rows.append("%-9s %-10s %-7s %s" % (
+            inst, action, pm_name(q),
+            "-" if action == "terminate" else "%.4f" % share))
+    return "\n".join(rows) + "\n"
+
+
+def decision_csv(decision):
+    """CSV: one row per instance with its action, host, share and
+    interest at the host."""
+    out = io.StringIO()
+    out.write("instance,action,host,share,e_at_host\n")
+    for inst, action, q, share, e in _decision_rows(decision):
+        out.write("%s,%s,%s,%.6g,%.6g\n" % (inst, action, pm_name(q), share, e))
     return out.getvalue()
 
 
@@ -493,5 +511,6 @@ def flows_csv(decision, threshold=1e-9):
     for name, flows in (("n", decision.flows_n), ("m", decision.flows_m)):
         for (i, j, d), val in sorted(flows.items(), key=lambda kv: str(kv[0])):
             if abs(val) > threshold:
-                out.write("%s,%s,%s,%s,%.9g\n" % (i, j, d, name, val))
+                out.write("%s,%s,%s,%s,%.9g\n"
+                          % (pm_name(i), pm_name(j), d, name, val))
     return out.getvalue()

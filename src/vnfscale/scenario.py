@@ -39,9 +39,9 @@ from . import lp, milp, rpadmm
 from .chain_state import (OVERLOAD, UNDERLOAD, NORMAL, Thresholds, VmInstance,
                           VnfGroup, classify_group, required_instances)
 from .scaling import (ScalingProblem, build_overload_lp, build_underload_lp,
-                      decode, uniform_capacity, decision_csv, flows_csv,
-                      ModelInfeasibleError)
-from .topology import PM, NodeId, build_fat_tree
+                      decode, uniform_capacity, decision_csv, decision_table,
+                      flows_csv, ModelInfeasibleError)
+from .topology import PM, NodeId, build_fat_tree, pm_name
 
 DEFAULT_TIME_BUDGET = 1200.0
 
@@ -202,11 +202,17 @@ def load_scenario(path, overrides=None):
     def integer(text):
         return _number(text, int)
 
+    def costs(text):
+        layer_costs = tuple(_number(v, at_least=0) for v in text.split())
+        if len(layer_costs) != 3:
+            raise ValueError("needs three layer costs")
+        return layer_costs
+
     kwargs = {}
     if "costs" in sec["topology"]["kv"]:
-        kwargs["layer_costs"] = value(
-            "topology", "costs", lambda s: tuple(_number(v) for v in s.split()))
-    pms_per_rack = value("topology", "pms_per_rack", integer, "2")
+        kwargs["layer_costs"] = value("topology", "costs", costs)
+    pms_per_rack = value("topology", "pms_per_rack",
+                         lambda s: _number(s, int, at_least=1), "2")
     topo = value("topology", "k", lambda s: build_fat_tree(
         integer(s), pms_per_rack=pms_per_rack, **kwargs), "4")
 
@@ -361,31 +367,6 @@ def _problem_for(sc, state):
         baseline_traffic=sc.baseline)
 
 
-def _decision_table(dec):
-    if isinstance(dec, milp.MilpSolution):
-        rows = ["vm        host    share"]
-        for j in sorted(dec.placement, key=str):
-            q = dec.placement[j]
-            rows.append("%-9s %-7s %.4f" % (j, "-" if q is None else _pm_name(q),
-                                            dec.shares.get(j, 0.0)))
-        return "\n".join(rows) + "\n"
-    rows = ["instance  action     host    share"]
-    for vm_id, q in sorted(dec.kept.items(), key=lambda kv: str(kv[0])):
-        key = dec.vm_slot.get(vm_id, "")
-        rows.append("%-9s keep       %-7s %.4f"
-                    % (vm_id, _pm_name(q), dec.shares.get(key, 0.0)))
-    for key, q in sorted(dec.launched.items()):
-        rows.append("%-9s launch     %-7s %.4f"
-                    % (key, _pm_name(q), dec.shares.get(key, 0.0)))
-    for vm_id, q in sorted(dec.terminated.items(), key=lambda kv: str(kv[0])):
-        rows.append("%-9s terminate  %-7s -" % (vm_id, _pm_name(q)))
-    return "\n".join(rows) + "\n"
-
-
-def _pm_name(node):
-    return "P%d" % (node.index + 1) if node.kind == PM else str(node)
-
-
 def _check_expectations(report, sc):
     exp = sc.expect
     if "state" in exp and exp["state"] != report.state:
@@ -403,8 +384,8 @@ def _check_expectations(report, sc):
         if key in exp and exp[key] != got:
             report.expect_failures.append(
                 "%s %s, expected %s"
-                % (key, sorted(_pm_name(q) for q in got),
-                   sorted(_pm_name(q) for q in exp[key])))
+                % (key, sorted(pm_name(q) for q in got),
+                   sorted(pm_name(q) for q in exp[key])))
     if "cost_delta" in exp:
         want_positive = exp["cost_delta"] == "positive"
         if (report.cost_delta > 0) != want_positive:
@@ -417,8 +398,8 @@ def _check_expectations(report, sc):
 #
 # SOLVERS[method](problem, admm_config) builds the method's model and returns
 # it with a solve step; solve() returns (decision, extra stats, ADMM trace or
-# None).  Every decision carries kept / launched / terminated maps (id -> PM)
-# and its forwarding cost.
+# None).  Every decision is a scaling.ScalingDecision, so one table and one
+# pair of CSVs render all of them.
 
 def _lp(p, admm_config):
     model = (build_overload_lp if p.mode == OVERLOAD else build_underload_lp)(p)
@@ -479,16 +460,13 @@ def run_scenario(path, out_dir=None, overrides=None):
     report.stats = {"num_vars": model.num_vars, "num_rows": model.num_rows,
                     **extra, "runtime_s": time.perf_counter() - t0}
     report.decision = dec
-    report.table = _decision_table(dec)
+    report.table = decision_table(dec)
     report.forwarding_cost = dec.forwarding_cost
     report.cost_delta = dec.forwarding_cost - report.baseline_cost
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        if isinstance(dec, milp.MilpSolution):
-            files = {"decisions": milp.placement_table(dec)}
-        else:
-            files = {"decisions": decision_csv(dec), "flows": flows_csv(dec)}
+        files = {"decisions": decision_csv(dec), "flows": flows_csv(dec)}
         if report.admm_trace is not None:
             files["trace"] = report.admm_trace.csv()
         for kind, text in files.items():

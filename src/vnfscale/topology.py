@@ -43,6 +43,12 @@ class NodeId:
         return "%s%d" % (self.kind, self.index)
 
 
+def pm_name(node):
+    """Output name of a node: 1-based "P5" for the fifth PM, as scenario
+    files write it; a switch keeps its NodeId name."""
+    return "P%d" % (node.index + 1) if node.kind == PM else str(node)
+
+
 @dataclass
 class Topology:
     """Immutable wired fat-tree.

@@ -207,8 +207,15 @@ def test_relaxation_consistency_with_central_lp():
 def test_placement_and_flow_tables():
     p, mp = build(3)
     sol = milp.solve_milp(mp)
-    table = milp.placement_table(sol)
-    assert table.splitlines()[0] == "vm,host,share"
-    assert len(table.splitlines()) == 4
+    lines = vs.decision_csv(sol).splitlines()
+    assert lines[0] == "instance,action,host,share,e_at_host"
+    placed = {j: q for j, q in sol.placement.items() if q is not None}
+    rows = [line.split(",") for line in lines[1:]
+            if line.split(",")[1] != "terminate"]
+    assert sorted(r[0] for r in rows) == sorted(placed)
+    for vm_id, action, host, share, e_at_host in rows:
+        assert action == ("keep" if vm_id in sol.kept else "launch")
+        assert host == vs.pm_name(placed[vm_id])
+        assert float(e_at_host) == 1.0
     flows = vs.flows_csv(sol)
     assert flows.splitlines()[0] == "from,to,instance,flow,value"

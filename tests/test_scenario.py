@@ -295,48 +295,57 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
     assert "EXPECT FAILED: state normal" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("old, new", [
-    ("[solver]", "[solvers]"),
-    ("k = 2", "k = four"),
-    ("candidates = P1-P4", "candidates = P1-Px"),
-    ("gamma = 1.0", "gamma = 1.0\nomega = cpu"),
-    ("vm1  P2  100  0.95", "vm1  P2  big  0.5"),
-    ("preset = overload:1", "traffic = -5"),
-    ("baseline = 100", "baseline = -1"),
-    ("gamma = 1.0", "gamma = nan"),
-    ("capacity = cpu:100", "capacity = cpu:nan"),
-    ("k = 2", "k = 2\ncosts = nan 20 40"),
-    ("method = lp", "method = lp\nbeta = nan"),
-    ("baseline = 100", "baseline = inf"),
-    ("vm1  P2  100  0.95", "vm1  P2  0  0.95"),
-    ("ingress = P1", "ingress ="),
-    ("egress = P4", "egress ="),
-    ("preset = overload:1", "preset = overload:-1"),
-    ("offline = 1", "offline = -1"),
-    ("[pms]", "[pm]"),
-    ("method = lp", "method = lp\nbta = 0.1"),
-    ("method = lp", "method = lp\n\n[expect]\nlauch = P4"),
-    ("capacity = cpu:100", "capacity = cpu:100\nP1 100"),
-    ("method = lp", "method = lp\n\n[expect]\nstate = overlaod"),
-    ("method = lp", "method = lp\n\n[expect]\ncost_delta = zero"),
-    ("preset = overload:1", "preset = overloaded"),
-    ("vm1  P2  100  0.95", "vm1  P2  100  -0.95"),
-    ("gamma = 1.0", "gamma = 1.0\nomega = cpu:-1"),
+@pytest.mark.parametrize("old, new, named", [
+    ("[solver]", "[solvers]", "unknown section [solvers]"),
+    ("k = 2", "k = four", "[topology] k = four"),
+    ("candidates = P1-P4", "candidates = P1-Px", "[group] candidates"),
+    ("gamma = 1.0", "gamma = 1.0\nomega = cpu", "[group] omega"),
+    ("vm1  P2  100  0.95", "vm1  P2  big  0.5", "[vms] row"),
+    ("preset = overload:1", "traffic = -5", "[event] traffic"),
+    ("baseline = 100", "baseline = -1", "[event] baseline"),
+    ("gamma = 1.0", "gamma = nan", "[group] gamma"),
+    ("capacity = cpu:100", "capacity = cpu:nan", "[pms] capacity"),
+    ("k = 2", "k = 2\ncosts = nan 20 40", "[topology] costs"),
+    ("method = lp", "method = lp\nbeta = nan", "[solver] beta"),
+    ("baseline = 100", "baseline = inf", "[event] baseline"),
+    ("vm1  P2  100  0.95", "vm1  P2  0  0.95", "[vms] row"),
+    ("ingress = P1", "ingress =", "[group] ingress"),
+    ("egress = P4", "egress =", "[group] egress"),
+    ("preset = overload:1", "preset = overload:-1", "[event] preset"),
+    ("offline = 1", "offline = -1", "[group] offline"),
+    ("[pms]", "[pm]", "unknown section [pm]"),
+    ("method = lp", "method = lp\nbta = 0.1", "[solver] has no key 'bta'"),
+    ("method = lp", "method = lp\n\n[expect]\nlauch = P4",
+     "[expect] has no key 'lauch'"),
+    ("capacity = cpu:100", "capacity = cpu:100\nP1 100", "bare row 'P1 100'"),
+    ("method = lp", "method = lp\n\n[expect]\nstate = overlaod",
+     "[expect] state"),
+    ("method = lp", "method = lp\n\n[expect]\ncost_delta = zero",
+     "[expect] cost_delta"),
+    ("preset = overload:1", "preset = overloaded", "[event] preset"),
+    ("vm1  P2  100  0.95", "vm1  P2  100  -0.95", "[vms] row"),
+    ("gamma = 1.0", "gamma = 1.0\nomega = cpu:-1", "[group] omega"),
+    ("k = 2", "k = 2\npms_per_rack = 0", "[topology] pms_per_rack = 0"),
+    ("k = 2", "k = 2\ncosts = 10 20", "[topology] costs = 10 20"),
+    ("k = 2", "k = 2\ncosts = -1 20 40", "[topology] costs = -1 20 40"),
 ], ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
         "baseline", "gamma_nan", "capacity_nan", "costs_nan", "beta_nan",
         "baseline_inf", "vm_capacity_zero", "ingress_empty", "egress_empty",
         "preset_negative", "offline_negative", "unknown_section",
         "unknown_solver_key", "unknown_expect_key", "bare_row",
         "expect_state", "expect_cost_delta", "preset_unknown",
-        "vm_util_negative", "omega_negative"])
-def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new):
+        "vm_util_negative", "omega_negative", "pms_per_rack_zero",
+        "costs_two", "costs_negative"])
+def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new, named):
     body = minimal().replace(old, new)
     assert body != minimal()
     assert cli_main(["run", write_scenario(tmp_path, body)]) == 2
+    bad = capsys.readouterr()
+    assert named in bad.err
     assert cli_main(["run", str(tmp_path / "missing.scn")]) == 2
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.out + captured.err
-    assert "error: " in captured.err
+    for captured in (bad, capsys.readouterr()):
+        assert "Traceback" not in captured.out + captured.err
+        assert "error: " in captured.err
 
 
 @pytest.mark.parametrize("bad", ["four", "3", "0"])
