@@ -10,7 +10,7 @@ import sys
 
 from . import scenario as sc
 from .lp import LpError
-from .rpadmm import AdmmDivergenceError
+from .rpadmm import AdmmDivergenceError, UnboundedUpdateError
 from .scaling import DecodeError, ModelInfeasibleError
 
 
@@ -99,7 +99,7 @@ def main(argv=None):
     except AdmmDivergenceError as err:
         sys.stderr.write("diverged: %s\n" % err)
         return 4
-    except (DecodeError, LpError) as err:
+    except (DecodeError, LpError, UnboundedUpdateError) as err:
         sys.stderr.write("no usable solution: %s\n" % err)
         return 4
 

@@ -9,9 +9,17 @@ its neighbors' last announced values.  Each round draws a uniformly
 random permutation of all scalar blocks, sweeps them Gauss-Seidel
 style against the augmented Lagrangian, then ascends every scaled dual
 by its row residual.
+
+The sweep runs on flat Python lists (per-column row and coefficient
+lists built once, x, residuals and duals as lists within a sweep),
+because indexing numpy arrays one element at a time dominated it.
+`scalar_block_update` is its reference: the sweep performs the same
+float operations in the same order, so its trace is byte-identical to
+one `scalar_block_update` call per block.
 """
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +86,7 @@ class ReformulatedSystem:
 
     @property
     def families(self):
-        seen = []
-        for fam in self.row_family:
-            if fam not in seen:
-                seen.append(fam)
-        return seen
+        return list(dict.fromkeys(self.row_family))
 
 
 def _family_of(label):
@@ -244,14 +248,10 @@ def message_footprint(system):
     return int(np.count_nonzero(owner[shared.row] != owner[shared.col]))
 
 
-def scalar_block_update(c, terms, lo, hi, beta):
-    """Exact minimizer of  c*x + (beta/2) * sum_t (a_t*x + r_t)^2  on
-    [lo, hi]; every primal update in the sweep is an instance of this."""
-    denom = 0.0
-    pull = 0.0
-    for a, r in terms:
-        denom += a * a
-        pull += a * r
+def _minimizer(c, denom, pull, lo, hi, beta):
+    """Clamped minimizer of  c*x + (beta/2) * (denom*x^2 + 2*pull*x)  on
+    [lo, hi]; with no quadratic term it sits at the bound the cost
+    points to."""
     if denom > 0.0:
         x = (-c / beta - pull) / denom
     elif c > 0.0:
@@ -261,15 +261,27 @@ def scalar_block_update(c, terms, lo, hi, beta):
     else:
         x = 0.0
     x = min(max(x, lo), hi)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise UnboundedUpdateError(
             "block update has no quadratic term and runs off to %r" % x)
     return float(x)
 
 
+def scalar_block_update(c, terms, lo, hi, beta):
+    """Exact minimizer of  c*x + (beta/2) * sum_t (a_t*x + r_t)^2  on
+    [lo, hi]; every primal update in the sweep is an instance of this,
+    and it is the reference the sweep is tested against."""
+    denom = 0.0
+    pull = 0.0
+    for a, r in terms:
+        denom += a * a
+        pull += a * r
+    return _minimizer(c, denom, pull, lo, hi, beta)
+
+
 def _family_rows(system):
-    fams = system.families
-    rows = {fam: [] for fam in fams}
+    """Row indices of each constraint family, keyed in first-seen order."""
+    rows = {fam: [] for fam in system.families}
     for t, fam in enumerate(system.row_family):
         rows[fam].append(t)
     return {fam: np.array(idx, dtype=int) for fam, idx in rows.items()}
@@ -381,12 +393,19 @@ def run(system, cfg=None):
         raise ValueError("the sweep needs equality rows, got %r in %r"
                          % (str(mats.rel[bad[0]]), model.rows[bad[0]][3]))
 
-    lo, hi = np.asarray(model.lower), np.asarray(model.upper)
+    lo, hi = model.lower, model.upper
     cost = mats.c
+    c_list = cost.tolist()
     csc = mats.a.tocsc()
     ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
     cols = [list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
             for i in range(nv)]
+    denoms = []
+    for col in cols:
+        denom = 0.0
+        for _, a in col:
+            denom += a * a
+        denoms.append(denom)
 
     x = np.zeros(nv)
     res = _residuals(model, x)
@@ -395,31 +414,40 @@ def run(system, cfg=None):
     fam_rows = _family_rows(system)
     baseline = _family_max(res, fam_rows)
     messages = message_footprint(system)
-    trace = AdmmTrace(families=system.families, baseline=baseline,
+    trace = AdmmTrace(families=list(fam_rows), baseline=baseline,
                       messages_per_sweep=messages)
 
     orders = _sweep_orders(cfg, nv)
     rng = np.random.default_rng(cfg.seed)
+    beta = cfg.beta
     for it in range(1, cfg.max_iters + 1):
         if orders is not None:
             perm = orders[(it - 1) % len(orders)]
         else:
             perm = rng.permutation(nv)
+        perm = tuple(perm.tolist())
+        xs, rs, us = x.tolist(), res.tolist(), duals.tolist()
+        # Same float operations, in the same order, as one
+        # scalar_block_update call per block.
         for i in perm:
-            terms = [(a, res[t] - a * x[i] + duals[t]) for t, a in cols[i]]
-            new = scalar_block_update(cost[i], terms, lo[i], hi[i], cfg.beta)
-            step = new - x[i]
+            col = cols[i]
+            xi = xs[i]
+            pull = 0.0
+            for t, a in col:
+                pull += a * (rs[t] - a * xi + us[t])
+            new = _minimizer(c_list[i], denoms[i], pull, lo[i], hi[i], beta)
+            step = new - xi
             if step != 0.0:
-                for t, a in cols[i]:
-                    res[t] += a * step
-                x[i] = new
+                for t, a in col:
+                    rs[t] += a * step
+                xs[i] = new
+        x, res = np.array(xs), np.array(rs)
         duals += res
 
         objective = float(cost @ x) + model.obj_const
         viol = _normalize(_family_max(res, fam_rows), baseline)
         trace.records.append(AdmmRecord(
-            it, objective, viol, tuple(int(v) for v in perm),
-            messages, res.copy(), duals.copy()))
+            it, objective, viol, perm, messages, res, duals.copy()))
         raw = float(np.max(np.abs(res))) if nr else 0.0
         if not np.isfinite(objective) or abs(objective) > cfg.divergence_limit \
                 or raw > cfg.divergence_limit:

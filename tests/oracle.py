@@ -1,15 +1,20 @@
-"""Brute-force reference for the joint placement model.
+"""Reference implementations the solvers are checked against.
 
-Enumerates placement assignments directly and LP-solves the continuous
-part for each, so the branch-and-bound can be checked against an
-implementation that shares none of its search logic.
+Brute force for the joint placement model: enumerates placement
+assignments directly and LP-solves the continuous part for each, so the
+branch-and-bound can be checked against an implementation that shares
+none of its search logic.
+
+The RP-ADMM sweep as first written: numpy element indexing and one
+`scalar_block_update` call per block.  `rpadmm.run` must reproduce it
+byte for byte.
 """
 
 import itertools
 
 import numpy as np
 
-from vnfscale import lp
+from vnfscale import lp, rpadmm
 
 
 def _assignment_bounds(mp, assign):
@@ -81,3 +86,55 @@ def enumerate_all_bits(mp):
         if best_obj is None or sol.objective_value < best_obj:
             best_obj = sol.objective_value
     return best_obj
+
+
+def reference_admm_run(system, cfg):
+    """`rpadmm.run` with the original per-block loop and no divergence
+    guard; returns (x, trace)."""
+    model = system.model
+    nv, nr = model.num_vars, model.num_rows
+    mats = model.matrices()
+    lo, hi = np.asarray(model.lower), np.asarray(model.upper)
+    cost = mats.c
+    csc = mats.a.tocsc()
+    ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+    cols = [list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
+            for i in range(nv)]
+
+    x = np.zeros(nv)
+    res = rpadmm._residuals(model, x)
+    duals = np.zeros(nr)
+
+    fam_rows = rpadmm._family_rows(system)
+    baseline = rpadmm._family_max(res, fam_rows)
+    messages = rpadmm.message_footprint(system)
+    trace = rpadmm.AdmmTrace(families=system.families, baseline=baseline,
+                             messages_per_sweep=messages)
+
+    orders = rpadmm._sweep_orders(cfg, nv)
+    rng = np.random.default_rng(cfg.seed)
+    for it in range(1, cfg.max_iters + 1):
+        if orders is not None:
+            perm = orders[(it - 1) % len(orders)]
+        else:
+            perm = rng.permutation(nv)
+        for i in perm:
+            terms = [(a, res[t] - a * x[i] + duals[t]) for t, a in cols[i]]
+            new = rpadmm.scalar_block_update(cost[i], terms, lo[i], hi[i],
+                                             cfg.beta)
+            step = new - x[i]
+            if step != 0.0:
+                for t, a in cols[i]:
+                    res[t] += a * step
+                x[i] = new
+        duals += res
+
+        objective = float(cost @ x) + model.obj_const
+        viol = rpadmm._normalize(rpadmm._family_max(res, fam_rows), baseline)
+        trace.records.append(rpadmm.AdmmRecord(
+            it, objective, viol, tuple(int(v) for v in perm),
+            messages, res.copy(), duals.copy()))
+        if max(viol.values(), default=0.0) <= cfg.primal_tol:
+            trace.converged = True
+            break
+    return x, trace

@@ -12,6 +12,7 @@ from vnfscale import lp, rpadmm
 
 from corpus import pm, tree4, capacity, scenario1, scenario4, problem, \
     k2_instance, admm_fixture
+from oracle import reference_admm_run
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,16 @@ def test_inequality_rows_rejected():
         rpadmm.run(rpadmm.system_from_model(m), rpadmm.AdmmConfig(max_iters=1))
 
 
+def test_unbounded_block_raises_through_the_sweep():
+    m = lp.LpModel("free")
+    x = m.add_var("x", 0.0, 1.0)
+    free = m.add_var("free", -np.inf, np.inf)
+    m.add_objective({x: 1.0, free: -2.0})
+    m.add_row({x: 1.0}, "=", 0.5, "r")
+    with pytest.raises(rpadmm.UnboundedUpdateError):
+        rpadmm.run(rpadmm.system_from_model(m), rpadmm.AdmmConfig(max_iters=1))
+
+
 def test_zero_traffic_converges_at_the_start(topo):
     g = scenario4()
     p = vs.ScalingProblem(topology=topo, group=g, traffic=0.0, v_star=3,
@@ -242,6 +253,41 @@ def test_fixed_seed_runs_are_bit_identical(fixture_system):
         assert ra.permutation == rb.permutation
         assert np.array_equal(ra.residuals, rb.residuals)
         assert np.array_equal(ra.duals, rb.duals)
+
+
+def assert_same_as_reference_loop(system, cfg):
+    x, trace = rpadmm.run(system, cfg)
+    ref_x, ref = reference_admm_run(system, cfg)
+    assert x.tobytes() == ref_x.tobytes()
+    assert trace.families == ref.families
+    assert trace.converged == ref.converged
+    assert len(trace.records) == len(ref.records)
+    for rec, want in zip(trace.records, ref.records):
+        assert rec.residuals.tobytes() == want.residuals.tobytes()
+        assert rec.duals.tobytes() == want.duals.tobytes()
+        assert rec.objective == want.objective
+        assert rec.violations == want.violations
+        assert rec.permutation == want.permutation
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_matches_reference_loop_byte_for_byte(fixture_system, seed):
+    system, _ = fixture_system
+    assert_same_as_reference_loop(system, rpadmm.AdmmConfig(seed=seed))
+
+
+def test_override_sweep_matches_reference_loop(fixture_system):
+    system, _ = fixture_system
+    nv = system.model.num_vars
+    orders = [np.arange(nv)[::-1], np.random.default_rng(7).permutation(nv)]
+    assert_same_as_reference_loop(system, rpadmm.AdmmConfig(
+        max_iters=5, primal_tol=0.0, permutations=orders))
+
+
+def test_lifted_scenario_sweep_matches_reference_loop(topo):
+    system = rpadmm.reformulate(problem(topo, scenario1(), 400.0, 4,
+                                        vs.OVERLOAD))
+    assert_same_as_reference_loop(system, rpadmm.AdmmConfig(seed=4))
 
 
 def run_digest_in_subprocess(hashseed):

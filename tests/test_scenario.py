@@ -4,7 +4,7 @@ import time
 import pytest
 
 import vnfscale as vs
-from vnfscale import lp, scenario
+from vnfscale import lp, rpadmm, scenario
 from vnfscale.cli import main as cli_main
 from vnfscale.scaling import forwarding_cost_of
 
@@ -405,6 +405,17 @@ def test_cli_unusable_solver_point_is_exit_four(capsys):
                      "--iters", "1"]) == 4
     captured = capsys.readouterr()
     assert "all-zero interest column" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_unbounded_block_update_is_exit_four(monkeypatch, capsys):
+    def unbounded(system, cfg):
+        raise rpadmm.UnboundedUpdateError(
+            "block update has no quadratic term and runs off to -inf")
+    monkeypatch.setattr(rpadmm, "run", unbounded)
+    assert cli_main(["run", scen("distributed_scale_out.scn")]) == 4
+    captured = capsys.readouterr()
+    assert "no usable solution: block update" in captured.err
     assert "Traceback" not in captured.out + captured.err
 
 
