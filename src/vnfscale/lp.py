@@ -4,19 +4,21 @@ LpModel is a plain registry of variables (name, bounds), a sparse
 linear objective and relational rows.  matrices() exports the objective
 and rows as arrays for every reader of the rows: a CSR in model row
 order, each row's coefficients in insertion order with explicit zeros
-kept, plus the split linprog takes.  The export is cached until
-add_var, add_row or add_objective; bounds stay out of it, so
-branch-and-bound nodes share one export.  solve() hands it to scipy's
-HiGHS dual simplex, which is deterministic for a fixed model and
-returns a basic (vertex) optimal point; that matters downstream
-because placement decisions are decoded from vertex structure.
+kept.  solve() loads that export once into one HiGHS object per model
+(scipy's bundled HiGHS), then per call sets only the column bounds and
+re-runs the dual simplex from a cold start.  Both the export and the
+HiGHS object are dropped by add_var, add_row or add_objective; bounds
+stay out of them, so branch-and-bound nodes share one of each.  The
+dual simplex is deterministic for a fixed model and returns a basic
+(vertex) optimal point; that matters downstream because placement
+decisions are decoded from vertex structure.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csr_array
 
 OPTIMAL = "optimal"
@@ -28,10 +30,30 @@ EQ, LE, GE = "=", "<=", ">="
 # HiGHS primal and dual feasibility tolerance
 FEASIBILITY_TOL = 1e-9
 
+# the options linprog(method="highs-ds") sets: presolve on, dual simplex,
+# both tolerances, no output
+_OPTIONS = {
+    "presolve": "on",
+    "solver": "simplex",
+    "simplex_strategy": int(highs.simplex_constants.SimplexStrategy
+                            .kSimplexStrategyDual),
+    "primal_feasibility_tolerance": FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": FEASIBILITY_TOL,
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+_STATUS = {
+    highs.HighsModelStatus.kOptimal: OPTIMAL,
+    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    highs.HighsModelStatus.kModelError: INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
 Violation = namedtuple("Violation", "row amount label")
 
-# c, every row as (a, b, rel), then the same rows split for linprog
-Matrices = namedtuple("Matrices", "c a b rel a_ub b_ub a_eq b_eq")
+# c and every row as (a, b, rel)
+Matrices = namedtuple("Matrices", "c a b rel")
 
 
 class LpError(RuntimeError):
@@ -49,6 +71,7 @@ class LpModel:
     rows: list = field(default_factory=list)        # (coeffs dict, rel, rhs, label)
     _by_name: dict = field(default_factory=dict, repr=False)
     _matrices: Matrices = field(default=None, repr=False, compare=False)
+    _highs: object = field(default=None, repr=False, compare=False)
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         if name in self._by_name:
@@ -60,7 +83,7 @@ class LpModel:
         self.lower.append(float(lo))
         self.upper.append(float(hi))
         self._by_name[name] = idx
-        self._matrices = None
+        self._matrices = self._highs = None
         return idx
 
     def var(self, name):
@@ -73,14 +96,14 @@ class LpModel:
             if not (0 <= idx < len(self.var_names)):
                 raise ValueError("row %r references unknown variable %d" % (label, idx))
         self.rows.append((dict(coeffs), rel, float(rhs), label))
-        self._matrices = None
+        self._matrices = self._highs = None
         return len(self.rows) - 1
 
     def add_objective(self, coeffs, const=0.0):
         for idx, c in coeffs.items():
             self.objective[idx] = self.objective.get(idx, 0.0) + float(c)
         self.obj_const += const
-        self._matrices = None
+        self._matrices = self._highs = None
 
     @property
     def num_vars(self):
@@ -111,13 +134,49 @@ def _export(model):
     data = np.fromiter((v for r in model.rows for v in r[0].values()), float, nnz)
     b = np.fromiter((r[2] for r in model.rows), float, m)
     rel = np.array([r[1] for r in model.rows], dtype="<U2")
-    a = csr_array((data, indices, indptr), shape=(m, n))
-    flip = rel == GE
-    signed = csr_array((np.where(np.repeat(flip, lens), -data, data),
-                        indices, indptr), shape=(m, n))
-    ub, eq = np.flatnonzero(rel != EQ), np.flatnonzero(rel == EQ)
-    return Matrices(c, a, b, rel, signed[ub], np.where(flip, -b, b)[ub],
-                    a[eq], b[eq])
+    return Matrices(c, csr_array((data, indices, indptr), shape=(m, n)), b, rel)
+
+
+def _highs_inf(x):
+    return np.clip(x, -highs.kHighsInf, highs.kHighsInf)
+
+
+def _load_highs(model):
+    """One HiGHS object holding the model's rows, in the layout linprog
+    gives HiGHS: the <= rows and the negated >= rows in model order,
+    stacked above the = rows, as -inf <= a x <= b and b <= a x <= b.
+    None when HiGHS rejects the model."""
+    mats = model.matrices()
+    if not (np.isfinite(mats.c).all() and np.isfinite(mats.a.data).all()
+            and np.isfinite(mats.b).all()):
+        raise ValueError("%s: objective and rows must be finite" % model.name)
+    a = mats.a
+    flip = np.where(mats.rel == GE, -1.0, 1.0)
+    signed = csr_array((np.repeat(flip, np.diff(a.indptr)) * a.data,
+                        a.indices, a.indptr), shape=a.shape)
+    ub, eq = np.flatnonzero(mats.rel != EQ), np.flatnonzero(mats.rel == EQ)
+    order = np.concatenate((ub, eq))
+    a = signed[order].tocsc()
+    rhs = (flip * mats.b)[order]
+    lhs = np.concatenate((np.full(ub.size, -np.inf), mats.b[eq]))
+    hlp = highs.HighsLp()
+    hlp.num_col_ = hlp.a_matrix_.num_col_ = model.num_vars
+    hlp.num_row_ = hlp.a_matrix_.num_row_ = model.num_rows
+    hlp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    hlp.a_matrix_.start_ = a.indptr
+    hlp.a_matrix_.index_ = a.indices
+    hlp.a_matrix_.value_ = a.data
+    hlp.col_cost_ = mats.c
+    hlp.col_lower_ = _highs_inf(np.asarray(model.lower))
+    hlp.col_upper_ = _highs_inf(np.asarray(model.upper))
+    hlp.row_lower_ = _highs_inf(lhs)
+    hlp.row_upper_ = _highs_inf(rhs)
+    h = highs._Highs()
+    for key, val in _OPTIONS.items():
+        h.setOptionValue(key, val)
+    if h.passModel(hlp) == highs.HighsStatus.kError:
+        return None
+    return h
 
 
 @dataclass
@@ -139,35 +198,33 @@ def solve(model, bounds_override=None):
     the model's cached matrices.  Infeasible and unbounded come back as
     statuses; solver failures raise LpError.
     """
+    n = model.num_vars
     if bounds_override is None:
-        bounds = list(zip(model.lower, model.upper))
-    elif len(bounds_override) != model.num_vars:
-        raise ValueError("bounds_override must cover all %d variables"
-                         % model.num_vars)
+        bounds = (model.lower, model.upper)
+    elif len(bounds_override) != n:
+        raise ValueError("bounds_override must cover all %d variables" % n)
     else:
-        bounds = bounds_override
-    mats = model.matrices()
-    res = linprog(
-        mats.c,
-        A_ub=mats.a_ub,
-        b_ub=mats.b_ub,
-        A_eq=mats.a_eq,
-        b_eq=mats.b_eq,
-        bounds=bounds,
-        method="highs-ds",
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": FEASIBILITY_TOL,
-            "dual_feasibility_tolerance": FEASIBILITY_TOL,
-        },
-    )
-    if res.status == 2:
-        return LpSolution(INFEASIBLE, None, np.nan, model)
-    if res.status == 3:
-        return LpSolution(UNBOUNDED, None, np.nan, model)
-    if res.status != 0:
-        raise LpError("solver breakdown on %s: %s" % (model.name, res.message))
-    return LpSolution(OPTIMAL, res.x, float(res.fun) + model.obj_const, model)
+        bounds = np.array(bounds_override, dtype=float).reshape(n, 2).T
+    if model._highs is None:
+        h = _load_highs(model)
+        if h is None:
+            # HiGHS rejected the model, which linprog reports as infeasible
+            return LpSolution(INFEASIBLE, None, np.nan, model)
+        model._highs = h
+    h = model._highs
+    lo, hi = _highs_inf(np.array(bounds, dtype=float))
+    h.changeColsBounds(n, np.arange(n), lo, hi)
+    h.clearSolver()
+    h.run()
+    status = _STATUS.get(h.getModelStatus())
+    if status is None:
+        raise LpError("solver breakdown on %s: %s" % (
+            model.name, h.modelStatusToString(h.getModelStatus())))
+    if status != OPTIMAL:
+        return LpSolution(status, None, np.nan, model)
+    point = np.array(h.getSolution().col_value)
+    value = h.getInfo().objective_function_value + model.obj_const
+    return LpSolution(OPTIMAL, point, value, model)
 
 
 def check_feasibility(model, point, tol=1e-8):

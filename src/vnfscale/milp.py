@@ -87,9 +87,10 @@ def build_milp(p):
     # objective: weighted deployment penalties plus forwarding cost
     w1, w2 = p.weights.deployment, p.weights.forwarding
     pen = p.penalties
+    offline = set(offline_ids)
     obj = {}
     for (q, j), idx in b_idx.items():
-        obj[idx] = w1 * (pen.activate if j in set(offline_ids) else -pen.retain)
+        obj[idx] = w1 * (pen.activate if j in offline else -pen.retain)
     model.add_objective(obj)
     model.add_objective(fv.objective_coeffs(w2))
 

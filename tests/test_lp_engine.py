@@ -76,6 +76,28 @@ def test_objective_constant_carried():
     assert lp.solve(m).objective_value == pytest.approx(9.0)
 
 
+@pytest.mark.parametrize("cost, coef, rhs", [
+    (np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.nan),
+    (1.0, 1.0, -np.inf)])
+def test_non_finite_objective_or_row_rejected(cost, coef, rhs):
+    m = lp.LpModel("nonfinite")
+    x = m.add_var("x", 0.0, 10.0)
+    m.add_objective({x: cost})
+    m.add_row({x: coef}, ">=", rhs)
+    with pytest.raises(ValueError):
+        lp.solve(m)
+
+
+def test_model_highs_rejects_is_infeasible():
+    # HiGHS refuses a matrix entry of 1e15 or more; linprog reports that
+    # model error as infeasible, and so does solve
+    m = lp.LpModel("huge")
+    x = m.add_var("x", 0.0, 10.0)
+    m.add_objective({x: 1.0})
+    m.add_row({x: 1e16}, ">=", 1.0)
+    assert lp.solve(m).status == lp.INFEASIBLE
+
+
 def test_check_feasibility_flags_violations():
     m, x, y = small_model()
     ok = lp.check_feasibility(m, np.array([4.0, 0.0]))
@@ -172,12 +194,6 @@ def test_export_matches_the_row_dicts(name):
     assert list(mats.rel) == [r[1] for r in model.rows]
     assert list(mats.c) == [model.objective.get(i, 0.0)
                             for i in range(model.num_vars)]
-    eq = mats.rel == lp.EQ
-    sign = np.where(mats.rel == lp.GE, -1.0, 1.0)
-    assert np.array_equal(mats.a_eq.toarray(), a[eq])
-    assert np.array_equal(mats.b_eq, mats.b[eq])
-    assert np.array_equal(mats.a_ub.toarray(), (sign[:, None] * a)[~eq])
-    assert np.array_equal(mats.b_ub, (sign * mats.b)[~eq])
     # each row keeps its insertion order, so A @ x adds the terms in the
     # order the row was written
     x = np.random.default_rng(0).normal(size=model.num_vars)
@@ -186,23 +202,98 @@ def test_export_matches_the_row_dicts(name):
     assert (mats.a @ x - mats.b).tolist() == by_hand
 
 
-@pytest.mark.parametrize("name", SOLVED)
-def test_solve_lands_on_the_dense_assembly_vertex(name):
-    model = corpus_model(name)
+# branch-and-bound nodes: a k=2 MILP base with some of its binaries
+# pinned, each keyed by its position in MilpProblem.binaries
+NODES = {
+    "milp0-b0=0": ("milp0", {0: 0}),
+    "milp0-b0=1-b4=0": ("milp0", {0: 1, 4: 0}),
+    "milp1-b0=0": ("milp1", {0: 0}),
+    "milp2-b4=1-b9=0": ("milp2", {4: 1, 9: 0}),
+    "milp0-all=0": ("milp0", dict.fromkeys(range(12), 0)),
+}
+
+
+def node_case(name):
+    """(model, bounds_override): a corpus model as built, or a NODES
+    entry's MILP base with the bounds a branch-and-bound node gives it."""
+    if name not in NODES:
+        return corpus_model(name), None
+    base, pins = NODES[name]
+    mp = milp.build_milp(k2_instance(int(base[-1])))
+    bounds = list(zip(mp.base.lower, mp.base.upper))
+    for pos, val in pins.items():
+        bounds[mp.binaries[pos]] = (float(val), float(val))
+    return mp.base, bounds
+
+
+def dense_linprog(model, bounds):
+    """linprog on the rows assembled densely from the row dicts."""
     a = dense_rows(model)
     rel = np.array([r[1] for r in model.rows])
     b = np.array([r[2] for r in model.rows])
     ub, eq = rel != lp.EQ, rel == lp.EQ
     sign = np.where(rel == lp.GE, -1.0, 1.0)[:, None]
     feas_tol = 1e-9
-    res = linprog(model.matrices().c, A_ub=(sign * a)[ub],
-                  b_ub=(sign[:, 0] * b)[ub], A_eq=a[eq], b_eq=b[eq],
-                  bounds=list(zip(model.lower, model.upper)),
-                  method="highs-ds",
-                  options={"presolve": True,
-                           "primal_feasibility_tolerance": feas_tol,
-                           "dual_feasibility_tolerance": feas_tol})
-    assert np.array_equal(lp.solve(model).point, res.x)
+    return linprog(model.matrices().c, A_ub=(sign * a)[ub],
+                   b_ub=(sign[:, 0] * b)[ub], A_eq=a[eq], b_eq=b[eq],
+                   bounds=bounds, method="highs-ds",
+                   options={"presolve": True,
+                            "primal_feasibility_tolerance": feas_tol,
+                            "dual_feasibility_tolerance": feas_tol})
+
+
+@pytest.mark.parametrize("name", SOLVED + list(NODES))
+def test_solve_lands_on_the_dense_assembly_vertex(name):
+    model, override = node_case(name)
+    res = dense_linprog(model, override or list(zip(model.lower, model.upper)))
+    sol = lp.solve(model, bounds_override=override)
+    assert sol.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE}[res.status]
+    if res.status == 0:
+        assert np.array_equal(sol.point, res.x)
+        assert sol.objective_value == res.fun + model.obj_const
+
+
+def test_solves_on_one_model_leave_no_state_behind():
+    """Node bounds and the last basis do not carry over to the next
+    solve: each point equals a solve on a freshly built model."""
+    model, a = node_case("milp0-b0=1-b4=0")
+    _, b = node_case("milp0-b0=0")
+    _, nowhere = node_case("milp0-all=0")
+    statuses = []
+    for override in (a, nowhere, b, None):
+        got = lp.solve(model, bounds_override=override)
+        want = lp.solve(corpus_model("milp0"), bounds_override=override)
+        assert got.status == want.status
+        assert np.array_equal(got.point, want.point)
+        statuses.append(got.status)
+    assert statuses == [lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL, lp.OPTIMAL]
+
+
+@pytest.mark.parametrize("name", SOLVED + ["lift"])
+def test_highs_holds_the_linprog_layout(name, monkeypatch):
+    """The model HiGHS holds is, array for array, the one linprog hands it:
+    the <= and negated >= rows above the = rows, colwise, with -inf or
+    b_eq as the row lower bounds."""
+    from scipy.optimize import _linprog_highs
+    seen = {}
+    real = _linprog_highs._highs_wrapper
+
+    def spy(c, indptr, indices, data, lhs, rhs, *rest):
+        seen.update(c=c, start=indptr, index=indices, value=data,
+                    lhs=lhs, rhs=rhs)
+        return real(c, indptr, indices, data, lhs, rhs, *rest)
+
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
+    model = corpus_model(name)
+    dense_linprog(model, list(zip(model.lower, model.upper)))
+    lp.solve(model)
+    held = model._highs.getLp()
+    assert np.array_equal(held.col_cost_, seen["c"])
+    assert np.array_equal(held.a_matrix_.start_, seen["start"])
+    assert np.array_equal(held.a_matrix_.index_, seen["index"])
+    assert np.array_equal(held.a_matrix_.value_, seen["value"])
+    assert np.array_equal(held.row_lower_, seen["lhs"])
+    assert np.array_equal(held.row_upper_, seen["rhs"])
 
 
 def test_export_is_cached_until_the_model_changes():
@@ -227,6 +318,17 @@ def test_resolve_after_a_new_row_sees_the_row():
     assert sol.value("x") == pytest.approx(1.0)
     assert sol.value("y") == pytest.approx(3.0)
     assert sol.objective_value == pytest.approx(7.0)
+
+
+def test_resolve_after_a_new_variable_or_objective_term():
+    m, x, y = small_model()
+    assert lp.solve(m).objective_value == pytest.approx(4.0)
+    z = m.add_var("z", 0.0, 1.0)
+    assert lp.solve(m).point.shape == (3,)
+    m.add_objective({z: -5.0})
+    sol = lp.solve(m)
+    assert sol.value("z") == pytest.approx(1.0)
+    assert sol.objective_value == pytest.approx(-1.0)
 
 
 def test_bounds_override_must_cover_every_variable():

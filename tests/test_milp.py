@@ -149,6 +149,27 @@ def test_total_decomposes():
         rel=1e-9, abs=1e-7)
 
 
+# branch-and-bound as it stands: node count, total and placement per
+# instance.  A change to the node LPs (a warm start, say) that moves any of
+# these is a behaviour change and has to say so.
+BRANCH_AND_BOUND = [
+    (0, 17, -19833.297375903294, {"vm1": pm(1), "vm2": pm(2), "off1": pm(3)}),
+    (1, 1, 10070.376662132954, {"vm1": pm(1), "vm2": None, "off1": None}),
+    (2, 7, -19983.944638322166, {"vm1": pm(2), "vm2": pm(1), "off1": pm(2)}),
+    (4, 13, -19913.23989640834, {"vm1": pm(3), "vm2": pm(1), "off1": pm(4)}),
+]
+
+
+@pytest.mark.parametrize("seed, nodes, total, placement", BRANCH_AND_BOUND,
+                         ids=["seed%d" % case[0] for case in BRANCH_AND_BOUND])
+def test_branch_and_bound_is_pinned(seed, nodes, total, placement):
+    sol = milp.solve_milp(build(seed)[1])
+    assert sol.status == "optimal" and sol.proven
+    assert sol.nodes == nodes
+    assert sol.total == pytest.approx(total, rel=1e-9)
+    assert sol.placement == placement
+
+
 def test_budget_exhaustion_reported():
     p, mp = build(0)
     sol = milp.solve_milp(mp, budget=1)
