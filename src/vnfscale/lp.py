@@ -1,13 +1,15 @@
 """Sparse linear-program container and exact solver.
 
-LpModel is a plain registry of variables (name, bounds), a sparse
-linear objective and relational rows.  matrices() exports the objective
-and rows as arrays for every reader of the rows: a CSR in model row
-order, each row's coefficients in insertion order with explicit zeros
-kept.  solve() loads that export once into one HiGHS object per model
-(scipy's bundled HiGHS), then per call sets only the column bounds and
-re-runs the dual simplex from a cold start.  Both the export and the
-HiGHS object are dropped by add_var, add_row or add_objective; bounds
+LpModel is a registry of variables (name, bounds), a sparse linear
+objective and relational rows.  Variables come one at a time or as a
+contiguous range named lazily; rows come one at a time as coefficient
+dicts or as CSR blocks with one relation.  matrices() exports the
+objective and rows as arrays for every reader of the rows: a CSR in
+model row order, each row's coefficients in insertion order with
+explicit zeros kept.  solve() loads that export once into one HiGHS
+object per model (scipy's bundled HiGHS), then per call sets only the
+column bounds and re-runs the dual simplex from a cold start.  Both the
+export and the HiGHS object are dropped by every add_* call; bounds
 stay out of them, so branch-and-bound nodes share one of each.  The
 dual simplex is deterministic for a fixed model and returns a basic
 (vertex) optimal point; that matters downstream because placement
@@ -15,7 +17,7 @@ decisions are decoded from vertex structure.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
@@ -60,44 +62,140 @@ class LpError(RuntimeError):
     """Numeric breakdown inside the solver (not a model status)."""
 
 
-@dataclass
+class _RowBlock:
+    """Rows appended as one CSR block with a single relation; labels are
+    made on the first read."""
+
+    def __init__(self, indptr, indices, data, rel, rhs, labels):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.rel, self.rhs = rel, rhs
+        self._labels = labels
+
+    def labels(self):
+        if callable(self._labels):
+            labels = list(self._labels())
+            if len(labels) != self.rhs.size:
+                raise ValueError("%d labels for a block of %d rows"
+                                 % (len(labels), self.rhs.size))
+            self._labels = labels
+        return self._labels
+
+
 class LpModel:
-    name: str = "lp"
-    var_names: list = field(default_factory=list)
-    lower: list = field(default_factory=list)
-    upper: list = field(default_factory=list)
-    objective: dict = field(default_factory=dict)   # var index -> coefficient
-    obj_const: float = 0.0
-    rows: list = field(default_factory=list)        # (coeffs dict, rel, rhs, label)
-    _by_name: dict = field(default_factory=dict, repr=False)
-    _matrices: Matrices = field(default=None, repr=False, compare=False)
-    _highs: object = field(default=None, repr=False, compare=False)
+    """Variables (name, bounds), a sparse objective and relational rows.
+
+    Variables come one at a time (add_var) or as a contiguous range
+    (add_vars) whose names are made on the first var() / var_names
+    read.  Rows are kept as ordered segments: runs of scalar add_row
+    rows, each a (coeffs dict, rel, rhs, label) tuple, and CSR blocks
+    from add_rows.  matrices() concatenates the segments in row order.
+    """
+
+    def __init__(self, name="lp"):
+        self.name = name
+        self.lower = []
+        self.upper = []
+        self.objective = {}     # var index -> coefficient
+        self.obj_const = 0.0
+        self._names = []        # var index -> name, None until its range is named
+        self._unnamed = []      # (start, count, make names) of unnamed ranges
+        self._by_name = {}
+        self._segments = []     # lists of scalar rows and _RowBlocks, in row order
+        self._num_rows = 0
+        self._matrices = None
+        self._highs = None
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         if name in self._by_name:
             raise ValueError("duplicate variable %r" % name)
         if lo > hi:
             raise ValueError("empty bound interval for %r" % name)
-        idx = len(self.var_names)
-        self.var_names.append(name)
+        idx = len(self._names)
+        self._names.append(name)
         self.lower.append(float(lo))
         self.upper.append(float(hi))
         self._by_name[name] = idx
         self._matrices = self._highs = None
         return idx
 
+    def add_vars(self, count, lo, hi, names):
+        """Add count variables with contiguous indices and return the
+        first.  lo and hi are scalars or length-count sequences; names()
+        returns the count names and is called on the first var() or
+        var_names read."""
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (count,))
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (count,))
+        if (lo > hi).any():
+            raise ValueError("empty bound interval in a range of %d variables"
+                             % count)
+        start = len(self._names)
+        self._names.extend([None] * count)
+        self.lower.extend(lo.tolist())
+        self.upper.extend(hi.tolist())
+        self._unnamed.append((start, count, names))
+        self._matrices = self._highs = None
+        return start
+
+    def _name_ranges(self):
+        pending, self._unnamed = self._unnamed, []
+        for start, count, make in pending:
+            names = list(make())
+            if len(names) != count:
+                raise ValueError("%d names for a range of %d variables"
+                                 % (len(names), count))
+            self._names[start:start + count] = names
+            for idx, name in enumerate(names, start):
+                if name in self._by_name:
+                    raise ValueError("duplicate variable %r" % name)
+                self._by_name[name] = idx
+
+    @property
+    def var_names(self):
+        if self._unnamed:
+            self._name_ranges()
+        return self._names
+
     def var(self, name):
+        if self._unnamed:
+            self._name_ranges()
         return self._by_name[name]
 
     def add_row(self, coeffs, rel, rhs, label=""):
         if rel not in (EQ, LE, GE):
             raise ValueError("bad relation %r" % rel)
+        n = self.num_vars
         for idx in coeffs:
-            if not (0 <= idx < len(self.var_names)):
+            if not (0 <= idx < n):
                 raise ValueError("row %r references unknown variable %d" % (label, idx))
-        self.rows.append((dict(coeffs), rel, float(rhs), label))
+        if not self._segments or not isinstance(self._segments[-1], list):
+            self._segments.append([])
+        self._segments[-1].append((dict(coeffs), rel, float(rhs), label))
+        self._num_rows += 1
         self._matrices = self._highs = None
-        return len(self.rows) - 1
+        return self._num_rows - 1
+
+    def add_rows(self, indptr, indices, data, rel, rhs, labels):
+        """Append a CSR block of rows with one relation and return the
+        index of its first row.  Row k holds data[indptr[k]:indptr[k+1]]
+        at the distinct columns indices[indptr[k]:indptr[k+1]], in that
+        order; rhs is a scalar or one value per row; labels() returns
+        the row labels and is called on the first read of a label."""
+        if rel not in (EQ, LE, GE):
+            raise ValueError("bad relation %r" % rel)
+        indptr = np.asarray(indptr, dtype=int)
+        indices = np.asarray(indices, dtype=int)
+        data = np.asarray(data, dtype=float)
+        count = indptr.size - 1
+        if count < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any() \
+                or indptr[-1] != indices.size or data.size != indices.size:
+            raise ValueError("malformed row block")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.num_vars):
+            raise ValueError("row block references unknown variables")
+        rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
+        self._segments.append(_RowBlock(indptr, indices, data, rel, rhs, labels))
+        self._num_rows += count
+        self._matrices = self._highs = None
+        return self._num_rows - count
 
     def add_objective(self, coeffs, const=0.0):
         for idx, c in coeffs.items():
@@ -107,11 +205,36 @@ class LpModel:
 
     @property
     def num_vars(self):
-        return len(self.var_names)
+        return len(self.lower)
 
     @property
     def num_rows(self):
-        return len(self.rows)
+        return self._num_rows
+
+    def row_labels(self):
+        """Every row's label in row order."""
+        labels = []
+        for seg in self._segments:
+            if isinstance(seg, list):
+                labels.extend(r[3] for r in seg)
+            else:
+                labels.extend(seg.labels())
+        return labels
+
+    @property
+    def rows(self):
+        """Every row as a (coeffs dict, rel, rhs, label) tuple, blocks
+        expanded: a read-only view built on each read."""
+        out = []
+        for seg in self._segments:
+            if isinstance(seg, list):
+                out.extend(seg)
+                continue
+            ptr, cols, vals = seg.indptr.tolist(), seg.indices.tolist(), seg.data.tolist()
+            for k, (rhs, label) in enumerate(zip(seg.rhs.tolist(), seg.labels())):
+                lo, hi = ptr[k], ptr[k + 1]
+                out.append((dict(zip(cols[lo:hi], vals[lo:hi])), seg.rel, rhs, label))
+        return tuple(out)
 
     def objective_value(self, point):
         return sum(c * point[i] for i, c in self.objective.items()) + self.obj_const
@@ -123,17 +246,31 @@ class LpModel:
         return self._matrices
 
 
+def _scalar_rows(rows):
+    """(row lengths, indices, data, rhs, rel) of a run of scalar rows."""
+    m = len(rows)
+    lens = np.fromiter((len(r[0]) for r in rows), int, m)
+    nnz = int(lens.sum())
+    indices = np.fromiter((i for r in rows for i in r[0]), int, nnz)
+    data = np.fromiter((v for r in rows for v in r[0].values()), float, nnz)
+    b = np.fromiter((r[2] for r in rows), float, m)
+    rel = np.array([r[1] for r in rows], dtype="<U2")
+    return lens, indices, data, b, rel
+
+
 def _export(model):
     n, m = model.num_vars, model.num_rows
     c = np.zeros(n)
     c[list(model.objective)] = list(model.objective.values())
-    lens = np.fromiter((len(r[0]) for r in model.rows), int, m)
+    parts = [_scalar_rows([])]
+    for seg in model._segments:
+        if isinstance(seg, list):
+            parts.append(_scalar_rows(seg))
+        else:
+            parts.append((np.diff(seg.indptr), seg.indices, seg.data, seg.rhs,
+                          np.full(seg.rhs.size, seg.rel, dtype="<U2")))
+    lens, indices, data, b, rel = (np.concatenate(p) for p in zip(*parts))
     indptr = np.concatenate(([0], np.cumsum(lens)))
-    nnz = int(indptr[-1])
-    indices = np.fromiter((i for r in model.rows for i in r[0]), int, nnz)
-    data = np.fromiter((v for r in model.rows for v in r[0].values()), float, nnz)
-    b = np.fromiter((r[2] for r in model.rows), float, m)
-    rel = np.array([r[1] for r in model.rows], dtype="<U2")
     return Matrices(c, csr_array((data, indices, indptr), shape=(m, n)), b, rel)
 
 
@@ -243,5 +380,6 @@ def check_feasibility(model, point, tol=1e-8):
     bad = (((mats.rel == EQ) & (np.abs(diff) > tol))
            | ((mats.rel == LE) & (diff > tol))
            | ((mats.rel == GE) & (diff < -tol)))
-    return [Violation(k, diff[k], model.rows[k][3])
-            for k in np.flatnonzero(bad).tolist()]
+    bad = np.flatnonzero(bad).tolist()
+    labels = model.row_labels() if bad else []
+    return [Violation(k, diff[k], labels[k]) for k in bad]

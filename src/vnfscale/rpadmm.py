@@ -196,7 +196,7 @@ def reformulate(p):
 
     system = ReformulatedSystem(
         model=model, base_width=base_width, aux_def=aux_def,
-        owners=owners, row_family=[_family_of(r[3]) for r in model.rows])
+        owners=owners, row_family=[_family_of(l) for l in model.row_labels()])
     agent_partition(system)   # fail fast on any orphan block
     return system
 
@@ -207,7 +207,7 @@ def system_from_model(model, owner="agent"):
     return ReformulatedSystem(
         model=model, base_width=model.num_vars,
         owners={i: owner for i in range(model.num_vars)},
-        row_family=[_family_of(r[3]) for r in model.rows])
+        row_family=[_family_of(l) for l in model.row_labels()])
 
 
 def lift_point(system, base_point):
@@ -391,7 +391,7 @@ def run(system, cfg=None):
     bad = np.flatnonzero(mats.rel != lp.EQ)
     if bad.size:
         raise ValueError("the sweep needs equality rows, got %r in %r"
-                         % (str(mats.rel[bad[0]]), model.rows[bad[0]][3]))
+                         % (str(mats.rel[bad[0]]), model.row_labels()[bad[0]]))
 
     lo, hi = model.lower, model.upper
     cost = mats.c

@@ -283,6 +283,7 @@ def _placement_rows(p, model):
 
     # every unit of interest must be backed by capacity on the PM
     if p.pm_capacity is not None:
+        vm_cap = {r: p.vm_capacity(r) for r in p.resources}
         for q in rel_pms:
             here = [s for s in slots if (q, s.key) in e_idx]
             for r in p.resources:
@@ -299,7 +300,7 @@ def _placement_rows(p, model):
                 for r in p.resources:
                     if r not in p.pm_capacity:
                         continue
-                    coeffs = {e_idx[(q, s.key)]: p.vm_capacity(r) for s in newer}
+                    coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
                     slack = model.add_var("slot_slack[%s,%s]" % (q, r))
                     lay.slack_idx[("slots", q, r)] = slack
                     coeffs[slack] = 1.0
@@ -463,10 +464,14 @@ def baseline_forwarding_cost(p):
 def forwarding_cost_of(flows_n, flows_m, topo):
     """Total layered cost of carrying the given flows: sum of
     F(i,j) * (n + m) over every arc.  Flow on a non-link pair is an error."""
+    cost = {}
     total = 0.0
     for flows in (flows_n, flows_m):
         for (i, j, _d), val in flows.items():
-            total += forwarding_cost(topo, i, j) * val
+            c = cost.get((i, j))
+            if c is None:
+                c = cost[(i, j)] = forwarding_cost(topo, i, j)
+            total += c * val
     return total
 
 

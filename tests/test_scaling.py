@@ -4,7 +4,7 @@ import pytest
 
 import vnfscale as vs
 from vnfscale import lp, scaling
-from vnfscale.topology import PM, TOR, AGG, NodeId
+from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance
@@ -348,6 +348,22 @@ def test_forwarding_cost_rejects_non_link(topo):
     bad = {(NodeId(PM, 0), NodeId(PM, 1), "d1"): 1.0}
     with pytest.raises(ValueError):
         vs.forwarding_cost_of(bad, {}, topo)
+    # also after a link seen twice
+    link = (NodeId(PM, 0), NodeId(TOR, 0))
+    bad = {link + ("d1",): 1.0, link + ("d2",): 2.0, (NodeId(PM, 0), NodeId(PM, 1), "d2"): 1.0}
+    with pytest.raises(ValueError):
+        vs.forwarding_cost_of(bad, {}, topo)
+
+
+def test_forwarding_cost_of_sums_every_flow_in_order(topo):
+    # one F(i,j) lookup per link, the same float sum as one per flow
+    p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
+    _, dec = solve_decoded(p)
+    total = 0.0
+    for flows in (dec.flows_n, dec.flows_m):
+        for (i, j, _), val in flows.items():
+            total += forwarding_cost(topo, i, j) * val
+    assert dec.forwarding_cost == total
 
 
 def test_decision_and_flow_csv(topo):
