@@ -10,12 +10,19 @@ random permutation of all scalar blocks, sweeps them Gauss-Seidel
 style against the augmented Lagrangian, then ascends every scaled dual
 by its row residual.
 
-The sweep runs on flat Python lists (per-column row and coefficient
-lists built once, x, residuals and duals as lists within a sweep),
-because indexing numpy arrays one element at a time dominated it.
-`scalar_block_update` is its reference: the sweep performs the same
-float operations in the same order, so its trace is byte-identical to
-one `scalar_block_update` call per block.
+The lift adds each family of difference variables as one variable
+range and its definition and zero-sum rows as one CSR row block.
+
+The sweep runs on flat Python lists (each block's column, denominator,
+-c/beta and bounds built once; x, residuals and scaled duals kept as
+lists for the whole run), because indexing numpy arrays one element at
+a time dominated it.  For a block with a quadratic term it writes out
+`_minimizer`'s update and its min(max(x, lo), hi) clamp inline; a block
+without one, or an update that is not finite, goes through `_minimizer`
+itself.  `scalar_block_update` is its reference: the sweep performs the
+same float operations in the same order, so its trace is byte-identical
+to one `scalar_block_update` call per block.  One reduceat over the
+rows gathered family by family gives every family's max |residual|.
 """
 
 import io
@@ -71,6 +78,8 @@ class AdmmConfig:
             raise ValueError("max_iters must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must not be negative")
+        if self.permutations is not None and len(self.permutations) == 0:
+            raise ValueError("permutations must hold at least one sweep order")
 
 
 @dataclass
@@ -93,6 +102,50 @@ def _family_of(label):
     return label.split("[", 1)[0] if "[" in label else label
 
 
+def _add_lift_block(model, tag, owners, aux_def, groups):
+    """Add one difference variable per part and one row block holding,
+    group by group, each part's definition row and then the group's
+    zero sum over its parts; returns the rows' families.
+
+    groups lists (node, d, parts), each part an ((i, j, d) arc, entries)
+    pair whose entries are the definition row's (variable, coefficient)
+    pairs in order, with None standing for the part's own difference
+    variable, which node owns.  Names and labels are made on first read.
+    """
+    count = sum(len(parts) for _, _, parts in groups)
+    var = model.add_vars(count, -np.inf, np.inf, lambda: [
+        "%s[%s>%s,%s]" % ((tag.upper(),) + arc)
+        for _, _, parts in groups for arc, _ in parts])
+    row = model.num_rows
+    cols, vals, lens, families = [], [], [], []
+    for node, _, parts in groups:
+        first = var
+        for _, entries in parts:
+            for col, coef in entries:
+                cols.append(var if col is None else col)
+                vals.append(coef)
+            lens.append(len(entries))
+            owners[var] = node
+            aux_def[var] = row
+            var += 1
+            row += 1
+        cols.extend(range(first, var))
+        vals.extend([1.0] * (var - first))
+        lens.append(var - first)
+        families += [tag + "_def"] * (var - first) + [tag + "_sum"]
+        row += 1
+
+    def labels():
+        out = []
+        for node, d, parts in groups:
+            out.extend("%s_def[%s>%s,%s]" % ((tag,) + arc) for arc, _ in parts)
+            out.append("%s_sum[%s,%s]" % (tag, node, d))
+        return out
+
+    model.add_rows(np.cumsum([0] + lens), cols, vals, "=", 0.0, labels)
+    return families
+
+
 def reformulate(p):
     """Lift the central overload model into per-agent form.
 
@@ -100,22 +153,25 @@ def reformulate(p):
     plus a zero sum, PM processing likewise, and the ingress/egress
     totals become per-instance tap variables whose sums carry T and
     T*gamma.  All placement rows are shared with the central build, so
-    the lift is exact by construction.
+    the lift is exact by construction.  The switch and PM parts are
+    added as one variable range and one row block each.
     """
     if p.mode != OVERLOAD:
         raise ValueError("only the overload model has a distributed form")
     model = scaling._relaxation_skeleton(p, "overload_admm")
     lay = model.layout
     fv, topo = lay.fv, p.topology
+    n_idx, m_idx = fv.n_idx, fv.m_idx
     keys = [s.key for s in lay.slots]
     gamma = p.group.gamma
     scaling._placement_rows(p, model)
     base_width = model.num_vars
+    row_family = [_family_of(l) for l in model.row_labels()]
 
     owners = {}
-    for (i, _, _), idx in fv.n_idx.items():
+    for (i, _, _), idx in n_idx.items():
         owners[idx] = i
-    for (i, _, _), idx in fv.m_idx.items():
+    for (i, _, _), idx in m_idx.items():
         owners[idx] = i
     for (q, _), idx in lay.alpha_idx.items():
         owners[idx] = q
@@ -129,46 +185,36 @@ def reformulate(p):
     aux_def = {}
 
     # switch conservation, per flow leg: arc difference + local zero sum
-    for flow, idx_map, tag in (("n", fv.n_idx, "a"), ("m", fv.m_idx, "b")):
-        for sw in topo.switches:
-            for d in keys:
-                parts = []
-                for j in neighbors(topo, sw):
-                    a = model.add_var("%s[%s>%s,%s]" % (tag.upper(), sw, j, d),
-                                      -np.inf, np.inf)
-                    owners[a] = sw
-                    coeffs = {idx_map[(sw, j, d)]: 1.0,
-                              idx_map[(j, sw, d)]: -1.0, a: -1.0}
-                    aux_def[a] = model.add_row(
-                        coeffs, "=", 0.0, "%s_def[%s>%s,%s]" % (tag, sw, j, d))
-                    parts.append(a)
-                model.add_row({a: 1.0 for a in parts}, "=", 0.0,
-                              "%s_sum[%s,%s]" % (tag, sw, d))
+    adjacent = {sw: neighbors(topo, sw) for sw in topo.switches}
+    for idx_map, tag in ((n_idx, "a"), (m_idx, "b")):
+        row_family += _add_lift_block(model, tag, owners, aux_def, [
+            (sw, d, [((sw, j, d), [(idx_map[(sw, j, d)], 1.0),
+                                   (idx_map[(j, sw, d)], -1.0), (None, -1.0)])
+                     for j in nbrs])
+            for sw, nbrs in adjacent.items() for d in keys])
 
     # PM processing: processed out minus gamma times unprocessed in, per
     # arc; a PM running an instance on an ingress/egress gateway also
     # carries its internal self-arc as one more part
+    groups = []
     for q in topo.pms:
+        nbrs = neighbors(topo, q)
         for d in keys:
-            arcs = [(q, j) for j in neighbors(topo, q)]
-            if (q, q, d) in fv.n_idx or (q, q, d) in fv.m_idx:
-                arcs.append((q, q))
+            ends = list(nbrs)
+            if (q, q, d) in n_idx or (q, q, d) in m_idx:
+                ends.append(q)
             parts = []
-            for _, j in arcs:
-                c = model.add_var("C[%s>%s,%s]" % (q, j, d), -np.inf, np.inf)
-                owners[c] = q
-                coeffs = {c: -1.0}
-                m_out = fv.m_idx.get((q, j, d))
+            for j in ends:
+                entries = [(None, -1.0)]
+                m_out = m_idx.get((q, j, d))
                 if m_out is not None:
-                    coeffs[m_out] = 1.0
-                n_in = fv.n_idx.get((j, q, d))
+                    entries.append((m_out, 1.0))
+                n_in = n_idx.get((j, q, d))
                 if n_in is not None:
-                    coeffs[n_in] = coeffs.get(n_in, 0.0) - gamma
-                aux_def[c] = model.add_row(
-                    coeffs, "=", 0.0, "c_def[%s>%s,%s]" % (q, j, d))
-                parts.append(c)
-            model.add_row({c: 1.0 for c in parts}, "=", 0.0,
-                          "c_sum[%s,%s]" % (q, d))
+                    entries.append((n_in, 0.0 - gamma))
+                parts.append(((q, j, d), entries))
+            groups.append((q, d, parts))
+    row_family += _add_lift_block(model, "c", owners, aux_def, groups)
 
     # per-instance ingress/egress taps whose sums carry the endpoint totals
     taps = []
@@ -193,10 +239,12 @@ def reformulate(p):
         aux_def[ev] = model.add_row(coeffs, "=", 0.0, "e_def[%s]" % d)
         taps.append(ev)
     model.add_row({i: 1.0 for i in taps}, "=", p.traffic * gamma, "e_sum")
+    for tag in ("d", "e"):
+        row_family += [tag + "_def"] * len(keys) + [tag + "_sum"]
 
     system = ReformulatedSystem(
         model=model, base_width=base_width, aux_def=aux_def,
-        owners=owners, row_family=[_family_of(l) for l in model.row_labels()])
+        owners=owners, row_family=row_family)
     agent_partition(system)   # fail fast on any orphan block
     return system
 
@@ -279,17 +327,21 @@ def scalar_block_update(c, terms, lo, hi, beta):
     return _minimizer(c, denom, pull, lo, hi, beta)
 
 
-def _family_rows(system):
-    """Row indices of each constraint family, keyed in first-seen order."""
-    rows = {fam: [] for fam in system.families}
-    for t, fam in enumerate(system.row_family):
-        rows[fam].append(t)
-    return {fam: np.array(idx, dtype=int) for fam, idx in rows.items()}
+class _Families:
+    """Row families in first-seen order, with their rows gathered family
+    by family so one reduceat gives every family's max |residual|."""
 
+    def __init__(self, row_family):
+        rows = {}
+        for t, fam in enumerate(row_family):
+            rows.setdefault(fam, []).append(t)
+        self.names = list(rows)
+        self.order = np.array([t for idx in rows.values() for t in idx], dtype=int)
+        self.starts = np.cumsum([0] + [len(idx) for idx in rows.values()])[:-1]
 
-def _family_max(res, fam_rows):
-    return {fam: (float(np.max(np.abs(res[idx]))) if len(idx) else 0.0)
-            for fam, idx in fam_rows.items()}
+    def max_abs(self, res):
+        peaks = np.maximum.reduceat(np.abs(res)[self.order], self.starts)
+        return dict(zip(self.names, peaks.tolist()))
 
 
 def _normalize(cur, baseline):
@@ -317,11 +369,11 @@ def _residuals(model, point):
 def normalized_violations(point, system, baseline=None):
     """Per-family normalized violation of a point; the baseline defaults
     to the residuals of the all-zero start."""
-    fam_rows = _family_rows(system)
+    fams = _Families(system.row_family)
     if baseline is None:
-        baseline = _family_max(
-            _residuals(system.model, np.zeros(system.model.num_vars)), fam_rows)
-    cur = _family_max(_residuals(system.model, np.asarray(point, float)), fam_rows)
+        baseline = fams.max_abs(
+            _residuals(system.model, np.zeros(system.model.num_vars)))
+    cur = fams.max_abs(_residuals(system.model, np.asarray(point, float)))
     return _normalize(cur, baseline)
 
 
@@ -396,58 +448,67 @@ def run(system, cfg=None):
     lo, hi = model.lower, model.upper
     cost = mats.c
     c_list = cost.tolist()
+    beta = cfg.beta
     csc = mats.a.tocsc()
     ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
-    cols = [list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
-            for i in range(nv)]
-    denoms = []
-    for col in cols:
+    blocks = []   # per block: its (row, coefficient) column, denom, -c/beta, lo, hi
+    for i in range(nv):
+        col = list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
         denom = 0.0
         for _, a in col:
             denom += a * a
-        denoms.append(denom)
+        blocks.append((col, denom, -c_list[i] / beta, lo[i], hi[i]))
 
-    x = np.zeros(nv)
-    res = _residuals(model, x)
-    duals = np.zeros(nr)
-
-    fam_rows = _family_rows(system)
-    baseline = _family_max(res, fam_rows)
+    res = _residuals(model, np.zeros(nv))
+    fams = _Families(system.row_family)
+    baseline = fams.max_abs(res)
     messages = message_footprint(system)
-    trace = AdmmTrace(families=list(fam_rows), baseline=baseline,
+    trace = AdmmTrace(families=fams.names, baseline=baseline,
                       messages_per_sweep=messages)
 
     orders = _sweep_orders(cfg, nv)
     rng = np.random.default_rng(cfg.seed)
-    beta = cfg.beta
+    inf = math.inf
+    # x, the residuals and the scaled duals stay lists for the whole run
+    xs, rs, us = [0.0] * nv, res.tolist(), [0.0] * nr
     for it in range(1, cfg.max_iters + 1):
         if orders is not None:
             perm = orders[(it - 1) % len(orders)]
         else:
             perm = rng.permutation(nv)
         perm = tuple(perm.tolist())
-        xs, rs, us = x.tolist(), res.tolist(), duals.tolist()
         # Same float operations, in the same order, as one
-        # scalar_block_update call per block.
+        # scalar_block_update call per block: the denom > 0 branch of
+        # _minimizer and its min(max(x, lo), hi) clamp are written out
+        # here; every other case goes through _minimizer itself.
         for i in perm:
-            col = cols[i]
+            col, denom, neg_c_over_beta, lo_i, hi_i = blocks[i]
             xi = xs[i]
             pull = 0.0
             for t, a in col:
                 pull += a * (rs[t] - a * xi + us[t])
-            new = _minimizer(c_list[i], denoms[i], pull, lo[i], hi[i], beta)
+            if denom > 0.0:
+                new = (neg_c_over_beta - pull) / denom
+                if new < lo_i:
+                    new = lo_i
+                if new > hi_i:
+                    new = hi_i
+                if not -inf < new < inf:
+                    new = _minimizer(c_list[i], denom, pull, lo_i, hi_i, beta)
+            else:
+                new = _minimizer(c_list[i], denom, pull, lo_i, hi_i, beta)
             step = new - xi
             if step != 0.0:
                 for t, a in col:
                     rs[t] += a * step
                 xs[i] = new
-        x, res = np.array(xs), np.array(rs)
-        duals += res
+        us = [u + r for u, r in zip(us, rs)]
+        x, res, duals = np.array(xs), np.array(rs), np.array(us)
 
         objective = float(cost @ x) + model.obj_const
-        viol = _normalize(_family_max(res, fam_rows), baseline)
+        viol = _normalize(fams.max_abs(res), baseline)
         trace.records.append(AdmmRecord(
-            it, objective, viol, perm, messages, res, duals.copy()))
+            it, objective, viol, perm, messages, res, duals))
         raw = float(np.max(np.abs(res))) if nr else 0.0
         if not np.isfinite(objective) or abs(objective) > cfg.divergence_limit \
                 or raw > cfg.divergence_limit:

@@ -5,9 +5,13 @@ assignments directly and LP-solves the continuous part for each, so the
 branch-and-bound can be checked against an implementation that shares
 none of its search logic.
 
-The RP-ADMM sweep as first written: numpy element indexing and one
-`scalar_block_update` call per block.  `rpadmm.run` must reproduce it
-byte for byte.
+The RP-ADMM sweep as first written: numpy element indexing, one
+`scalar_block_update` call per block and one np.max per row family.
+`rpadmm.run` must reproduce it byte for byte.
+
+The RP-ADMM lift as first written: one add_var per difference variable
+and one dict row per definition and zero sum.  `rpadmm.reformulate`
+must export the same arrays and the same agent bookkeeping.
 
 The flow structure as first written: one add_var and two dict
 registries per (arc, instance, leg), and every row merged from those
@@ -20,7 +24,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from vnfscale import lp, rpadmm
+from vnfscale import lp, rpadmm, scaling
+from vnfscale.chain_state import OVERLOAD
 from vnfscale.topology import PM, forwarding_cost, neighbors
 
 
@@ -95,6 +100,20 @@ def enumerate_all_bits(mp):
     return best_obj
 
 
+def _family_rows(system):
+    """Row indices of each constraint family, keyed in first-seen order."""
+    rows = {fam: [] for fam in system.families}
+    for t, fam in enumerate(system.row_family):
+        rows[fam].append(t)
+    return {fam: np.array(idx, dtype=int) for fam, idx in rows.items()}
+
+
+def reference_family_max(res, fam_rows):
+    """Each family's max |residual|, one np.max per family."""
+    return {fam: (float(np.max(np.abs(res[idx]))) if len(idx) else 0.0)
+            for fam, idx in fam_rows.items()}
+
+
 def reference_admm_run(system, cfg):
     """`rpadmm.run` with the original per-block loop and no divergence
     guard; returns (x, trace)."""
@@ -112,8 +131,8 @@ def reference_admm_run(system, cfg):
     res = rpadmm._residuals(model, x)
     duals = np.zeros(nr)
 
-    fam_rows = rpadmm._family_rows(system)
-    baseline = rpadmm._family_max(res, fam_rows)
+    fam_rows = _family_rows(system)
+    baseline = reference_family_max(res, fam_rows)
     messages = rpadmm.message_footprint(system)
     trace = rpadmm.AdmmTrace(families=system.families, baseline=baseline,
                              messages_per_sweep=messages)
@@ -137,7 +156,7 @@ def reference_admm_run(system, cfg):
         duals += res
 
         objective = float(cost @ x) + model.obj_const
-        viol = rpadmm._normalize(rpadmm._family_max(res, fam_rows), baseline)
+        viol = rpadmm._normalize(reference_family_max(res, fam_rows), baseline)
         trace.records.append(rpadmm.AdmmRecord(
             it, objective, viol, tuple(int(v) for v in perm),
             messages, res.copy(), duals.copy()))
@@ -145,6 +164,109 @@ def reference_admm_run(system, cfg):
             trace.converged = True
             break
     return x, trace
+
+
+def reference_reformulate(p):
+    """`rpadmm.reformulate` with one add_var per difference variable and
+    one dict row per definition and sum."""
+    if p.mode != OVERLOAD:
+        raise ValueError("only the overload model has a distributed form")
+    model = scaling._relaxation_skeleton(p, "overload_admm")
+    lay = model.layout
+    fv, topo = lay.fv, p.topology
+    keys = [s.key for s in lay.slots]
+    gamma = p.group.gamma
+    scaling._placement_rows(p, model)
+    base_width = model.num_vars
+
+    owners = {}
+    for (i, _, _), idx in fv.n_idx.items():
+        owners[idx] = i
+    for (i, _, _), idx in fv.m_idx.items():
+        owners[idx] = i
+    for (q, _), idx in lay.alpha_idx.items():
+        owners[idx] = q
+    for (q, _), idx in lay.e_idx.items():
+        owners[idx] = q
+    for tag, idx in lay.slack_idx.items():
+        owners[idx] = tag[1]
+    ingress_agent = min(fv.ingress, key=topo.node_position)
+    egress_agent = min(fv.egress, key=topo.node_position)
+
+    aux_def = {}
+
+    # switch conservation, per flow leg: arc difference + local zero sum
+    for flow, idx_map, tag in (("n", fv.n_idx, "a"), ("m", fv.m_idx, "b")):
+        for sw in topo.switches:
+            for d in keys:
+                parts = []
+                for j in neighbors(topo, sw):
+                    a = model.add_var("%s[%s>%s,%s]" % (tag.upper(), sw, j, d),
+                                      -np.inf, np.inf)
+                    owners[a] = sw
+                    coeffs = {idx_map[(sw, j, d)]: 1.0,
+                              idx_map[(j, sw, d)]: -1.0, a: -1.0}
+                    aux_def[a] = model.add_row(
+                        coeffs, "=", 0.0, "%s_def[%s>%s,%s]" % (tag, sw, j, d))
+                    parts.append(a)
+                model.add_row({a: 1.0 for a in parts}, "=", 0.0,
+                              "%s_sum[%s,%s]" % (tag, sw, d))
+
+    # PM processing: processed out minus gamma times unprocessed in, per
+    # arc; a PM running an instance on an ingress/egress gateway also
+    # carries its internal self-arc as one more part
+    for q in topo.pms:
+        for d in keys:
+            arcs = [(q, j) for j in neighbors(topo, q)]
+            if (q, q, d) in fv.n_idx or (q, q, d) in fv.m_idx:
+                arcs.append((q, q))
+            parts = []
+            for _, j in arcs:
+                c = model.add_var("C[%s>%s,%s]" % (q, j, d), -np.inf, np.inf)
+                owners[c] = q
+                coeffs = {c: -1.0}
+                m_out = fv.m_idx.get((q, j, d))
+                if m_out is not None:
+                    coeffs[m_out] = 1.0
+                n_in = fv.n_idx.get((j, q, d))
+                if n_in is not None:
+                    coeffs[n_in] = coeffs.get(n_in, 0.0) - gamma
+                aux_def[c] = model.add_row(
+                    coeffs, "=", 0.0, "c_def[%s>%s,%s]" % (q, j, d))
+                parts.append(c)
+            model.add_row({c: 1.0 for c in parts}, "=", 0.0,
+                          "c_sum[%s,%s]" % (q, d))
+
+    # per-instance ingress/egress taps whose sums carry the endpoint totals
+    taps = []
+    for d in keys:
+        dv = model.add_var("D[%s]" % d)
+        owners[dv] = ingress_agent
+        coeffs = {}
+        for q in fv.ingress:
+            coeffs.update(fv.outflow("n", q, d))
+        coeffs[dv] = -1.0
+        aux_def[dv] = model.add_row(coeffs, "=", 0.0, "d_def[%s]" % d)
+        taps.append(dv)
+    model.add_row({i: 1.0 for i in taps}, "=", p.traffic, "d_sum")
+    taps = []
+    for d in keys:
+        ev = model.add_var("E[%s]" % d)
+        owners[ev] = egress_agent
+        coeffs = {}
+        for q in fv.egress:
+            coeffs.update(fv.inflow("m", q, d))
+        coeffs[ev] = -1.0
+        aux_def[ev] = model.add_row(coeffs, "=", 0.0, "e_def[%s]" % d)
+        taps.append(ev)
+    model.add_row({i: 1.0 for i in taps}, "=", p.traffic * gamma, "e_sum")
+
+    system = rpadmm.ReformulatedSystem(
+        model=model, base_width=base_width, aux_def=aux_def,
+        owners=owners, row_family=[rpadmm._family_of(l) for l in model.row_labels()])
+    rpadmm.agent_partition(system)
+    return system
+
 
 
 class DictFlowNet:

@@ -10,9 +10,9 @@ import pytest
 import vnfscale as vs
 from vnfscale import lp, rpadmm
 
-from corpus import pm, tree4, capacity, scenario1, scenario4, problem, \
-    k2_instance, admm_fixture
-from oracle import reference_admm_run
+from corpus import pm, tree4, capacity, group, scenario1, scenario4, \
+    problem, k2_instance, admm_fixture
+from oracle import reference_admm_run, reference_reformulate
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,46 @@ def test_empty_candidate_set_rejected(topo):
         rpadmm.reformulate(p)
 
 
+def gateway_pm_instance(topo):
+    """Scenario-1 hosts with P1 as both ingress and egress, so P1's
+    processing parts include a self-arc carrying both legs."""
+    g = group("c5", [pm(2), pm(5)], 0.9, pm(1), pm(1),
+              [pm(i) for i in range(1, 17)])
+    return problem(topo, g, 400.0, 4, vs.OVERLOAD)
+
+
+def exported_lift(system):
+    model = system.model
+    mats = model.matrices()
+    arrays = {"c": mats.c, "a.data": mats.a.data, "a.indices": mats.a.indices,
+              "a.indptr": mats.a.indptr, "b": mats.b, "rel": mats.rel,
+              "lower": np.array(model.lower), "upper": np.array(model.upper)}
+    lists = {"names": model.var_names, "labels": model.row_labels(),
+             "objective": list(model.objective.items()),
+             "owners": list(system.owners.items()),
+             "aux_def": list(system.aux_def.items()),
+             "row_family": system.row_family, "base_width": system.base_width}
+    return arrays, lists
+
+
+@pytest.mark.parametrize("build", ["fixture", "scenario1", "gateway_pm"])
+def test_block_lift_exports_what_the_dict_lift_exports(topo, build):
+    p = {"fixture": admm_fixture,
+         "scenario1": lambda: problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD),
+         "gateway_pm": lambda: gateway_pm_instance(topo)}[build]()
+    system = rpadmm.reformulate(p)
+    arrays, lists = exported_lift(system)
+    want_arrays, want_lists = exported_lift(reference_reformulate(p))
+    for key, want in want_arrays.items():
+        assert arrays[key].dtype == want.dtype, key
+        assert np.array_equal(arrays[key], want), key
+    for key, want in want_lists.items():
+        assert lists[key] == want, key
+    if build == "gateway_pm":
+        row = system.aux_def[system.model.var("C[PM0>PM0,d1]")]
+        assert len(system.model.rows[row][0]) == 3
+
+
 def test_dual_name_aliases_cover_every_row_family(fixture_system):
     system, _ = fixture_system
     assert set(rpadmm.DUAL_NAMES.values()) == set(system.families)
@@ -156,6 +196,8 @@ def test_config_validation():
         rpadmm.AdmmConfig(beta=0.0)
     with pytest.raises(ValueError):
         rpadmm.AdmmConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        rpadmm.AdmmConfig(permutations=[])
 
 
 # -- sweep semantics -----------------------------------------------------------
@@ -288,6 +330,45 @@ def test_lifted_scenario_sweep_matches_reference_loop(topo):
     system = rpadmm.reformulate(problem(topo, scenario1(), 400.0, 4,
                                         vs.OVERLOAD))
     assert_same_as_reference_loop(system, rpadmm.AdmmConfig(seed=4))
+
+
+def hand_system(variables, rows):
+    """Single-agent system over (lo, hi, cost) variables and (coeffs,
+    rhs) equality rows in two alternating families."""
+    m = lp.LpModel("hand")
+    for k, (lo, hi, c) in enumerate(variables):
+        m.add_objective({m.add_var("x%d" % k, lo, hi): c})
+    for t, (coeffs, rhs) in enumerate(rows):
+        m.add_row(coeffs, "=", rhs, "r%d[%d]" % (t % 2, t))
+    return rpadmm.system_from_model(m)
+
+
+HAND_SYSTEMS = {
+    # columns in no row: the cost picks lo, hi or 0.0, then the box clamps
+    "empty_columns": ([(-2.0, 3.0, 1.0), (-2.0, 3.0, -1.0), (-2.0, 3.0, 0.0),
+                       (1.0, 3.0, 0.0), (0.0, 10.0, 0.5)],
+                      [({4: 1.0}, 2.0)]),
+    "one_sided_bounds": ([(0.0, np.inf, 1.0), (-np.inf, 4.0, -1.0),
+                          (-np.inf, 5.0, 1.0), (0.0, np.inf, -1.0)],
+                         [({2: 1.0, 3: 2.0}, 3.0), ({2: -1.0, 3: 1.0}, 1.0)]),
+    # x0 lands exactly on hi, x1 clamps to hi, x2 clamps to lo
+    "on_bounds": ([(0.0, 2.0, 0.0), (0.0, 1.0, 0.0), (1.0, 5.0, 50.0)],
+                  [({0: 1.0}, 2.0), ({1: 1.0}, 3.0), ({2: 1.0}, 2.0)]),
+    # the last update of x1 computes -0.0 against lo = 0.0 and keeps it
+    "negative_zero": ([(-np.inf, np.inf, -1.0), (0.0, np.inf, 0.0)],
+                      [({0: 2.0, 1: 1.0}, 1.0)]),
+    "no_rows": ([(-1.0, 1.0, 1.0), (-1.0, 1.0, -1.0), (0.5, 1.0, 0.0)], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_SYSTEMS))
+def test_hand_built_sweep_matches_reference_loop(name):
+    system = hand_system(*HAND_SYSTEMS[name])
+    cfg = rpadmm.AdmmConfig(beta=1.0, max_iters=4, primal_tol=0.0, seed=89)
+    assert_same_as_reference_loop(system, cfg)
+    if name == "negative_zero":
+        x, _ = rpadmm.run(system, cfg)
+        assert x[1] == 0.0 and np.signbit(x[1])
 
 
 def run_digest_in_subprocess(hashseed):
