@@ -2,18 +2,18 @@
 
 LpModel is a registry of variables (name, bounds), a sparse linear
 objective and relational rows.  Variables come one at a time or as a
-contiguous range named lazily; rows come one at a time as coefficient
-dicts or as CSR blocks with one relation.  matrices() exports the
-objective and rows as arrays for every reader of the rows: a CSR in
-model row order, each row's coefficients in insertion order with
-explicit zeros kept.  solve() loads that export once into one HiGHS
-object per model (scipy's bundled HiGHS), then per call sets only the
-column bounds and re-runs the dual simplex from a cold start.  Both the
-export and the HiGHS object are dropped by every add_* call; bounds
-stay out of them, so branch-and-bound nodes share one of each.  The
-dual simplex is deterministic for a fixed model and returns a basic
-(vertex) optimal point; that matters downstream because placement
-decisions are decoded from vertex structure.
+contiguous range named lazily.  All rows live in one CSR kept as Python
+lists: add_row appends a coefficient dict, add_rows a block with one
+relation whose labels are made on the first read.  matrices() exports
+the objective and rows as arrays for every reader of the rows, each
+row's coefficients in insertion order with explicit zeros kept.
+solve() loads that export once into one HiGHS object per model (scipy's
+bundled HiGHS), then per call sets only the column bounds and re-runs
+the dual simplex from a cold start.  Every add_* call drops the export
+and the HiGHS object; bounds stay out of both, so branch-and-bound nodes
+share one of each.  The dual simplex is deterministic for a fixed model
+and returns a basic (vertex) optimal point, which placement decoding
+relies on.
 """
 
 from collections import namedtuple
@@ -62,33 +62,14 @@ class LpError(RuntimeError):
     """Numeric breakdown inside the solver (not a model status)."""
 
 
-class _RowBlock:
-    """Rows appended as one CSR block with a single relation; labels are
-    made on the first read."""
-
-    def __init__(self, indptr, indices, data, rel, rhs, labels):
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.rel, self.rhs = rel, rhs
-        self._labels = labels
-
-    def labels(self):
-        if callable(self._labels):
-            labels = list(self._labels())
-            if len(labels) != self.rhs.size:
-                raise ValueError("%d labels for a block of %d rows"
-                                 % (len(labels), self.rhs.size))
-            self._labels = labels
-        return self._labels
-
-
 class LpModel:
     """Variables (name, bounds), a sparse objective and relational rows.
 
     Variables come one at a time (add_var) or as a contiguous range
     (add_vars) whose names are made on the first var() / var_names
-    read.  Rows are kept as ordered segments: runs of scalar add_row
-    rows, each a (coeffs dict, rel, rhs, label) tuple, and CSR blocks
-    from add_rows.  matrices() concatenates the segments in row order.
+    read.  Rows are one CSR (_indptr, _indices, _data) with a relation,
+    rhs and label per row; a block's labels stay None until the first
+    row_labels() read.
     """
 
     def __init__(self, name="lp"):
@@ -96,19 +77,20 @@ class LpModel:
         self.lower = []
         self.upper = []
         self.objective = {}     # var index -> coefficient
-        self.obj_const = 0.0
         self._names = []        # var index -> name, None until its range is named
         self._unnamed = []      # (start, count, make names) of unnamed ranges
         self._by_name = {}
-        self._segments = []     # lists of scalar rows and _RowBlocks, in row order
-        self._num_rows = 0
+        self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
+        self._rel, self._rhs = [], []
+        self._labels = []       # row index -> label, None until its block is labelled
+        self._unlabelled = []   # (start, count, make labels) of unlabelled blocks
         self._matrices = None
         self._highs = None
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         if name in self._by_name:
             raise ValueError("duplicate variable %r" % name)
-        if lo > hi:
+        if not lo <= hi:
             raise ValueError("empty bound interval for %r" % name)
         idx = len(self._names)
         self._names.append(name)
@@ -125,7 +107,7 @@ class LpModel:
         var_names read."""
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (count,))
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (count,))
-        if (lo > hi).any():
+        if not (lo <= hi).all():
             raise ValueError("empty bound interval in a range of %d variables"
                              % count)
         start = len(self._names)
@@ -167,12 +149,14 @@ class LpModel:
         for idx in coeffs:
             if not (0 <= idx < n):
                 raise ValueError("row %r references unknown variable %d" % (label, idx))
-        if not self._segments or not isinstance(self._segments[-1], list):
-            self._segments.append([])
-        self._segments[-1].append((dict(coeffs), rel, float(rhs), label))
-        self._num_rows += 1
+        self._rhs.append(float(rhs))
+        self._rel.append(rel)
+        self._labels.append(label)
+        self._indices.extend(coeffs)
+        self._data.extend(coeffs.values())
+        self._indptr.append(len(self._indices))
         self._matrices = self._highs = None
-        return self._num_rows - 1
+        return len(self._rhs) - 1
 
     def add_rows(self, indptr, indices, data, rel, rhs, labels):
         """Append a CSR block of rows with one relation and return the
@@ -189,18 +173,30 @@ class LpModel:
         if count < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any() \
                 or indptr[-1] != indices.size or data.size != indices.size:
             raise ValueError("malformed row block")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.num_vars):
+        n = self.num_vars
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("row block references unknown variables")
-        rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
-        self._segments.append(_RowBlock(indptr, indices, data, rel, rhs, labels))
-        self._num_rows += count
+        keys = np.sort(np.repeat(np.arange(count), np.diff(indptr)) * n + indices)
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("row block names a column twice in one row")
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (count,))
+        start = len(self._rhs)
+        self._indptr.extend((indptr[1:] + len(self._indices)).tolist())
+        self._indices.extend(indices.tolist())
+        self._data.extend(data.tolist())
+        self._rel.extend([rel] * count)
+        self._rhs.extend(rhs.tolist())
+        self._labels.extend([None] * count)
+        self._unlabelled.append((start, count, labels))
         self._matrices = self._highs = None
-        return self._num_rows - count
+        return start
 
-    def add_objective(self, coeffs, const=0.0):
+    def add_objective(self, coeffs):
+        n = self.num_vars
+        if not all(0 <= idx < n for idx in coeffs):
+            raise ValueError("objective references an unknown variable")
         for idx, c in coeffs.items():
             self.objective[idx] = self.objective.get(idx, 0.0) + float(c)
-        self.obj_const += const
         self._matrices = self._highs = None
 
     @property
@@ -209,35 +205,31 @@ class LpModel:
 
     @property
     def num_rows(self):
-        return self._num_rows
+        return len(self._rhs)
 
     def row_labels(self):
         """Every row's label in row order."""
-        labels = []
-        for seg in self._segments:
-            if isinstance(seg, list):
-                labels.extend(r[3] for r in seg)
-            else:
-                labels.extend(seg.labels())
-        return labels
+        while self._unlabelled:     # popped once labelled: a bad count raises each read
+            start, count, make = self._unlabelled[0]
+            labels = list(make())
+            if len(labels) != count:
+                raise ValueError("%d labels for a block of %d rows"
+                                 % (len(labels), count))
+            self._labels[start:start + count] = labels
+            del self._unlabelled[0]
+        return list(self._labels)
 
     @property
     def rows(self):
-        """Every row as a (coeffs dict, rel, rhs, label) tuple, blocks
-        expanded: a read-only view built on each read."""
-        out = []
-        for seg in self._segments:
-            if isinstance(seg, list):
-                out.extend(seg)
-                continue
-            ptr, cols, vals = seg.indptr.tolist(), seg.indices.tolist(), seg.data.tolist()
-            for k, (rhs, label) in enumerate(zip(seg.rhs.tolist(), seg.labels())):
-                lo, hi = ptr[k], ptr[k + 1]
-                out.append((dict(zip(cols[lo:hi], vals[lo:hi])), seg.rel, rhs, label))
-        return tuple(out)
+        """Every row as a (coeffs dict, rel, rhs, label) tuple: a
+        read-only view built on each read."""
+        ptr, cols, vals = self._indptr, self._indices, self._data
+        return tuple((dict(zip(cols[lo:hi], vals[lo:hi])), rel, rhs, label)
+                     for lo, hi, rel, rhs, label
+                     in zip(ptr, ptr[1:], self._rel, self._rhs, self.row_labels()))
 
     def objective_value(self, point):
-        return sum(c * point[i] for i, c in self.objective.items()) + self.obj_const
+        return sum((c * point[i] for i, c in self.objective.items()), 0.0)
 
     def matrices(self):
         """The cached sparse export of the objective and rows."""
@@ -246,32 +238,15 @@ class LpModel:
         return self._matrices
 
 
-def _scalar_rows(rows):
-    """(row lengths, indices, data, rhs, rel) of a run of scalar rows."""
-    m = len(rows)
-    lens = np.fromiter((len(r[0]) for r in rows), int, m)
-    nnz = int(lens.sum())
-    indices = np.fromiter((i for r in rows for i in r[0]), int, nnz)
-    data = np.fromiter((v for r in rows for v in r[0].values()), float, nnz)
-    b = np.fromiter((r[2] for r in rows), float, m)
-    rel = np.array([r[1] for r in rows], dtype="<U2")
-    return lens, indices, data, b, rel
-
-
 def _export(model):
     n, m = model.num_vars, model.num_rows
     c = np.zeros(n)
     c[list(model.objective)] = list(model.objective.values())
-    parts = [_scalar_rows([])]
-    for seg in model._segments:
-        if isinstance(seg, list):
-            parts.append(_scalar_rows(seg))
-        else:
-            parts.append((np.diff(seg.indptr), seg.indices, seg.data, seg.rhs,
-                          np.full(seg.rhs.size, seg.rel, dtype="<U2")))
-    lens, indices, data, b, rel = (np.concatenate(p) for p in zip(*parts))
-    indptr = np.concatenate(([0], np.cumsum(lens)))
-    return Matrices(c, csr_array((data, indices, indptr), shape=(m, n)), b, rel)
+    a = csr_array((np.array(model._data, dtype=float),
+                   np.array(model._indices, dtype=int),
+                   np.array(model._indptr, dtype=int)), shape=(m, n))
+    return Matrices(c, a, np.array(model._rhs, dtype=float),
+                    np.array(model._rel, dtype="<U2"))
 
 
 def _highs_inf(x):
@@ -360,7 +335,7 @@ def solve(model, bounds_override=None):
     if status != OPTIMAL:
         return LpSolution(status, None, np.nan, model)
     point = np.array(h.getSolution().col_value)
-    value = h.getInfo().objective_function_value + model.obj_const
+    value = h.getInfo().objective_function_value
     return LpSolution(OPTIMAL, point, value, model)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import lp, scaling
 from .netflow import FlowNet
-from .scaling import Penalties, ScalingDecision, Weights
+from .scaling import ScalingDecision
 
 # a binary within this distance of 0 or 1 counts as integral
 INT_TOL = 1e-6
@@ -27,8 +27,6 @@ class MilpProblem:
 
     base: lp.LpModel
     binaries: list              # variable indices of the b grid
-    penalties: Penalties
-    weights: Weights
     problem: object             # the originating ScalingProblem
     fv: FlowNet
     b_idx: dict                 # (PM, vm id) -> var index
@@ -135,9 +133,8 @@ def build_milp(p):
     fv.add_egress_total(model, p.traffic, group.gamma)
     fv.add_bandwidth(model, topo.bandwidth)
 
-    return MilpProblem(base=model, binaries=binaries, penalties=pen,
-                       weights=p.weights, problem=p, fv=fv, b_idx=b_idx,
-                       alpha_idx=alpha_idx, online_ids=online_ids,
+    return MilpProblem(base=model, binaries=binaries, problem=p, fv=fv,
+                       b_idx=b_idx, alpha_idx=alpha_idx, online_ids=online_ids,
                        offline_ids=offline_ids)
 
 
@@ -174,7 +171,7 @@ def _decode(mp, point, total, nodes, proven):
     kept = {j: q for j, q in placed.items() if j in online}
     flows_n, flows_m = mp.fv.flows_from_point(point)
     fwd = scaling.forwarding_cost_of(flows_n, flows_m, p.topology)
-    dep = deployment_cost(placement, mp.penalties, mp.online_ids)
+    dep = deployment_cost(placement, p.penalties, mp.online_ids)
     return MilpSolution(
         mode=p.mode, kept=kept,
         launched={j: q for j, q in placed.items() if j not in online},

@@ -505,7 +505,7 @@ def run(system, cfg=None):
         us = [u + r for u, r in zip(us, rs)]
         x, res, duals = np.array(xs), np.array(rs), np.array(us)
 
-        objective = float(cost @ x) + model.obj_const
+        objective = float(cost @ x)
         viol = _normalize(fams.max_abs(res), baseline)
         trace.records.append(AdmmRecord(
             it, objective, viol, perm, messages, res, duals))

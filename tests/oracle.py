@@ -155,7 +155,7 @@ def reference_admm_run(system, cfg):
                 x[i] = new
         duals += res
 
-        objective = float(cost @ x) + model.obj_const
+        objective = float(cost @ x)
         viol = rpadmm._normalize(reference_family_max(res, fam_rows), baseline)
         trace.records.append(rpadmm.AdmmRecord(
             it, objective, viol, tuple(int(v) for v in perm),

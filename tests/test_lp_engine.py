@@ -64,16 +64,23 @@ def test_bad_bounds_rejected():
     m = lp.LpModel("bounds")
     with pytest.raises(ValueError):
         m.add_var("x", 2.0, 1.0)
+    for lo, hi in ((np.nan, 10.0), (0.0, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError):
+            m.add_var("x", lo, hi)
+    assert m.num_vars == 0
+    m.add_var("x")
     with pytest.raises(ValueError):
         m.add_row({0: 1.0}, "<", 1.0)
 
 
-def test_objective_constant_carried():
-    m = lp.LpModel("const")
-    x = m.add_var("x", 0.0, 5.0)
-    m.add_objective({x: 1.0}, const=7.0)
-    m.add_row({x: 1.0}, ">=", 2.0)
-    assert lp.solve(m).objective_value == pytest.approx(9.0)
+def test_objective_rejects_unknown_variables():
+    m = lp.LpModel("objective")
+    x = m.add_var("x", 0.0, 10.0)
+    m.add_var("y", 0.0, 10.0)
+    for bad in (5, 2, -1):
+        with pytest.raises(ValueError):
+            m.add_objective({x: 1.0, bad: 1.0})
+    assert m.objective == {}
 
 
 @pytest.mark.parametrize("cost, coef, rhs", [
@@ -134,6 +141,11 @@ def test_variable_range_rejects_bad_bounds_and_name_counts():
     m = lp.LpModel("range")
     with pytest.raises(ValueError):
         m.add_vars(2, [0.0, 2.0], 1.0, lambda: ["a", "b"])
+    with pytest.raises(ValueError):
+        m.add_vars(1, 0.0, np.nan, lambda: ["a"])
+    with pytest.raises(ValueError):
+        m.add_vars(2, [0.0, np.nan], 1.0, lambda: ["a", "b"])
+    assert m.num_vars == 0
     m = lp.LpModel("range")
     m.add_vars(2, 0.0, 1.0, lambda: ["a"])
     with pytest.raises(ValueError):
@@ -203,10 +215,17 @@ def test_malformed_row_blocks_rejected():
         m.add_rows([0, 2], [0], [1.0], "=", 1.0, ok)      # indptr overruns
     with pytest.raises(ValueError):
         m.add_rows([0, 1], [0], [1.0, 2.0], "=", 1.0, ok)  # data length
-    assert m.num_rows == 0
-    m.add_rows([0, 1], [0], [1.0], "=", 1.0, lambda: ["r", "s"])
     with pytest.raises(ValueError):
-        m.row_labels()
+        m.add_rows([0, 2], [0, 0], [1.0, 1.0], ">=", 4.0, ok)  # column twice
+    assert m.num_rows == 0
+    # the same column in two different rows is fine
+    assert m.add_rows([0, 1, 2], [0, 0], [1.0, 1.0], "<=", 1.0,
+                      lambda: ["p", "q"]) == 0
+    assert m.num_rows == 2
+    m.add_rows([0, 1], [0], [1.0], "=", 1.0, lambda: ["r", "s"])
+    for _ in range(2):      # a wrong label count raises on every read
+        with pytest.raises(ValueError):
+            m.row_labels()
 
 
 def test_free_and_negative_variables():
@@ -350,7 +369,7 @@ def test_solve_lands_on_the_dense_assembly_vertex(name):
     assert sol.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE}[res.status]
     if res.status == 0:
         assert np.array_equal(sol.point, res.x)
-        assert sol.objective_value == res.fun + model.obj_const
+        assert sol.objective_value == res.fun
 
 
 def test_solves_on_one_model_leave_no_state_behind():
