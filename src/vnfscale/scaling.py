@@ -247,25 +247,18 @@ def _placement_rows(p, model):
     slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
     alpha_idx, e_idx = lay.alpha_idx, lay.e_idx
 
-    # alpha is the same at every PM for one instance: all-pairs equalities
-    # over the unpinned instances (underload slots are all unpinned), so
-    # each share variable is coupled to every other one directly
+    # each relevant PM holds a copy of an instance's share alpha: a chain
+    # of equalities over consecutive PMs ties the copies, and one row ties
+    # the first copy to the instance's total interest
     for s in slots:
-        if s.host is not None or len(rel_pms) < 2:
-            continue
-        for a, qa in enumerate(rel_pms):
-            for qb in rel_pms[a + 1:]:
-                model.add_row({alpha_idx[(qa, s.key)]: 1.0,
-                               alpha_idx[(qb, s.key)]: -1.0},
-                              "=", 0.0, "alpha_eq[%s,%s,%s]" % (qa, qb, s.key))
-
-    # total interest of an instance equals its (uniform) share
+        for qa, qb in zip(rel_pms, rel_pms[1:]):
+            model.add_row({alpha_idx[(qa, s.key)]: 1.0,
+                           alpha_idx[(qb, s.key)]: -1.0},
+                          "=", 0.0, "alpha_eq[%s,%s,%s]" % (qa, qb, s.key))
     for s in slots:
-        for q in rel_pms:
-            coeffs = {e_idx[(c, s.key)]: 1.0 for c in s.candidates}
-            idx = alpha_idx[(q, s.key)]
-            coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-            model.add_row(coeffs, "=", 0.0, "interest[%s,%s]" % (q, s.key))
+        coeffs = {e_idx[(c, s.key)]: 1.0 for c in s.candidates}
+        coeffs[alpha_idx[(rel_pms[0], s.key)]] = -1.0
+        model.add_row(coeffs, "=", 0.0, "interest[%s]" % s.key)
 
     # arriving unprocessed traffic at each PM matches the placement signal
     for s in slots:

@@ -18,7 +18,8 @@ a comment.  Sections:
               terminate (host sets) and cost_delta (positive | negative)
 
 Numbers must be finite.  An unknown section or key, a bare row outside
-[vms] or a bad value is a parse error naming the file and the key.
+[vms], a bad value, a reversed PM range, a PM named twice in one list or
+a VM id used twice is a parse error naming the file and the key.
 
 The runner classifies the group from the recorded utilizations, sizes the
 instance set for the event traffic, picks the penalty profile for the
@@ -84,15 +85,24 @@ def parse_pm(token, topo=None):
 
 
 def parse_pm_list(text, topo=None):
+    """'P1 P3-P5' -> those PMs in order; a reversed range or a PM named
+    twice is an error."""
     out = []
     for token in text.split():
         if "-" in token[1:]:
             a, b = token.split("-", 1)
             with _bad_values_named("bad PM range %r" % token):
                 lo, hi = int(a.lstrip("P")), int(b.lstrip("P"))
+            if lo > hi:
+                raise ScenarioParseError("reversed PM range %r" % token)
             out.extend(parse_pm("P%d" % i, topo) for i in range(lo, hi + 1))
         else:
             out.append(parse_pm(token, topo))
+    seen = set()
+    for q in out:
+        if q in seen:
+            raise ScenarioParseError("%s named twice" % pm_name(q))
+        seen.add(q)
     return out
 
 
@@ -230,6 +240,8 @@ def load_scenario(path, overrides=None):
                                      % " ".join(row))
         vm_id, host, cap, util = row
         with _bad_values_named("%s: [vms] row %r" % (path, " ".join(row))):
+            if any(vm.id == vm_id for vm in online):
+                raise ValueError("VM id %s named twice" % vm_id)
             cap, util = _number(cap, above=0), _number(util, at_least=0)
             online.append(VmInstance(
                 vm_id, vnf_type, chain, {r: cap for r in omega},

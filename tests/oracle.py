@@ -17,6 +17,12 @@ The flow structure as first written: one add_var and two dict
 registries per (arc, instance, leg), and every row merged from those
 dicts.  A model built with `reference_flownet` in place of
 `netflow.FlowNet` must export the same arrays as the block-built one.
+
+The placement rows as first written: share equalities over every pair of
+relevant PMs and one interest row per relevant PM.  They span the same
+affine set as the chain in `scaling._placement_rows`, so a relaxation
+built with `reference_placement_rows` must reach the same optimum and
+decode to the same actions.
 """
 
 import itertools
@@ -25,7 +31,7 @@ from collections import defaultdict
 import numpy as np
 
 from vnfscale import lp, rpadmm, scaling
-from vnfscale.chain_state import OVERLOAD
+from vnfscale.chain_state import OVERLOAD, UNDERLOAD
 from vnfscale.topology import PM, forwarding_cost, neighbors
 
 
@@ -267,6 +273,85 @@ def reference_reformulate(p):
     rpadmm.agent_partition(system)
     return system
 
+
+def reference_placement_rows(p, model):
+    """`scaling._placement_rows` with all-pairs `alpha_eq` rows over the
+    unpinned instances and one `interest` row per relevant PM."""
+    lay = model.layout
+    slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
+    alpha_idx, e_idx = lay.alpha_idx, lay.e_idx
+
+    for s in slots:
+        if s.host is not None or len(rel_pms) < 2:
+            continue
+        for a, qa in enumerate(rel_pms):
+            for qb in rel_pms[a + 1:]:
+                model.add_row({alpha_idx[(qa, s.key)]: 1.0,
+                               alpha_idx[(qb, s.key)]: -1.0},
+                              "=", 0.0, "alpha_eq[%s,%s,%s]" % (qa, qb, s.key))
+
+    for s in slots:
+        for q in rel_pms:
+            coeffs = {e_idx[(c, s.key)]: 1.0 for c in s.candidates}
+            idx = alpha_idx[(q, s.key)]
+            coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
+            model.add_row(coeffs, "=", 0.0, "interest[%s,%s]" % (q, s.key))
+
+    for s in slots:
+        family = "arrival_online" if s.host is not None else "arrival_new"
+        for q in p.topology.pms:
+            coeffs = fv.inflow("n", q, s.key)
+            if s.host is not None:
+                if q == s.host:
+                    idx = alpha_idx[(q, s.key)]
+                    coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
+            elif q in s.candidates:
+                idx = e_idx[(q, s.key)]
+                coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
+            model.add_row(coeffs, "=", 0.0, "%s[%s,%s]" % (family, q, s.key))
+
+    if p.pm_capacity is not None:
+        vm_cap = {r: p.vm_capacity(r) for r in p.resources}
+        for q in rel_pms:
+            here = [s for s in slots if (q, s.key) in e_idx]
+            for r in p.resources:
+                if r not in p.pm_capacity:
+                    continue
+                coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
+                slack = model.add_var("cap_slack[%s,%s]" % (q, r))
+                lay.slack_idx[("cap", q, r)] = slack
+                coeffs[slack] = 1.0
+                model.add_row(coeffs, "=", p.total_capacity(q, r), "cap[%s,%s]" % (q, r))
+        if p.mode == OVERLOAD:
+            for q in rel_pms:
+                newer = [s for s in slots if s.vm_id is None and (q, s.key) in e_idx]
+                for r in p.resources:
+                    if r not in p.pm_capacity:
+                        continue
+                    coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
+                    slack = model.add_var("slot_slack[%s,%s]" % (q, r))
+                    lay.slack_idx[("slots", q, r)] = slack
+                    coeffs[slack] = 1.0
+                    model.add_row(coeffs, "=", p.free_capacity(q, r), "slots[%s,%s]" % (q, r))
+    if p.mode == UNDERLOAD:
+        for q in rel_pms:
+            coeffs = {e_idx[(q, s.key)]: 1.0 for s in slots if (q, s.key) in e_idx}
+            slack = model.add_var("keep_slack[%s]" % (q,))
+            lay.slack_idx[("keep", q)] = slack
+            coeffs[slack] = 1.0
+            model.add_row(coeffs, "=", float(p.online_count(q)), "keep[%s]" % (q,))
+
+
+def reference_relaxation(p):
+    """The central relaxation of `p` with `reference_placement_rows`."""
+    model = scaling._relaxation_skeleton(p, "%s_lp" % p.mode)
+    fv = model.layout.fv
+    fv.add_switch_conservation(model)
+    fv.add_pm_processing(model, p.group.gamma)
+    fv.add_ingress_total(model, p.traffic)
+    fv.add_egress_total(model, p.traffic, p.group.gamma)
+    reference_placement_rows(p, model)
+    return model
 
 
 class DictFlowNet:

@@ -7,7 +7,8 @@ from vnfscale import lp, scaling
 from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, scenario1, scenario3, scenario4, \
-    problem, solve_decoded, k2_instance
+    problem, solve_decoded, k2_instance, admm_fixture
+from oracle import reference_relaxation
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,47 @@ def test_share_coverage_and_uniformity(topo):
             total_e = sum(dec.e[(q, s.key)] for q in s.candidates)
             assert total_e == pytest.approx(dec.shares[s.key], abs=1e-8)
 
+
+
+def placement_corpus():
+    topo = tree4()
+    yield "s1 over", problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
+    yield "s1 under", problem(topo, scenario1(), 100.0, 1, vs.UNDERLOAD)
+    yield "s3 over", problem(topo, scenario3(), 400.0, 4, vs.OVERLOAD)
+    yield "s3 under", problem(topo, scenario3(), 100.0, 1, vs.UNDERLOAD)
+    yield "s4 over", problem(topo, scenario4(), 400.0, 4, vs.OVERLOAD)
+    yield "s4 under", problem(topo, scenario4(), 400.0 / 3, 2, vs.UNDERLOAD)
+    for seed in range(5):
+        yield "k2 seed %d" % seed, k2_instance(seed)
+    yield "admm", admm_fixture()
+
+
+@pytest.mark.parametrize("p", [pytest.param(p, id=name)
+                               for name, p in placement_corpus()])
+def test_share_chain_matches_all_pairs_reference(p):
+    """The chained share copies and the one interest row per instance
+    reach the all-pairs build's optimum and decode to the same actions."""
+    build = vs.build_overload_lp if p.mode == vs.OVERLOAD else vs.build_underload_lp
+    got, want = lp.solve(build(p)), lp.solve(reference_relaxation(p))
+    assert got.status == want.status == lp.OPTIMAL
+    assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+    dg, dw = vs.decode(got, p), vs.decode(want, p)
+    assert (dg.kept, dg.launched, dg.terminated) == (dw.kept, dw.launched, dw.terminated)
+    assert dg.shares == pytest.approx(dw.shares, rel=1e-9, abs=1e-12)
+
+    layout = got.model.layout
+    chain, interest = {}, {}
+    for label in got.model.row_labels():
+        family, _, args = label[:-1].partition("[")
+        if family == "alpha_eq":
+            key = args.rsplit(",", 1)[1]
+            chain[key] = chain.get(key, 0) + 1
+        elif family == "interest":
+            interest[args] = interest.get(args, 0) + 1
+    for s in layout.slots:
+        assert chain.get(s.key, 0) == len(layout.rel_pms) - 1, s.key
+        assert interest[s.key] == 1, s.key
+    assert set(chain) | set(interest) <= {s.key for s in layout.slots}
 
 def test_launched_plus_kept_equals_v_star(topo):
     for p, sol, dec in every_optimal_decision(topo):

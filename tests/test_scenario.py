@@ -328,6 +328,11 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
     ("k = 2", "k = 2\npms_per_rack = 0", "[topology] pms_per_rack = 0"),
     ("k = 2", "k = 2\ncosts = 10 20", "[topology] costs = 10 20"),
     ("k = 2", "k = 2\ncosts = -1 20 40", "[topology] costs = -1 20 40"),
+    ("candidates = P1-P4", "candidates = P4-P1", "[group] candidates"),
+    ("candidates = P1-P4", "candidates = P1 P1 P4", "[group] candidates"),
+    ("candidates = P1-P4", "candidates = P1-P3 P2-P4", "[group] candidates"),
+    ("vm1  P2  100  0.95", "vm1  P2  100  0.95\nvm1  P3  100  0.95",
+     "[vms] row"),
 ], ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
         "baseline", "gamma_nan", "capacity_nan", "costs_nan", "beta_nan",
         "baseline_inf", "vm_capacity_zero", "ingress_empty", "egress_empty",
@@ -335,7 +340,8 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
         "unknown_solver_key", "unknown_expect_key", "bare_row",
         "expect_state", "expect_cost_delta", "preset_unknown",
         "vm_util_negative", "omega_negative", "pms_per_rack_zero",
-        "costs_two", "costs_negative"])
+        "costs_two", "costs_negative", "range_reversed", "pm_twice",
+        "ranges_overlap", "vm_id_twice"])
 def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new, named):
     body = minimal().replace(old, new)
     assert body != minimal()
