@@ -15,6 +15,7 @@ rows the optimum piles every instance onto the single cheapest PM and
 the decode degenerates.
 """
 
+import heapq
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,7 +23,7 @@ from functools import cached_property
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
 from .netflow import FlowNet
-from .topology import forwarding_cost, pm_name
+from .topology import PM, forwarding_cost, neighbors, pm_name
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -100,8 +101,8 @@ class ScalingProblem:
 
     @cached_property
     def baseline_cost(self):
-        """baseline_forwarding_cost(self), solved on the first read and
-        kept: fields changed after that read do not re-solve it."""
+        """baseline_forwarding_cost(self), priced on the first read and
+        kept: fields changed after that read do not re-price it."""
         return baseline_forwarding_cost(self)
 
     # -- capacity helpers ------------------------------------------------
@@ -441,17 +442,66 @@ def decode(solution, p):
                            warnings=warnings, vm_slot=vm_slot)
 
 
+def _distances_from(topo, sources):
+    """Shortest-path cost from the nearest of the source PMs to every PM.
+    Flow never passes through a PM, so only sources and switches are
+    expanded (multi-source Dijkstra; the node position breaks heap ties,
+    as NodeIds do not order)."""
+    sources = set(sources)
+    dist = {}
+    heap = [(0.0, topo.node_position(q), q) for q in sources]
+    heapq.heapify(heap)
+    while heap:
+        d, _, i = heapq.heappop(heap)
+        if i in dist:
+            continue
+        dist[i] = d
+        if i.kind == PM and i not in sources:
+            continue
+        for j in neighbors(topo, i):
+            if j not in dist:
+                heapq.heappush(heap, (d + forwarding_cost(topo, i, j),
+                                      topo.node_position(j), j))
+    return {q: d for q, d in dist.items() if q.kind == PM}
+
+
 def baseline_forwarding_cost(p):
     """Forwarding cost of the pre-event configuration: all online VMs
-    pinned at their hosts serving the baseline traffic."""
+    pinned at their hosts serving the baseline traffic T.
+
+    No relaxation carries bandwidth rows, so the flow part of the pinned
+    overload LP is an uncapacitated min-cost flow, and its optimum routes
+    every unit on a shortest path (flow decomposition; Ahuja, Magnanti
+    and Orlin, Network Flows, 1993).  A unit served on host q then costs
+    u(q) = d_in(q) + gamma * d_out(q), with d_in and d_out the distances
+    from the ingress and egress sets.  What is left is a fractional
+    knapsack: fill the hosts in order of (u(q), node position), each up to
+    its share cap times its online VMs and up to its capacity rows, until
+    the shares cover the traffic.  The result equals that LP's optimum.
+    """
     base = ScalingProblem(
         topology=p.topology, group=p.group, traffic=p.baseline_traffic,
         v_star=len(p.group.online), mode=OVERLOAD, pm_capacity=p.pm_capacity,
         epsilon=p.epsilon, weights=p.weights)
-    sol = lp.solve(build_overload_lp(base))
-    if sol.status != lp.OPTIMAL:
-        raise ModelInfeasibleError("baseline configuration is %s" % sol.status)
-    return sol.objective_value
+    _check_total_capacity(base, _slots(base))
+    topo, group, traffic = base.topology, base.group, base.traffic
+    d_in = _distances_from(topo, group.ingress_pms)
+    d_out = _distances_from(topo, group.egress_pms)
+    capped = [r for r in base.resources
+              if base.pm_capacity is not None and r in base.pm_capacity
+              and traffic * group.omega[r] > 0]
+    unit = {q: d_in[q] + group.gamma * d_out[q] for q in group.host_pms}
+    cost, left = 0.0, 1.0
+    for q in sorted(unit, key=lambda q: (unit[q], topo.node_position(q))):
+        room = base.share_cap * base.online_count(q)
+        for r in capped:
+            room = min(room, base.total_capacity(q, r) / (traffic * group.omega[r]))
+        take = max(0.0, min(left, room))
+        cost += take * unit[q]
+        left -= take
+    if left > 1e-9:
+        raise ModelInfeasibleError("baseline configuration is infeasible")
+    return traffic * base.weights.forwarding * cost
 
 
 def forwarding_cost_of(flows_n, flows_m, topo):

@@ -23,9 +23,13 @@ DEFAULT_LAYER_COSTS = (10.0, 20.0, 40.0)  # (pm_tor, tor_agg, agg_core)
 UNLIMITED = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeId:
-    """A node handle: kind plus index unique within that kind."""
+    """A node handle: kind plus index unique within that kind.
+
+    Every model keys its dicts and sets by NodeId, so the hash is computed
+    once, from ints only: the same value in every process, where a string
+    hash is randomized per process.  A NodeId equals only a NodeId."""
 
     kind: str
     index: int
@@ -35,6 +39,17 @@ class NodeId:
             raise ValueError("unknown node kind: %r" % (self.kind,))
         if self.index < 0:
             raise ValueError("negative node index")
+        object.__setattr__(self, "_hash", hash((_KIND_ORDER[self.kind], self.index)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not NodeId:
+            return NotImplemented
+        return self.index == other.index and self.kind == other.kind
 
     def sort_key(self):
         return (_KIND_ORDER[self.kind], self.index)

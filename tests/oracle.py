@@ -23,6 +23,10 @@ relevant PMs and one interest row per relevant PM.  They span the same
 affine set as the chain in `scaling._placement_rows`, so a relaxation
 built with `reference_placement_rows` must reach the same optimum and
 decode to the same actions.
+
+The baseline cost as first written: the pinned overload LP built and
+solved.  `scaling.baseline_forwarding_cost` prices the same optimum by
+shortest paths and a fractional knapsack, and must match it.
 """
 
 import itertools
@@ -352,6 +356,20 @@ def reference_relaxation(p):
     fv.add_egress_total(model, p.traffic, p.group.gamma)
     reference_placement_rows(p, model)
     return model
+
+
+def reference_baseline_cost(p):
+    """`scaling.baseline_forwarding_cost` as first written: build the
+    overload LP with every online VM pinned, at the baseline traffic, and
+    solve it."""
+    base = scaling.ScalingProblem(
+        topology=p.topology, group=p.group, traffic=p.baseline_traffic,
+        v_star=len(p.group.online), mode=OVERLOAD, pm_capacity=p.pm_capacity,
+        epsilon=p.epsilon, weights=p.weights)
+    sol = lp.solve(scaling.build_overload_lp(base))
+    if sol.status != lp.OPTIMAL:
+        raise scaling.ModelInfeasibleError("baseline configuration is %s" % sol.status)
+    return sol.objective_value
 
 
 class DictFlowNet:

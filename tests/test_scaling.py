@@ -1,14 +1,17 @@
+import dataclasses
 import math
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vnfscale as vs
 from vnfscale import lp, scaling
 from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
-from corpus import U, pm, tree4, capacity, scenario1, scenario3, scenario4, \
+from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance, admm_fixture
-from oracle import reference_relaxation
+from oracle import reference_baseline_cost, reference_relaxation
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +430,123 @@ def test_shares_sum_to_one_even_when_retention_pays():
     assert p.share_cap * p.v_star > 1.0 + 1e-9
     _, dec = solve_decoded(p)
     assert sum(dec.shares.values()) == pytest.approx(1.0, abs=1e-8)
+
+
+# -- baseline pricing ----------------------------------------------------------
+
+SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def assert_baseline_matches_lp(p):
+    """The priced baseline equals the solved pinned LP to 1e-9 relative,
+    or both raise ModelInfeasibleError."""
+    try:
+        want = reference_baseline_cost(p)
+    except scaling.ModelInfeasibleError:
+        with pytest.raises(scaling.ModelInfeasibleError):
+            scaling.baseline_forwarding_cost(p)
+        return None
+    got = scaling.baseline_forwarding_cost(p)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+    return got
+
+
+def shipped_problems():
+    for name in sorted(os.listdir(SCEN_DIR)):
+        if not name.endswith(".scn"):
+            continue
+        sc = vs.load_scenario(os.path.join(SCEN_DIR, name))
+        state = vs.classify_group(sc.group)
+        if state != vs.NORMAL:
+            yield name, vs.scenario._problem_for(sc, state)
+
+
+@pytest.mark.parametrize("p", [pytest.param(p, id=name)
+                               for name, p in shipped_problems()])
+def test_baseline_matches_lp_on_shipped_scenarios(p):
+    assert assert_baseline_matches_lp(p) > 0
+
+
+@pytest.mark.parametrize("load", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("p", [pytest.param(p, id=name)
+                               for name, p in placement_corpus()])
+def test_baseline_matches_lp_on_corpus(p, load):
+    online = p.group.online
+    full = len(online) * p.vm_capacity("cpu") / p.group.omega["cpu"]
+    assert_baseline_matches_lp(dataclasses.replace(p, baseline_traffic=load * full))
+
+
+@pytest.mark.parametrize("tree", [
+    pytest.param(vs.build_fat_tree(4, uniform_bandwidth=50.0), id="finite bandwidth"),
+    pytest.param(vs.build_fat_tree(4, layer_costs=(0.0, 0.0, 0.0)), id="zero costs"),
+    pytest.param(vs.build_fat_tree(4, layer_costs=(10.0, 0.0, 0.0)), id="zero upper layers"),
+])
+def test_baseline_matches_lp_off_the_default_tree(tree):
+    for g, base in ((scenario1(), 200.0), (scenario3(), 200.0), (scenario4(), 800.0 / 3)):
+        p = problem(tree, g, 1.5 * base, len(g.online) + 1, vs.OVERLOAD, baseline=base)
+        cost = assert_baseline_matches_lp(p)
+        assert (cost == 0.0) == (tree.layer_costs[0] == 0.0)
+
+
+def test_overfull_baseline_is_infeasible_for_both(topo):
+    # two VMs share a PM that serves 150 units: their share caps cover a
+    # baseline of 180, the PM's capacity row does not
+    g = group("c", [pm(2), pm(2)], 1.0, pm(1), pm(4), [pm(i) for i in range(1, 17)])
+    p = vs.ScalingProblem(topology=topo, group=g, traffic=190.0, v_star=2,
+                          mode=vs.OVERLOAD, pm_capacity=capacity(topo, 150.0),
+                          baseline_traffic=180.0)
+    assert p.share_cap * 2 >= 1.0
+    with pytest.raises(scaling.ModelInfeasibleError):
+        reference_baseline_cost(p)
+    with pytest.raises(scaling.ModelInfeasibleError,
+                       match="^baseline configuration is infeasible$"):
+        scaling.baseline_forwarding_cost(p)
+
+
+@st.composite
+def baseline_problems(draw):
+    k = draw(st.sampled_from([2, 4]), label="k")
+    costs = draw(st.sampled_from([(10.0, 20.0, 40.0), (5.0, 0.0, 40.0),
+                                  (0.0, 20.0, 0.0), (0.0, 0.0, 0.0)]), label="costs")
+    topo = vs.build_fat_tree(k, pms_per_rack=2, layer_costs=costs)
+    pms = topo.pms
+    hosts = draw(st.lists(st.sampled_from(pms), min_size=2, max_size=4), label="hosts")
+    ingress = draw(st.lists(st.sampled_from(pms), min_size=1, max_size=3, unique=True),
+                   label="ingress")
+    if draw(st.booleans(), label="ingress at a host") and hosts[0] not in ingress:
+        ingress.append(hosts[0])
+    # drawn from the far end, so the simplest draw is not all on one PM
+    egress = draw(st.lists(st.sampled_from(pms[::-1]), min_size=1, max_size=3,
+                           unique=True), label="egress")
+    gamma = draw(st.sampled_from([0.5, 0.8, 1.0, 1.25, 2.0]), label="gamma")
+    phi = draw(st.sampled_from([0.6, 1.0]), label="phi")
+    mem = draw(st.sampled_from([0.0, 0.5, 2.0]), label="omega mem")
+    thr = vs.Thresholds.uniform(("cpu", "mem"))
+    vm_cap = {"cpu": U, "mem": 2 * U}
+    vms = [vs.VmInstance("vm%d" % i, "fw", "c", dict(vm_cap), host=h,
+                         utilization={"cpu": 0.95, "mem": 0.5})
+           for i, h in enumerate(hosts)]
+    g = vs.VnfGroup(chain="c", vnf_type="fw", online=vms,
+                    offline_pool=[vs.VmInstance("off", "fw", "c", dict(vm_cap))],
+                    thresholds=thr, gamma=gamma, phi=phi,
+                    omega={"cpu": 1.0, "mem": mem}, ingress_pms=ingress,
+                    egress_pms=egress, candidate_pms=list(pms))
+    caps = draw(st.sampled_from(["none", "cpu", "cpu mem"]), label="capped")
+    pm_capacity = None
+    if caps != "none":
+        pm_capacity = {r: {q: float(draw(st.sampled_from([150, 100, 250, 40, 400]),
+                                         label="%s cap" % r))
+                           for q in pms}
+                       for r in caps.split()}
+    base = float(draw(st.integers(10, 100 * len(hosts)), label="baseline"))
+    weight = draw(st.sampled_from([1.0, 0.5]), label="forwarding weight")
+    return vs.ScalingProblem(topology=topo, group=g, traffic=base,
+                             v_star=len(hosts), mode=vs.OVERLOAD,
+                             pm_capacity=pm_capacity, baseline_traffic=base,
+                             weights=vs.Weights(forwarding=weight))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(baseline_problems())
+def test_baseline_matches_lp_on_drawn_problems(p):
+    assert_baseline_matches_lp(p)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 import vnfscale as vs
-from vnfscale import lp, rpadmm, scenario
+from vnfscale import lp, rpadmm, scaling, scenario
 from vnfscale.cli import main as cli_main
 from vnfscale.scaling import forwarding_cost_of
 
@@ -164,20 +164,26 @@ def test_cost_delta_round_trips_through_flow_costs():
 
 
 @pytest.mark.parametrize("name, lp_solves", [
-    ("scale_out_v4.scn", 2),            # relaxation + baseline
-    ("distributed_scale_out.scn", 1),   # baseline only
+    ("scale_out_v4.scn", 1),            # the relaxation; the baseline is priced
+    ("distributed_scale_out.scn", 0),   # ADMM decides, the baseline is priced
 ])
 def test_baseline_is_solved_once_per_decision(monkeypatch, name, lp_solves):
-    calls = []
-    real_solve = lp.solve
+    solves, baselines = [], []
+    real_solve, real_baseline = lp.solve, scaling.baseline_forwarding_cost
 
     def counting_solve(*args, **kwargs):
-        calls.append(args[0].name)
+        solves.append(args[0].name)
         return real_solve(*args, **kwargs)
 
+    def counting_baseline(p):
+        baselines.append(p)
+        return real_baseline(p)
+
     monkeypatch.setattr(lp, "solve", counting_solve)
+    monkeypatch.setattr(scaling, "baseline_forwarding_cost", counting_baseline)
     report = scenario.run_scenario(scen(name))
-    assert len(calls) == lp_solves
+    assert len(baselines) == 1
+    assert len(solves) == lp_solves
     dec = report.decision
     assert dec.cost_delta_vs_baseline == pytest.approx(
         report.cost_delta / report.baseline_cost)
@@ -403,6 +409,19 @@ def test_cli_infeasible_is_exit_three(tmp_path, capsys):
     # four instances at share cap 25/200 cannot carry the load
     body = minimal(event="traffic = 200").replace("vm1  P2  100", "vm1  P2  25")
     assert cli_main(["run", write_scenario(tmp_path, body)]) == 3
+
+
+def test_cli_overfull_baseline_is_exit_three(tmp_path, capsys):
+    # two VMs share P2, which serves 150 units: their share caps cover the
+    # baseline of 180, P2's capacity does not
+    body = (minimal(event="traffic = 190")
+            .replace("vm1  P2  100  0.95", "vm1  P2  100  0.95\nvm2  P2  100  0.95")
+            .replace("capacity = cpu:100", "capacity = cpu:150")
+            .replace("baseline = 100", "baseline = 180"))
+    assert cli_main(["run", write_scenario(tmp_path, body)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "infeasible: baseline configuration is infeasible\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_unusable_solver_point_is_exit_four(capsys):

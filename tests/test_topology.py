@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -116,3 +121,48 @@ def test_listing_mentions_every_node():
     text = tp.topology_listing(t)
     for v in t.nodes:
         assert str(v) in text
+
+
+# -- NodeId as a dict key ----------------------------------------------------
+
+def test_node_id_equality_and_hash():
+    a, b = tp.NodeId(tp.PM, 3), tp.NodeId(tp.PM, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not (a != b)
+    assert a != tp.NodeId(tp.TOR, 3) and a != tp.NodeId(tp.PM, 4)
+    # a NodeId equals only a NodeId, not the tuple it was made from
+    assert a != (tp.PM, 3) and (tp.PM, 3) != a
+    assert a != "PM3" and not (a == None)  # noqa: E711
+    assert {a: 1}[b] == 1 and len({a, b, tp.NodeId(tp.TOR, 3)}) == 2
+
+
+def test_node_id_hash_is_the_same_in_every_process():
+    code = ("from vnfscale.topology import NodeId, CORE; "
+            "print(hash(NodeId('PM', 5)), hash(NodeId(CORE, 2)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(env, PYTHONHASHSEED=seed), check=True).stdout
+            for seed in ("1", "2")}
+    here = "%d %d\n" % (hash(tp.NodeId(tp.PM, 5)), hash(tp.NodeId(tp.CORE, 2)))
+    assert outs == {here}
+
+
+def test_node_id_formats_sorts_and_stays_frozen():
+    v = tp.NodeId(tp.AGG, 7)
+    assert "%s" % v == str(v) == "Aggregation7"
+    assert "%s" % (v,) == "Aggregation7"
+    assert repr(v) == "NodeId(kind='Aggregation', index=7)"
+    nodes = [tp.NodeId(tp.CORE, 0), tp.NodeId(tp.PM, 2), tp.NodeId(tp.TOR, 1),
+             tp.NodeId(tp.PM, 0)]
+    assert [n.sort_key() for n in sorted(nodes, key=tp.NodeId.sort_key)] == [
+        (0, 0), (0, 2), (1, 1), (3, 0)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.index = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.kind = tp.PM
+    with pytest.raises(ValueError):
+        tp.NodeId("Spine", 0)
+    with pytest.raises(ValueError):
+        tp.NodeId(tp.PM, -1)
+    w = pickle.loads(pickle.dumps(v))
+    assert w == v and hash(w) == hash(v)
