@@ -1,7 +1,9 @@
 """Distributed scale-out solver: randomly permuted scalar ADMM.
 
-The central overload relaxation couples nodes only through rows that
-span a node and all of its neighbors.  Introducing one difference
+The overload relaxation written over per-arc flows (the central model
+prices those flows on shortest paths instead; here the switch agents
+own them) couples nodes only through rows that span a node and all of
+its neighbors.  Introducing one difference
 variable per directed arc (owned by the arc's tail) splits every
 conservation row into per-arc definitions plus a local zero sum, after
 which each switch and PM owns every variable it updates and reads only
@@ -34,6 +36,7 @@ from scipy.sparse import csr_array
 
 from . import lp, scaling
 from .chain_state import OVERLOAD
+from .netflow import FlowNet
 from .topology import neighbors
 
 # Classical multiplier aliases for the constraint families, for readers
@@ -146,25 +149,77 @@ def _add_lift_block(model, tag, owners, aux_def, groups):
     return families
 
 
+def _flow_skeleton(p, name):
+    """Model with per-instance flow variables, a share copy at every
+    relevant PM (one per PM agent), interest variables and the forwarding
+    objective on the flows, before any constraint rows."""
+    slots, rel_pms = scaling._placement_slots(p)
+    model = lp.LpModel(name)
+    fv = FlowNet(p.topology, p.group.ingress_pms, p.group.egress_pms)
+    fv.add_flow_vars(model, [s.key for s in slots])
+    alpha_idx, e_idx = scaling._share_and_interest_vars(p, model, slots, rel_pms)
+    model.add_objective(fv.objective_coeffs(p.weights.forwarding))
+    model.layout = scaling._Layout(p, slots, rel_pms, fv, alpha_idx, e_idx)
+    return model
+
+
+def _placement_rows(p, model):
+    """Rows tying the share copies and interests to the flows: a chain of
+    equalities between the copies, the central model's interest rows, the
+    arrival rows and its capacity rows."""
+    lay = model.layout
+    slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
+    alpha_idx, e_idx = lay.alpha_idx, lay.e_idx
+
+    # each relevant PM holds a copy of an instance's share alpha: a chain
+    # of equalities over consecutive PMs ties the copies, and the interest
+    # row reads the first copy
+    for s in slots:
+        for qa, qb in zip(rel_pms, rel_pms[1:]):
+            model.add_row({alpha_idx[(qa, s.key)]: 1.0,
+                           alpha_idx[(qb, s.key)]: -1.0},
+                          "=", 0.0, "alpha_eq[%s,%s,%s]" % (qa, qb, s.key))
+    scaling._interest_rows(model)
+
+    # arriving unprocessed traffic at each PM matches the placement signal;
+    # summed against the ingress total these rows force sum(e) = 1
+    for s in slots:
+        family = "arrival_online" if s.host is not None else "arrival_new"
+        for q in p.topology.pms:
+            coeffs = fv.inflow("n", q, s.key)
+            if s.host is not None:
+                if q == s.host:
+                    idx = alpha_idx[(q, s.key)]
+                    coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
+            elif q in s.candidates:
+                idx = e_idx[(q, s.key)]
+                coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
+            model.add_row(coeffs, "=", 0.0, "%s[%s,%s]" % (family, q, s.key))
+
+    scaling._capacity_rows(p, model)
+
+
 def reformulate(p):
-    """Lift the central overload model into per-agent form.
+    """Lift the overload relaxation, written over per-arc flows, into
+    per-agent form.
 
     Every switch conservation row becomes per-neighbor difference rows
     plus a zero sum, PM processing likewise, and the ingress/egress
     totals become per-instance tap variables whose sums carry T and
-    T*gamma.  All placement rows are shared with the central build, so
-    the lift is exact by construction.  The switch and PM parts are
-    added as one variable range and one row block each.
+    T*gamma.  The arrival rows make the flows deliver exactly the
+    interest split, so the lift's optimum is the central relaxation's,
+    which prices that split on shortest paths.  The switch and PM parts
+    are added as one variable range and one row block each.
     """
     if p.mode != OVERLOAD:
         raise ValueError("only the overload model has a distributed form")
-    model = scaling._relaxation_skeleton(p, "overload_admm")
+    model = _flow_skeleton(p, "overload_admm")
     lay = model.layout
     fv, topo = lay.fv, p.topology
     n_idx, m_idx = fv.n_idx, fv.m_idx
     keys = [s.key for s in lay.slots]
     gamma = p.group.gamma
-    scaling._placement_rows(p, model)
+    _placement_rows(p, model)
     base_width = model.num_vars
     row_family = [_family_of(l) for l in model.row_labels()]
 

@@ -8,6 +8,16 @@ per-instance traffic shares alpha are tied to them; the solved vertex
 is decoded back into launch / keep / terminate actions by per-instance
 argmax over e.
 
+The relaxation has no flow variables.  No relaxation carries bandwidth
+rows, so its flow part is an uncapacitated min-cost flow, whose optimum
+sends every unit along a shortest path (flow decomposition; Ahuja,
+Magnanti and Orlin, Network Flows, 1993).  One multi-source Dijkstra
+from the ingress set and one from the egress set, run once per problem,
+give every PM q its unit cost u(q) = d_in(q) + gamma * d_out(q); the
+objective is T * w_fwd * u(q) on each e[q,s], and decode routes the
+decision's flows down the two shortest-path trees.  The flow-form model
+survives in the RP-ADMM lift, whose switch agents own the arcs.
+
 Relaxed capacity rows keep the interest mass physically meaningful:
 traffic landing on a PM cannot exceed what its resources serve, and
 new placements cannot exceed its free instance slots.  Without these
@@ -22,7 +32,6 @@ from functools import cached_property
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
-from .netflow import FlowNet
 from .topology import PM, forwarding_cost, neighbors, pm_name
 
 
@@ -104,6 +113,19 @@ class ScalingProblem:
         """baseline_forwarding_cost(self), priced on the first read and
         kept: fields changed after that read do not re-price it."""
         return baseline_forwarding_cost(self)
+
+    @cached_property
+    def paths(self):
+        """(ingress tree, egress tree): the shortest-path trees from the
+        ingress and the egress PM sets, built on the first read and kept."""
+        return (_shortest_path_tree(self.topology, self.group.ingress_pms),
+                _shortest_path_tree(self.topology, self.group.egress_pms))
+
+    def unit_cost(self, q):
+        """u(q) = d_in(q) + gamma * d_out(q): the forwarding cost of one unit
+        of traffic served at PM q on shortest paths."""
+        into, out = self.paths
+        return into.dist[q] + self.group.gamma * out.dist[q]
 
     # -- capacity helpers ------------------------------------------------
 
@@ -212,70 +234,48 @@ class _Layout:
         self.problem = problem
         self.slots = slots
         self.rel_pms = rel_pms
-        self.fv = fv
+        self.fv = fv          # the flow net of a model with flow variables, else None
         self.alpha_idx = alpha_idx
         self.e_idx = e_idx
         self.slack_idx = {}   # ("cap"|"slots"|"keep", PM, resource?) -> var
 
 
-def _relaxation_skeleton(p, name):
-    """Model with flow, share and interest variables plus the forwarding
-    objective, before any constraint rows."""
+def _placement_slots(p):
+    """The instance slots and the PMs they may land on, in node order."""
     slots = _slots(p)
     _check_total_capacity(p, slots)
-    rel_pms = _relevant_pms(p, slots)
-    model = lp.LpModel(name)
-    fv = FlowNet(p.topology, p.group.ingress_pms, p.group.egress_pms)
-    fv.add_flow_vars(model, [s.key for s in slots])
+    return slots, _relevant_pms(p, slots)
 
+
+def _share_and_interest_vars(p, model, slots, share_pms):
+    """Per slot, a share variable at each of share_pms and an interest
+    variable at each candidate; returns the (PM, key) -> var maps."""
     cap = p.share_cap
     alpha_idx, e_idx = {}, {}
     for s in slots:
-        for q in rel_pms:
+        for q in share_pms:
             alpha_idx[(q, s.key)] = model.add_var("alpha[%s,%s]" % (q, s.key), 0.0, cap)
         for q in s.candidates:
             e_idx[(q, s.key)] = model.add_var("e[%s,%s]" % (q, s.key), 0.0, 1.0)
-
-    model.add_objective(fv.objective_coeffs(p.weights.forwarding))
-    model.layout = _Layout(p, slots, rel_pms, fv, alpha_idx, e_idx)
-    return model
+    return alpha_idx, e_idx
 
 
-def _placement_rows(p, model):
-    """Rows tying interest and share variables to the flows: shared by the
-    central relaxation and its per-agent reformulation."""
+def _interest_rows(model):
+    """One row per slot: its interests sum to its share, read at the
+    first relevant PM."""
     lay = model.layout
-    slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
-    alpha_idx, e_idx = lay.alpha_idx, lay.e_idx
-
-    # each relevant PM holds a copy of an instance's share alpha: a chain
-    # of equalities over consecutive PMs ties the copies, and one row ties
-    # the first copy to the instance's total interest
-    for s in slots:
-        for qa, qb in zip(rel_pms, rel_pms[1:]):
-            model.add_row({alpha_idx[(qa, s.key)]: 1.0,
-                           alpha_idx[(qb, s.key)]: -1.0},
-                          "=", 0.0, "alpha_eq[%s,%s,%s]" % (qa, qb, s.key))
-    for s in slots:
-        coeffs = {e_idx[(c, s.key)]: 1.0 for c in s.candidates}
-        coeffs[alpha_idx[(rel_pms[0], s.key)]] = -1.0
+    for s in lay.slots:
+        coeffs = {lay.e_idx[(c, s.key)]: 1.0 for c in s.candidates}
+        coeffs[lay.alpha_idx[(lay.rel_pms[0], s.key)]] = -1.0
         model.add_row(coeffs, "=", 0.0, "interest[%s]" % s.key)
 
-    # arriving unprocessed traffic at each PM matches the placement signal
-    for s in slots:
-        family = "arrival_online" if s.host is not None else "arrival_new"
-        for q in p.topology.pms:
-            coeffs = fv.inflow("n", q, s.key)
-            if s.host is not None:
-                if q == s.host:
-                    idx = alpha_idx[(q, s.key)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
-            elif q in s.candidates:
-                idx = e_idx[(q, s.key)]
-                coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
-            model.add_row(coeffs, "=", 0.0, "%s[%s,%s]" % (family, q, s.key))
 
-    # every unit of interest must be backed by capacity on the PM
+def _capacity_rows(p, model):
+    """Every unit of interest must be backed by capacity on the PM (and,
+    in overload, by a free slot); in underload each host keeps at most
+    its online VMs."""
+    lay = model.layout
+    slots, rel_pms, e_idx = lay.slots, lay.rel_pms, lay.e_idx
     if p.pm_capacity is not None:
         vm_cap = {r: p.vm_capacity(r) for r in p.resources}
         for q in rel_pms:
@@ -307,18 +307,20 @@ def _placement_rows(p, model):
             coeffs[slack] = 1.0
             model.add_row(coeffs, "=", float(p.online_count(q)), "keep[%s]" % (q,))
 
-    # no explicit total-interest row: summing the interest rows against the
-    # ingress total and arrival rows already forces sum(e) = 1 at feasibility
-
 
 def _build_relaxation(p):
-    model = _relaxation_skeleton(p, "%s_lp" % p.mode)
-    fv = model.layout.fv
-    fv.add_switch_conservation(model)
-    fv.add_pm_processing(model, p.group.gamma)
-    fv.add_ingress_total(model, p.traffic)
-    fv.add_egress_total(model, p.traffic, p.group.gamma)
-    _placement_rows(p, model)
+    """The relaxation over shares and interests: a unit of interest at q
+    costs T * w_fwd * u(q), its shortest-path cost, so no flow variable
+    is needed (see the module docstring)."""
+    slots, rel_pms = _placement_slots(p)
+    model = lp.LpModel("%s_lp" % p.mode)
+    alpha_idx, e_idx = _share_and_interest_vars(p, model, slots, rel_pms[:1])
+    scale = p.traffic * p.weights.forwarding
+    model.add_objective({i: scale * p.unit_cost(q) for (q, _), i in e_idx.items()})
+    model.layout = _Layout(p, slots, rel_pms, None, alpha_idx, e_idx)
+    _interest_rows(model)
+    model.add_row(dict.fromkeys(alpha_idx.values(), 1.0), "=", 1.0, "coverage")
+    _capacity_rows(p, model)
     return model
 
 
@@ -364,7 +366,9 @@ def decode(solution, p):
     Each unpinned instance goes to the PM with the largest interest
     value (ties to the lowest-indexed PM).  Should two instances claim
     more slots than a PM offers, later instances fall back to their
-    next-best candidate; a warning records the fallback.
+    next-best candidate; a warning records the fallback.  The flows are
+    the point's own in a model with flow variables (the RP-ADMM lift),
+    else the interest split routed on the shortest-path trees.
     """
     if solution.status != lp.OPTIMAL:
         raise DecodeError("cannot decode a %s solution" % solution.status)
@@ -432,7 +436,10 @@ def decode(solution, p):
             warnings.append("instance %s share %.4g below minimum collaboration %.4g"
                             % (s.key, shares[s.key], p.epsilon))
 
-    flows_n, flows_m = fv.flows_from_point(point)
+    if fv is not None:      # a model with flow variables: its point carries them
+        flows_n, flows_m = fv.flows_from_point(point)
+    else:
+        flows_n, flows_m = route_flows(p, e_vals)
     fwd = forwarding_cost_of(flows_n, flows_m, p.topology)
     return ScalingDecision(mode=p.mode, kept=kept, launched=launched,
                            terminated=terminated, alpha=alpha_vals, e=e_vals,
@@ -442,27 +449,69 @@ def decode(solution, p):
                            warnings=warnings, vm_slot=vm_slot)
 
 
-def _distances_from(topo, sources):
-    """Shortest-path cost from the nearest of the source PMs to every PM.
-    Flow never passes through a PM, so only sources and switches are
-    expanded (multi-source Dijkstra; the node position breaks heap ties,
-    as NodeIds do not order)."""
+@dataclass(frozen=True)
+class PathTree:
+    """Multi-source shortest-path tree: dist maps each reached node to its
+    cost from the nearest source, parent to the next node on the way back
+    to that source (None at a source)."""
+
+    dist: dict
+    parent: dict
+
+    def hops(self, q):
+        """Arcs (node, parent) from q back to its nearest source; a source
+        is its own one-arc path (q, q)."""
+        if self.parent[q] is None:
+            return [(q, q)]
+        arcs = []
+        while self.parent[q] is not None:
+            arcs.append((q, self.parent[q]))
+            q = self.parent[q]
+        return arcs
+
+
+def _shortest_path_tree(topo, sources):
+    """Multi-source Dijkstra from the source PMs.  Flow never passes
+    through a PM, so only sources and switches are expanded.  Heap ties
+    break by node position, then by the parent's position (NodeIds do not
+    order), so the tree is the same on every run."""
     sources = set(sources)
-    dist = {}
-    heap = [(0.0, topo.node_position(q), q) for q in sources]
+    dist, parent = {}, {}
+    heap = [(0.0, topo.node_position(q), -1, q, None) for q in sources]
     heapq.heapify(heap)
     while heap:
-        d, _, i = heapq.heappop(heap)
+        d, _, _, i, via = heapq.heappop(heap)
         if i in dist:
             continue
         dist[i] = d
+        parent[i] = via
         if i.kind == PM and i not in sources:
             continue
+        at = topo.node_position(i)
         for j in neighbors(topo, i):
             if j not in dist:
                 heapq.heappush(heap, (d + forwarding_cost(topo, i, j),
-                                      topo.node_position(j), j))
-    return {q: d for q, d in dist.items() if q.kind == PM}
+                                      topo.node_position(j), at, j, i))
+    return PathTree(dist, parent)
+
+
+def route_flows(p, e):
+    """n and m flows of an interest split on the shortest-path trees:
+    T * e[q,s] from the nearest ingress down to q and gamma * T * e[q,s]
+    from q to the nearest egress, a PM that is itself an ingress (egress)
+    on its self-arc.  Only arcs that carry flow are keyed."""
+    into, out = p.paths
+    flows_n, flows_m = {}, {}
+    for (q, d), val in e.items():
+        if val <= 0.0:
+            continue
+        n = p.traffic * val
+        for i, j in into.hops(q):
+            flows_n[(j, i, d)] = flows_n.get((j, i, d), 0.0) + n
+        m = p.group.gamma * n
+        for i, j in out.hops(q):
+            flows_m[(i, j, d)] = flows_m.get((i, j, d), 0.0) + m
+    return flows_n, flows_m
 
 
 def baseline_forwarding_cost(p):
@@ -473,24 +522,24 @@ def baseline_forwarding_cost(p):
     overload LP is an uncapacitated min-cost flow, and its optimum routes
     every unit on a shortest path (flow decomposition; Ahuja, Magnanti
     and Orlin, Network Flows, 1993).  A unit served on host q then costs
-    u(q) = d_in(q) + gamma * d_out(q), with d_in and d_out the distances
-    from the ingress and egress sets.  What is left is a fractional
-    knapsack: fill the hosts in order of (u(q), node position), each up to
-    its share cap times its online VMs and up to its capacity rows, until
-    the shares cover the traffic.  The result equals that LP's optimum.
+    u(q) = d_in(q) + gamma * d_out(q), read from the problem's trees.
+    What is left is a fractional knapsack: fill the hosts in order of
+    (u(q), node position), each up to its share cap times its online VMs
+    and up to its capacity rows, until the shares cover the traffic.  The
+    result equals that LP's optimum.
     """
+    if p.baseline_traffic is None:
+        raise ValueError("the problem has no baseline traffic to price")
     base = ScalingProblem(
         topology=p.topology, group=p.group, traffic=p.baseline_traffic,
         v_star=len(p.group.online), mode=OVERLOAD, pm_capacity=p.pm_capacity,
         epsilon=p.epsilon, weights=p.weights)
     _check_total_capacity(base, _slots(base))
     topo, group, traffic = base.topology, base.group, base.traffic
-    d_in = _distances_from(topo, group.ingress_pms)
-    d_out = _distances_from(topo, group.egress_pms)
     capped = [r for r in base.resources
               if base.pm_capacity is not None and r in base.pm_capacity
               and traffic * group.omega[r] > 0]
-    unit = {q: d_in[q] + group.gamma * d_out[q] for q in group.host_pms}
+    unit = {q: p.unit_cost(q) for q in group.host_pms}
     cost, left = 0.0, 1.0
     for q in sorted(unit, key=lambda q: (unit[q], topo.node_position(q))):
         room = base.share_cap * base.online_count(q)

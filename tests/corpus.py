@@ -122,3 +122,34 @@ def admm_fixture():
         v.capacity["cpu"] = 180.0
     return vs.ScalingProblem(topology=tree4(), group=g, traffic=720.0,
                              v_star=4, mode=vs.OVERLOAD, pm_capacity=None)
+
+
+def flow_violations(p, dec, tol=1e-6):
+    """(check, node, instance, amount) for every place where a decision's
+    own flows break switch conservation, PM processing (m out = gamma * n
+    in) or the ingress and egress totals by more than tol."""
+    topo = p.topology
+    into, out = {}, {}
+    for leg, flows in (("n", dec.flows_n), ("m", dec.flows_m)):
+        for (i, j, d), val in flows.items():
+            out[(leg, i, d)] = out.get((leg, i, d), 0.0) + val
+            into[(leg, j, d)] = into.get((leg, j, d), 0.0) + val
+    keys = sorted({d for _, _, d in list(dec.flows_n) + list(dec.flows_m)})
+    bad = []
+    for d in keys:
+        for sw in topo.switches:
+            for leg in ("n", "m"):
+                gap = into.get((leg, sw, d), 0.0) - out.get((leg, sw, d), 0.0)
+                if abs(gap) > tol:
+                    bad.append(("flow_" + leg, sw, d, gap))
+        for q in topo.pms:
+            gap = out.get(("m", q, d), 0.0) - p.group.gamma * into.get(("n", q, d), 0.0)
+            if abs(gap) > tol:
+                bad.append(("pm_proc", q, d, gap))
+    for check, leg, ends, total, side in (
+            ("ingress_total", "n", p.group.ingress_pms, p.traffic, out),
+            ("egress_total", "m", p.group.egress_pms, p.traffic * p.group.gamma, into)):
+        gap = sum(side.get((leg, q, d), 0.0) for q in ends for d in keys) - total
+        if abs(gap) > tol:
+            bad.append((check, None, None, gap))
+    return bad

@@ -18,11 +18,13 @@ registries per (arc, instance, leg), and every row merged from those
 dicts.  A model built with `reference_flownet` in place of
 `netflow.FlowNet` must export the same arrays as the block-built one.
 
-The placement rows as first written: share equalities over every pair of
-relevant PMs and one interest row per relevant PM.  They span the same
-affine set as the chain in `scaling._placement_rows`, so a relaxation
-built with `reference_placement_rows` must reach the same optimum and
-decode to the same actions.
+The central relaxation as first written: per-instance flow variables on
+every arc, conservation, processing and endpoint-total rows, share
+equalities over every pair of relevant PMs and one interest row per
+relevant PM.  `scaling.build_overload_lp` / `build_underload_lp` solve
+the same problem over shares and interests only, and every central
+decision, with its flows routed on shortest paths, must be a feasible
+optimal point of `reference_relaxation`.
 
 The baseline cost as first written: the pinned overload LP built and
 solved.  `scaling.baseline_forwarding_cost` prices the same optimum by
@@ -181,12 +183,12 @@ def reference_reformulate(p):
     one dict row per definition and sum."""
     if p.mode != OVERLOAD:
         raise ValueError("only the overload model has a distributed form")
-    model = scaling._relaxation_skeleton(p, "overload_admm")
+    model = rpadmm._flow_skeleton(p, "overload_admm")
     lay = model.layout
     fv, topo = lay.fv, p.topology
     keys = [s.key for s in lay.slots]
     gamma = p.group.gamma
-    scaling._placement_rows(p, model)
+    rpadmm._placement_rows(p, model)
     base_width = model.num_vars
 
     owners = {}
@@ -279,7 +281,7 @@ def reference_reformulate(p):
 
 
 def reference_placement_rows(p, model):
-    """`scaling._placement_rows` with all-pairs `alpha_eq` rows over the
+    """`rpadmm._placement_rows` with all-pairs `alpha_eq` rows over the
     unpinned instances and one `interest` row per relevant PM."""
     lay = model.layout
     slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
@@ -347,8 +349,9 @@ def reference_placement_rows(p, model):
 
 
 def reference_relaxation(p):
-    """The central relaxation of `p` with `reference_placement_rows`."""
-    model = scaling._relaxation_skeleton(p, "%s_lp" % p.mode)
+    """The central relaxation of `p` over per-arc flows, with
+    `reference_placement_rows`."""
+    model = rpadmm._flow_skeleton(p, "%s_lp" % p.mode)
     fv = model.layout.fv
     fv.add_switch_conservation(model)
     fv.add_pm_processing(model, p.group.gamma)

@@ -13,8 +13,8 @@ import vnfscale as vs
 from vnfscale import chain_state as cs
 from vnfscale import lp, milp, rpadmm
 
-from corpus import (U, admm_fixture, capacity, k2_instance, pm, problem,
-                    scenario1, scenario3, scenario4, solve_decoded, tree4)
+from corpus import (U, admm_fixture, capacity, flow_violations, k2_instance, pm,
+                    problem, scenario1, scenario3, scenario4, solve_decoded, tree4)
 from oracle import enumerate_single_host
 
 
@@ -222,16 +222,16 @@ def test_criterion_9_property_suites():
     parts.append(("grid oracle", worst <= 1e-3,
                   "worst excess %.2e" % worst))
 
-    # model-wide feasibility of every central optimum, conservation included
+    # every central decision's routed flows: switch conservation, PM
+    # processing and the endpoint totals
     bad = 0
     sum_err = 0.0
     for name, p in corpus_overloads():
         sol, decision = solve_decoded(p)
-        for v in lp.check_feasibility(sol.model, sol.point, tol=1e-6):
-            if v.label.startswith("flow_"):
-                bad += 1
+        assert decision.flows_n and decision.flows_m, name
+        bad += len(flow_violations(p, decision, tol=1e-6))
         sum_err = max(sum_err, abs(sum(decision.shares.values()) - 1.0))
-    parts.append(("conservation", bad == 0, "%d rows over 1e-6" % bad))
+    parts.append(("conservation", bad == 0, "%d balances over 1e-6" % bad))
     parts.append(("share sum", sum_err <= 1e-8, "worst %.2e" % sum_err))
 
     # link costs read the same in both directions

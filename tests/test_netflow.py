@@ -6,7 +6,7 @@ import pytest
 import corpus
 import oracle
 import vnfscale as vs
-from vnfscale import lp, milp, rpadmm, scaling
+from vnfscale import lp, milp, rpadmm
 from vnfscale.netflow import FlowNet
 from vnfscale.topology import PM, TOR, NodeId
 
@@ -130,10 +130,10 @@ def k2_bandwidth_instance(seed):
 
 
 ORACLE_CASES = {
-    "lp": lambda: vs.build_overload_lp(corpus.admm_fixture()),
+    "lp": lambda: oracle.reference_relaxation(corpus.admm_fixture()),
     "lift": lambda: rpadmm.reformulate(corpus.admm_fixture()).model,
-    "underload": lambda: vs.build_underload_lp(corpus.k2_instance(1)),
-    "k8": lambda: vs.build_overload_lp(k8_two_endpoints()),
+    "underload": lambda: oracle.reference_relaxation(corpus.k2_instance(1)),
+    "k8": lambda: oracle.reference_relaxation(k8_two_endpoints()),
     **{"milp%d" % s: (lambda s=s: milp.build_milp(corpus.k2_instance(s)).base)
        for s in range(4)},
     "milp-bw": lambda: milp.build_milp(k2_bandwidth_instance(0)).base,
@@ -152,7 +152,7 @@ def exported(model):
 
 def oracle_built(build, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(scaling, "FlowNet", oracle.reference_flownet)
+        patch.setattr(rpadmm, "FlowNet", oracle.reference_flownet)
         patch.setattr(milp, "FlowNet", oracle.reference_flownet)
         return build()
 
@@ -173,9 +173,9 @@ def test_block_build_exports_what_the_dict_build_exports(name, monkeypatch):
 
 def test_flow_lookups_match_the_dict_build(monkeypatch):
     p = k8_two_endpoints()
-    model = vs.build_overload_lp(p)
+    model = oracle.reference_relaxation(p)
     fv = model.layout.fv
-    ref = oracle_built(lambda: vs.build_overload_lp(p), monkeypatch).layout.fv
+    ref = oracle_built(lambda: oracle.reference_relaxation(p), monkeypatch).layout.fv
     assert isinstance(ref, oracle.DictFlowNet)
     assert list(fv.n_idx.items()) == list(ref.n_idx.items())
     assert list(fv.m_idx.items()) == list(ref.m_idx.items())

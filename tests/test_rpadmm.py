@@ -12,7 +12,7 @@ from vnfscale import lp, rpadmm
 
 from corpus import pm, tree4, capacity, group, scenario1, scenario4, \
     problem, k2_instance, admm_fixture
-from oracle import reference_admm_run, reference_reformulate
+from oracle import reference_admm_run, reference_reformulate, reference_relaxation
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,18 @@ def test_reformulated_optimum_matches_central(topo):
         assert lifted.objective_value == pytest.approx(central, rel=1e-6)
 
 
+def reference_optimum(p):
+    """The optimum of the flow-form central relaxation, whose variables
+    are the lift's leading ones."""
+    sol = lp.solve(reference_relaxation(p))
+    assert sol.status == lp.OPTIMAL
+    return sol
+
+
 def test_lifted_central_point_is_feasible(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     system = rpadmm.reformulate(p)
-    sol = central_optimum(p)
+    sol = reference_optimum(p)
     x = rpadmm.lift_point(system, sol.point[:system.base_width])
     res = rpadmm._residuals(system.model, x)
     assert float(np.max(np.abs(res))) < 1e-6
@@ -430,7 +438,7 @@ def test_violations_normalize_to_one_at_start_and_zero_when_feasible(topo):
         np.zeros(system.model.num_vars), system)
     assert at_zero["d_sum"] == 1.0
     assert at_zero["a_def"] == 0.0
-    sol = central_optimum(p)
+    sol = reference_optimum(p)
     lifted = rpadmm.lift_point(system, sol.point[:system.base_width])
     at_opt = rpadmm.normalized_violations(lifted, system)
     assert max(at_opt.values()) < 1e-7

@@ -1,16 +1,18 @@
 import dataclasses
+import importlib.util
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnfscale as vs
-from vnfscale import lp, scaling
+from vnfscale import lp, rpadmm, scaling
 from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
-    problem, solve_decoded, k2_instance, admm_fixture
+    problem, solve_decoded, k2_instance, admm_fixture, flow_violations
 from oracle import reference_baseline_cost, reference_relaxation
 
 
@@ -174,27 +176,11 @@ def every_optimal_decision(topo):
 
 
 def test_flow_conservation_on_every_solution(topo):
+    # the decision's own routed flows: switch conservation, PM processing
+    # and the endpoint totals, per instance and leg
     for p, sol, dec in every_optimal_decision(topo):
-        layout = sol.model.layout
-        fv = layout.fv
-        for s in layout.slots:
-            d = s.key
-            for sw in topo.switches:
-                for flow in ("n", "m"):
-                    inf = sum(sol.point[i] * c
-                              for i, c in fv.inflow(flow, sw, d).items())
-                    out = sum(sol.point[i] * c
-                              for i, c in fv.outflow(flow, sw, d).items())
-                    assert abs(inf - out) <= 1e-6
-        # endpoint totals
-        tot_in = sum(sol.point[i] * c for s in layout.slots
-                     for q in p.group.ingress_pms
-                     for i, c in fv.outflow("n", q, s.key).items())
-        tot_out = sum(sol.point[i] * c for s in layout.slots
-                      for q in p.group.egress_pms
-                      for i, c in fv.inflow("m", q, s.key).items())
-        assert tot_in == pytest.approx(p.traffic, abs=1e-6)
-        assert tot_out == pytest.approx(p.traffic * p.group.gamma, abs=1e-6)
+        assert dec.flows_n and dec.flows_m
+        assert flow_violations(p, dec) == []
 
 
 def test_share_coverage_and_uniformity(topo):
@@ -202,11 +188,8 @@ def test_share_coverage_and_uniformity(topo):
         assert sum(dec.shares.values()) == pytest.approx(1.0, abs=1e-8)
         layout = sol.model.layout
         for s in layout.slots:
-            vals = [dec.alpha[(q, s.key)] for q in layout.rel_pms]
-            assert max(vals) - min(vals) <= 1e-9
             total_e = sum(dec.e[(q, s.key)] for q in s.candidates)
             assert total_e == pytest.approx(dec.shares[s.key], abs=1e-8)
-
 
 
 def placement_corpus():
@@ -222,32 +205,203 @@ def placement_corpus():
     yield "admm", admm_fixture()
 
 
-@pytest.mark.parametrize("p", [pytest.param(p, id=name)
-                               for name, p in placement_corpus()])
-def test_share_chain_matches_all_pairs_reference(p):
-    """The chained share copies and the one interest row per instance
-    reach the all-pairs build's optimum and decode to the same actions."""
+# placement_corpus cases whose central decision differs from the flow
+# LP's at an exact tie: s3 over launches d3 on P4 and d4 on P3 (the flow
+# LP the other way round), s4 under gives d1 0.75 and d2 0.25 (the flow
+# LP 0.25 and 0.75).  The exactness check proves each of them optimal.
+MOVED = {"s3 over", "s4 under"}
+
+
+@pytest.mark.parametrize("name,p", [pytest.param(name, p, id=name)
+                                    for name, p in placement_corpus()])
+def test_share_chain_matches_all_pairs_reference(name, p):
+    """The central model reaches the all-pairs flow build's optimum and
+    decodes to the same actions, or to a tied optimum; the lift keeps the
+    share chain and one interest row per instance."""
     build = vs.build_overload_lp if p.mode == vs.OVERLOAD else vs.build_underload_lp
     got, want = lp.solve(build(p)), lp.solve(reference_relaxation(p))
     assert got.status == want.status == lp.OPTIMAL
     assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
     dg, dw = vs.decode(got, p), vs.decode(want, p)
-    assert (dg.kept, dg.launched, dg.terminated) == (dw.kept, dw.launched, dw.terminated)
-    assert dg.shares == pytest.approx(dw.shares, rel=1e-9, abs=1e-12)
+    same = ((dg.kept, dg.launched, dg.terminated) == (dw.kept, dw.launched, dw.terminated)
+            and dg.shares == pytest.approx(dw.shares, rel=1e-9, abs=1e-12))
+    assert same != (name in MOVED)
+    if not same:
+        assert_exact(p, dg)
+
+    def row_counts(model):
+        chain, interest = {}, {}
+        for label in model.row_labels():
+            family, _, args = label[:-1].partition("[")
+            if family == "alpha_eq":
+                key = args.rsplit(",", 1)[1]
+                chain[key] = chain.get(key, 0) + 1
+            elif family == "interest":
+                interest[args] = interest.get(args, 0) + 1
+        return chain, interest
 
     layout = got.model.layout
-    chain, interest = {}, {}
-    for label in got.model.row_labels():
-        family, _, args = label[:-1].partition("[")
-        if family == "alpha_eq":
-            key = args.rsplit(",", 1)[1]
-            chain[key] = chain.get(key, 0) + 1
-        elif family == "interest":
-            interest[args] = interest.get(args, 0) + 1
-    for s in layout.slots:
-        assert chain.get(s.key, 0) == len(layout.rel_pms) - 1, s.key
-        assert interest[s.key] == 1, s.key
-    assert set(chain) | set(interest) <= {s.key for s in layout.slots}
+    keys = {s.key for s in layout.slots}
+    chain, interest = row_counts(got.model)
+    assert chain == {} and interest == dict.fromkeys(keys, 1)
+    assert got.model.row_labels().count("coverage") == 1
+    lift = rpadmm._flow_skeleton(p, "lift")
+    rpadmm._placement_rows(p, lift)
+    chain, interest = row_counts(lift)
+    assert set(chain) <= keys
+    assert all(chain.get(k, 0) == len(layout.rel_pms) - 1 for k in keys)
+    assert interest == dict.fromkeys(keys, 1)
+
+
+# -- exactness against the flow LP ----------------------------------------------
+
+def reference_point(p, dec):
+    """A central decision as a point of `reference_relaxation(p)`: every
+    share copy at the decision's share, e from the decision, the flows
+    from its routed dicts and each slack from its row's residual.
+    Returns (model, point)."""
+    model = reference_relaxation(p)
+    lay = model.layout
+    x = np.zeros(model.num_vars)
+    for (_, key), i in lay.alpha_idx.items():
+        x[i] = dec.shares[key]
+    for k, i in lay.e_idx.items():
+        x[i] = dec.e[k]
+    for flows, index in ((dec.flows_n, lay.fv.n_idx), (dec.flows_m, lay.fv.m_idx)):
+        for k, val in flows.items():
+            x[index[k]] = val
+    mats = model.matrices()
+    col = mats.a.tocsc()
+    residual = mats.a @ x - mats.b
+    for i in lay.slack_idx.values():
+        (row,) = col.indices[col.indptr[i]:col.indptr[i + 1]]
+        x[i] = -residual[row]
+    return model, x
+
+
+def assert_exact(p, dec):
+    """The decision, lifted into the flow LP, is feasible within
+    1e-9 * max(1, T) and prices to that LP's optimum within 1e-9."""
+    model, x = reference_point(p, dec)
+    tol = 1e-9 * max(1.0, p.traffic)
+    assert lp.check_feasibility(model, x, tol=tol) == []
+    assert np.all(x >= np.array(model.lower) - tol)
+    assert np.all(x <= np.array(model.upper) + tol)
+    want = lp.solve(model)
+    assert want.status == lp.OPTIMAL
+    assert model.matrices().c @ x == pytest.approx(want.objective_value, rel=1e-9, abs=1e-9)
+    assert dec.forwarding_cost * p.weights.forwarding == pytest.approx(
+        want.objective_value, rel=1e-9, abs=1e-9)
+
+
+def load_perfbench_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def exactness_cases(tmp_dir):
+    for name, p in shipped_problems():
+        yield name, p
+    yield from placement_corpus()
+    for seed in range(10):
+        for mode in (vs.OVERLOAD, vs.UNDERLOAD):
+            yield "k2 seed %d %s" % (seed, mode), k2_instance(seed, mode)
+    yield "admm fixture", admm_fixture()
+    gen = load_perfbench_gen()
+    for workload in sorted(gen.WORKLOADS):
+        out_dir = os.path.join(tmp_dir, workload)
+        os.makedirs(out_dir)
+        for path in sorted({inst.path for inst in gen.generate(workload, 0, out_dir)}):
+            sc = vs.load_scenario(path)
+            state = vs.classify_group(sc.group)
+            if state != vs.NORMAL:
+                yield "%s %s" % (workload, os.path.basename(path)), \
+                    vs.scenario._problem_for(sc, state)
+
+
+def test_central_decisions_are_exact_in_the_flow_lp(tmp_path):
+    names = []
+    for name, p in exactness_cases(str(tmp_path)):
+        _, dec = solve_decoded(p)
+        assert_exact(p, dec)
+        names.append(name)
+    assert len(names) == len(set(names)) >= 60
+
+
+@st.composite
+def relaxation_problems(draw):
+    k = draw(st.sampled_from([2, 4]), label="k")
+    costs = draw(st.sampled_from([(10.0, 20.0, 40.0), (5.0, 0.0, 40.0),
+                                  (0.0, 20.0, 0.0), (0.0, 0.0, 0.0)]), label="costs")
+    topo = vs.build_fat_tree(k, pms_per_rack=2, layer_costs=costs)
+    pms = topo.pms
+    mode = draw(st.sampled_from([vs.OVERLOAD, vs.UNDERLOAD]), label="mode")
+    hosts = draw(st.lists(st.sampled_from(pms), min_size=2, max_size=3, unique=True),
+                 label="hosts")
+    ingress = draw(st.lists(st.sampled_from(pms), min_size=1, max_size=3, unique=True),
+                   label="ingress")
+    egress = draw(st.lists(st.sampled_from(pms[::-1]), min_size=1, max_size=3,
+                           unique=True), label="egress")
+    both = draw(st.sampled_from(pms), label="ingress and egress")
+    for ends in (ingress, egress):
+        if both not in ends:
+            ends.append(both)
+    # candidates always include an ingress and an egress PM
+    candidates = sorted(set(draw(st.lists(st.sampled_from(pms), min_size=1, max_size=4),
+                                 label="candidates")) | {ingress[0], egress[0]},
+                        key=topo.node_position)
+    gamma = draw(st.sampled_from([0.5, 1.0, 2.0]), label="gamma")
+    vms = [vs.VmInstance("vm%d" % i, "fw", "c", {"cpu": U}, host=h,
+                         utilization={"cpu": 0.95 if mode == vs.OVERLOAD else 0.1})
+           for i, h in enumerate(hosts)]
+    g = vs.VnfGroup(chain="c", vnf_type="fw", online=vms,
+                    offline_pool=[vs.VmInstance("off%d" % i, "fw", "c", {"cpu": U})
+                                  for i in range(2)],
+                    thresholds=vs.Thresholds.uniform(("cpu",)), gamma=gamma, phi=1.0,
+                    omega={"cpu": 1.0}, ingress_pms=ingress, egress_pms=egress,
+                    candidate_pms=candidates)
+    if mode == vs.OVERLOAD:
+        v_star = len(hosts) + draw(st.integers(1, 2), label="extra")
+    else:
+        v_star = draw(st.integers(1, len(hosts)), label="v*")
+    traffic = v_star * U * draw(st.sampled_from([0.4, 0.75, 1.0]), label="load")
+    pm_capacity = None
+    if draw(st.booleans(), label="capacity rows"):
+        pm_capacity = {"cpu": {q: draw(st.sampled_from([100.0, 150.0, 200.0]),
+                                       label="cpu cap") for q in pms}}
+    return vs.ScalingProblem(topology=topo, group=g, traffic=traffic, v_star=v_star,
+                             mode=mode, pm_capacity=pm_capacity)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(relaxation_problems())
+def test_central_decisions_are_exact_on_drawn_problems(p):
+    build = vs.build_overload_lp if p.mode == vs.OVERLOAD else vs.build_underload_lp
+    try:
+        sol = lp.solve(build(p))
+    except scaling.ModelInfeasibleError:
+        with pytest.raises(scaling.ModelInfeasibleError):
+            reference_relaxation(p)
+        return
+    if sol.status != lp.OPTIMAL:
+        assert lp.solve(reference_relaxation(p)).status == sol.status
+        return
+    try:
+        dec = vs.decode(sol, p)
+    except scaling.DecodeError:
+        # an instance with no interest left has no host; its point is
+        # still routed and checked
+        lay = sol.model.layout
+        e = {k: float(sol.point[i]) for k, i in lay.e_idx.items()}
+        flows_n, flows_m = scaling.route_flows(p, e)
+        dec = vs.ScalingDecision(
+            mode=p.mode, e=e, flows_n=flows_n, flows_m=flows_m,
+            shares={key: float(sol.point[i]) for (_, key), i in lay.alpha_idx.items()},
+            forwarding_cost=vs.forwarding_cost_of(flows_n, flows_m, p.topology))
+    assert_exact(p, dec)
+
 
 def test_launched_plus_kept_equals_v_star(topo):
     for p, sol, dec in every_optimal_decision(topo):
@@ -257,12 +411,12 @@ def test_launched_plus_kept_equals_v_star(topo):
 def test_pm_processing_ratio(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     sol, dec = solve_decoded(p)
-    fv = sol.model.layout.fv
     for s in sol.model.layout.slots:
         for q in topo.pms:
-            n_in = sum(sol.point[i] * c for i, c in fv.inflow("n", q, s.key).items())
-            m_out = sum(sol.point[i] * c for i, c in fv.outflow("m", q, s.key).items())
+            n_in = sum(v for (_, j, d), v in dec.flows_n.items() if j == q and d == s.key)
+            m_out = sum(v for (i, _, d), v in dec.flows_m.items() if i == q and d == s.key)
             assert m_out == pytest.approx(p.group.gamma * n_in, abs=1e-6)
+            assert n_in == pytest.approx(p.traffic * dec.e.get((q, s.key), 0.0), abs=1e-6)
 
 
 def test_ingress_egress_preference_at_unit_gamma(topo):
@@ -435,6 +589,7 @@ def test_shares_sum_to_one_even_when_retention_pays():
 # -- baseline pricing ----------------------------------------------------------
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+PERFBENCH_GEN = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
 
 
 def assert_baseline_matches_lp(p):
@@ -501,6 +656,18 @@ def test_overfull_baseline_is_infeasible_for_both(topo):
     with pytest.raises(scaling.ModelInfeasibleError,
                        match="^baseline configuration is infeasible$"):
         scaling.baseline_forwarding_cost(p)
+
+
+def test_baseline_without_baseline_traffic_is_a_clear_error():
+    p = k2_instance(0)
+    assert p.baseline_traffic is None
+    with pytest.raises(ValueError, match="no baseline traffic"):
+        scaling.baseline_forwarding_cost(p)
+    with pytest.raises(ValueError, match="no baseline traffic"):
+        p.baseline_cost
+    assert p.relative_cost_delta(1.0) is None
+    _, dec = solve_decoded(p)
+    assert dec.cost_delta_vs_baseline is None
 
 
 @st.composite
