@@ -32,7 +32,7 @@ from functools import cached_property
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
-from .topology import PM, forwarding_cost, neighbors, pm_name
+from .topology import forwarding_cost, pm_name
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -133,9 +133,18 @@ class ScalingProblem:
     def resources(self):
         return tuple(self.group.omega)
 
+    @cached_property
+    def _vm_capacity(self):
+        return {}
+
     def vm_capacity(self, r):
-        members = list(self.group.online) + list(self.group.offline_pool)
-        return min(vm.capacity[r] for vm in members)
+        """The smallest capacity of resource r over the group's VMs,
+        found on the first call for r and kept."""
+        caps = self._vm_capacity
+        if r not in caps:
+            members = list(self.group.online) + list(self.group.offline_pool)
+            caps[r] = min(vm.capacity[r] for vm in members)
+        return caps[r]
 
     @property
     def share_cap(self):
@@ -149,8 +158,16 @@ class ScalingProblem:
                 cap = min(cap, self.vm_capacity(r) / (w * self.traffic))
         return cap
 
+    @cached_property
+    def _online_counts(self):
+        counts = {}
+        for vm in self.group.online:
+            counts[vm.host] = counts.get(vm.host, 0) + 1
+        return counts
+
     def online_count(self, p):
-        return sum(1 for vm in self.group.online if vm.host == p)
+        """Online VMs of the group on PM p, counted on the first call."""
+        return self._online_counts.get(p, 0)
 
     def total_capacity(self, p, r):
         return self.pm_capacity[r][p]
@@ -212,6 +229,8 @@ def _check_total_capacity(p, slots):
             % (p.v_star, p.share_cap))
     if p.mode == OVERLOAD and p.pm_capacity is not None:
         new = sum(1 for s in slots if s.vm_id is None)
+        if new == 0:        # room is never negative
+            return
         room = sum(p.free_slots(q) for q in p.candidate_pms())
         if room < new:
             raise ModelInfeasibleError(
@@ -219,11 +238,7 @@ def _check_total_capacity(p, slots):
 
 
 def _relevant_pms(p, slots):
-    seen = []
-    for s in slots:
-        for q in s.candidates:
-            if q not in seen:
-                seen.append(q)
+    seen = dict.fromkeys(q for s in slots for q in s.candidates)
     return sorted(seen, key=p.topology.node_position)
 
 
@@ -471,27 +486,30 @@ class PathTree:
 
 
 def _shortest_path_tree(topo, sources):
-    """Multi-source Dijkstra from the source PMs.  Flow never passes
-    through a PM, so only sources and switches are expanded.  Heap ties
-    break by node position, then by the parent's position (NodeIds do not
-    order), so the tree is the same on every run."""
-    sources = set(sources)
+    """Multi-source Dijkstra from the source PMs, run on node positions
+    over the topology's arc table.  Flow never passes through a PM, so
+    only sources and switches are expanded.  Heap ties break by node
+    position, then by the parent's position (-1 at a source), so the
+    tree is the same on every run."""
+    nodes, arcs, n_pms = topo.nodes, topo.arcs, len(topo.pms)
+    starts = {topo.node_position(q) for q in sources}
+    done = [False] * len(nodes)
     dist, parent = {}, {}
-    heap = [(0.0, topo.node_position(q), -1, q, None) for q in sources]
+    heap = [(0.0, i, -1) for i in starts]
     heapq.heapify(heap)
     while heap:
-        d, _, _, i, via = heapq.heappop(heap)
-        if i in dist:
+        d, i, via = heapq.heappop(heap)
+        if done[i]:
             continue
-        dist[i] = d
-        parent[i] = via
-        if i.kind == PM and i not in sources:
+        done[i] = True
+        node = nodes[i]
+        dist[node] = d
+        parent[node] = nodes[via] if via >= 0 else None
+        if i < n_pms and i not in starts:     # a PM (PMs come first), not a source
             continue
-        at = topo.node_position(i)
-        for j in neighbors(topo, i):
-            if j not in dist:
-                heapq.heappush(heap, (d + forwarding_cost(topo, i, j),
-                                      topo.node_position(j), at, j, i))
+        for j, cost in arcs[i]:
+            if not done[j]:
+                heapq.heappush(heap, (d + cost, j, i))
     return PathTree(dist, parent)
 
 

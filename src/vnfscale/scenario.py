@@ -79,7 +79,7 @@ def parse_pm(token, topo=None):
     if not token.startswith("P") or not token[1:].isdigit():
         raise ScenarioParseError("bad PM name %r" % token)
     node = NodeId(PM, int(token[1:]) - 1)
-    if topo is not None and node not in topo.pms:
+    if topo is not None and node not in topo:
         raise ScenarioParseError("%s is not in the topology" % token)
     return node
 

@@ -8,7 +8,9 @@ pair they connect; traffic between VMs on the same PM is handled
 internally and costs nothing.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 PM = "PM"
@@ -64,31 +66,33 @@ def pm_name(node):
     return "P%d" % (node.index + 1) if node.kind == PM else str(node)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """Immutable wired fat-tree.
+    """Immutable wired fat-tree, indexed once when it is built.
 
     nodes are ordered PMs first, then ToR, aggregation and core
     switches, each sorted by pod; this ordering fixes the variable
-    indexing of every optimization model built on top.
+    indexing of every optimization model built on top.  A node's
+    position in it indexes arcs: arcs[n] holds (neighbour position,
+    link cost) for each neighbour of nodes[n], in canonical order.
     """
 
     k: int
     pms_per_rack: int
     layer_costs: tuple
     bandwidth: float
-    nodes: list
+    nodes: tuple
+    pms: tuple = field(repr=False)
+    switches: tuple = field(repr=False)
+    arcs: tuple = field(repr=False)
     _adj: dict = field(repr=False)
     _pod: dict = field(repr=False)
     _order: dict = field(repr=False)
+    _cost: dict = field(repr=False)     # (i, j) -> cost of a link or a PM self-pair
 
-    @property
-    def pms(self):
-        return [v for v in self.nodes if v.kind == PM]
-
-    @property
-    def switches(self):
-        return [v for v in self.nodes if v.kind != PM]
+    def __contains__(self, i):
+        """Whether i is a node of this tree."""
+        return i in self._order
 
     def pod_of(self, i):
         """Pod number of i, or -1 for core switches (pod-less)."""
@@ -97,8 +101,10 @@ class Topology:
 
     def node_position(self, i):
         """Position of i in the canonical node ordering."""
-        self._require(i)
-        return self._order[i]
+        pos = self._order.get(i)
+        if pos is None:
+            self._require(i)
+        return pos
 
     def linked(self, i, j):
         self._require(i)
@@ -117,7 +123,8 @@ def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS,
     k must be a positive even integer.  Aggregation switch a of every
     pod uplinks to the k/2 core switches of core group a; ToR and
     aggregation switches of one pod form a complete bipartite graph;
-    each ToR attaches pms_per_rack PMs.
+    each ToR attaches pms_per_rack PMs.  A Topology is immutable, so
+    one is built per set of arguments and returned again after that.
     """
     if not isinstance(k, int) or k <= 0 or k % 2 != 0:
         raise ValueError("fat-tree arity k must be a positive even integer, got %r" % (k,))
@@ -127,9 +134,13 @@ def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS,
         raise ValueError("layer_costs must be three nonnegative numbers")
     if uniform_bandwidth < 0:
         raise ValueError("bandwidth must be nonnegative")
+    return _wire(k, operator.index(pms_per_rack), tuple(float(c) for c in layer_costs),
+                 float(uniform_bandwidth))
 
+
+@functools.cache
+def _wire(k, pms_per_rack, layer_costs, bandwidth):
     half = k // 2
-    nodes = []
     pod = {}
 
     for p in range(k):
@@ -146,31 +157,36 @@ def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS,
     for c in range(half * half):
         pod[NodeId(CORE, c)] = -1
 
-    nodes = sorted(pod, key=NodeId.sort_key)
-    adj = {v: set() for v in nodes}
+    nodes = tuple(sorted(pod, key=NodeId.sort_key))
+    cost = {(v, v): 0.0 for v in nodes if v.kind == PM}
+    adj = {v: [] for v in nodes}
+    pm_tor, tor_agg, agg_core = layer_costs
 
-    def link(i, j):
-        adj[i].add(j)
-        adj[j].add(i)
+    def link(i, j, c):
+        adj[i].append(j)
+        adj[j].append(i)
+        cost[(i, j)] = cost[(j, i)] = c
 
     for p in range(k):
         for t in range(half):
             tor = NodeId(TOR, p * half + t)
             for s in range(pms_per_rack):
-                link(NodeId(PM, (p * half + t) * pms_per_rack + s), tor)
+                link(NodeId(PM, (p * half + t) * pms_per_rack + s), tor, pm_tor)
             for a in range(half):
-                link(tor, NodeId(AGG, p * half + a))
+                link(tor, NodeId(AGG, p * half + a), tor_agg)
         for a in range(half):
             agg = NodeId(AGG, p * half + a)
             for c in range(half):
-                link(agg, NodeId(CORE, a * half + c))
+                link(agg, NodeId(CORE, a * half + c), agg_core)
 
-    adj = {v: tuple(sorted(adj[v], key=NodeId.sort_key)) for v in nodes}
     order = {v: n for n, v in enumerate(nodes)}
-    return Topology(k=k, pms_per_rack=pms_per_rack,
-                    layer_costs=tuple(float(c) for c in layer_costs),
-                    bandwidth=float(uniform_bandwidth),
-                    nodes=nodes, _adj=adj, _pod=pod, _order=order)
+    adj = {v: tuple(sorted(adj[v], key=order.__getitem__)) for v in nodes}
+    arcs = tuple(tuple((order[j], cost[(i, j)]) for j in adj[i]) for i in nodes)
+    return Topology(k=k, pms_per_rack=pms_per_rack, layer_costs=layer_costs,
+                    bandwidth=bandwidth, nodes=nodes,
+                    pms=tuple(v for v in nodes if v.kind == PM),
+                    switches=tuple(v for v in nodes if v.kind != PM),
+                    arcs=arcs, _adj=adj, _pod=pod, _order=order, _cost=cost)
 
 
 def neighbors(t, i):
@@ -186,20 +202,14 @@ def forwarding_cost(t, i, j):
     co-located VMs and costs 0.  Any other non-adjacent pair is an
     error.
     """
+    cost = t._cost.get((i, j))
+    if cost is not None:
+        return cost
     t._require(i)
     t._require(j)
     if i == j:
-        if i.kind == PM:
-            return 0.0
         raise ValueError("self-transfer only defined on PMs, got %s" % (i,))
-    if j not in t._adj[i]:
-        raise ValueError("nodes %s and %s are not linked" % (i, j))
-    kinds = {i.kind, j.kind}
-    if kinds == {PM, TOR}:
-        return t.layer_costs[0]
-    if kinds == {TOR, AGG}:
-        return t.layer_costs[1]
-    return t.layer_costs[2]  # {AGG, CORE}; wiring admits no other pair
+    raise ValueError("nodes %s and %s are not linked" % (i, j))
 
 
 def topology_listing(t):

@@ -29,8 +29,14 @@ optimal point of `reference_relaxation`.
 The baseline cost as first written: the pinned overload LP built and
 solved.  `scaling.baseline_forwarding_cost` prices the same optimum by
 shortest paths and a fractional knapsack, and must match it.
+
+The shortest-path tree as first written: Dijkstra over NodeIds, each
+link cost looked up through `topology.forwarding_cost`.
+`scaling._shortest_path_tree` runs on node positions and must give the
+same distance and parent dicts.
 """
 
+import heapq
 import itertools
 from collections import defaultdict
 
@@ -373,6 +379,29 @@ def reference_baseline_cost(p):
     if sol.status != lp.OPTIMAL:
         raise scaling.ModelInfeasibleError("baseline configuration is %s" % sol.status)
     return sol.objective_value
+
+
+
+def reference_shortest_path_tree(topo, sources):
+    """`scaling._shortest_path_tree` as first written, on NodeIds."""
+    sources = set(sources)
+    dist, parent = {}, {}
+    heap = [(0.0, topo.node_position(q), -1, q, None) for q in sources]
+    heapq.heapify(heap)
+    while heap:
+        d, _, _, i, via = heapq.heappop(heap)
+        if i in dist:
+            continue
+        dist[i] = d
+        parent[i] = via
+        if i.kind == PM and i not in sources:
+            continue
+        at = topo.node_position(i)
+        for j in neighbors(topo, i):
+            if j not in dist:
+                heapq.heappush(heap, (d + forwarding_cost(topo, i, j),
+                                      topo.node_position(j), at, j, i))
+    return scaling.PathTree(dist, parent)
 
 
 class DictFlowNet:

@@ -13,7 +13,8 @@ from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance, admm_fixture, flow_violations
-from oracle import reference_baseline_cost, reference_relaxation
+from oracle import reference_baseline_cost, reference_relaxation, \
+    reference_shortest_path_tree
 
 
 @pytest.fixture(scope="module")
@@ -435,6 +436,76 @@ def test_ingress_egress_preference_at_unit_gamma(topo):
     hosts = set(dec.launched.values())
     assert hosts == {pm(1), pm(4)}
 
+
+
+# -- shortest-path trees on node positions ----------------------------------
+
+@st.composite
+def path_problems(draw):
+    """A problem on a drawn tree with drawn ingress and egress sets, and an
+    interest split to route down its trees."""
+    k = draw(st.sampled_from([2, 4, 8]), label="k")
+    ppr = draw(st.integers(1, 3), label="pms per rack")
+    # with zero costs every tie is broken by position
+    costs = draw(st.sampled_from([(10.0, 20.0, 40.0), (5.0, 0.0, 40.0),
+                                  (0.0, 20.0, 0.0), (0.0, 0.0, 0.0)]), label="costs")
+    topo = vs.build_fat_tree(k, pms_per_rack=ppr, layer_costs=costs)
+    pms = topo.pms
+    ends = draw(st.sampled_from(["one PM", "several PMs", "a PM at both ends"]),
+                label="endpoints")
+    size = 1 if ends == "one PM" else 3
+    ingress = draw(st.lists(st.sampled_from(pms), min_size=1, max_size=size,
+                            unique=True), label="ingress")
+    egress = draw(st.lists(st.sampled_from(pms[::-1]), min_size=1, max_size=size,
+                           unique=True), label="egress")
+    if ends == "a PM at both ends":
+        both = draw(st.sampled_from(pms), label="ingress and egress")
+        for side in (ingress, egress):
+            if both not in side:
+                side.append(both)
+    g = vs.VnfGroup(chain="c", vnf_type="fw",
+                    online=[vs.VmInstance("vm1", "fw", "c", {"cpu": U}, host=pms[0],
+                                          utilization={"cpu": 0.95})],
+                    offline_pool=[vs.VmInstance("off1", "fw", "c", {"cpu": U})],
+                    thresholds=vs.Thresholds.uniform(("cpu",)),
+                    gamma=draw(st.sampled_from([0.5, 1.0, 1.25]), label="gamma"),
+                    phi=1.0, omega={"cpu": 1.0}, ingress_pms=ingress,
+                    egress_pms=egress, candidate_pms=list(pms))
+    p = vs.ScalingProblem(topology=topo, group=g, traffic=150.0, v_star=2,
+                          mode=vs.OVERLOAD)
+    e = draw(st.dictionaries(st.tuples(st.sampled_from(pms), st.sampled_from(["d1", "d2"])),
+                             st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
+                             max_size=6), label="interests")
+    return p, e
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(path_problems())
+def test_shortest_path_trees_match_the_reference(case):
+    p, e = case
+    reference = tuple(reference_shortest_path_tree(p.topology, ends)
+                      for ends in (p.group.ingress_pms, p.group.egress_pms))
+    for tree, ref in zip(p.paths, reference):
+        assert tree.dist == ref.dist and tree.parent == ref.parent
+        assert list(tree.dist) == list(ref.dist)    # the same pop order
+    flows = scaling.route_flows(p, e)
+    on_reference = dataclasses.replace(p)
+    vars(on_reference)["paths"] = reference         # what the cached property keeps
+    assert scaling.route_flows(on_reference, e) == flows
+    assert all(flows) == any(val > 0.0 for val in e.values())
+
+
+def test_problem_caches_keep_their_values_and_errors(topo):
+    g = scenario4()
+    g.offline_pool[0].capacity["cpu"] = 60.0
+    p = problem(topo, g, 300.0, 4, vs.OVERLOAD)
+    assert p.vm_capacity("cpu") == p.vm_capacity("cpu") == 60.0
+    assert [p.online_count(pm(i)) for i in range(1, 7)] == [0, 0, 1, 0, 1, 1]
+    assert p.online_count(NodeId(TOR, 0)) == 0
+    with pytest.raises(KeyError):
+        p.vm_capacity("mem")
+    with pytest.raises(KeyError):       # asked again, not cached as a value
+        p.vm_capacity("mem")
 
 # -- decode behavior ---------------------------------------------------------
 

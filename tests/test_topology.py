@@ -166,3 +166,115 @@ def test_node_id_formats_sorts_and_stays_frozen():
         tp.NodeId(tp.PM, -1)
     w = pickle.loads(pickle.dumps(v))
     assert w == v and hash(w) == hash(v)
+
+
+# -- one immutable, indexed tree per set of arguments ------------------------
+
+def test_each_tree_is_built_once():
+    t = tp.build_fat_tree(8)
+    assert tp.build_fat_tree(8) is t
+    # the arguments are compared after normalising: a list of ints names the
+    # default costs
+    listed = tp.build_fat_tree(4, layer_costs=[10, 20, 40])
+    assert listed is tp.build_fat_tree(4) is tp.build_fat_tree(4, 2, (10.0, 20.0, 40.0))
+    assert listed.layer_costs == (10.0, 20.0, 40.0)
+    assert all(type(c) is float for c in listed.layer_costs)
+    others = [tp.build_fat_tree(6), tp.build_fat_tree(8, pms_per_rack=3),
+              tp.build_fat_tree(8, layer_costs=(10.0, 20.0, 0.0)),
+              tp.build_fat_tree(8, uniform_bandwidth=50.0)]
+    assert len({id(o) for o in others + [t]}) == 5
+    assert [(o.k, o.pms_per_rack, o.layer_costs, o.bandwidth) for o in others] == [
+        (6, 2, (10.0, 20.0, 40.0), math.inf), (8, 3, (10.0, 20.0, 40.0), math.inf),
+        (8, 2, (10.0, 20.0, 0.0), math.inf), (8, 2, (10.0, 20.0, 40.0), 50.0)]
+    assert tp.forwarding_cost(others[2], tp.NodeId(tp.AGG, 0), tp.NodeId(tp.CORE, 0)) == 0.0
+    assert tp.forwarding_cost(t, tp.NodeId(tp.AGG, 0), tp.NodeId(tp.CORE, 0)) == 40.0
+
+
+def test_a_tree_cannot_be_changed():
+    t = tp.build_fat_tree(4)
+    for name in ("k", "pms_per_rack", "layer_costs", "bandwidth", "nodes", "pms",
+                 "switches", "arcs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, None)
+    for seq in (t.nodes, t.pms, t.switches, t.arcs, t.layer_costs):
+        with pytest.raises(TypeError):
+            seq[0] = seq[-1]
+        assert not hasattr(seq, "append") and not hasattr(seq, "sort")
+    assert t.pms == tuple(v for v in t.nodes if v.kind == tp.PM)
+    assert t.switches == tuple(v for v in t.nodes if v.kind != tp.PM)
+
+
+def test_arc_table_matches_neighbors_and_costs():
+    for t in (tp.build_fat_tree(2, pms_per_rack=3), tp.build_fat_tree(4),
+              tp.build_fat_tree(4, layer_costs=(0.0, 5.0, 0.0))):
+        assert len(t.arcs) == len(t.nodes)
+        for i, v in enumerate(t.nodes):
+            assert [t.nodes[j] for j, _ in t.arcs[i]] == list(tp.neighbors(t, v))
+            assert [c for _, c in t.arcs[i]] == [tp.forwarding_cost(t, v, w)
+                                                 for w in tp.neighbors(t, v)]
+            assert v in t and t.node_position(v) == i
+        assert tp.NodeId(tp.PM, len(t.pms)) not in t
+
+
+BAD_BUILDS = [
+    ((3,), ValueError, "positive even integer, got 3$"),
+    ((0,), ValueError, "positive even integer, got 0$"),
+    ((-2,), ValueError, "positive even integer, got -2$"),
+    (("4",), ValueError, "positive even integer, got '4'$"),
+    ((4.0,), ValueError, "positive even integer, got 4.0$"),
+    ((4, 0), ValueError, "^pms_per_rack must be >= 1$"),
+    ((4, 2.0), TypeError, "'float' object cannot be interpreted as an integer"),
+    ((4, 2, (10, 20)), ValueError, "^layer_costs must be three nonnegative numbers$"),
+    ((4, 2, [10, -1, 40]), ValueError, "^layer_costs must be three nonnegative numbers$"),
+    ((4, 2, (10, 20, 40), -1.0), ValueError, "^bandwidth must be nonnegative$"),
+]
+
+
+@pytest.mark.parametrize("args,error,match", BAD_BUILDS,
+                         ids=[repr(args) for args, _, _ in BAD_BUILDS])
+def test_bad_builds_fail_as_before_after_a_cached_build(args, error, match):
+    tp.build_fat_tree(4)
+    tp.build_fat_tree(4, 2, (10, 20, 40), math.inf)
+    for _ in range(2):
+        with pytest.raises(error, match=match):
+            tp.build_fat_tree(*args)
+
+
+def test_lookup_errors_are_unchanged_after_a_cached_build():
+    tp.build_fat_tree(4)
+    t = tp.build_fat_tree(4)
+    pm0, tor0, agg0 = tp.NodeId(tp.PM, 0), tp.NodeId(tp.TOR, 0), tp.NodeId(tp.AGG, 0)
+    gone = tp.NodeId(tp.PM, 16)
+    for call in (lambda: tp.forwarding_cost(t, gone, tor0),
+                 lambda: tp.forwarding_cost(t, pm0, gone),
+                 lambda: tp.forwarding_cost(t, gone, gone),
+                 lambda: t.node_position(gone), lambda: t.pod_of(gone),
+                 lambda: t.linked(pm0, gone), lambda: tp.neighbors(t, gone)):
+        with pytest.raises(KeyError, match="^'node PM16 not in topology'$"):
+            call()
+    with pytest.raises(ValueError, match="^nodes PM0 and PM1 are not linked$"):
+        tp.forwarding_cost(t, pm0, tp.NodeId(tp.PM, 1))
+    with pytest.raises(ValueError, match="^nodes PM0 and Aggregation0 are not linked$"):
+        tp.forwarding_cost(t, pm0, agg0)
+    with pytest.raises(ValueError, match="^self-transfer only defined on PMs, got ToR0$"):
+        tp.forwarding_cost(t, tor0, tp.NodeId(tp.TOR, 0))
+    assert tp.forwarding_cost(t, pm0, tp.NodeId(tp.PM, 0)) == 0.0
+
+
+@pytest.mark.parametrize("old,new", [
+    ("egress = P4", "egress = P17"),
+    ("candidates = P1-P16", "candidates = P1-P17"),
+    ("vm2  P5  100", "vm2  P17  100"),
+])
+def test_scenario_naming_a_pm_past_the_tree_is_exit_two(tmp_path, capsys, old, new):
+    from vnfscale.cli import main as cli_main
+    shipped = os.path.join(os.path.dirname(__file__), "..", "scenarios", "scale_out_v4.scn")
+    with open(shipped) as fh:
+        body = fh.read()
+    assert old in body
+    path = tmp_path / "case.scn"
+    path.write_text(body.replace(old, new))
+    tp.build_fat_tree(4)    # the file's tree is already built
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "P17 is not in the topology" in err and "Traceback" not in err

@@ -4,6 +4,8 @@ would be skipped silently and its per-layer metric would read 0."""
 import importlib.util
 import pathlib
 
+from vnfscale import scenario, topology
+
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # `scenario` no longer imports these two by name; they are called inside
@@ -29,3 +31,9 @@ def test_every_traced_name_is_a_program_function():
     assert set(missing) <= STALE
     # each stale entry's span is still recorded through another owner
     assert set(missing.values()) <= resolved
+
+
+def test_traced_tree_builder_is_the_memoized_one():
+    # the tracer wraps `scenario.build_fat_tree` as `topology.build_fat_tree`;
+    # it must be the one builder that keeps each tree
+    assert scenario.build_fat_tree is topology.build_fat_tree
