@@ -1,10 +1,13 @@
 """Randomly permuted ADMM against the central optimum it chases.
 
 Sets up the scale-out instance the acceptance runs use (three hot
-instances, one slot to fill, no capacity rows), lifts it into the
-equality-form system, and lets the per-variable sweep run 25 rounds.
-The trace prints as objective gap plus the two slowest constraint
-families, then the agent footprint is summarized.
+instances, one slot to fill, no capacity rows), hands the central
+relaxation itself to the distributed solver (shares and interests in
+traffic units, rows equilibrated, every block owned by a PM agent), and
+lets the per-variable sweep run for up to 25 rounds.  At primal_tol = 0
+the run stops early only at an exact fixed point.  The trace prints as
+objective gap plus the two slowest constraint families, then the agent
+footprint is summarized.
 """
 
 import vnfscale as vs
@@ -33,7 +36,7 @@ central = lp.solve(vs.build_overload_lp(p))
 print("central optimum: %.6g" % central.objective_value)
 
 system = rpadmm.reformulate(p)
-print("reformulated system: %d scalar blocks, %d equality rows, "
+print("distributed system: %d scalar blocks, %d equality rows, "
       "%d messages per sweep"
       % (system.model.num_vars, system.model.num_rows,
          rpadmm.message_footprint(system)))

@@ -15,9 +15,9 @@ from .scaling import (ScalingProblem, ScalingDecision, Penalties, Weights,
 from .milp import (MilpProblem, MilpSolution, build_milp, solve_milp,
                    deployment_cost)
 from .rpadmm import (AdmmConfig, AdmmRecord, AdmmTrace, ReformulatedSystem,
-                     reformulate, system_from_model, lift_point, run,
+                     reformulate, system_from_model, run,
                      scalar_block_update, normalized_violations,
-                     agent_partition, message_footprint, DUAL_NAMES,
+                     agent_partition, message_footprint,
                      UnboundedUpdateError, AdmmDivergenceError)
 from .scenario import (Scenario, RunReport, CompareReport, ScenarioParseError,
                        load_scenario, run_scenario, sweep_topologies,

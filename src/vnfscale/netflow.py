@@ -1,4 +1,4 @@
-"""Per-instance traffic flow structure of the exact model and the ADMM lift.
+"""Per-instance traffic flow structure of the exact model.
 
 Traffic to a VNF group runs in two legs: unprocessed flow n from the
 ingress PMs to the instance's host, and processed flow m (scaled by
@@ -150,7 +150,7 @@ class FlowNet:
         """{var: +1} over arcs entering node, for one flow kind and instance."""
         return self._flow_dict(self._entering.get((flow, node)), d)
 
-    # --- constraint rows shared by the exact model and the lift ---------
+    # --- constraint rows of the exact model --------------------------
 
     def _balance_row(self, node, out_leg, in_leg, in_coef):
         """Template row: +1 on the out_leg arcs leaving node, then in_coef

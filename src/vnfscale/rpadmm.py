@@ -1,19 +1,27 @@
-"""Distributed scale-out solver: randomly permuted scalar ADMM.
+"""Distributed solver: randomly permuted scalar ADMM on the central relaxation.
 
-The overload relaxation written over per-arc flows (the central model
-prices those flows on shortest paths instead; here the switch agents
-own them) couples nodes only through rows that span a node and all of
-its neighbors.  Introducing one difference
-variable per directed arc (owned by the arc's tail) splits every
-conservation row into per-arc definitions plus a local zero sum, after
-which each switch and PM owns every variable it updates and reads only
-its neighbors' last announced values.  Each round draws a uniformly
-random permutation of all scalar blocks, sweeps them Gauss-Seidel
-style against the augmented Lagrangian, then ascends every scaled dual
-by its row residual.
+The central model (`scaling.build_overload_lp` / `build_underload_lp`)
+is already over shares, interests and slacks, with every row an
+equality, so it is split into scalar blocks as it stands: PM q owns
+every interest e[q,s] and its own capacity slacks, a pinned share
+belongs to its host and a new share to the first relevant PM.  Each
+round draws a uniformly random permutation of all scalar blocks, sweeps
+them Gauss-Seidel style against the augmented Lagrangian, then ascends
+every scaled dual by its row residual.
 
-The lift adds each family of difference variables as one variable
-range and its definition and zero-sum rows as one CSR row block.
+Before the sweep the model is put in traffic units: every share and
+interest column is multiplied by T (by 1 when T = 0) and its cost
+divided by T, so x' = T x and the objective is unchanged; then each row
+is divided by its largest |coefficient| (l-infinity equilibration;
+Ruiz, RAL-TR-2001-034).  Slacks keep their units.  The scale follows
+the units and is not tuned; `ReformulatedSystem.unscale` maps a point
+back onto the central model, which decodes it.
+
+A run stops when the residuals are small and the point has stopped
+moving: every normalized violation is at most primal_tol, and no block
+moved by more than primal_tol * max|x| in the sweep (the primal and the
+dual residual together; Boyd et al., 2011, section 3.3).  At
+primal_tol = 0 that is an exact fixed point, which is a KKT point.
 
 The sweep runs on flat Python lists (each block's column, denominator,
 -c/beta and bounds built once; x, residuals and scaled duals kept as
@@ -36,20 +44,6 @@ from scipy.sparse import csr_array
 
 from . import lp, scaling
 from .chain_state import OVERLOAD
-from .netflow import FlowNet
-from .topology import neighbors
-
-# Classical multiplier aliases for the constraint families, for readers
-# used to naming duals rather than rows.
-DUAL_NAMES = {
-    "delta": "a_def", "delta_bar": "a_sum",
-    "eta": "b_def", "eta_bar": "b_sum",
-    "zeta": "c_def", "zeta_bar": "c_sum",
-    "lambda0": "d_def", "lambda0_bar": "d_sum",
-    "lambda1": "e_def", "lambda1_bar": "e_sum",
-    "mu": "alpha_eq", "xi": "interest",
-    "sigma": "arrival_new", "rho": "arrival_online",
-}
 
 
 class UnboundedUpdateError(RuntimeError):
@@ -69,7 +63,7 @@ class AdmmDivergenceError(RuntimeError):
 class AdmmConfig:
     beta: float = 5.0
     max_iters: int = 25
-    primal_tol: float = 1e-3       # stop when max normalized violation drops below
+    primal_tol: float = 1e-3       # stop when violations and moves drop below
     seed: int = 0
     divergence_limit: float = 1e12
     permutations: object = None    # list of sweep orders; overrides the RNG
@@ -87,219 +81,64 @@ class AdmmConfig:
 
 @dataclass
 class ReformulatedSystem:
-    """Equality-row model over flow, share, interest, slack and difference
-    variables, plus the agent bookkeeping the sweep needs."""
+    """Equality-row model the sweep runs on, plus the agent bookkeeping it
+    needs.  Its point is `scale` times a point of `central`, the model
+    decode reads."""
 
     model: object
-    base_width: int = 0        # leading variables shared with the central model
-    aux_def: dict = field(default_factory=dict)   # aux var -> its defining row
     owners: dict = field(default_factory=dict)    # var index -> owning agent
     row_family: list = field(default_factory=list)
+    central: object = None
+    scale: object = None       # per-variable column scale, an array
 
     @property
     def families(self):
         return list(dict.fromkeys(self.row_family))
+
+    def unscale(self, x):
+        """The point of the central model that x stands for."""
+        return x / self.scale
 
 
 def _family_of(label):
     return label.split("[", 1)[0] if "[" in label else label
 
 
-def _add_lift_block(model, tag, owners, aux_def, groups):
-    """Add one difference variable per part and one row block holding,
-    group by group, each part's definition row and then the group's
-    zero sum over its parts; returns the rows' families.
-
-    groups lists (node, d, parts), each part an ((i, j, d) arc, entries)
-    pair whose entries are the definition row's (variable, coefficient)
-    pairs in order, with None standing for the part's own difference
-    variable, which node owns.  Names and labels are made on first read.
-    """
-    count = sum(len(parts) for _, _, parts in groups)
-    var = model.add_vars(count, -np.inf, np.inf, lambda: [
-        "%s[%s>%s,%s]" % ((tag.upper(),) + arc)
-        for _, _, parts in groups for arc, _ in parts])
-    row = model.num_rows
-    cols, vals, lens, families = [], [], [], []
-    for node, _, parts in groups:
-        first = var
-        for _, entries in parts:
-            for col, coef in entries:
-                cols.append(var if col is None else col)
-                vals.append(coef)
-            lens.append(len(entries))
-            owners[var] = node
-            aux_def[var] = row
-            var += 1
-            row += 1
-        cols.extend(range(first, var))
-        vals.extend([1.0] * (var - first))
-        lens.append(var - first)
-        families += [tag + "_def"] * (var - first) + [tag + "_sum"]
-        row += 1
-
-    def labels():
-        out = []
-        for node, d, parts in groups:
-            out.extend("%s_def[%s>%s,%s]" % ((tag,) + arc) for arc, _ in parts)
-            out.append("%s_sum[%s,%s]" % (tag, node, d))
-        return out
-
-    model.add_rows(np.cumsum([0] + lens), cols, vals, "=", 0.0, labels)
-    return families
-
-
-def _flow_skeleton(p, name):
-    """Model with per-instance flow variables, a share copy at every
-    relevant PM (one per PM agent), interest variables and the forwarding
-    objective on the flows, before any constraint rows."""
-    slots, rel_pms = scaling._placement_slots(p)
-    model = lp.LpModel(name)
-    fv = FlowNet(p.topology, p.group.ingress_pms, p.group.egress_pms)
-    fv.add_flow_vars(model, [s.key for s in slots])
-    alpha_idx, e_idx = scaling._share_and_interest_vars(p, model, slots, rel_pms)
-    model.add_objective(fv.objective_coeffs(p.weights.forwarding))
-    model.layout = scaling._Layout(p, slots, rel_pms, fv, alpha_idx, e_idx)
-    return model
-
-
-def _placement_rows(p, model):
-    """Rows tying the share copies and interests to the flows: a chain of
-    equalities between the copies, the central model's interest rows, the
-    arrival rows and its capacity rows."""
-    lay = model.layout
-    slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
-    alpha_idx, e_idx = lay.alpha_idx, lay.e_idx
-
-    # each relevant PM holds a copy of an instance's share alpha: a chain
-    # of equalities over consecutive PMs ties the copies, and the interest
-    # row reads the first copy
-    for s in slots:
-        for qa, qb in zip(rel_pms, rel_pms[1:]):
-            model.add_row({alpha_idx[(qa, s.key)]: 1.0,
-                           alpha_idx[(qb, s.key)]: -1.0},
-                          "=", 0.0, "alpha_eq[%s,%s,%s]" % (qa, qb, s.key))
-    scaling._interest_rows(model)
-
-    # arriving unprocessed traffic at each PM matches the placement signal;
-    # summed against the ingress total these rows force sum(e) = 1
-    for s in slots:
-        family = "arrival_online" if s.host is not None else "arrival_new"
-        for q in p.topology.pms:
-            coeffs = fv.inflow("n", q, s.key)
-            if s.host is not None:
-                if q == s.host:
-                    idx = alpha_idx[(q, s.key)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
-            elif q in s.candidates:
-                idx = e_idx[(q, s.key)]
-                coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
-            model.add_row(coeffs, "=", 0.0, "%s[%s,%s]" % (family, q, s.key))
-
-    scaling._capacity_rows(p, model)
-
-
 def reformulate(p):
-    """Lift the overload relaxation, written over per-arc flows, into
-    per-agent form.
-
-    Every switch conservation row becomes per-neighbor difference rows
-    plus a zero sum, PM processing likewise, and the ingress/egress
-    totals become per-instance tap variables whose sums carry T and
-    T*gamma.  The arrival rows make the flows deliver exactly the
-    interest split, so the lift's optimum is the central relaxation's,
-    which prices that split on shortest paths.  The switch and PM parts
-    are added as one variable range and one row block each.
-    """
-    if p.mode != OVERLOAD:
-        raise ValueError("only the overload model has a distributed form")
-    model = _flow_skeleton(p, "overload_admm")
-    lay = model.layout
-    fv, topo = lay.fv, p.topology
-    n_idx, m_idx = fv.n_idx, fv.m_idx
-    keys = [s.key for s in lay.slots]
-    gamma = p.group.gamma
-    _placement_rows(p, model)
-    base_width = model.num_vars
-    row_family = [_family_of(l) for l in model.row_labels()]
-
+    """The central relaxation of p in per-agent form, in traffic units
+    and with its rows equilibrated (see the module docstring)."""
+    build = (scaling.build_overload_lp if p.mode == OVERLOAD
+             else scaling.build_underload_lp)
+    central = build(p)
+    lay = central.layout
     owners = {}
-    for (i, _, _), idx in n_idx.items():
-        owners[idx] = i
-    for (i, _, _), idx in m_idx.items():
-        owners[idx] = i
-    for (q, _), idx in lay.alpha_idx.items():
-        owners[idx] = q
-    for (q, _), idx in lay.e_idx.items():
-        owners[idx] = q
-    for tag, idx in lay.slack_idx.items():
-        owners[idx] = tag[1]
-    ingress_agent = min(fv.ingress, key=topo.node_position)
-    egress_agent = min(fv.egress, key=topo.node_position)
+    for s in lay.slots:
+        owners[lay.alpha_idx[(lay.rel_pms[0], s.key)]] = (
+            lay.rel_pms[0] if s.host is None else s.host)
+    for (q, _), i in lay.e_idx.items():
+        owners[i] = q
+    for tag, i in lay.slack_idx.items():
+        owners[i] = tag[1]
 
-    aux_def = {}
-
-    # switch conservation, per flow leg: arc difference + local zero sum
-    adjacent = {sw: neighbors(topo, sw) for sw in topo.switches}
-    for idx_map, tag in ((n_idx, "a"), (m_idx, "b")):
-        row_family += _add_lift_block(model, tag, owners, aux_def, [
-            (sw, d, [((sw, j, d), [(idx_map[(sw, j, d)], 1.0),
-                                   (idx_map[(j, sw, d)], -1.0), (None, -1.0)])
-                     for j in nbrs])
-            for sw, nbrs in adjacent.items() for d in keys])
-
-    # PM processing: processed out minus gamma times unprocessed in, per
-    # arc; a PM running an instance on an ingress/egress gateway also
-    # carries its internal self-arc as one more part
-    groups = []
-    for q in topo.pms:
-        nbrs = neighbors(topo, q)
-        for d in keys:
-            ends = list(nbrs)
-            if (q, q, d) in n_idx or (q, q, d) in m_idx:
-                ends.append(q)
-            parts = []
-            for j in ends:
-                entries = [(None, -1.0)]
-                m_out = m_idx.get((q, j, d))
-                if m_out is not None:
-                    entries.append((m_out, 1.0))
-                n_in = n_idx.get((j, q, d))
-                if n_in is not None:
-                    entries.append((n_in, 0.0 - gamma))
-                parts.append(((q, j, d), entries))
-            groups.append((q, d, parts))
-    row_family += _add_lift_block(model, "c", owners, aux_def, groups)
-
-    # per-instance ingress/egress taps whose sums carry the endpoint totals
-    taps = []
-    for d in keys:
-        dv = model.add_var("D[%s]" % d)
-        owners[dv] = ingress_agent
-        coeffs = {}
-        for q in fv.ingress:
-            coeffs.update(fv.outflow("n", q, d))
-        coeffs[dv] = -1.0
-        aux_def[dv] = model.add_row(coeffs, "=", 0.0, "d_def[%s]" % d)
-        taps.append(dv)
-    model.add_row({i: 1.0 for i in taps}, "=", p.traffic, "d_sum")
-    taps = []
-    for d in keys:
-        ev = model.add_var("E[%s]" % d)
-        owners[ev] = egress_agent
-        coeffs = {}
-        for q in fv.egress:
-            coeffs.update(fv.inflow("m", q, d))
-        coeffs[ev] = -1.0
-        aux_def[ev] = model.add_row(coeffs, "=", 0.0, "e_def[%s]" % d)
-        taps.append(ev)
-    model.add_row({i: 1.0 for i in taps}, "=", p.traffic * gamma, "e_sum")
-    for tag in ("d", "e"):
-        row_family += [tag + "_def"] * len(keys) + [tag + "_sum"]
-
+    mats = central.matrices()
+    scale = np.ones(central.num_vars)
+    scale[list(lay.alpha_idx.values()) + list(lay.e_idx.values())] = \
+        p.traffic if p.traffic > 0 else 1.0
+    a = mats.a
+    data = a.data / scale[a.indices]
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    peak = np.zeros(a.shape[0])
+    np.maximum.at(peak, rows, np.abs(data))
+    model = lp.LpModel(central.name + "_admm")
+    model.add_vars(central.num_vars, np.asarray(central.lower) * scale,
+                   np.asarray(central.upper) * scale, lambda: central.var_names)
+    model.add_objective({i: c / scale[i] for i, c in central.objective.items()})
+    model.add_rows(a.indptr, a.indices, data / peak[rows], lp.EQ,
+                   mats.b / peak, central.row_labels)
     system = ReformulatedSystem(
-        model=model, base_width=base_width, aux_def=aux_def,
-        owners=owners, row_family=row_family)
+        model=model, owners=owners,
+        row_family=[_family_of(l) for l in central.row_labels()],
+        central=central, scale=scale)
     agent_partition(system)   # fail fast on any orphan block
     return system
 
@@ -308,23 +147,9 @@ def system_from_model(model, owner="agent"):
     """Wrap a hand-built equality model as a single-agent system, mainly
     for small reference instances in tests."""
     return ReformulatedSystem(
-        model=model, base_width=model.num_vars,
-        owners={i: owner for i in range(model.num_vars)},
-        row_family=[_family_of(l) for l in model.row_labels()])
-
-
-def lift_point(system, base_point):
-    """Extend a central-model point over the difference variables by
-    evaluating their defining rows, which read only base variables and
-    hold their own variable with coefficient -1."""
-    model = system.model
-    x = np.zeros(model.num_vars)
-    x[:system.base_width] = np.asarray(base_point, dtype=float)
-    aux = sorted(system.aux_def)
-    rows = [system.aux_def[i] for i in aux]
-    mats = model.matrices()
-    x[aux] = mats.a[rows] @ x - mats.b[rows]
-    return x
+        model=model, owners={i: owner for i in range(model.num_vars)},
+        row_family=[_family_of(l) for l in model.row_labels()],
+        central=model, scale=np.ones(model.num_vars))
 
 
 def agent_partition(system):
@@ -468,6 +293,14 @@ class AdmmTrace:
         return out.getvalue()
 
 
+def _settled(violations, prev, x, tol):
+    """The stop test: every normalized violation is at most tol, and the
+    sweep from prev to x moved no block by more than tol * max|x|."""
+    if max(violations.values(), default=0.0) > tol:
+        return False
+    return not x.size or np.max(np.abs(x - prev)) <= tol * np.max(np.abs(x))
+
+
 def _sweep_orders(cfg, num_vars):
     if cfg.permutations is None:
         return None
@@ -488,8 +321,9 @@ def run(system, cfg=None):
     Returns (point, trace).  Each round: draw a sweep order, update
     every scalar block against the most recent values of everything
     else, then add each row's residual onto its scaled dual.  Stops at
-    max_iters or once the largest normalized violation falls under
-    primal_tol; raises AdmmDivergenceError past the divergence limit.
+    max_iters or once the largest normalized violation is at most
+    primal_tol and no block moved by more than primal_tol * max|x| in
+    the sweep; raises AdmmDivergenceError past the divergence limit.
     """
     cfg = cfg if cfg is not None else AdmmConfig()
     model = system.model
@@ -526,6 +360,7 @@ def run(system, cfg=None):
     inf = math.inf
     # x, the residuals and the scaled duals stay lists for the whole run
     xs, rs, us = [0.0] * nv, res.tolist(), [0.0] * nr
+    x = np.zeros(nv)
     for it in range(1, cfg.max_iters + 1):
         if orders is not None:
             perm = orders[(it - 1) % len(orders)]
@@ -558,7 +393,7 @@ def run(system, cfg=None):
                     rs[t] += a * step
                 xs[i] = new
         us = [u + r for u, r in zip(us, rs)]
-        x, res, duals = np.array(xs), np.array(rs), np.array(us)
+        prev, x, res, duals = x, np.array(xs), np.array(rs), np.array(us)
 
         objective = float(cost @ x)
         viol = _normalize(fams.max_abs(res), baseline)
@@ -570,7 +405,7 @@ def run(system, cfg=None):
             raise AdmmDivergenceError(
                 "diverged at iteration %d: objective %.3g, max residual %.3g"
                 % (it, objective, raw), trace)
-        if max(viol.values(), default=0.0) <= cfg.primal_tol:
+        if _settled(viol, prev, x, cfg.primal_tol):
             trace.converged = True
             break
     return x, trace

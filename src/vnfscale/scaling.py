@@ -15,8 +15,8 @@ Magnanti and Orlin, Network Flows, 1993).  One multi-source Dijkstra
 from the ingress set and one from the egress set, run once per problem,
 give every PM q its unit cost u(q) = d_in(q) + gamma * d_out(q); the
 objective is T * w_fwd * u(q) on each e[q,s], and decode routes the
-decision's flows down the two shortest-path trees.  The flow-form model
-survives in the RP-ADMM lift, whose switch agents own the arcs.
+decision's flows down the two shortest-path trees.  The distributed
+solver (`rpadmm`) runs on this same model, so both decode alike.
 
 Relaxed capacity rows keep the interest mass physically meaningful:
 traffic landing on a PM cannot exceed what its resources serve, and
@@ -245,11 +245,10 @@ def _relevant_pms(p, slots):
 class _Layout:
     """Variable maps attached to a built model so decode can read it back."""
 
-    def __init__(self, problem, slots, rel_pms, fv, alpha_idx, e_idx):
+    def __init__(self, problem, slots, rel_pms, alpha_idx, e_idx):
         self.problem = problem
         self.slots = slots
         self.rel_pms = rel_pms
-        self.fv = fv          # the flow net of a model with flow variables, else None
         self.alpha_idx = alpha_idx
         self.e_idx = e_idx
         self.slack_idx = {}   # ("cap"|"slots"|"keep", PM, resource?) -> var
@@ -332,7 +331,7 @@ def _build_relaxation(p):
     alpha_idx, e_idx = _share_and_interest_vars(p, model, slots, rel_pms[:1])
     scale = p.traffic * p.weights.forwarding
     model.add_objective({i: scale * p.unit_cost(q) for (q, _), i in e_idx.items()})
-    model.layout = _Layout(p, slots, rel_pms, None, alpha_idx, e_idx)
+    model.layout = _Layout(p, slots, rel_pms, alpha_idx, e_idx)
     _interest_rows(model)
     model.add_row(dict.fromkeys(alpha_idx.values(), 1.0), "=", 1.0, "coverage")
     _capacity_rows(p, model)
@@ -382,13 +381,12 @@ def decode(solution, p):
     value (ties to the lowest-indexed PM).  Should two instances claim
     more slots than a PM offers, later instances fall back to their
     next-best candidate; a warning records the fallback.  The flows are
-    the point's own in a model with flow variables (the RP-ADMM lift),
-    else the interest split routed on the shortest-path trees.
+    the interest split routed on the shortest-path trees.
     """
     if solution.status != lp.OPTIMAL:
         raise DecodeError("cannot decode a %s solution" % solution.status)
     layout = solution.model.layout
-    slots, fv = layout.slots, layout.fv
+    slots = layout.slots
     point = solution.point
     warnings = []
 
@@ -451,10 +449,7 @@ def decode(solution, p):
             warnings.append("instance %s share %.4g below minimum collaboration %.4g"
                             % (s.key, shares[s.key], p.epsilon))
 
-    if fv is not None:      # a model with flow variables: its point carries them
-        flows_n, flows_m = fv.flows_from_point(point)
-    else:
-        flows_n, flows_m = route_flows(p, e_vals)
+    flows_n, flows_m = route_flows(p, e_vals)
     fwd = forwarding_cost_of(flows_n, flows_m, p.topology)
     return ScalingDecision(mode=p.mode, kept=kept, launched=launched,
                            terminated=terminated, alpha=alpha_vals, e=e_vals,

@@ -75,13 +75,16 @@ def _bad_values_named(where):
 
 
 def parse_pm(token, topo=None):
-    """'P5' -> the fifth PM (NodeId index 4)."""
+    """'P5' -> the fifth PM (NodeId index 4): the tree's own NodeId when
+    topo is given, so topology-keyed lookups stop at the identity check."""
     if not token.startswith("P") or not token[1:].isdigit():
         raise ScenarioParseError("bad PM name %r" % token)
-    node = NodeId(PM, int(token[1:]) - 1)
-    if topo is not None and node not in topo:
+    index = int(token[1:]) - 1
+    if topo is None:
+        return NodeId(PM, index)
+    if not 0 <= index < len(topo.pms):
         raise ScenarioParseError("%s is not in the topology" % token)
-    return node
+    return topo.pms[index]
 
 
 def parse_pm_list(text, topo=None):
@@ -358,8 +361,8 @@ class RunReport:
             lines.append("  model: %(num_vars)d variables, %(num_rows)d rows,"
                          " solve %(runtime_s).3f s" % self.stats)
             if "iterations" in self.stats:
-                lines.append("  sweeps: %d, converged: %s" % (
-                    self.stats["iterations"], self.stats["converged"]))
+                lines.append("  sweeps: %(iterations)d, converged: %(converged)s,"
+                             " coverage %(coverage).4f" % self.stats)
             for name, p in sorted(self.trace_paths.items()):
                 lines.append("  wrote %s" % p)
         for msg in self.expect_failures:
@@ -436,18 +439,17 @@ def _milp(p, admm_config):
 
 
 def _rpadmm(p, admm_config):
-    if p.mode != OVERLOAD:
-        raise ScenarioParseError(
-            "the distributed solver handles only overload scenarios")
     system = rpadmm.reformulate(p)
 
     def solve():
         x, trace = rpadmm.run(system, admm_config)
-        sol = lp.LpSolution(status=lp.OPTIMAL, point=x,
+        sol = lp.LpSolution(status=lp.OPTIMAL, point=system.unscale(x),
                             objective_value=trace.objectives[-1],
-                            model=system.model)
-        stats = {"iterations": len(trace.records), "converged": trace.converged}
-        return decode(sol, p), stats, trace
+                            model=system.central)
+        dec = decode(sol, p)
+        stats = {"iterations": len(trace.records), "converged": trace.converged,
+                 "coverage": sum(dec.shares.values())}
+        return dec, stats, trace
     return system.model, solve
 
 
@@ -598,17 +600,20 @@ class CompareReport:
 
 
 def compare_solvers(path, overrides=None, out_dir=None):
-    """Gap of the distributed run against the central relaxation optimum."""
+    """Gap of the distributed run against the central relaxation optimum;
+    both solve the same central model."""
     sc = load_scenario(path, overrides)
     state = classify_group(sc.group)
-    if state != OVERLOAD:
+    if state == NORMAL:
         raise ScenarioParseError(
-            "solver comparison needs an overload scenario, got %s" % state)
+            "solver comparison needs an overload or underload scenario, got %s"
+            % state)
     p = _problem_for(sc, state)
-    central = lp.solve(build_overload_lp(p))
+    system = rpadmm.reformulate(p)
+    central = lp.solve(system.central)
     if central.status != lp.OPTIMAL:
         raise ModelInfeasibleError("central relaxation is %s" % central.status)
-    x, trace = rpadmm.run(rpadmm.reformulate(p), sc.admm_config)
+    x, trace = rpadmm.run(system, sc.admm_config)
     opt = central.objective_value
     if opt != 0.0:
         gaps = [abs(o - opt) / abs(opt) for o in trace.objectives]

@@ -9,14 +9,11 @@ The RP-ADMM sweep as first written: numpy element indexing, one
 `scalar_block_update` call per block and one np.max per row family.
 `rpadmm.run` must reproduce it byte for byte.
 
-The RP-ADMM lift as first written: one add_var per difference variable
-and one dict row per definition and zero sum.  `rpadmm.reformulate`
-must export the same arrays and the same agent bookkeeping.
-
 The flow structure as first written: one add_var and two dict
 registries per (arc, instance, leg), and every row merged from those
 dicts.  A model built with `reference_flownet` in place of
-`netflow.FlowNet` must export the same arrays as the block-built one.
+`netflow.FlowNet` (patched into `milp`, and into this module for
+`flow_skeleton`) must export the same arrays as the block-built one.
 
 The central relaxation as first written: per-instance flow variables on
 every arc, conservation, processing and endpoint-total rows, share
@@ -44,6 +41,7 @@ import numpy as np
 
 from vnfscale import lp, rpadmm, scaling
 from vnfscale.chain_state import OVERLOAD, UNDERLOAD
+from vnfscale.netflow import FlowNet
 from vnfscale.topology import PM, forwarding_cost, neighbors
 
 
@@ -146,6 +144,7 @@ def reference_admm_run(system, cfg):
             for i in range(nv)]
 
     x = np.zeros(nv)
+    prev = x.copy()
     res = rpadmm._residuals(model, x)
     duals = np.zeros(nr)
 
@@ -178,117 +177,37 @@ def reference_admm_run(system, cfg):
         trace.records.append(rpadmm.AdmmRecord(
             it, objective, viol, tuple(int(v) for v in perm),
             messages, res.copy(), duals.copy()))
-        if max(viol.values(), default=0.0) <= cfg.primal_tol:
+        moved = float(np.max(np.abs(x - prev))) if nv else 0.0
+        peak = float(np.max(np.abs(x))) if nv else 0.0
+        prev = x.copy()
+        if max(viol.values(), default=0.0) <= cfg.primal_tol \
+                and moved <= cfg.primal_tol * peak:
             trace.converged = True
             break
     return x, trace
 
 
-def reference_reformulate(p):
-    """`rpadmm.reformulate` with one add_var per difference variable and
-    one dict row per definition and sum."""
-    if p.mode != OVERLOAD:
-        raise ValueError("only the overload model has a distributed form")
-    model = rpadmm._flow_skeleton(p, "overload_admm")
-    lay = model.layout
-    fv, topo = lay.fv, p.topology
-    keys = [s.key for s in lay.slots]
-    gamma = p.group.gamma
-    rpadmm._placement_rows(p, model)
-    base_width = model.num_vars
-
-    owners = {}
-    for (i, _, _), idx in fv.n_idx.items():
-        owners[idx] = i
-    for (i, _, _), idx in fv.m_idx.items():
-        owners[idx] = i
-    for (q, _), idx in lay.alpha_idx.items():
-        owners[idx] = q
-    for (q, _), idx in lay.e_idx.items():
-        owners[idx] = q
-    for tag, idx in lay.slack_idx.items():
-        owners[idx] = tag[1]
-    ingress_agent = min(fv.ingress, key=topo.node_position)
-    egress_agent = min(fv.egress, key=topo.node_position)
-
-    aux_def = {}
-
-    # switch conservation, per flow leg: arc difference + local zero sum
-    for flow, idx_map, tag in (("n", fv.n_idx, "a"), ("m", fv.m_idx, "b")):
-        for sw in topo.switches:
-            for d in keys:
-                parts = []
-                for j in neighbors(topo, sw):
-                    a = model.add_var("%s[%s>%s,%s]" % (tag.upper(), sw, j, d),
-                                      -np.inf, np.inf)
-                    owners[a] = sw
-                    coeffs = {idx_map[(sw, j, d)]: 1.0,
-                              idx_map[(j, sw, d)]: -1.0, a: -1.0}
-                    aux_def[a] = model.add_row(
-                        coeffs, "=", 0.0, "%s_def[%s>%s,%s]" % (tag, sw, j, d))
-                    parts.append(a)
-                model.add_row({a: 1.0 for a in parts}, "=", 0.0,
-                              "%s_sum[%s,%s]" % (tag, sw, d))
-
-    # PM processing: processed out minus gamma times unprocessed in, per
-    # arc; a PM running an instance on an ingress/egress gateway also
-    # carries its internal self-arc as one more part
-    for q in topo.pms:
-        for d in keys:
-            arcs = [(q, j) for j in neighbors(topo, q)]
-            if (q, q, d) in fv.n_idx or (q, q, d) in fv.m_idx:
-                arcs.append((q, q))
-            parts = []
-            for _, j in arcs:
-                c = model.add_var("C[%s>%s,%s]" % (q, j, d), -np.inf, np.inf)
-                owners[c] = q
-                coeffs = {c: -1.0}
-                m_out = fv.m_idx.get((q, j, d))
-                if m_out is not None:
-                    coeffs[m_out] = 1.0
-                n_in = fv.n_idx.get((j, q, d))
-                if n_in is not None:
-                    coeffs[n_in] = coeffs.get(n_in, 0.0) - gamma
-                aux_def[c] = model.add_row(
-                    coeffs, "=", 0.0, "c_def[%s>%s,%s]" % (q, j, d))
-                parts.append(c)
-            model.add_row({c: 1.0 for c in parts}, "=", 0.0,
-                          "c_sum[%s,%s]" % (q, d))
-
-    # per-instance ingress/egress taps whose sums carry the endpoint totals
-    taps = []
-    for d in keys:
-        dv = model.add_var("D[%s]" % d)
-        owners[dv] = ingress_agent
-        coeffs = {}
-        for q in fv.ingress:
-            coeffs.update(fv.outflow("n", q, d))
-        coeffs[dv] = -1.0
-        aux_def[dv] = model.add_row(coeffs, "=", 0.0, "d_def[%s]" % d)
-        taps.append(dv)
-    model.add_row({i: 1.0 for i in taps}, "=", p.traffic, "d_sum")
-    taps = []
-    for d in keys:
-        ev = model.add_var("E[%s]" % d)
-        owners[ev] = egress_agent
-        coeffs = {}
-        for q in fv.egress:
-            coeffs.update(fv.inflow("m", q, d))
-        coeffs[ev] = -1.0
-        aux_def[ev] = model.add_row(coeffs, "=", 0.0, "e_def[%s]" % d)
-        taps.append(ev)
-    model.add_row({i: 1.0 for i in taps}, "=", p.traffic * gamma, "e_sum")
-
-    system = rpadmm.ReformulatedSystem(
-        model=model, base_width=base_width, aux_def=aux_def,
-        owners=owners, row_family=[rpadmm._family_of(l) for l in model.row_labels()])
-    rpadmm.agent_partition(system)
-    return system
+def flow_skeleton(p, name):
+    """Model with per-instance flow variables, a share copy at every
+    relevant PM, interest variables and the forwarding objective on the
+    flows, before any constraint rows.  The layout carries the flow net
+    as `fv`."""
+    slots, rel_pms = scaling._placement_slots(p)
+    model = lp.LpModel(name)
+    fv = FlowNet(p.topology, p.group.ingress_pms, p.group.egress_pms)
+    fv.add_flow_vars(model, [s.key for s in slots])
+    alpha_idx, e_idx = scaling._share_and_interest_vars(p, model, slots, rel_pms)
+    model.add_objective(fv.objective_coeffs(p.weights.forwarding))
+    model.layout = scaling._Layout(p, slots, rel_pms, alpha_idx, e_idx)
+    model.layout.fv = fv
+    return model
 
 
 def reference_placement_rows(p, model):
-    """`rpadmm._placement_rows` with all-pairs `alpha_eq` rows over the
-    unpinned instances and one `interest` row per relevant PM."""
+    """The placement rows as first written: all-pairs `alpha_eq` rows
+    over the unpinned instances, one `interest` row per relevant PM, the
+    arrival rows tying the interests to the flows, and the capacity
+    rows."""
     lay = model.layout
     slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
     alpha_idx, e_idx = lay.alpha_idx, lay.e_idx
@@ -357,7 +276,7 @@ def reference_placement_rows(p, model):
 def reference_relaxation(p):
     """The central relaxation of `p` over per-arc flows, with
     `reference_placement_rows`."""
-    model = rpadmm._flow_skeleton(p, "%s_lp" % p.mode)
+    model = flow_skeleton(p, "%s_lp" % p.mode)
     fv = model.layout.fv
     fv.add_switch_conservation(model)
     fv.add_pm_processing(model, p.group.gamma)

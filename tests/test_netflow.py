@@ -6,7 +6,7 @@ import pytest
 import corpus
 import oracle
 import vnfscale as vs
-from vnfscale import lp, milp, rpadmm
+from vnfscale import lp, milp
 from vnfscale.netflow import FlowNet
 from vnfscale.topology import PM, TOR, NodeId
 
@@ -131,7 +131,6 @@ def k2_bandwidth_instance(seed):
 
 ORACLE_CASES = {
     "lp": lambda: oracle.reference_relaxation(corpus.admm_fixture()),
-    "lift": lambda: rpadmm.reformulate(corpus.admm_fixture()).model,
     "underload": lambda: oracle.reference_relaxation(corpus.k2_instance(1)),
     "k8": lambda: oracle.reference_relaxation(k8_two_endpoints()),
     **{"milp%d" % s: (lambda s=s: milp.build_milp(corpus.k2_instance(s)).base)
@@ -152,7 +151,7 @@ def exported(model):
 
 def oracle_built(build, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(rpadmm, "FlowNet", oracle.reference_flownet)
+        patch.setattr(oracle, "FlowNet", oracle.reference_flownet)
         patch.setattr(milp, "FlowNet", oracle.reference_flownet)
         return build()
 

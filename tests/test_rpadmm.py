@@ -10,9 +10,9 @@ import pytest
 import vnfscale as vs
 from vnfscale import lp, rpadmm
 
-from corpus import pm, tree4, capacity, group, scenario1, scenario4, \
-    problem, k2_instance, admm_fixture
-from oracle import reference_admm_run, reference_reformulate, reference_relaxation
+from corpus import pm, tree4, scenario1, scenario4, problem, k2_instance, \
+    admm_fixture
+from oracle import reference_admm_run
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +27,13 @@ def fixture_system():
 
 
 def central_optimum(p):
-    sol = lp.solve(vs.build_overload_lp(p))
+    build = vs.build_overload_lp if p.mode == vs.OVERLOAD else vs.build_underload_lp
+    sol = lp.solve(build(p))
     assert sol.status == lp.OPTIMAL
     return sol
 
 
-# -- reformulation is an exact lift ------------------------------------------
+# -- the distributed form is the central model, scaled ---------------------
 
 def lift_instances(topo):
     yield problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
@@ -40,6 +41,10 @@ def lift_instances(topo):
     yield admm_fixture()
     for seed in (0, 2, 4):
         yield k2_instance(seed, mode=vs.OVERLOAD)
+    yield problem(topo, scenario1([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD)
+    yield problem(topo, scenario4(), 400.0 / 3, 2, vs.UNDERLOAD)
+    for seed in (1, 3, 5):
+        yield k2_instance(seed, mode=vs.UNDERLOAD)
 
 
 def test_reformulated_optimum_matches_central(topo):
@@ -47,50 +52,62 @@ def test_reformulated_optimum_matches_central(topo):
         central = central_optimum(p).objective_value
         lifted = lp.solve(rpadmm.reformulate(p).model)
         assert lifted.status == lp.OPTIMAL
-        assert lifted.objective_value == pytest.approx(central, rel=1e-6)
-
-
-def reference_optimum(p):
-    """The optimum of the flow-form central relaxation, whose variables
-    are the lift's leading ones."""
-    sol = lp.solve(reference_relaxation(p))
-    assert sol.status == lp.OPTIMAL
-    return sol
+        assert lifted.objective_value == pytest.approx(central, rel=1e-12)
 
 
 def test_lifted_central_point_is_feasible(topo):
+    for p in lift_instances(topo):
+        system = rpadmm.reformulate(p)
+        sol = central_optimum(p)
+        x = sol.point * system.scale
+        res = rpadmm._residuals(system.model, x)
+        assert float(np.max(np.abs(res))) < 1e-9 * max(1.0, p.traffic)
+        assert np.all(x >= np.array(system.model.lower))
+        assert np.all(x <= np.array(system.model.upper))
+        assert system.unscale(x) == pytest.approx(sol.point, rel=1e-15)
+        assert system.model.objective_value(x) == pytest.approx(
+            sol.objective_value, rel=1e-12)
+
+
+def test_columns_in_traffic_units_and_rows_equilibrated(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     system = rpadmm.reformulate(p)
-    sol = reference_optimum(p)
-    x = rpadmm.lift_point(system, sol.point[:system.base_width])
-    res = rpadmm._residuals(system.model, x)
-    assert float(np.max(np.abs(res))) < 1e-6
-    obj = sum(c * x[i] for i, c in system.model.objective.items())
-    assert obj == pytest.approx(sol.objective_value, rel=1e-9)
-
-
-def test_demand_taps_carry_endpoint_totals(topo):
-    # unit gamma, T=10 split over two instances: taps must sum to 10 and 10
-    g = scenario4()
-    for v in list(g.online) + list(g.offline_pool):
-        v.capacity["cpu"] = 5.0
-    g.online = g.online[:1]
-    p = vs.ScalingProblem(topology=topo, group=g, traffic=10.0, v_star=2,
-                          mode=vs.OVERLOAD, pm_capacity=None)
-    system = rpadmm.reformulate(p)
-    sol = lp.solve(system.model)
-    assert sol.status == lp.OPTIMAL
     names = system.model.var_names
-    d_total = sum(sol.point[i] for i, n in enumerate(names) if n.startswith("D["))
-    e_total = sum(sol.point[i] for i, n in enumerate(names) if n.startswith("E["))
-    assert d_total == pytest.approx(10.0, abs=1e-7)
-    assert e_total == pytest.approx(10.0, abs=1e-7)
+    for i, name in enumerate(names):
+        want = 1.0 if "slack" in name else 400.0
+        assert system.scale[i] == want, name
+    mats = system.model.matrices()
+    peaks = [max(abs(v) for v in coeffs.values())
+             for coeffs, _, _, _ in system.model.rows]
+    assert peaks == [1.0] * system.model.num_rows
+    assert mats.b[system.model.row_labels().index("coverage")] == 400.0
+    assert system.central.name == "overload_lp"
+    assert system.model.row_labels() == system.central.row_labels()
 
 
-def test_only_overload_has_a_distributed_form(topo):
+def test_zero_traffic_keeps_unit_scale(topo):
+    p = vs.ScalingProblem(topology=topo, group=scenario4(), traffic=0.0,
+                          v_star=3, mode=vs.OVERLOAD, pm_capacity=None)
+    system = rpadmm.reformulate(p)
+    assert np.all(system.scale == 1.0)
+    x, trace = rpadmm.run(system, rpadmm.AdmmConfig(max_iters=25))
+    # the coverage row still needs the shares to sum to 1
+    assert trace.records[0].violations["coverage"] > 0.0
+    assert trace.objectives == [0.0] * len(trace.records)
+    assert trace.converged
+    assert sum(x[i] for i in system.central.layout.alpha_idx.values()) == \
+        pytest.approx(1.0, abs=1e-3)
+
+
+def test_underload_has_a_distributed_form(topo):
     p = problem(topo, scenario1([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD)
-    with pytest.raises(ValueError):
-        rpadmm.reformulate(p)
+    system = rpadmm.reformulate(p)
+    assert "keep" in system.families
+    owners = rpadmm.agent_partition(system)
+    names = system.model.var_names
+    assert owners[names.index("keep_slack[PM4]")] == pm(5)
+    assert owners[names.index("e[PM1,d1]")] == pm(2)
+    assert owners[names.index("alpha[PM1,d1]")] == pm(2)
 
 
 def test_empty_candidate_set_rejected(topo):
@@ -103,51 +120,6 @@ def test_empty_candidate_set_rejected(topo):
                           mode=vs.OVERLOAD, pm_capacity=None)
     with pytest.raises(vs.ModelInfeasibleError):
         rpadmm.reformulate(p)
-
-
-def gateway_pm_instance(topo):
-    """Scenario-1 hosts with P1 as both ingress and egress, so P1's
-    processing parts include a self-arc carrying both legs."""
-    g = group("c5", [pm(2), pm(5)], 0.9, pm(1), pm(1),
-              [pm(i) for i in range(1, 17)])
-    return problem(topo, g, 400.0, 4, vs.OVERLOAD)
-
-
-def exported_lift(system):
-    model = system.model
-    mats = model.matrices()
-    arrays = {"c": mats.c, "a.data": mats.a.data, "a.indices": mats.a.indices,
-              "a.indptr": mats.a.indptr, "b": mats.b, "rel": mats.rel,
-              "lower": np.array(model.lower), "upper": np.array(model.upper)}
-    lists = {"names": model.var_names, "labels": model.row_labels(),
-             "objective": list(model.objective.items()),
-             "owners": list(system.owners.items()),
-             "aux_def": list(system.aux_def.items()),
-             "row_family": system.row_family, "base_width": system.base_width}
-    return arrays, lists
-
-
-@pytest.mark.parametrize("build", ["fixture", "scenario1", "gateway_pm"])
-def test_block_lift_exports_what_the_dict_lift_exports(topo, build):
-    p = {"fixture": admm_fixture,
-         "scenario1": lambda: problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD),
-         "gateway_pm": lambda: gateway_pm_instance(topo)}[build]()
-    system = rpadmm.reformulate(p)
-    arrays, lists = exported_lift(system)
-    want_arrays, want_lists = exported_lift(reference_reformulate(p))
-    for key, want in want_arrays.items():
-        assert arrays[key].dtype == want.dtype, key
-        assert np.array_equal(arrays[key], want), key
-    for key, want in want_lists.items():
-        assert lists[key] == want, key
-    if build == "gateway_pm":
-        row = system.aux_def[system.model.var("C[PM0>PM0,d1]")]
-        assert len(system.model.rows[row][0]) == 3
-
-
-def test_dual_name_aliases_cover_every_row_family(fixture_system):
-    system, _ = fixture_system
-    assert set(rpadmm.DUAL_NAMES.values()) == set(system.families)
 
 
 # -- the scalar building block ------------------------------------------------
@@ -278,19 +250,6 @@ def test_unbounded_block_raises_through_the_sweep():
         rpadmm.run(rpadmm.system_from_model(m), rpadmm.AdmmConfig(max_iters=1))
 
 
-def test_zero_traffic_converges_at_the_start(topo):
-    g = scenario4()
-    p = vs.ScalingProblem(topology=topo, group=g, traffic=0.0, v_star=3,
-                          mode=vs.OVERLOAD, pm_capacity=None)
-    x, trace = rpadmm.run(rpadmm.reformulate(p), rpadmm.AdmmConfig(max_iters=5))
-    assert trace.converged
-    assert len(trace.records) == 1
-    rec = trace.records[0]
-    assert rec.objective == 0.0
-    assert float(np.max(np.abs(rec.residuals))) == 0.0
-    assert np.all(x == 0.0)
-
-
 # -- the distributed run on the worked geometry --------------------------------
 
 def test_fixed_seed_runs_are_bit_identical(fixture_system):
@@ -379,6 +338,26 @@ def test_hand_built_sweep_matches_reference_loop(name):
         assert x[1] == 0.0 and np.signbit(x[1])
 
 
+def test_zero_residual_while_moving_is_not_converged():
+    # max x0 + x1 with x0 = x1 in [0, 10]: at beta 1 the second sweep
+    # leaves the residual exactly 0 while x moves along (1, 1), the null
+    # space of the row; the run must go on to the fixed point (10, 10)
+    system = hand_system([(0.0, 10.0, -1.0), (0.0, 10.0, -1.0)],
+                         [({0: 1.0, 1: -1.0}, 0.0)])
+    cfg = rpadmm.AdmmConfig(beta=1.0, max_iters=2, primal_tol=0.0,
+                            permutations=[[0, 1]])
+    x, trace = rpadmm.run(system, cfg)
+    assert trace.records[-1].residuals.tolist() == [0.0]
+    assert x.tolist() == [4.0, 4.0]
+    assert not trace.converged
+    cfg = rpadmm.AdmmConfig(beta=1.0, max_iters=50, primal_tol=0.0,
+                            permutations=[[0, 1]])
+    x, trace = rpadmm.run(system, cfg)
+    assert trace.converged
+    assert x.tolist() == [10.0, 10.0]
+    assert_same_as_reference_loop(system, cfg)
+
+
 def run_digest_in_subprocess(hashseed):
     code = (
         "import sys; sys.path.insert(0, 'tests')\n"
@@ -436,11 +415,10 @@ def test_violations_normalize_to_one_at_start_and_zero_when_feasible(topo):
     system = rpadmm.reformulate(p)
     at_zero = rpadmm.normalized_violations(
         np.zeros(system.model.num_vars), system)
-    assert at_zero["d_sum"] == 1.0
-    assert at_zero["a_def"] == 0.0
-    sol = reference_optimum(p)
-    lifted = rpadmm.lift_point(system, sol.point[:system.base_width])
-    at_opt = rpadmm.normalized_violations(lifted, system)
+    assert at_zero["coverage"] == 1.0
+    assert at_zero["interest"] == 0.0
+    scaled = central_optimum(p).point * system.scale
+    at_opt = rpadmm.normalized_violations(scaled, system)
     assert max(at_opt.values()) < 1e-7
 
 
@@ -460,11 +438,13 @@ def test_agent_partition_assigns_every_block(fixture_system):
     assert len(owners) == system.model.num_vars
     names = system.model.var_names
     by_name = {names[i]: agent for i, agent in owners.items()}
-    assert by_name["n[ToR0>PM0,d1]"] == vs.NodeId("ToR", 0)
-    assert by_name["D[d1]"] == pm(1)
-    assert by_name["E[d1]"] == pm(2)
-    assert by_name["alpha[PM4,d2]"] == pm(5)
-    assert by_name["A[ToR0>PM0,d1]"] == vs.NodeId("ToR", 0)
+    # shares sit at the first relevant PM, P2: pinned ones belong to
+    # their hosts, the new one to P2; every interest to its PM
+    assert by_name["alpha[PM1,d1]"] == pm(3)
+    assert by_name["alpha[PM1,d2]"] == pm(5)
+    assert by_name["alpha[PM1,d4]"] == pm(2)
+    assert by_name["e[PM15,d4]"] == pm(16)
+    assert set(owners.values()) <= set(system.central.layout.rel_pms)
 
 
 def test_orphan_block_is_a_construction_fault():

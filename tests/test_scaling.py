@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnfscale as vs
-from vnfscale import lp, rpadmm, scaling
+from vnfscale import lp, scaling
 from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
@@ -217,8 +217,8 @@ MOVED = {"s3 over", "s4 under"}
                                     for name, p in placement_corpus()])
 def test_share_chain_matches_all_pairs_reference(name, p):
     """The central model reaches the all-pairs flow build's optimum and
-    decodes to the same actions, or to a tied optimum; the lift keeps the
-    share chain and one interest row per instance."""
+    decodes to the same actions, or to a tied optimum; it has one share
+    and one interest row per instance and no share chain."""
     build = vs.build_overload_lp if p.mode == vs.OVERLOAD else vs.build_underload_lp
     got, want = lp.solve(build(p)), lp.solve(reference_relaxation(p))
     assert got.status == want.status == lp.OPTIMAL
@@ -246,12 +246,6 @@ def test_share_chain_matches_all_pairs_reference(name, p):
     chain, interest = row_counts(got.model)
     assert chain == {} and interest == dict.fromkeys(keys, 1)
     assert got.model.row_labels().count("coverage") == 1
-    lift = rpadmm._flow_skeleton(p, "lift")
-    rpadmm._placement_rows(p, lift)
-    chain, interest = row_counts(lift)
-    assert set(chain) <= keys
-    assert all(chain.get(k, 0) == len(layout.rel_pms) - 1 for k in keys)
-    assert interest == dict.fromkeys(keys, 1)
 
 
 # -- exactness against the flow LP ----------------------------------------------

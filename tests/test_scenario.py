@@ -1,6 +1,7 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
 import vnfscale as vs
@@ -215,12 +216,22 @@ def test_milp_scenario_migrates_and_reports(tmp_path):
     assert os.path.exists(report.trace_paths["decisions"])
 
 
-def test_distributed_solver_rejects_underload(tmp_path):
+def underload_body():
     body = minimal(util="0.10", event="preset = underload", method="rpadmm")
-    body = body.replace("vm1  P2  100  0.10",
+    return body.replace("vm1  P2  100  0.10",
                         "vm1  P2  100  0.10\nvm2  P3  100  0.15")
-    with pytest.raises(scenario.ScenarioParseError):
-        scenario.run_scenario(write_scenario(tmp_path, body))
+
+
+def test_distributed_solver_decides_underload(tmp_path, capsys):
+    path = write_scenario(tmp_path, underload_body())
+    report = scenario.run_scenario(path)
+    assert report.state == vs.UNDERLOAD
+    dec = report.decision
+    assert 1 <= len(dec.kept) <= 2
+    assert set(dec.kept) | set(dec.terminated) == {"vm1", "vm2"}
+    assert report.stats["coverage"] == pytest.approx(1.0, abs=1e-3)
+    assert cli_main(["run", path]) == 0
+    assert "coverage" in capsys.readouterr().out
 
 
 # -- size sweep -----------------------------------------------------------------
@@ -263,8 +274,19 @@ def test_compare_reaches_the_central_optimum():
                                       overrides={"seed": 9})
     assert report.optimum == pytest.approx(126000.0)
     assert report.best_gap <= 0.01
-    assert len(report.gaps) == 25
+    assert report.converged
+    assert report.final_gap <= 0.01
+    assert len(report.gaps) < 25
     assert "best gap" in report.text()
+
+
+def test_compare_accepts_underload(tmp_path):
+    path = write_scenario(tmp_path, underload_body())
+    report = scenario.compare_solvers(path)
+    sc = scenario.load_scenario(path)
+    p = scenario._problem_for(sc, vs.UNDERLOAD)
+    assert report.optimum == lp.solve(vs.build_underload_lp(p)).objective_value
+    assert report.best_gap <= 0.01
 
 
 def test_compare_gap_zero_without_traffic(tmp_path):
@@ -424,8 +446,14 @@ def test_cli_overfull_baseline_is_exit_three(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_cli_unusable_solver_point_is_exit_four(capsys):
-    # one sweep leaves the new instance's interest column all zero
+def test_cli_unusable_solver_point_is_exit_four(monkeypatch, capsys):
+    # a solver point of all zeros gives the new instance no interest
+    real_run = rpadmm.run
+
+    def zero_point(system, cfg):
+        x, trace = real_run(system, cfg)
+        return np.zeros_like(x), trace
+    monkeypatch.setattr(rpadmm, "run", zero_point)
     assert cli_main(["run", scen("distributed_scale_out.scn"),
                      "--iters", "1"]) == 4
     captured = capsys.readouterr()
