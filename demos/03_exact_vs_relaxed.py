@@ -1,5 +1,7 @@
 """Joint placement on a 2-fat-tree: exact branch-and-bound next to its
-root relaxation, including a migration the relaxations cannot express."""
+root relaxation, including a migration the relaxations cannot express.
+The joint model holds a binary and a share per (PM, VM) pair; each share
+is priced by its shortest-path cost, so it has no flow variable."""
 
 import vnfscale as vs
 from vnfscale import lp, milp

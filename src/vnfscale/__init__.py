@@ -2,7 +2,7 @@
 
 from .topology import (NodeId, Topology, build_fat_tree, forwarding_cost,
                        neighbors, topology_listing, pm_name, PM, TOR, AGG,
-                       CORE, DEFAULT_LAYER_COSTS, UNLIMITED)
+                       CORE, DEFAULT_LAYER_COSTS)
 from .chain_state import (Thresholds, VmInstance, VnfGroup, classify_group,
                           classify_chain, required_instances, OVERLOAD,
                           UNDERLOAD, NORMAL, ClassificationError)

@@ -1,10 +1,17 @@
-"""Exact joint placement-and-routing model with binary placement.
+"""Exact joint placement model with binary placement.
 
 Placement binaries b couple to traffic shares alpha through box rows
-(eps*b <= alpha <= cap*b), every VM lands on at most one PM, PM resources
-bound the placed VMs, and the full per-instance flow system routes the
-traffic. Deployment cost charges activate per placed offline VM and
-credits retain per kept online VM; forwarding cost prices the flows.
+(eps*b <= alpha <= cap*b), every VM lands on at most one PM, and PM
+resources bound the placed VMs.  Deployment cost charges activate per
+placed offline VM and credits retain per kept online VM.
+
+Links are uncapacitated, so once the shares are fixed the forwarding
+part is a min-cost flow that sends every unit along a shortest path
+(flow decomposition; Ahuja, Magnanti and Orlin, Network Flows, 1993).
+A share alpha[q,j] is therefore priced at T * w_fwd * u(q), the
+shortest-path cost of serving it at q (`ScalingProblem.unit_cost`), and
+the model has no flow variable; the decode routes the flows of the
+optimum with `scaling.route_flows`, as the central relaxation does.
 
 Solved by branch-and-bound on the binaries over LP relaxations: most
 fractional variable first (ties to the lowest index), depth-first with a
@@ -14,7 +21,6 @@ best-bound re-sort of the open list every 16 nodes. Deterministic.
 from dataclasses import dataclass, field
 
 from . import lp, scaling
-from .netflow import FlowNet
 from .scaling import ScalingDecision
 
 # a binary within this distance of 0 or 1 counts as integral
@@ -28,7 +34,6 @@ class MilpProblem:
     base: lp.LpModel
     binaries: list              # variable indices of the b grid
     problem: object             # the originating ScalingProblem
-    fv: FlowNet
     b_idx: dict                 # (PM, vm id) -> var index
     alpha_idx: dict             # (PM, vm id) -> var index
     online_ids: list
@@ -54,19 +59,17 @@ def build_milp(p):
     """Assemble the joint model for a ScalingProblem's group and traffic.
 
     Online VMs may sit on (or migrate to) any PM; offline VMs only on the
-    group's candidate PMs. One flow commodity per VM.
+    group's candidate PMs.  A share is priced by its shortest-path cost.
     """
     group = p.group
     if not group.online:
         raise ValueError("group has no online VM")
     topo = p.topology
     model = lp.LpModel("milp")
-    fv = FlowNet(topo, group.ingress_pms, group.egress_pms)
 
     online_ids = [vm.id for vm in group.online]
     offline_ids = [vm.id for vm in group.offline_pool]
     keys = online_ids + offline_ids
-    fv.add_flow_vars(model, keys)
 
     placeable = {}
     for vm in group.online:
@@ -89,8 +92,10 @@ def build_milp(p):
     obj = {}
     for (q, j), idx in b_idx.items():
         obj[idx] = w1 * (pen.activate if j in offline else -pen.retain)
+    scale = p.traffic * w2
+    for (q, j), idx in alpha_idx.items():
+        obj[idx] = scale * p.unit_cost(q)
     model.add_objective(obj)
-    model.add_objective(fv.objective_coeffs(w2))
 
     # share requires placement and placement requires a minimum share
     for (q, j), idx in alpha_idx.items():
@@ -99,15 +104,6 @@ def build_milp(p):
         model.add_row({bi: p.epsilon, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
 
     model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
-
-    # unprocessed arrivals at each PM match the share placed there
-    for j in keys:
-        for q in topo.pms:
-            coeffs = fv.inflow("n", q, j)
-            if (q, j) in alpha_idx:
-                idx = alpha_idx[(q, j)]
-                coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
-            model.add_row(coeffs, "=", 0.0, "arrival[%s,%s]" % (q, j))
 
     # placed VMs must fit the PM's resources
     if p.pm_capacity is not None:
@@ -127,13 +123,7 @@ def build_milp(p):
         if coeffs:
             model.add_row(coeffs, "<=", 1.0, "one_host[%s]" % (j,))
 
-    fv.add_switch_conservation(model)
-    fv.add_pm_processing(model, group.gamma)
-    fv.add_ingress_total(model, p.traffic)
-    fv.add_egress_total(model, p.traffic, group.gamma)
-    fv.add_bandwidth(model, topo.bandwidth)
-
-    return MilpProblem(base=model, binaries=binaries, problem=p, fv=fv,
+    return MilpProblem(base=model, binaries=binaries, problem=p,
                        b_idx=b_idx, alpha_idx=alpha_idx, online_ids=online_ids,
                        offline_ids=offline_ids)
 
@@ -169,7 +159,7 @@ def _decode(mp, point, total, nodes, proven):
     online = {vm.id: vm.host for vm in p.group.online}
     placed = {j: q for j, q in placement.items() if q is not None}
     kept = {j: q for j, q in placed.items() if j in online}
-    flows_n, flows_m = mp.fv.flows_from_point(point)
+    flows_n, flows_m = scaling.route_flows(p, alpha)
     fwd = scaling.forwarding_cost_of(flows_n, flows_m, p.topology)
     dep = deployment_cost(placement, p.penalties, mp.online_ids)
     return MilpSolution(

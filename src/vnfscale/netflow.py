@@ -1,4 +1,9 @@
-"""Per-instance traffic flow structure of the exact model.
+"""Per-instance traffic flow structure over the arcs of a fat tree.
+
+No solver builds on it: every model prices traffic by shortest paths.
+It is the flow form that the per-arc reference models in
+tests/oracle.py are built on, and perfbench/tracing.py wraps its methods
+by name.
 
 Traffic to a VNF group runs in two legs: unprocessed flow n from the
 ingress PMs to the instance's host, and processed flow m (scaled by
@@ -150,7 +155,7 @@ class FlowNet:
         """{var: +1} over arcs entering node, for one flow kind and instance."""
         return self._flow_dict(self._entering.get((flow, node)), d)
 
-    # --- constraint rows of the exact model --------------------------
+    # --- constraint rows of the per-arc flow models ------------------
 
     def _balance_row(self, node, out_leg, in_leg, in_coef):
         """Template row: +1 on the out_leg arcs leaving node, then in_coef
@@ -206,21 +211,6 @@ class FlowNet:
             for d in self.instances:
                 coeffs.update(self.inflow("m", p, d))
         model.add_row(coeffs, "=", traffic * gamma, "egress_total")
-
-    def add_bandwidth(self, model, uniform_bandwidth):
-        """Total n+m on each directed link arc stays within the link bandwidth."""
-        if uniform_bandwidth == float("inf"):
-            return
-        # internal handling is not a link: self-arcs carry no bandwidth row.
-        # Every link arc has its n and m entries next to each other.
-        links = [t for t, ((i, j), _, _) in enumerate(self._template) if i != j]
-        pairs = np.array(links, dtype=int).reshape(-1, 2)
-        arcs = [self._template[t][0] for t in pairs[:, 0].tolist()]
-        width = 2 * len(self.instances)
-        cols = (pairs[:, None, :] + self._shift[None, :, None]).ravel()
-        model.add_rows(np.arange(len(arcs) + 1) * width, cols, np.ones(cols.size),
-                       "<=", uniform_bandwidth,
-                       lambda: ["bandwidth[%s>%s]" % a for a in arcs])
 
     def flows_from_point(self, point):
         """Split a solution vector into n and m dictionaries keyed (i, j, d)."""

@@ -8,15 +8,16 @@ per-instance traffic shares alpha are tied to them; the solved vertex
 is decoded back into launch / keep / terminate actions by per-instance
 argmax over e.
 
-The relaxation has no flow variables.  No relaxation carries bandwidth
-rows, so its flow part is an uncapacitated min-cost flow, whose optimum
-sends every unit along a shortest path (flow decomposition; Ahuja,
-Magnanti and Orlin, Network Flows, 1993).  One multi-source Dijkstra
-from the ingress set and one from the egress set, run once per problem,
-give every PM q its unit cost u(q) = d_in(q) + gamma * d_out(q); the
+The relaxation has no flow variables.  Links are uncapacitated, so its
+flow part is an uncapacitated min-cost flow, whose optimum sends every
+unit along a shortest path (flow decomposition; Ahuja, Magnanti and
+Orlin, Network Flows, 1993).  One multi-source Dijkstra from the
+ingress set and one from the egress set, run once per problem, give
+every PM q its unit cost u(q) = d_in(q) + gamma * d_out(q); the
 objective is T * w_fwd * u(q) on each e[q,s], and decode routes the
 decision's flows down the two shortest-path trees.  The distributed
-solver (`rpadmm`) runs on this same model, so both decode alike.
+solver (`rpadmm`) runs on this same model, so both decode alike, and
+the exact MILP (`milp`) prices and routes its shares the same way.
 
 Relaxed capacity rows keep the interest mass physically meaningful:
 traffic landing on a PM cannot exceed what its resources serve, and
@@ -340,7 +341,7 @@ def _build_relaxation(p):
 
 def build_overload_lp(p):
     """Relaxed scale-out model: pinned online instances plus new slots
-    over the candidate PMs, no binaries, no bandwidth rows."""
+    over the candidate PMs, no binaries."""
     if p.mode != OVERLOAD:
         raise ValueError("problem is not in overload mode")
     return _build_relaxation(p)
@@ -531,10 +532,10 @@ def baseline_forwarding_cost(p):
     """Forwarding cost of the pre-event configuration: all online VMs
     pinned at their hosts serving the baseline traffic T.
 
-    No relaxation carries bandwidth rows, so the flow part of the pinned
-    overload LP is an uncapacitated min-cost flow, and its optimum routes
-    every unit on a shortest path (flow decomposition; Ahuja, Magnanti
-    and Orlin, Network Flows, 1993).  A unit served on host q then costs
+    Links are uncapacitated, so the flow part of the pinned overload LP
+    is an uncapacitated min-cost flow, and its optimum routes every unit
+    on a shortest path (flow decomposition; Ahuja, Magnanti and Orlin,
+    Network Flows, 1993).  A unit served on host q then costs
     u(q) = d_in(q) + gamma * d_out(q), read from the problem's trees.
     What is left is a fractional knapsack: fill the hosts in order of
     (u(q), node position), each up to its share cap times its online VMs

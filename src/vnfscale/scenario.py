@@ -363,6 +363,7 @@ class RunReport:
             if "iterations" in self.stats:
                 lines.append("  sweeps: %(iterations)d, converged: %(converged)s,"
                              " coverage %(coverage).4f" % self.stats)
+            lines.extend("  WARNING: %s" % msg for msg in self.decision.warnings)
             for name, p in sorted(self.trace_paths.items()):
                 lines.append("  wrote %s" % p)
         for msg in self.expect_failures:
@@ -447,8 +448,11 @@ def _rpadmm(p, admm_config):
                             objective_value=trace.objectives[-1],
                             model=system.central)
         dec = decode(sol, p)
+        coverage = sum(dec.shares.values())
+        if coverage < 1.0 - 1e-6:
+            dec.warnings.append("the shares cover %.4f of the traffic" % coverage)
         stats = {"iterations": len(trace.records), "converged": trace.converged,
-                 "coverage": sum(dec.shares.values())}
+                 "coverage": coverage}
         return dec, stats, trace
     return system.model, solve
 

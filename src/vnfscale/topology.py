@@ -4,12 +4,11 @@ A k-fat-tree has k pods, each with k/2 top-of-rack (ToR) and k/2
 aggregation switches, plus k^2/4 core switches.  Every ToR hosts a
 configurable number of physical machines (PMs).  Links carry a
 per-bit-per-unit-time forwarding cost that depends only on the layer
-pair they connect; traffic between VMs on the same PM is handled
-internally and costs nothing.
+pair they connect, and no bandwidth limit; traffic between VMs on the
+same PM is handled internally and costs nothing.
 """
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -22,7 +21,6 @@ CORE = "Core"
 _KIND_ORDER = {PM: 0, TOR: 1, AGG: 2, CORE: 3}
 
 DEFAULT_LAYER_COSTS = (10.0, 20.0, 40.0)  # (pm_tor, tor_agg, agg_core)
-UNLIMITED = math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +78,6 @@ class Topology:
     k: int
     pms_per_rack: int
     layer_costs: tuple
-    bandwidth: float
     nodes: tuple
     pms: tuple = field(repr=False)
     switches: tuple = field(repr=False)
@@ -116,8 +113,7 @@ class Topology:
             raise KeyError("node %s not in topology" % (i,))
 
 
-def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS,
-                   uniform_bandwidth=UNLIMITED):
+def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS):
     """Wire a k-fat-tree and return the finished Topology.
 
     k must be a positive even integer.  Aggregation switch a of every
@@ -132,14 +128,11 @@ def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS,
         raise ValueError("pms_per_rack must be >= 1")
     if len(layer_costs) != 3 or any(c < 0 for c in layer_costs):
         raise ValueError("layer_costs must be three nonnegative numbers")
-    if uniform_bandwidth < 0:
-        raise ValueError("bandwidth must be nonnegative")
-    return _wire(k, operator.index(pms_per_rack), tuple(float(c) for c in layer_costs),
-                 float(uniform_bandwidth))
+    return _wire(k, operator.index(pms_per_rack), tuple(float(c) for c in layer_costs))
 
 
 @functools.cache
-def _wire(k, pms_per_rack, layer_costs, bandwidth):
+def _wire(k, pms_per_rack, layer_costs):
     half = k // 2
     pod = {}
 
@@ -183,8 +176,7 @@ def _wire(k, pms_per_rack, layer_costs, bandwidth):
     adj = {v: tuple(sorted(adj[v], key=order.__getitem__)) for v in nodes}
     arcs = tuple(tuple((order[j], cost[(i, j)]) for j in adj[i]) for i in nodes)
     return Topology(k=k, pms_per_rack=pms_per_rack, layer_costs=layer_costs,
-                    bandwidth=bandwidth, nodes=nodes,
-                    pms=tuple(v for v in nodes if v.kind == PM),
+                    nodes=nodes, pms=tuple(v for v in nodes if v.kind == PM),
                     switches=tuple(v for v in nodes if v.kind != PM),
                     arcs=arcs, _adj=adj, _pod=pod, _order=order, _cost=cost)
 

@@ -12,8 +12,15 @@ The RP-ADMM sweep as first written: numpy element indexing, one
 The flow structure as first written: one add_var and two dict
 registries per (arc, instance, leg), and every row merged from those
 dicts.  A model built with `reference_flownet` in place of
-`netflow.FlowNet` (patched into `milp`, and into this module for
-`flow_skeleton`) must export the same arrays as the block-built one.
+`netflow.FlowNet` (patched into this module for `flow_skeleton` and
+`reference_flow_milp`) must export the same arrays as the block-built
+one.
+
+The exact MILP as first written: one flow commodity per VM on every
+arc, with arrival, conservation, processing and endpoint-total rows.
+`milp.build_milp` prices each share by its shortest-path cost instead,
+and every MILP decision, with its flows routed on shortest paths, must
+be a feasible optimal point of `reference_flow_milp`.
 
 The central relaxation as first written: per-instance flow variables on
 every arc, conservation, processing and endpoint-total rows, share
@@ -39,7 +46,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from vnfscale import lp, rpadmm, scaling
+from vnfscale import lp, milp, rpadmm, scaling
 from vnfscale.chain_state import OVERLOAD, UNDERLOAD
 from vnfscale.netflow import FlowNet
 from vnfscale.topology import PM, forwarding_cost, neighbors
@@ -300,6 +307,87 @@ def reference_baseline_cost(p):
     return sol.objective_value
 
 
+def reference_flow_milp(p):
+    """`milp.build_milp` as first written: the b/alpha grid plus one flow
+    commodity per VM on every arc, arrival rows tying each share to the
+    unprocessed flow into its PM, and the forwarding cost on the flows.
+    The flow net rides along as `fv`."""
+    group = p.group
+    if not group.online:
+        raise ValueError("group has no online VM")
+    topo = p.topology
+    model = lp.LpModel("milp")
+    fv = FlowNet(topo, group.ingress_pms, group.egress_pms)
+
+    online_ids = [vm.id for vm in group.online]
+    offline_ids = [vm.id for vm in group.offline_pool]
+    keys = online_ids + offline_ids
+    fv.add_flow_vars(model, keys)
+
+    placeable = {}
+    for vm in group.online:
+        placeable[vm.id] = list(topo.pms)
+    for vm in group.offline_pool:
+        placeable[vm.id] = list(group.candidate_pms)
+
+    cap = p.share_cap
+    b_idx, alpha_idx, binaries = {}, {}, []
+    for j in keys:
+        for q in placeable[j]:
+            b_idx[(q, j)] = model.add_var("b[%s,%s]" % (q, j), 0.0, 1.0)
+            binaries.append(b_idx[(q, j)])
+            alpha_idx[(q, j)] = model.add_var("alpha[%s,%s]" % (q, j), 0.0, cap)
+
+    w1, w2 = p.weights.deployment, p.weights.forwarding
+    pen = p.penalties
+    offline = set(offline_ids)
+    model.add_objective({idx: w1 * (pen.activate if j in offline else -pen.retain)
+                         for (q, j), idx in b_idx.items()})
+    model.add_objective(fv.objective_coeffs(w2))
+
+    for (q, j), idx in alpha_idx.items():
+        bi = b_idx[(q, j)]
+        model.add_row({idx: 1.0, bi: -cap}, "<=", 0.0, "couple_hi[%s,%s]" % (q, j))
+        model.add_row({bi: p.epsilon, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
+
+    model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
+
+    for j in keys:
+        for q in topo.pms:
+            coeffs = fv.inflow("n", q, j)
+            if (q, j) in alpha_idx:
+                idx = alpha_idx[(q, j)]
+                coeffs[idx] = coeffs.get(idx, 0.0) - p.traffic
+            model.add_row(coeffs, "=", 0.0, "arrival[%s,%s]" % (q, j))
+
+    if p.pm_capacity is not None:
+        members = {vm.id: vm for vm in list(group.online) + list(group.offline_pool)}
+        for q in topo.pms:
+            for r in p.resources:
+                if r not in p.pm_capacity:
+                    continue
+                coeffs = {b_idx[(q, j)]: members[j].capacity[r]
+                          for j in keys if (q, j) in b_idx}
+                if coeffs:
+                    model.add_row(coeffs, "<=", p.pm_capacity[r][q],
+                                  "capacity[%s,%s]" % (q, r))
+
+    for j in keys:
+        coeffs = {b_idx[(q, j)]: 1.0 for q in placeable[j]}
+        if coeffs:
+            model.add_row(coeffs, "<=", 1.0, "one_host[%s]" % (j,))
+
+    fv.add_switch_conservation(model)
+    fv.add_pm_processing(model, group.gamma)
+    fv.add_ingress_total(model, p.traffic)
+    fv.add_egress_total(model, p.traffic, group.gamma)
+
+    mp = milp.MilpProblem(base=model, binaries=binaries, problem=p,
+                          b_idx=b_idx, alpha_idx=alpha_idx,
+                          online_ids=online_ids, offline_ids=offline_ids)
+    mp.fv = fv
+    return mp
+
 
 def reference_shortest_path_tree(topo, sources):
     """`scaling._shortest_path_tree` as first written, on NodeIds."""
@@ -439,19 +527,6 @@ class DictFlowNet:
             for d in self.instances:
                 coeffs.update(self.inflow("m", p, d))
         model.add_row(coeffs, "=", traffic * gamma, "egress_total")
-
-    def add_bandwidth(self, model, uniform_bandwidth):
-        """Total n+m on each directed link arc stays within the link bandwidth."""
-        if uniform_bandwidth == float("inf"):
-            return
-        for (i, j) in self.arcs:
-            if i == j:
-                continue  # internal handling is not a link
-            coeffs = {}
-            for d in self.instances:
-                coeffs[self.n_idx[(i, j, d)]] = 1.0
-                coeffs[self.m_idx[(i, j, d)]] = 1.0
-            model.add_row(coeffs, "<=", uniform_bandwidth, "bandwidth[%s>%s]" % (i, j))
 
     def flows_from_point(self, point):
         """Split a solution vector into n and m dictionaries keyed (i, j, d)."""

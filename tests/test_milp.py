@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ import vnfscale as vs
 from vnfscale import lp, milp, scaling
 
 from corpus import k2_instance, pm, tree4, capacity, scenario1, problem
-from oracle import enumerate_single_host, enumerate_all_bits
+from oracle import enumerate_single_host, enumerate_all_bits, reference_flow_milp
+
+SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def build(seed, mode=None):
@@ -21,13 +25,27 @@ def test_binary_grid_size():
 
 
 def test_variable_count_reference():
-    # small tree with 3 VMs lands near the published reference size (120)
-    p, mp = build(0)
-    assert 100 <= mp.base.num_vars <= 150
-    # and grows monotonically with the tree
+    # the flow MILP on the small tree with 3 VMs lands near the published
+    # reference size (120)
+    p = k2_instance(0)
+    ref = reference_flow_milp(p)
+    assert 100 <= ref.base.num_vars <= 150
+    # the model solved has a b and an alpha per (PM, VM) pair: 4 PMs x 3
+    # VMs, with 24 coupling rows, coverage, 4 capacity and 3 one-host rows
+    mp = milp.build_milp(p)
+    assert (mp.base.num_vars, mp.base.num_rows) == (24, 32)
+    # and both grow monotonically with the tree
     big = problem(tree4(), scenario1(), 400.0, 4, vs.OVERLOAD)
-    mp4 = milp.build_milp(big)
-    assert mp4.base.num_vars > mp.base.num_vars
+    assert milp.build_milp(big).base.num_vars > mp.base.num_vars
+    assert reference_flow_milp(big).base.num_vars > ref.base.num_vars
+
+
+def test_no_flow_variables_or_rows():
+    for p in (k2_instance(0), problem(tree4(), scenario1(), 400.0, 4, vs.OVERLOAD)):
+        model = milp.build_milp(p).base
+        assert {n.partition("[")[0] for n in model.var_names} == {"b", "alpha"}
+        assert {l.partition("[")[0] for l in model.row_labels()} == {
+            "couple_hi", "couple_lo", "coverage", "capacity", "one_host"}
 
 
 def test_zero_point_violates_coverage_by_one():
@@ -153,10 +171,10 @@ def test_total_decomposes():
 # instance.  A change to the node LPs (a warm start, say) that moves any of
 # these is a behaviour change and has to say so.
 BRANCH_AND_BOUND = [
-    (0, 17, -19833.297375903294, {"vm1": pm(1), "vm2": pm(2), "off1": pm(3)}),
+    (0, 17, -19833.297375903294, {"vm1": pm(2), "vm2": pm(1), "off1": pm(3)}),
     (1, 1, 10070.376662132954, {"vm1": pm(1), "vm2": None, "off1": None}),
-    (2, 7, -19983.944638322166, {"vm1": pm(2), "vm2": pm(1), "off1": pm(2)}),
-    (4, 13, -19913.23989640834, {"vm1": pm(3), "vm2": pm(1), "off1": pm(4)}),
+    (2, 7, -19983.94463832217, {"vm1": pm(2), "vm2": pm(1), "off1": pm(2)}),
+    (4, 13, -19913.239896408344, {"vm1": pm(3), "vm2": pm(4), "off1": pm(2)}),
 ]
 
 
@@ -240,3 +258,51 @@ def test_placement_and_flow_tables():
         assert float(e_at_host) == 1.0
     flows = vs.flows_csv(sol)
     assert flows.splitlines()[0] == "from,to,instance,flow,value"
+
+
+# -- exactness against the flow MILP ---------------------------------------------
+
+def reference_point(p, sol):
+    """A MILP decision as a point of `reference_flow_milp(p)`: its
+    binaries b, its shares and its routed flows.  Returns (reference
+    problem, point)."""
+    ref = reference_flow_milp(p)
+    x = np.zeros(ref.base.num_vars)
+    for k, i in ref.b_idx.items():
+        x[i] = sol.e[k]
+    for k, i in ref.alpha_idx.items():
+        x[i] = sol.alpha[k]
+    for flows, index in ((sol.flows_n, ref.fv.n_idx), (sol.flows_m, ref.fv.m_idx)):
+        for k, val in flows.items():
+            x[index[k]] = val
+    return ref, x
+
+
+def joint_migration_problem():
+    sc = vs.load_scenario(os.path.join(SCEN_DIR, "joint_migration_k2.scn"))
+    return vs.scenario._problem_for(sc, vs.classify_group(sc.group))
+
+
+EXACT_CASES = [pytest.param(lambda s=s, m=m: k2_instance(s, m), id="%s-seed%d" % (m, s))
+               for m in (vs.OVERLOAD, vs.UNDERLOAD) for s in range(10)]
+EXACT_CASES.append(pytest.param(joint_migration_problem, id="joint_migration_k2"))
+
+
+@pytest.mark.parametrize("make", EXACT_CASES)
+def test_decisions_are_exact_in_the_flow_milp(make):
+    """The decision, lifted into the flow MILP, is feasible within
+    1e-9 * max(1, T) and prices to that model's branch-and-bound optimum
+    within 1e-9."""
+    p = make()
+    sol = milp.solve_milp(milp.build_milp(p))
+    assert sol.status == "optimal"
+    ref, x = reference_point(p, sol)
+    model = ref.base
+    tol = 1e-9 * max(1.0, p.traffic)
+    assert lp.check_feasibility(model, x, tol=tol) == []
+    assert np.all(x >= np.array(model.lower) - tol)
+    assert np.all(x <= np.array(model.upper) + tol)
+    want = milp.solve_milp(ref)
+    assert want.status == "optimal"
+    assert model.matrices().c @ x == pytest.approx(want.total, rel=1e-9, abs=1e-9)
+    assert sol.total == pytest.approx(want.total, rel=1e-9, abs=1e-9)

@@ -1,12 +1,10 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 import corpus
 import oracle
 import vnfscale as vs
-from vnfscale import lp, milp
+from vnfscale import lp
 from vnfscale.netflow import FlowNet
 from vnfscale.topology import PM, TOR, NodeId
 
@@ -74,21 +72,6 @@ def test_min_cost_route_same_rack(topo):
     assert sol.objective_value == pytest.approx(40.0)
 
 
-def test_bandwidth_rows_optional(topo):
-    fv = FlowNet(topo, [NodeId(PM, 0)], [NodeId(PM, 3)])
-    model = lp.LpModel()
-    fv.add_flow_vars(model, ["d1"])
-    before = model.num_rows
-    fv.add_bandwidth(model, float("inf"))
-    assert model.num_rows == before  # unlimited links add nothing
-    fv.add_bandwidth(model, 5.0)
-    labels = [r[3] for r in model.rows[before:]]
-    assert labels and all(l.startswith("bandwidth") for l in labels)
-    # self-arcs are inside a PM and never bandwidth-limited
-    assert not any(str(NodeId(PM, 0)) + ">" + str(NodeId(PM, 0)) in l
-                   for l in labels)
-
-
 def test_empty_endpoint_sets_rejected(topo):
     with pytest.raises(ValueError):
         FlowNet(topo, [], [NodeId(PM, 0)])
@@ -122,20 +105,12 @@ def k8_two_endpoints():
     return corpus.problem(topo, g, 300.0, 3, vs.OVERLOAD)
 
 
-def k2_bandwidth_instance(seed):
-    """k2_instance on a tree whose links carry 1.5 units each."""
-    p = corpus.k2_instance(seed)
-    return dataclasses.replace(p, topology=vs.build_fat_tree(
-        2, pms_per_rack=2, uniform_bandwidth=1.5))
-
-
 ORACLE_CASES = {
     "lp": lambda: oracle.reference_relaxation(corpus.admm_fixture()),
     "underload": lambda: oracle.reference_relaxation(corpus.k2_instance(1)),
     "k8": lambda: oracle.reference_relaxation(k8_two_endpoints()),
-    **{"milp%d" % s: (lambda s=s: milp.build_milp(corpus.k2_instance(s)).base)
+    **{"milp%d" % s: (lambda s=s: oracle.reference_flow_milp(corpus.k2_instance(s)).base)
        for s in range(4)},
-    "milp-bw": lambda: milp.build_milp(k2_bandwidth_instance(0)).base,
 }
 
 
@@ -152,7 +127,6 @@ def exported(model):
 def oracle_built(build, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "FlowNet", oracle.reference_flownet)
-        patch.setattr(milp, "FlowNet", oracle.reference_flownet)
         return build()
 
 
@@ -166,8 +140,6 @@ def test_block_build_exports_what_the_dict_build_exports(name, monkeypatch):
         assert np.array_equal(arrays[key], want), key
     for key, want in want_lists.items():
         assert lists[key] == want, key
-    if name == "milp-bw":
-        assert any(l.startswith("bandwidth[") for l in lists["labels"])
 
 
 def test_flow_lookups_match_the_dict_build(monkeypatch):

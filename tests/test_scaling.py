@@ -697,7 +697,6 @@ def test_baseline_matches_lp_on_corpus(p, load):
 
 
 @pytest.mark.parametrize("tree", [
-    pytest.param(vs.build_fat_tree(4, uniform_bandwidth=50.0), id="finite bandwidth"),
     pytest.param(vs.build_fat_tree(4, layer_costs=(0.0, 0.0, 0.0)), id="zero costs"),
     pytest.param(vs.build_fat_tree(4, layer_costs=(10.0, 0.0, 0.0)), id="zero upper layers"),
 ])

@@ -216,6 +216,28 @@ def test_milp_scenario_migrates_and_reports(tmp_path):
     assert os.path.exists(report.trace_paths["decisions"])
 
 
+def test_decision_warnings_are_printed():
+    dec = scaling.ScalingDecision(mode=vs.OVERLOAD, warnings=["first", "second"])
+    report = scenario.RunReport(
+        scenario="s", state=vs.OVERLOAD, v_star=2, method="lp", decision=dec,
+        baseline_cost=1.0, forwarding_cost=1.0, cost_delta=0.0,
+        stats={"num_vars": 1, "num_rows": 1, "runtime_s": 0.0})
+    lines = report.text().splitlines()
+    assert [l for l in lines if "WARNING" in l] == ["  WARNING: first",
+                                                    "  WARNING: second"]
+
+
+def test_distributed_run_warns_when_the_shares_fall_short():
+    short = scenario.run_scenario(scen("distributed_scale_out.scn"),
+                                  overrides={"iters": 1})
+    assert short.stats["coverage"] < 1.0 - 1e-6
+    assert short.decision.warnings == ["the shares cover 0.8750 of the traffic"]
+    assert "  WARNING: the shares cover 0.8750 of the traffic\n" in short.text()
+    full = scenario.run_scenario(scen("distributed_scale_out.scn"))
+    assert full.stats["coverage"] >= 1.0 - 1e-6
+    assert full.decision.warnings == [] and "WARNING" not in full.text()
+
+
 def underload_body():
     body = minimal(util="0.10", event="preset = underload", method="rpadmm")
     return body.replace("vm1  P2  100  0.10",

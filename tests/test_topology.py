@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import os
 import pickle
 import subprocess
@@ -109,13 +108,6 @@ def test_node_ordering_is_stable():
     assert [t.node_position(v) for v in t.nodes] == list(range(len(t.nodes)))
 
 
-def test_bandwidth_default_unlimited():
-    t = tp.build_fat_tree(2)
-    assert t.bandwidth == math.inf
-    t2 = tp.build_fat_tree(2, uniform_bandwidth=1000.0)
-    assert t2.bandwidth == 1000.0
-
-
 def test_listing_mentions_every_node():
     t = tp.build_fat_tree(2)
     text = tp.topology_listing(t)
@@ -180,20 +172,19 @@ def test_each_tree_is_built_once():
     assert listed.layer_costs == (10.0, 20.0, 40.0)
     assert all(type(c) is float for c in listed.layer_costs)
     others = [tp.build_fat_tree(6), tp.build_fat_tree(8, pms_per_rack=3),
-              tp.build_fat_tree(8, layer_costs=(10.0, 20.0, 0.0)),
-              tp.build_fat_tree(8, uniform_bandwidth=50.0)]
-    assert len({id(o) for o in others + [t]}) == 5
-    assert [(o.k, o.pms_per_rack, o.layer_costs, o.bandwidth) for o in others] == [
-        (6, 2, (10.0, 20.0, 40.0), math.inf), (8, 3, (10.0, 20.0, 40.0), math.inf),
-        (8, 2, (10.0, 20.0, 0.0), math.inf), (8, 2, (10.0, 20.0, 40.0), 50.0)]
+              tp.build_fat_tree(8, layer_costs=(10.0, 20.0, 0.0))]
+    assert len({id(o) for o in others + [t]}) == 4
+    assert [(o.k, o.pms_per_rack, o.layer_costs) for o in others] == [
+        (6, 2, (10.0, 20.0, 40.0)), (8, 3, (10.0, 20.0, 40.0)),
+        (8, 2, (10.0, 20.0, 0.0))]
     assert tp.forwarding_cost(others[2], tp.NodeId(tp.AGG, 0), tp.NodeId(tp.CORE, 0)) == 0.0
     assert tp.forwarding_cost(t, tp.NodeId(tp.AGG, 0), tp.NodeId(tp.CORE, 0)) == 40.0
 
 
 def test_a_tree_cannot_be_changed():
     t = tp.build_fat_tree(4)
-    for name in ("k", "pms_per_rack", "layer_costs", "bandwidth", "nodes", "pms",
-                 "switches", "arcs"):
+    for name in ("k", "pms_per_rack", "layer_costs", "nodes", "pms", "switches",
+                 "arcs"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(t, name, None)
     for seq in (t.nodes, t.pms, t.switches, t.arcs, t.layer_costs):
@@ -226,7 +217,6 @@ BAD_BUILDS = [
     ((4, 2.0), TypeError, "'float' object cannot be interpreted as an integer"),
     ((4, 2, (10, 20)), ValueError, "^layer_costs must be three nonnegative numbers$"),
     ((4, 2, [10, -1, 40]), ValueError, "^layer_costs must be three nonnegative numbers$"),
-    ((4, 2, (10, 20, 40), -1.0), ValueError, "^bandwidth must be nonnegative$"),
 ]
 
 
@@ -234,7 +224,7 @@ BAD_BUILDS = [
                          ids=[repr(args) for args, _, _ in BAD_BUILDS])
 def test_bad_builds_fail_as_before_after_a_cached_build(args, error, match):
     tp.build_fat_tree(4)
-    tp.build_fat_tree(4, 2, (10, 20, 40), math.inf)
+    tp.build_fat_tree(4, 2, (10, 20, 40))
     for _ in range(2):
         with pytest.raises(error, match=match):
             tp.build_fat_tree(*args)
