@@ -1,19 +1,17 @@
 """Sparse linear-program container and exact solver.
 
 LpModel is a registry of variables (name, bounds), a sparse linear
-objective and relational rows.  Variables come one at a time or as a
-contiguous range named lazily.  All rows live in one CSR kept as Python
-lists: add_row appends a coefficient dict, add_rows a block with one
-relation whose labels are made on the first read.  matrices() exports
-the objective and rows as arrays for every reader of the rows, each
-row's coefficients in insertion order with explicit zeros kept.
-solve() loads that export once into one HiGHS object per model (scipy's
-bundled HiGHS), then per call sets only the column bounds and re-runs
-the dual simplex from a cold start.  Every add_* call drops the export
-and the HiGHS object; bounds stay out of both, so branch-and-bound nodes
-share one of each.  The dual simplex is deterministic for a fixed model
-and returns a basic (vertex) optimal point, which placement decoding
-relies on.
+objective and relational rows, added one at a time.  All rows live in
+one CSR kept as Python lists: add_row appends a coefficient dict.
+matrices() exports the objective and rows as arrays for every reader of
+the rows, each row's coefficients in insertion order with explicit zeros
+kept.  solve() loads that export once into one HiGHS object per model
+(scipy's bundled HiGHS), then per call sets only the column bounds and
+re-runs the dual simplex from a cold start.  Every add_* call drops the
+export and the HiGHS object; bounds stay out of both, so
+branch-and-bound nodes share one of each.  The dual simplex is
+deterministic for a fixed model and returns a basic (vertex) optimal
+point, which placement decoding relies on.
 """
 
 from collections import namedtuple
@@ -65,11 +63,8 @@ class LpError(RuntimeError):
 class LpModel:
     """Variables (name, bounds), a sparse objective and relational rows.
 
-    Variables come one at a time (add_var) or as a contiguous range
-    (add_vars) whose names are made on the first var() / var_names
-    read.  Rows are one CSR (_indptr, _indices, _data) with a relation,
-    rhs and label per row; a block's labels stay None until the first
-    row_labels() read.
+    Rows are one CSR (_indptr, _indices, _data) with a relation, rhs and
+    label per row.
     """
 
     def __init__(self, name="lp"):
@@ -77,13 +72,11 @@ class LpModel:
         self.lower = []
         self.upper = []
         self.objective = {}     # var index -> coefficient
-        self._names = []        # var index -> name, None until its range is named
-        self._unnamed = []      # (start, count, make names) of unnamed ranges
+        self._names = []        # var index -> name
         self._by_name = {}
         self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
         self._rel, self._rhs = [], []
-        self._labels = []       # row index -> label, None until its block is labelled
-        self._unlabelled = []   # (start, count, make labels) of unlabelled blocks
+        self._labels = []       # row index -> label
         self._matrices = None
         self._highs = None
 
@@ -100,46 +93,11 @@ class LpModel:
         self._matrices = self._highs = None
         return idx
 
-    def add_vars(self, count, lo, hi, names):
-        """Add count variables with contiguous indices and return the
-        first.  lo and hi are scalars or length-count sequences; names()
-        returns the count names and is called on the first var() or
-        var_names read."""
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (count,))
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (count,))
-        if not (lo <= hi).all():
-            raise ValueError("empty bound interval in a range of %d variables"
-                             % count)
-        start = len(self._names)
-        self._names.extend([None] * count)
-        self.lower.extend(lo.tolist())
-        self.upper.extend(hi.tolist())
-        self._unnamed.append((start, count, names))
-        self._matrices = self._highs = None
-        return start
-
-    def _name_ranges(self):
-        pending, self._unnamed = self._unnamed, []
-        for start, count, make in pending:
-            names = list(make())
-            if len(names) != count:
-                raise ValueError("%d names for a range of %d variables"
-                                 % (len(names), count))
-            self._names[start:start + count] = names
-            for idx, name in enumerate(names, start):
-                if name in self._by_name:
-                    raise ValueError("duplicate variable %r" % name)
-                self._by_name[name] = idx
-
     @property
     def var_names(self):
-        if self._unnamed:
-            self._name_ranges()
         return self._names
 
     def var(self, name):
-        if self._unnamed:
-            self._name_ranges()
         return self._by_name[name]
 
     def add_row(self, coeffs, rel, rhs, label=""):
@@ -157,39 +115,6 @@ class LpModel:
         self._indptr.append(len(self._indices))
         self._matrices = self._highs = None
         return len(self._rhs) - 1
-
-    def add_rows(self, indptr, indices, data, rel, rhs, labels):
-        """Append a CSR block of rows with one relation and return the
-        index of its first row.  Row k holds data[indptr[k]:indptr[k+1]]
-        at the distinct columns indices[indptr[k]:indptr[k+1]], in that
-        order; rhs is a scalar or one value per row; labels() returns
-        the row labels and is called on the first read of a label."""
-        if rel not in (EQ, LE, GE):
-            raise ValueError("bad relation %r" % rel)
-        indptr = np.asarray(indptr, dtype=int)
-        indices = np.asarray(indices, dtype=int)
-        data = np.asarray(data, dtype=float)
-        count = indptr.size - 1
-        if count < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any() \
-                or indptr[-1] != indices.size or data.size != indices.size:
-            raise ValueError("malformed row block")
-        n = self.num_vars
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError("row block references unknown variables")
-        keys = np.sort(np.repeat(np.arange(count), np.diff(indptr)) * n + indices)
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("row block names a column twice in one row")
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (count,))
-        start = len(self._rhs)
-        self._indptr.extend((indptr[1:] + len(self._indices)).tolist())
-        self._indices.extend(indices.tolist())
-        self._data.extend(data.tolist())
-        self._rel.extend([rel] * count)
-        self._rhs.extend(rhs.tolist())
-        self._labels.extend([None] * count)
-        self._unlabelled.append((start, count, labels))
-        self._matrices = self._highs = None
-        return start
 
     def add_objective(self, coeffs):
         n = self.num_vars
@@ -209,14 +134,6 @@ class LpModel:
 
     def row_labels(self):
         """Every row's label in row order."""
-        while self._unlabelled:     # popped once labelled: a bad count raises each read
-            start, count, make = self._unlabelled[0]
-            labels = list(make())
-            if len(labels) != count:
-                raise ValueError("%d labels for a block of %d rows"
-                                 % (len(labels), count))
-            self._labels[start:start + count] = labels
-            del self._unlabelled[0]
         return list(self._labels)
 
     @property
@@ -226,7 +143,7 @@ class LpModel:
         ptr, cols, vals = self._indptr, self._indices, self._data
         return tuple((dict(zip(cols[lo:hi], vals[lo:hi])), rel, rhs, label)
                      for lo, hi, rel, rhs, label
-                     in zip(ptr, ptr[1:], self._rel, self._rhs, self.row_labels()))
+                     in zip(ptr, ptr[1:], self._rel, self._rhs, self._labels))
 
     def objective_value(self, point):
         return sum((c * point[i] for i, c in self.objective.items()), 0.0)

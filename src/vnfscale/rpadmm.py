@@ -130,14 +130,19 @@ def reformulate(p):
     peak = np.zeros(a.shape[0])
     np.maximum.at(peak, rows, np.abs(data))
     model = lp.LpModel(central.name + "_admm")
-    model.add_vars(central.num_vars, np.asarray(central.lower) * scale,
-                   np.asarray(central.upper) * scale, lambda: central.var_names)
+    for name, lo, hi in zip(central.var_names,
+                            (np.asarray(central.lower) * scale).tolist(),
+                            (np.asarray(central.upper) * scale).tolist()):
+        model.add_var(name, lo, hi)
     model.add_objective({i: c / scale[i] for i, c in central.objective.items()})
-    model.add_rows(a.indptr, a.indices, data / peak[rows], lp.EQ,
-                   mats.b / peak, central.row_labels)
+    # each central row's columns in CSR order, explicit zeros kept
+    labels = central.row_labels()
+    ptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), (data / peak[rows]).tolist()
+    for lo, hi, rhs, label in zip(ptr, ptr[1:], (mats.b / peak).tolist(), labels):
+        model.add_row(dict(zip(cols[lo:hi], vals[lo:hi])), lp.EQ, rhs, label)
     system = ReformulatedSystem(
         model=model, owners=owners,
-        row_family=[_family_of(l) for l in central.row_labels()],
+        row_family=[_family_of(l) for l in labels],
         central=central, scale=scale)
     agent_partition(system)   # fail fast on any orphan block
     return system

@@ -391,8 +391,9 @@ def decode(solution, p):
     point = solution.point
     warnings = []
 
-    e_vals = {k: float(point[i]) for k, i in layout.e_idx.items()}
-    alpha_vals = {k: float(point[i]) for k, i in layout.alpha_idx.items()}
+    # + 0.0 turns a solver's -0.0 into 0.0, which prints as 0
+    e_vals = {k: float(point[i]) + 0.0 for k, i in layout.e_idx.items()}
+    alpha_vals = {k: float(point[i]) + 0.0 for k, i in layout.alpha_idx.items()}
     shares = {}
     for s in slots:
         q0 = layout.rel_pms[0]
@@ -419,7 +420,7 @@ def decode(solution, p):
             raise DecodeError("no PM has room for instance %s" % s.key)
         if choice != column[0][2]:
             warnings.append("instance %s displaced from %s to %s by slot supply"
-                            % (s.key, column[0][2], choice))
+                            % (s.key, pm_name(column[0][2]), pm_name(choice)))
         supply[choice] -= 1
         placed[s.key] = choice
 
@@ -445,10 +446,11 @@ def decode(solution, p):
             if vm.id not in kept:
                 terminated[vm.id] = vm.host
 
+    vm_of = {key: vm_id for vm_id, key in vm_slot.items()}
     for s in slots:
         if shares[s.key] < p.epsilon - 1e-12:
             warnings.append("instance %s share %.4g below minimum collaboration %.4g"
-                            % (s.key, shares[s.key], p.epsilon))
+                            % (vm_of.get(s.key, s.key), shares[s.key], p.epsilon))
 
     flows_n, flows_m = route_flows(p, e_vals)
     fwd = forwarding_cost_of(flows_n, flows_m, p.topology)

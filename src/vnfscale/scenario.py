@@ -134,6 +134,8 @@ def _pairs(text):
     out = {}
     for token in text.split():
         k, _, v = token.partition(":")
+        if k in out:
+            raise ScenarioParseError("%s named twice" % k)
         with _bad_values_named("bad name:value token %r" % token):
             out[k] = _number(v, at_least=0)
     return out

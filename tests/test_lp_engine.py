@@ -116,118 +116,6 @@ def test_check_feasibility_flags_violations():
         lp.check_feasibility(m, np.array([1.0]))
 
 
-# -- variable ranges and row blocks -------------------------------------------
-
-def test_variable_range_is_named_on_first_read():
-    made = []
-
-    def names():
-        made.append(1)
-        return ["r0", "r1", "r2"]
-
-    m = lp.LpModel("range")
-    m.add_var("x")
-    assert m.add_vars(3, 0.0, [1.0, np.inf, 0.0], names) == 1
-    assert m.add_var("y", -1.0, 1.0) == 4
-    assert m.num_vars == 5 and not made
-    assert m.lower == [0.0, 0.0, 0.0, 0.0, -1.0]
-    assert m.upper == [np.inf, 1.0, np.inf, 0.0, 1.0]
-    assert m.var("r1") == 2 and m.var("y") == 4
-    assert m.var_names == ["x", "r0", "r1", "r2", "y"]
-    assert made == [1]
-
-
-def test_variable_range_rejects_bad_bounds_and_name_counts():
-    m = lp.LpModel("range")
-    with pytest.raises(ValueError):
-        m.add_vars(2, [0.0, 2.0], 1.0, lambda: ["a", "b"])
-    with pytest.raises(ValueError):
-        m.add_vars(1, 0.0, np.nan, lambda: ["a"])
-    with pytest.raises(ValueError):
-        m.add_vars(2, [0.0, np.nan], 1.0, lambda: ["a", "b"])
-    assert m.num_vars == 0
-    m = lp.LpModel("range")
-    m.add_vars(2, 0.0, 1.0, lambda: ["a"])
-    with pytest.raises(ValueError):
-        m.var_names
-
-
-def test_name_collisions_across_a_range_raise():
-    # a scalar name taken by an earlier range: raised by add_var or, at
-    # the latest, when the range's names are made
-    m = lp.LpModel("collide")
-    m.add_vars(2, 0.0, 1.0, lambda: ["a", "b"])
-    with pytest.raises(ValueError):
-        m.add_var("b")
-        m.var_names
-    m = lp.LpModel("collide")
-    m.add_vars(2, 0.0, 1.0, lambda: ["a", "b"])
-    m.var_names
-    with pytest.raises(ValueError):
-        m.add_var("a")
-    # a range name taken by an earlier scalar
-    m = lp.LpModel("collide")
-    m.add_var("b")
-    m.add_vars(2, 0.0, 1.0, lambda: ["a", "b"])
-    with pytest.raises(ValueError):
-        m.var("a")
-
-
-def test_row_blocks_export_like_scalar_rows():
-    """Scalar rows and blocks, interleaved, export exactly what the same
-    rows added one at a time export."""
-    rows = [({0: 1.0, 2: -1.0}, "=", 0.0, "s0"),
-            ({1: 2.0}, "<=", 3.0, "b0"), ({2: 0.0, 0: 1.5}, "<=", 4.0, "b1"),
-            ({}, "<=", 5.0, "b2"),
-            ({1: -1.0}, ">=", -2.0, "s1")]
-    scalar, mixed = lp.LpModel("scalar"), lp.LpModel("mixed")
-    for m in (scalar, mixed):
-        m.add_vars(3, -5.0, 5.0, lambda: ["x0", "x1", "x2"])
-        m.add_objective({1: 1.0})
-    for row in rows:
-        scalar.add_row(*row)
-    mixed.add_row(*rows[0])
-    assert mixed.add_rows([0, 1, 3, 3], [1, 2, 0], [2.0, 0.0, 1.5], "<=",
-                          [3.0, 4.0, 5.0], lambda: ["b0", "b1", "b2"]) == 1
-    mixed.add_row(*rows[4])
-    assert mixed.num_rows == 5
-    a, b = scalar.matrices(), mixed.matrices()
-    for key in ("c", "b", "rel"):
-        assert np.array_equal(getattr(a, key), getattr(b, key)), key
-    for key in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(a.a, key), getattr(b.a, key)), key
-    assert mixed.rows == scalar.rows
-    assert mixed.row_labels() == ["s0", "b0", "b1", "b2", "s1"]
-    bad = lp.check_feasibility(mixed, np.array([0.0, 1.6, 0.0]))
-    assert [(v.row, v.label) for v in bad] == [(1, "b0")]
-    assert lp.solve(mixed).objective_value == lp.solve(scalar).objective_value
-
-
-def test_malformed_row_blocks_rejected():
-    m = lp.LpModel("blocks")
-    m.add_vars(2, 0.0, 1.0, lambda: ["x", "y"])
-    ok = lambda: ["r"]
-    with pytest.raises(ValueError):
-        m.add_rows([0, 1], [0], [1.0], "<", 1.0, ok)      # relation
-    with pytest.raises(ValueError):
-        m.add_rows([0, 1], [2], [1.0], "=", 1.0, ok)      # unknown variable
-    with pytest.raises(ValueError):
-        m.add_rows([0, 2], [0], [1.0], "=", 1.0, ok)      # indptr overruns
-    with pytest.raises(ValueError):
-        m.add_rows([0, 1], [0], [1.0, 2.0], "=", 1.0, ok)  # data length
-    with pytest.raises(ValueError):
-        m.add_rows([0, 2], [0, 0], [1.0, 1.0], ">=", 4.0, ok)  # column twice
-    assert m.num_rows == 0
-    # the same column in two different rows is fine
-    assert m.add_rows([0, 1, 2], [0, 0], [1.0, 1.0], "<=", 1.0,
-                      lambda: ["p", "q"]) == 0
-    assert m.num_rows == 2
-    m.add_rows([0, 1], [0], [1.0], "=", 1.0, lambda: ["r", "s"])
-    for _ in range(2):      # a wrong label count raises on every read
-        with pytest.raises(ValueError):
-            m.row_labels()
-
-
 def test_free_and_negative_variables():
     m = lp.LpModel("free")
     x = m.add_var("x", -np.inf, np.inf)

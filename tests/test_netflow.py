@@ -1,8 +1,5 @@
-import numpy as np
 import pytest
 
-import corpus
-import oracle
 import vnfscale as vs
 from vnfscale import lp
 from vnfscale.netflow import FlowNet
@@ -90,101 +87,6 @@ def test_wrong_direction_pm_arcs_are_pinned_to_zero(topo):
     for (i, j, d), idx in fv.m_idx.items():
         lands = j.kind != PM or j == egress
         assert (model.upper[idx] > 0) == lands, (i, j)
-
-
-# -- the block build against the dict-built oracle --------------------------
-
-def k8_two_endpoints():
-    """A k=8 overload instance with ingress P1, P5 and egress P5, P9:
-    P5 is both, so it carries an n and an m self-arc."""
-    topo = vs.build_fat_tree(8, pms_per_rack=2)
-    g = corpus.group("c8", [corpus.pm(2), corpus.pm(20)], 1.25, corpus.pm(1),
-                     corpus.pm(5), topo.pms)
-    g.ingress_pms = [corpus.pm(1), corpus.pm(5)]
-    g.egress_pms = [corpus.pm(5), corpus.pm(9)]
-    return corpus.problem(topo, g, 300.0, 3, vs.OVERLOAD)
-
-
-ORACLE_CASES = {
-    "lp": lambda: oracle.reference_relaxation(corpus.admm_fixture()),
-    "underload": lambda: oracle.reference_relaxation(corpus.k2_instance(1)),
-    "k8": lambda: oracle.reference_relaxation(k8_two_endpoints()),
-    **{"milp%d" % s: (lambda s=s: oracle.reference_flow_milp(corpus.k2_instance(s)).base)
-       for s in range(4)},
-}
-
-
-def exported(model):
-    mats = model.matrices()
-    arrays = {"c": mats.c, "a.data": mats.a.data, "a.indices": mats.a.indices,
-              "a.indptr": mats.a.indptr, "b": mats.b, "rel": mats.rel,
-              "lower": np.array(model.lower), "upper": np.array(model.upper)}
-    lists = {"names": model.var_names, "labels": model.row_labels(),
-             "objective": list(model.objective.items())}
-    return arrays, lists
-
-
-def oracle_built(build, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "FlowNet", oracle.reference_flownet)
-        return build()
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
-def test_block_build_exports_what_the_dict_build_exports(name, monkeypatch):
-    build = ORACLE_CASES[name]
-    arrays, lists = exported(build())
-    want_arrays, want_lists = exported(oracle_built(build, monkeypatch))
-    for key, want in want_arrays.items():
-        assert arrays[key].dtype == want.dtype, key
-        assert np.array_equal(arrays[key], want), key
-    for key, want in want_lists.items():
-        assert lists[key] == want, key
-
-
-def test_flow_lookups_match_the_dict_build(monkeypatch):
-    p = k8_two_endpoints()
-    model = oracle.reference_relaxation(p)
-    fv = model.layout.fv
-    ref = oracle_built(lambda: oracle.reference_relaxation(p), monkeypatch).layout.fv
-    assert isinstance(ref, oracle.DictFlowNet)
-    assert list(fv.n_idx.items()) == list(ref.n_idx.items())
-    assert list(fv.m_idx.items()) == list(ref.m_idx.items())
-    for node in (corpus.pm(5), corpus.pm(9), NodeId(TOR, 0), NodeId("Core", 3)):
-        for flow in ("n", "m"):
-            assert list(fv.outflow(flow, node, "d2").items()) == \
-                list(ref.outflow(flow, node, "d2").items())
-            assert list(fv.inflow(flow, node, "d2").items()) == \
-                list(ref.inflow(flow, node, "d2").items())
-    assert fv.outflow("n", corpus.pm(1), "no-such-instance") == {}
-    point = np.random.default_rng(3).normal(size=model.num_vars)
-    got, want = fv.flows_from_point(point), ref.flows_from_point(point)
-    assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
-    assert fv.objective_coeffs(0.5) == ref.objective_coeffs(0.5)
-    assert list(fv.objective_coeffs(0.5)) == list(ref.objective_coeffs(0.5))
-    with pytest.raises(TypeError):
-        fv.n_idx[next(iter(fv.n_idx))] = 0
-
-
-def test_block_names_and_labels_are_the_dict_build_names(topo, monkeypatch):
-    fv = FlowNet(topo, [NodeId(PM, 0)], [NodeId(PM, 3)])
-    model = lp.LpModel()
-    fv.add_flow_vars(model, ["d1", "d2"])
-    fv.add_switch_conservation(model)
-    ref = oracle.reference_flownet(topo, [NodeId(PM, 0)], [NodeId(PM, 3)])
-    ref_model = lp.LpModel()
-    ref.add_flow_vars(ref_model, ["d1", "d2"])
-    ref.add_switch_conservation(ref_model)
-    name = "n[PM0>ToR0,d2]"
-    assert model.var(name) == ref_model.var(name)
-    assert model.var_names == ref_model.var_names
-    assert model.row_labels() == [r[3] for r in ref_model.rows]
-    # one unit enters ToR0 from PM0 and goes nowhere
-    point = np.zeros(model.num_vars)
-    point[model.var("n[PM0>ToR0,d1]")] = 1.0
-    bad = lp.check_feasibility(model, point)
-    assert [v.label for v in bad] == ["flow_n[ToR0,d1]"]
-    assert bad[0].amount == -1.0
 
 
 def test_duplicate_instance_keys_rejected(topo):

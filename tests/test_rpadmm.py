@@ -83,6 +83,25 @@ def test_columns_in_traffic_units_and_rows_equilibrated(topo):
     assert mats.b[system.model.row_labels().index("coverage")] == 400.0
     assert system.central.name == "overload_lp"
     assert system.model.row_labels() == system.central.row_labels()
+    # the copy keeps the central layout: the same CSR pattern with its
+    # explicit zeros (an omega of 0 puts them in the capacity rows), the
+    # central bounds times the scale, and the central names
+    g = scenario1()
+    g.omega = {"cpu": 0.0}
+    zeros = 0
+    for q in (p, problem(topo, g, 400.0, 4, vs.OVERLOAD)):
+        system = rpadmm.reformulate(q)
+        got, want = system.model.matrices().a, system.central.matrices().a
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data == 0.0, want.data == 0.0)
+        zeros += int(np.count_nonzero(got.data == 0.0))
+        for bound in ("lower", "upper"):
+            assert np.array_equal(getattr(system.model, bound),
+                                  np.asarray(getattr(system.central, bound))
+                                  * system.scale), bound
+        assert system.model.var_names == system.central.var_names
+    assert zeros > 0
 
 
 def test_zero_traffic_keeps_unit_scale(topo):

@@ -568,7 +568,8 @@ def test_decode_respects_slot_supply(topo):
     dec = vs.decode(sol, p)
     assert dec.launched[new[0].key] == pm(7)
     assert dec.launched[new[1].key] == pm(8)
-    assert any("displaced" in w for w in dec.warnings)
+    assert dec.warnings == ["instance %s displaced from P7 to P8 by slot supply"
+                            % new[1].key]
 
 
 def test_underload_same_pm_tie_keeps_lowest_vm_id(topo):
@@ -591,8 +592,10 @@ def test_share_below_epsilon_warns(topo):
                           epsilon=0.05)
     sol, dec = solve_decoded(p)
     # cap 0.625 with 4 instances: the LP zeroes some shares entirely,
-    # which decode must surface as warnings, not errors
-    assert any("below minimum collaboration" in w for w in dec.warnings)
+    # which decode must surface as warnings, not errors, naming each kept
+    # VM by its id and a zero share as 0, never -0
+    assert dec.warnings == ["instance %s share 0 below minimum collaboration 0.05"
+                            % vm for vm in ("vm1", "vm2")]
 
 
 # -- forwarding cost ----------------------------------------------------------

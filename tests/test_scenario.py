@@ -383,6 +383,8 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
     ("candidates = P1-P4", "candidates = P1-P3 P2-P4", "[group] candidates"),
     ("vm1  P2  100  0.95", "vm1  P2  100  0.95\nvm1  P3  100  0.95",
      "[vms] row"),
+    ("capacity = cpu:100", "capacity = cpu:100 cpu:0",
+     "[pms] capacity = cpu:100 cpu:0: cpu named twice"),
 ], ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
         "baseline", "gamma_nan", "capacity_nan", "costs_nan", "beta_nan",
         "baseline_inf", "vm_capacity_zero", "ingress_empty", "egress_empty",
@@ -391,7 +393,7 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
         "expect_state", "expect_cost_delta", "preset_unknown",
         "vm_util_negative", "omega_negative", "pms_per_rack_zero",
         "costs_two", "costs_negative", "range_reversed", "pm_twice",
-        "ranges_overlap", "vm_id_twice"])
+        "ranges_overlap", "vm_id_twice", "pair_twice"])
 def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new, named):
     body = minimal().replace(old, new)
     assert body != minimal()
