@@ -92,6 +92,11 @@ class VnfGroup:
                 seen.append(vm.host)
         return seen
 
+    def vm_capacity(self, r):
+        """u_r: the smallest capacity of resource r over the online and
+        offline VMs, so heterogeneous inputs err on the safe side."""
+        return min(vm.capacity[r] for vm in (*self.online, *self.offline_pool))
+
 
 def _sample(vm, r):
     if vm.utilization is None or r not in vm.utilization:
@@ -148,17 +153,14 @@ def required_instances(g, traffic):
     """Number of instances v* needed to serve the given traffic rate.
 
     Per resource the demand is traffic * omega_r capacity units; v* is
-    the max over resources of the ceiling of demand / per-VM capacity,
-    never less than one.  Capacities are homogeneous within a group;
-    the minimum over members is used so heterogeneous inputs err on
-    the safe side.
+    the max over resources of the ceiling of demand / `g.vm_capacity`,
+    never less than one.
     """
     if traffic < 0:
         raise ValueError("traffic rate must be nonnegative")
-    members = list(g.online) + list(g.offline_pool)
     need = 1
     for r, w in g.omega.items():
-        u = min(vm.capacity[r] for vm in members)
+        u = g.vm_capacity(r)
         if u <= 0:
             raise ValueError("zero capacity for resource %r" % r)
         need = max(need, math.ceil(traffic * w / u))

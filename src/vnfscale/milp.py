@@ -106,17 +106,14 @@ def build_milp(p):
     model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
 
     # placed VMs must fit the PM's resources
-    if p.pm_capacity is not None:
-        members = {vm.id: vm for vm in list(group.online) + list(group.offline_pool)}
-        for q in topo.pms:
-            for r in p.resources:
-                if r not in p.pm_capacity:
-                    continue
-                coeffs = {b_idx[(q, j)]: members[j].capacity[r]
-                          for j in keys if (q, j) in b_idx}
-                if coeffs:
-                    model.add_row(coeffs, "<=", p.pm_capacity[r][q],
-                                  "capacity[%s,%s]" % (q, r))
+    members = {vm.id: vm for vm in list(group.online) + list(group.offline_pool)}
+    for q in topo.pms:
+        for r in p.capped:
+            coeffs = {b_idx[(q, j)]: members[j].capacity[r]
+                      for j in keys if (q, j) in b_idx}
+            if coeffs:
+                model.add_row(coeffs, "<=", p.pm_capacity[r][q],
+                              "capacity[%s,%s]" % (q, r))
 
     for j in keys:
         coeffs = {b_idx[(q, j)]: 1.0 for q in placeable[j]}

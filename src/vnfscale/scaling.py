@@ -24,10 +24,19 @@ traffic landing on a PM cannot exceed what its resources serve, and
 new placements cannot exceed its free instance slots.  Without these
 rows the optimum piles every instance onto the single cheapest PM and
 the decode degenerates.
+
+Each capacity fact is worked out once per problem.  The per-VM capacity
+u_r is `VnfGroup.vm_capacity(r)`.  `ScalingProblem.launch_slots` lists
+the launch PMs in node order: the candidate PMs with room for at least
+one new VM, each with its free slots, floor((free_r + 1e-12) / u_r) at
+the fewest over the capped resources.  The new slots, the room check and
+decode's slot supply all read that table.  The baseline is priced on the
+problem itself, with the share cap taken at the baseline traffic.
 """
 
 import heapq
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,6 +106,8 @@ class ScalingProblem:
             raise ValueError("mode must be overload or underload")
         if self.traffic < 0:
             raise ValueError("traffic must be nonnegative")
+        if self.baseline_traffic is not None and self.baseline_traffic < 0:
+            raise ValueError("baseline traffic must be nonnegative")
         n_online = len(self.group.online)
         if self.v_star < 1:
             raise ValueError("v_star must be at least 1")
@@ -128,36 +139,28 @@ class ScalingProblem:
         into, out = self.paths
         return into.dist[q] + self.group.gamma * out.dist[q]
 
-    # -- capacity helpers ------------------------------------------------
+    # -- capacity ledger -------------------------------------------------
 
     @property
-    def resources(self):
-        return tuple(self.group.omega)
+    def capped(self):
+        """The group's resources that have a per-PM capacity table."""
+        return [r for r in self.group.omega if r in (self.pm_capacity or ())]
 
-    @cached_property
-    def _vm_capacity(self):
-        return {}
-
-    def vm_capacity(self, r):
-        """The smallest capacity of resource r over the group's VMs,
-        found on the first call for r and kept."""
-        caps = self._vm_capacity
-        if r not in caps:
-            members = list(self.group.online) + list(self.group.offline_pool)
-            caps[r] = min(vm.capacity[r] for vm in members)
-        return caps[r]
-
-    @property
-    def share_cap(self):
-        """Largest traffic share one instance may take: min over resources
-        of u_r / (omega_r * T), further capped by the group's phi."""
+    def share_cap_at(self, traffic):
+        """Largest share of `traffic` one instance may take: min over
+        resources of u_r / (omega_r * traffic), further capped by phi."""
         cap = self.group.phi
-        if self.traffic <= 0:
+        if traffic <= 0:
             return cap
         for r, w in self.group.omega.items():
             if w > 0:
-                cap = min(cap, self.vm_capacity(r) / (w * self.traffic))
+                cap = min(cap, self.group.vm_capacity(r) / (w * traffic))
         return cap
+
+    @property
+    def share_cap(self):
+        """share_cap_at(T), the upper bound of every share variable."""
+        return self.share_cap_at(self.traffic)
 
     @cached_property
     def _online_counts(self):
@@ -170,19 +173,25 @@ class ScalingProblem:
         """Online VMs of the group on PM p, counted on the first call."""
         return self._online_counts.get(p, 0)
 
-    def total_capacity(self, p, r):
-        return self.pm_capacity[r][p]
+    def free_capacity(self, q, r):
+        """Resource r left on PM q by the group's online VMs there."""
+        return max(0.0, self.pm_capacity[r][q] - self.group.vm_capacity(r) * self.online_count(q))
 
-    def free_capacity(self, p, r):
-        return max(0.0, self.total_capacity(p, r) - self.vm_capacity(r) * self.online_count(p))
-
-    def free_slots(self, q):
-        """New instances PM q has room for: the fewest over the capped
-        resources, inf when no resource is capped."""
-        capped = self.pm_capacity or {}
-        per_r = [self.free_capacity(q, r) // max(self.vm_capacity(r), 1e-30)
-                 for r in self.resources if r in capped]
-        return int(min(per_r)) if per_r else float("inf")
+    @cached_property
+    def launch_slots(self):
+        """{PM: new instances it has room for} over the candidate PMs with
+        room for at least one, in node order, built on the first read and
+        kept.  Per capped resource r a PM fits floor((free + 1e-12) / u_r)
+        new VMs, so a PM short of a whole VM by float error takes it; with
+        no capped resource every candidate fits any number (inf)."""
+        vm_cap = {r: max(self.group.vm_capacity(r), 1e-30) for r in self.capped}
+        table = {}
+        for q in sorted(self.group.candidate_pms, key=self.topology.node_position):
+            room = min((int((self.free_capacity(q, r) + 1e-12) // u)
+                        for r, u in vm_cap.items()), default=math.inf)
+            if room >= 1:
+                table[q] = room
+        return table
 
     def relative_cost_delta(self, cost):
         """(cost - baseline cost) / baseline cost, or None without a
@@ -191,56 +200,10 @@ class ScalingProblem:
             return (cost - self.baseline_cost) / self.baseline_cost
         return None
 
-    def candidate_pms(self):
-        """Candidate PMs for new instances: the configured candidate set
-        filtered down to PMs with enough free capacity for one VM."""
-        cands = list(self.group.candidate_pms)
-        if self.pm_capacity is not None:
-            cands = [p for p in cands
-                     if all(self.free_capacity(p, r) >= self.vm_capacity(r) - 1e-12
-                            for r in self.resources if r in self.pm_capacity)]
-        return cands
-
 
 def uniform_capacity(topo, caps):
     """Expand {resource: value} into per-PM capacity tables."""
     return {r: {p: float(v) for p in topo.pms} for r, v in caps.items()}
-
-
-def _slots(p):
-    group = p.group
-    if p.mode == OVERLOAD:
-        cands = tuple(sorted(p.candidate_pms(), key=p.topology.node_position))
-        slots = []
-        for i, vm in enumerate(group.online):
-            slots.append(InstanceSlot("d%d" % (i + 1), vm.id, vm.host, (vm.host,)))
-        for i in range(len(group.online), p.v_star):
-            slots.append(InstanceSlot("d%d" % (i + 1), None, None, cands))
-        if p.v_star > len(group.online) and not cands:
-            raise ModelInfeasibleError("no candidate PM can host a new instance")
-        return slots
-    hosts = tuple(sorted(set(group.host_pms), key=p.topology.node_position))
-    return [InstanceSlot("d%d" % (i + 1), None, None, hosts) for i in range(p.v_star)]
-
-
-def _check_total_capacity(p, slots):
-    if p.v_star * p.share_cap < 1.0 - 1e-9:
-        raise ModelInfeasibleError(
-            "v_star=%d instances at share cap %.4g cannot cover the traffic"
-            % (p.v_star, p.share_cap))
-    if p.mode == OVERLOAD and p.pm_capacity is not None:
-        new = sum(1 for s in slots if s.vm_id is None)
-        if new == 0:        # room is never negative
-            return
-        room = sum(p.free_slots(q) for q in p.candidate_pms())
-        if room < new:
-            raise ModelInfeasibleError(
-                "candidate PMs fit %d new instances, %d required" % (room, new))
-
-
-def _relevant_pms(p, slots):
-    seen = dict.fromkeys(q for s in slots for q in s.candidates)
-    return sorted(seen, key=p.topology.node_position)
 
 
 class _Layout:
@@ -256,10 +219,33 @@ class _Layout:
 
 
 def _placement_slots(p):
-    """The instance slots and the PMs they may land on, in node order."""
-    slots = _slots(p)
-    _check_total_capacity(p, slots)
-    return slots, _relevant_pms(p, slots)
+    """The instance slots and the PMs they may land on, in node order.
+
+    Overload pins each online VM to its host and spreads v* - |V| new
+    slots over the launch PMs; underload spreads v* slots over the hosts.
+    Raises ModelInfeasibleError when v* shares at the share cap cannot
+    cover the traffic, or the launch PMs fit fewer new VMs than needed."""
+    if p.v_star * p.share_cap < 1.0 - 1e-9:
+        raise ModelInfeasibleError(
+            "v_star=%d instances at share cap %.4g cannot cover the traffic"
+            % (p.v_star, p.share_cap))
+    order, online = p.topology.node_position, p.group.online
+    if p.mode == OVERLOAD:
+        new, room = p.v_star - len(online), sum(p.launch_slots.values())
+        if new > room:
+            raise ModelInfeasibleError(
+                "candidate PMs fit %d new instances, %d required" % (room, new))
+        cands = tuple(p.launch_slots)
+        slots = [InstanceSlot("d%d" % (i + 1), vm.id, vm.host, (vm.host,))
+                 for i, vm in enumerate(online)]
+        slots += [InstanceSlot("d%d" % (i + 1), None, None, cands)
+                  for i in range(len(online), p.v_star)]
+    else:
+        hosts = tuple(sorted(set(p.group.host_pms), key=order))
+        slots = [InstanceSlot("d%d" % (i + 1), None, None, hosts)
+                 for i in range(p.v_star)]
+    rel_pms = sorted(dict.fromkeys(q for s in slots for q in s.candidates), key=order)
+    return slots, rel_pms
 
 
 def _share_and_interest_vars(p, model, slots, share_pms):
@@ -291,30 +277,25 @@ def _capacity_rows(p, model):
     its online VMs."""
     lay = model.layout
     slots, rel_pms, e_idx = lay.slots, lay.rel_pms, lay.e_idx
-    if p.pm_capacity is not None:
-        vm_cap = {r: p.vm_capacity(r) for r in p.resources}
+    vm_cap = {r: p.group.vm_capacity(r) for r in p.capped}
+    for q in rel_pms:
+        here = [s for s in slots if (q, s.key) in e_idx]
+        for r in vm_cap:
+            coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
+            slack = model.add_var("cap_slack[%s,%s]" % (q, r))
+            lay.slack_idx[("cap", q, r)] = slack
+            coeffs[slack] = 1.0
+            model.add_row(coeffs, "=", p.pm_capacity[r][q], "cap[%s,%s]" % (q, r))
+    if p.mode == OVERLOAD:
         for q in rel_pms:
-            here = [s for s in slots if (q, s.key) in e_idx]
-            for r in p.resources:
-                if r not in p.pm_capacity:
-                    continue
-                coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
-                slack = model.add_var("cap_slack[%s,%s]" % (q, r))
-                lay.slack_idx[("cap", q, r)] = slack
+            newer = [s for s in slots if s.vm_id is None and (q, s.key) in e_idx]
+            for r in vm_cap:
+                coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
+                slack = model.add_var("slot_slack[%s,%s]" % (q, r))
+                lay.slack_idx[("slots", q, r)] = slack
                 coeffs[slack] = 1.0
-                model.add_row(coeffs, "=", p.total_capacity(q, r), "cap[%s,%s]" % (q, r))
-        if p.mode == OVERLOAD:
-            for q in rel_pms:
-                newer = [s for s in slots if s.vm_id is None and (q, s.key) in e_idx]
-                for r in p.resources:
-                    if r not in p.pm_capacity:
-                        continue
-                    coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
-                    slack = model.add_var("slot_slack[%s,%s]" % (q, r))
-                    lay.slack_idx[("slots", q, r)] = slack
-                    coeffs[slack] = 1.0
-                    model.add_row(coeffs, "=", p.free_capacity(q, r), "slots[%s,%s]" % (q, r))
-    if p.mode == UNDERLOAD:
+                model.add_row(coeffs, "=", p.free_capacity(q, r), "slots[%s,%s]" % (q, r))
+    else:
         for q in rel_pms:
             coeffs = {e_idx[(q, s.key)]: 1.0 for s in slots if (q, s.key) in e_idx}
             slack = model.add_var("keep_slack[%s]" % (q,))
@@ -400,8 +381,8 @@ def decode(solution, p):
         shares[s.key] = alpha_vals[(q0, s.key)]
 
     # how many instances may decode onto each PM
-    supply = {q: p.online_count(q) if p.mode == UNDERLOAD else p.free_slots(q)
-              for q in layout.rel_pms}
+    supply = (dict(p.launch_slots) if p.mode == OVERLOAD
+              else {q: p.online_count(q) for q in layout.rel_pms})
     placed = {}
     for s in slots:
         if s.host is not None:
@@ -540,33 +521,28 @@ def baseline_forwarding_cost(p):
     Network Flows, 1993).  A unit served on host q then costs
     u(q) = d_in(q) + gamma * d_out(q), read from the problem's trees.
     What is left is a fractional knapsack: fill the hosts in order of
-    (u(q), node position), each up to its share cap times its online VMs
-    and up to its capacity rows, until the shares cover the traffic.  The
-    result equals that LP's optimum.
+    (u(q), node position), each up to its share cap at the baseline
+    traffic times its online VMs and up to its capacity rows, until the
+    shares cover the traffic.  The result equals that LP's optimum.
     """
-    if p.baseline_traffic is None:
+    traffic = p.baseline_traffic
+    if traffic is None:
         raise ValueError("the problem has no baseline traffic to price")
-    base = ScalingProblem(
-        topology=p.topology, group=p.group, traffic=p.baseline_traffic,
-        v_star=len(p.group.online), mode=OVERLOAD, pm_capacity=p.pm_capacity,
-        epsilon=p.epsilon, weights=p.weights)
-    _check_total_capacity(base, _slots(base))
-    topo, group, traffic = base.topology, base.group, base.traffic
-    capped = [r for r in base.resources
-              if base.pm_capacity is not None and r in base.pm_capacity
-              and traffic * group.omega[r] > 0]
-    unit = {q: p.unit_cost(q) for q in group.host_pms}
+    omega, order = p.group.omega, p.topology.node_position
+    capped = [r for r in p.capped if traffic * omega[r] > 0]
+    cap = p.share_cap_at(traffic)
+    unit = {q: p.unit_cost(q) for q in p.group.host_pms}
     cost, left = 0.0, 1.0
-    for q in sorted(unit, key=lambda q: (unit[q], topo.node_position(q))):
-        room = base.share_cap * base.online_count(q)
+    for q in sorted(unit, key=lambda q: (unit[q], order(q))):
+        room = cap * p.online_count(q)
         for r in capped:
-            room = min(room, base.total_capacity(q, r) / (traffic * group.omega[r]))
+            room = min(room, p.pm_capacity[r][q] / (traffic * omega[r]))
         take = max(0.0, min(left, room))
         cost += take * unit[q]
         left -= take
     if left > 1e-9:
         raise ModelInfeasibleError("baseline configuration is infeasible")
-    return traffic * base.weights.forwarding * cost
+    return traffic * p.weights.forwarding * cost
 
 
 def forwarding_cost_of(flows_n, flows_m, topo):

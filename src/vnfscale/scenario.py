@@ -10,16 +10,17 @@ a comment.  Sections:
               (P-names, "P3-P16" ranges allowed), offline (pool size)
   [vms]       one row per online VM: id  host  capacity  utilization
   [pms]       capacity = res:value for a uniform per-PM table, or "none"
-  [event]     baseline traffic plus either "preset = overload:<extra>"
-              (traffic = baseline * (1 + 0.5*extra)), "preset = underload"
-              (baseline * 0.5), or an explicit "traffic = value"
+  [event]     baseline traffic plus exactly one of "preset =
+              overload:<extra>" (traffic = baseline * (1 + 0.5*extra)),
+              "preset = underload" (baseline * 0.5) or "traffic = value"
   [solver]    method (lp | milp | rpadmm), beta, seed, iters
   [expect]    optional self-checks: state, v_star, launch, keep,
               terminate (host sets) and cost_delta (positive | negative)
 
-Numbers must be finite.  An unknown section or key, a bare row outside
-[vms], a bad value, a reversed PM range, a PM named twice in one list or
-a VM id used twice is a parse error naming the file and the key.
+Numbers must be finite.  An unknown section or key, a key given twice in
+one section, a bare row outside [vms], a bad value, a reversed PM range,
+a PM named twice in one list or a VM id used twice is a parse error
+naming the file and the key.
 
 The runner classifies the group from the recorded utilizations, sizes the
 instance set for the event traffic, picks the penalty profile for the
@@ -174,6 +175,9 @@ def parse_scenario(path):
                 if key not in SECTION_KEYS[current]:
                     raise ScenarioParseError(
                         "%s [%s] has no key %r" % (where, current, key))
+                if key in sections[current]["kv"]:
+                    raise ScenarioParseError(
+                        "%s [%s] %s given twice" % (where, current, key))
                 sections[current]["kv"][key] = val
             elif current != "vms":
                 raise ScenarioParseError(
@@ -290,12 +294,11 @@ def load_scenario(path, overrides=None):
     ev = sec["event"]["kv"]
     rate = partial(_number, at_least=0)
     baseline = value("event", "baseline", rate)
-    if "traffic" in ev:
-        traffic = value("event", "traffic", rate)
-    elif "preset" in ev:
-        traffic = value("event", "preset", preset)
-    else:
-        raise ScenarioParseError("[event] needs a preset or explicit traffic")
+    if ("traffic" in ev) == ("preset" in ev):
+        raise ScenarioParseError(
+            "%s: [event] needs exactly one of preset and traffic" % path)
+    traffic = (value("event", "traffic", rate) if "traffic" in ev
+               else value("event", "preset", preset))
 
     def setting(key, convert, default):
         given = overrides.get(key)

@@ -60,7 +60,7 @@ def _passes_quick_filters(mp, assign):
     p = mp.problem
     members = {vm.id: vm for vm in list(p.group.online) + list(p.group.offline_pool)}
     if p.pm_capacity is not None:
-        for r in p.resources:
+        for r in p.group.omega:
             if r not in p.pm_capacity:
                 continue
             load = {}
@@ -242,21 +242,21 @@ def reference_placement_rows(p, model):
             model.add_row(coeffs, "=", 0.0, "%s[%s,%s]" % (family, q, s.key))
 
     if p.pm_capacity is not None:
-        vm_cap = {r: p.vm_capacity(r) for r in p.resources}
+        vm_cap = {r: p.group.vm_capacity(r) for r in p.group.omega}
         for q in rel_pms:
             here = [s for s in slots if (q, s.key) in e_idx]
-            for r in p.resources:
+            for r in p.group.omega:
                 if r not in p.pm_capacity:
                     continue
                 coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
                 slack = model.add_var("cap_slack[%s,%s]" % (q, r))
                 lay.slack_idx[("cap", q, r)] = slack
                 coeffs[slack] = 1.0
-                model.add_row(coeffs, "=", p.total_capacity(q, r), "cap[%s,%s]" % (q, r))
+                model.add_row(coeffs, "=", p.pm_capacity[r][q], "cap[%s,%s]" % (q, r))
         if p.mode == OVERLOAD:
             for q in rel_pms:
                 newer = [s for s in slots if s.vm_id is None and (q, s.key) in e_idx]
-                for r in p.resources:
+                for r in p.group.omega:
                     if r not in p.pm_capacity:
                         continue
                     coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
@@ -356,7 +356,7 @@ def reference_flow_milp(p):
     if p.pm_capacity is not None:
         members = {vm.id: vm for vm in list(group.online) + list(group.offline_pool)}
         for q in topo.pms:
-            for r in p.resources:
+            for r in p.group.omega:
                 if r not in p.pm_capacity:
                     continue
                 coeffs = {b_idx[(q, j)]: members[j].capacity[r]

@@ -116,10 +116,29 @@ def test_phi_caps_share_when_tighter(topo):
 
 def test_candidates_filtered_by_free_capacity(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
-    cands = p.candidate_pms()
+    cands = list(p.launch_slots)
     # occupied PMs offer no free slot, so they drop out of the all-PM set
     assert pm(2) not in cands and pm(5) not in cands
     assert pm(1) in cands and pm(4) in cands and len(cands) == 14
+    assert cands == sorted(cands, key=topo.node_position)
+    assert set(p.launch_slots.values()) == {1}
+    assert p.launch_slots is p.launch_slots
+
+
+@pytest.mark.parametrize("cap, u", [(3 * U, U), (0.3, 0.1), (3 * U - 1e-13, U)],
+                         ids=["exact", "float error", "inside tolerance"])
+def test_a_pm_at_the_edge_is_a_launch_pm_with_one_slot(topo, cap, u):
+    # two VMs leave one VM's room: exactly, short by float error (0.3 -
+    # 2*0.1 is 0.09999999999999998) or short by less than 1e-12
+    g = group("c", [pm(2), pm(2)], 1.0, pm(1), pm(4), [pm(2)])
+    for vm in g.online + g.offline_pool:
+        vm.capacity["cpu"] = u
+    p = vs.ScalingProblem(topology=topo, group=g, traffic=u, v_star=3,
+                          mode=vs.OVERLOAD, pm_capacity=capacity(topo, cap))
+    assert u - 1e-12 <= p.free_capacity(pm(2), "cpu") <= u
+    assert p.launch_slots == {pm(2): 1}
+    slots, _ = scaling._placement_slots(p)
+    assert slots[-1].candidates == (pm(2),)
 
 
 def test_degenerate_no_new_instances(topo):
@@ -155,6 +174,9 @@ def test_mode_and_v_star_validated(topo):
     with pytest.raises(ValueError):
         vs.ScalingProblem(topology=topo, group=scenario1(), traffic=100.0,
                           v_star=1, mode="sideways")
+    with pytest.raises(ValueError, match="baseline traffic"):
+        vs.ScalingProblem(topology=topo, group=scenario1(), traffic=100.0,
+                          v_star=2, mode=vs.OVERLOAD, baseline_traffic=-1)
     p = problem(topo, scenario1(), 100.0, 1, vs.UNDERLOAD)
     with pytest.raises(ValueError):
         vs.build_overload_lp(p)
@@ -493,13 +515,11 @@ def test_problem_caches_keep_their_values_and_errors(topo):
     g = scenario4()
     g.offline_pool[0].capacity["cpu"] = 60.0
     p = problem(topo, g, 300.0, 4, vs.OVERLOAD)
-    assert p.vm_capacity("cpu") == p.vm_capacity("cpu") == 60.0
+    assert p.group.vm_capacity("cpu") == 60.0
     assert [p.online_count(pm(i)) for i in range(1, 7)] == [0, 0, 1, 0, 1, 1]
     assert p.online_count(NodeId(TOR, 0)) == 0
     with pytest.raises(KeyError):
-        p.vm_capacity("mem")
-    with pytest.raises(KeyError):       # asked again, not cached as a value
-        p.vm_capacity("mem")
+        p.group.vm_capacity("mem")
 
 # -- decode behavior ---------------------------------------------------------
 
@@ -695,7 +715,7 @@ def test_baseline_matches_lp_on_shipped_scenarios(p):
                                for name, p in placement_corpus()])
 def test_baseline_matches_lp_on_corpus(p, load):
     online = p.group.online
-    full = len(online) * p.vm_capacity("cpu") / p.group.omega["cpu"]
+    full = len(online) * p.group.vm_capacity("cpu") / p.group.omega["cpu"]
     assert_baseline_matches_lp(dataclasses.replace(p, baseline_traffic=load * full))
 
 

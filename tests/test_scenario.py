@@ -385,6 +385,11 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
      "[vms] row"),
     ("capacity = cpu:100", "capacity = cpu:100 cpu:0",
      "[pms] capacity = cpu:100 cpu:0: cpu named twice"),
+    ("preset = overload:1", "preset = overload:1\npreset = underload",
+     "case.scn:22 [event] preset given twice"),
+    ("preset = overload:1", "preset = overload:1\ntraffic = 150",
+     "case.scn: [event] needs exactly one of preset and traffic"),
+    ("preset = overload:1", "", "case.scn: [event] needs exactly one of"),
 ], ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
         "baseline", "gamma_nan", "capacity_nan", "costs_nan", "beta_nan",
         "baseline_inf", "vm_capacity_zero", "ingress_empty", "egress_empty",
@@ -393,7 +398,8 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
         "expect_state", "expect_cost_delta", "preset_unknown",
         "vm_util_negative", "omega_negative", "pms_per_rack_zero",
         "costs_two", "costs_negative", "range_reversed", "pm_twice",
-        "ranges_overlap", "vm_id_twice", "pair_twice"])
+        "ranges_overlap", "vm_id_twice", "pair_twice", "key_twice",
+        "traffic_and_preset", "no_traffic"])
 def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new, named):
     body = minimal().replace(old, new)
     assert body != minimal()
@@ -455,6 +461,29 @@ def test_cli_infeasible_is_exit_three(tmp_path, capsys):
     # four instances at share cap 25/200 cannot carry the load
     body = minimal(event="traffic = 200").replace("vm1  P2  100", "vm1  P2  25")
     assert cli_main(["run", write_scenario(tmp_path, body)]) == 3
+
+
+def test_cli_over_capped_baseline_is_exit_three(tmp_path, capsys):
+    # one VM serves 100 units: the event's two instances cover 150, the
+    # single pre-event VM does not cover a baseline of 150
+    body = minimal(event="traffic = 150").replace("baseline = 100", "baseline = 150")
+    assert cli_main(["run", write_scenario(tmp_path, body)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "infeasible: baseline configuration is infeasible\n"
+
+
+def test_cli_launches_on_a_pm_short_of_a_slot_by_float_error(tmp_path, capsys):
+    # 0.3 - 2*0.1 is 0.09999999999999998: P2 still has room for a third VM
+    body = (minimal(event="traffic = 0.25")
+            .replace("k = 2", "k = 4")
+            .replace("candidates = P1-P4", "candidates = P2")
+            .replace("vm1  P2  100  0.95", "vm1  P2  0.1  0.95\nvm2  P2  0.1  0.95")
+            .replace("capacity = cpu:100", "capacity = cpu:0.3")
+            .replace("baseline = 100", "baseline = 0.15"))
+    assert cli_main(["run", write_scenario(tmp_path, body)]) == 0
+    out = capsys.readouterr().out
+    assert "v* = 3" in out
+    assert "d3        launch     P2 " in out
 
 
 def test_cli_overfull_baseline_is_exit_three(tmp_path, capsys):
