@@ -13,7 +13,7 @@ from .scaling import (ScalingProblem, ScalingDecision, Penalties, Weights,
                       decision_csv, flows_csv, ModelInfeasibleError,
                       DecodeError)
 from .milp import (MilpProblem, MilpSolution, build_milp, solve_milp,
-                   deployment_cost)
+                   deployment_cost, BudgetExhaustedError)
 from .rpadmm import (AdmmConfig, AdmmRecord, AdmmTrace, ReformulatedSystem,
                      reformulate, system_from_model, run,
                      scalar_block_update, normalized_violations,

@@ -1,8 +1,9 @@
 """Command line front end: run scenario files, size models, compare solvers.
 
 Exit codes: 0 success, 1 expectation failure, 2 parse or usage error,
-3 infeasible model, 4 solver gave no usable point (divergence, breakdown or
-no placement signal).
+3 infeasible model, 4 solver gave no usable point (divergence, breakdown, no
+placement signal, or a branch-and-bound budget spent before any integral
+point).
 """
 
 import argparse
@@ -10,6 +11,7 @@ import sys
 
 from . import scenario as sc
 from .lp import LpError
+from .milp import BudgetExhaustedError
 from .rpadmm import AdmmDivergenceError, UnboundedUpdateError
 from .scaling import DecodeError, ModelInfeasibleError
 
@@ -99,7 +101,8 @@ def main(argv=None):
     except AdmmDivergenceError as err:
         sys.stderr.write("diverged: %s\n" % err)
         return 4
-    except (DecodeError, LpError, UnboundedUpdateError) as err:
+    except (BudgetExhaustedError, DecodeError, LpError,
+            UnboundedUpdateError) as err:
         sys.stderr.write("no usable solution: %s\n" % err)
         return 4
 

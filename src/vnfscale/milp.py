@@ -13,11 +13,20 @@ shortest-path cost of serving it at q (`ScalingProblem.unit_cost`), and
 the model has no flow variable; the decode routes the flows of the
 optimum with `scaling.route_flows`, as the central relaxation does.
 
+The `cover` row, sum of every b >= ceil(1 / share_cap), is a cover
+inequality (Wolsey, Integer Programming, 1998, ch. 9): each placed VM
+carries at most share_cap of the traffic and `coverage` asks for all of
+it, so every integral point satisfies it.  It cuts off the fractional
+points in which `couple_hi` lets each b sit at alpha / share_cap, so the
+root relaxation of an underload group is tight and branch-and-bound
+proves the shapes tabled in README in one to three nodes.
+
 Solved by branch-and-bound on the binaries over LP relaxations: most
 fractional variable first (ties to the lowest index), depth-first with a
 best-bound re-sort of the open list every 16 nodes. Deterministic.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import lp, scaling
@@ -25,6 +34,10 @@ from .scaling import ScalingDecision
 
 # a binary within this distance of 0 or 1 counts as integral
 INT_TOL = 1e-6
+
+
+class BudgetExhaustedError(RuntimeError):
+    """Branch-and-bound ran out of LP solves before any integral point."""
 
 
 @dataclass
@@ -104,6 +117,11 @@ def build_milp(p):
         model.add_row({bi: p.epsilon, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
 
     model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
+    # at least ceil(1 / cap) VMs carry the traffic, with the share-cap
+    # tolerance of scaling._placement_slots; at cap 0 coverage alone is
+    # infeasible
+    need = math.ceil((1.0 - 1e-9) / cap) if cap > 0 else 1
+    model.add_row({idx: 1.0 for idx in binaries}, ">=", need, "cover")
 
     # placed VMs must fit the PM's resources
     members = {vm.id: vm for vm in list(group.online) + list(group.offline_pool)}

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import lp, scaling
 from .chain_state import OVERLOAD
@@ -173,12 +172,20 @@ def message_footprint(system):
     """Total distinct foreign values the agents read per sweep: for each
     block, the variables sharing a row with it but owned elsewhere."""
     a = system.model.matrices().a
-    pattern = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-    shared = (pattern.T @ pattern).tocoo()
+    ptr, cols = a.indptr.tolist(), a.indices.tolist()
     codes = {}
-    owner = np.array([codes.setdefault(system.owners[i], len(codes))
-                      for i in range(a.shape[1])], dtype=int)
-    return int(np.count_nonzero(owner[shared.row] != owner[shared.col]))
+    owner = [codes.setdefault(system.owners[i], len(codes))
+             for i in range(a.shape[1])]
+    rows_of = [[] for _ in owner]       # per column, the rows holding it
+    for lo, hi in zip(ptr, ptr[1:]):
+        row = cols[lo:hi]
+        for i in row:
+            rows_of[i].append(row)
+    total = 0
+    for i, rows in enumerate(rows_of):
+        mine = owner[i]
+        total += sum(1 for k in set().union(*rows) if owner[k] != mine)
+    return total
 
 
 def _minimizer(c, denom, pull, lo, hi, beta):

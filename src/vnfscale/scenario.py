@@ -438,8 +438,16 @@ def _milp(p, admm_config):
 
     def solve():
         sol = milp.solve_milp(mp)
-        if sol.status != "optimal":
-            raise ModelInfeasibleError("joint model is %s" % sol.status)
+        if sol.status == "infeasible":
+            raise ModelInfeasibleError("joint model is infeasible")
+        if sol.point is None:
+            raise milp.BudgetExhaustedError(
+                "branch-and-bound found no integral point within its budget"
+                " (%d nodes)" % sol.nodes)
+        if not sol.proven:
+            sol.warnings.append(
+                "not proven optimal: branch-and-bound stopped at its budget"
+                " (%d nodes) with this incumbent" % sol.nodes)
         return sol, {"binaries": len(mp.binaries)}, None
     return mp.base, solve
 

@@ -114,6 +114,35 @@ def k2_instance(seed, mode=None):
                              v_star=v_star, mode=mode, pm_capacity=cap)
 
 
+def underload_shape(k, n_online, v_star, seed):
+    """An underload group that may shrink n_online VMs to v_star on a k
+    tree, drawn like the benchmark's exact-MILP groups: VMs of 100 cpu on
+    distinct hosts, PMs of two VMs, every PM a candidate, one offline VM
+    and traffic that needs exactly v_star VMs."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    topo = vs.build_fat_tree(k, pms_per_rack=2)
+    pms = topo.pms
+    hosts = [pms[i] for i in rng.choice(len(pms), size=n_online, replace=False)]
+    ingress = pms[int(rng.integers(len(pms)))]
+    egress = pms[int(rng.integers(len(pms)))]
+    thr = vs.Thresholds.uniform(("cpu",))
+    vms = [vs.VmInstance("vm%d" % (i + 1), "fw", "c", {"cpu": U}, host=h,
+                         utilization={"cpu": float(rng.uniform(0.05, 0.29))})
+           for i, h in enumerate(hosts)]
+    pool = [vs.VmInstance("off1", "fw", "c", {"cpu": U})]
+    g = vs.VnfGroup(chain="c", vnf_type="fw", online=vms, offline_pool=pool,
+                    thresholds=thr, gamma=float(rng.uniform(0.8, 1.5)), phi=1.0,
+                    omega={"cpu": 1.0}, ingress_pms=[ingress],
+                    egress_pms=[egress], candidate_pms=list(pms))
+    traffic = U * (v_star - 1 + float(rng.uniform(0.2, 0.9)))
+    assert vs.required_instances(g, traffic) == v_star
+    return vs.ScalingProblem(topology=topo, group=g, traffic=traffic,
+                             v_star=v_star, mode=vs.UNDERLOAD,
+                             pm_capacity=capacity(topo, 2 * U),
+                             baseline_traffic=U * n_online * float(rng.uniform(0.6, 0.9)))
+
+
 def admm_fixture():
     """Scenario-4 geometry scaled so four instances are needed at exactly
     a quarter share each: T=720 against per-VM capacity 180."""

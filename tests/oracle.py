@@ -7,7 +7,9 @@ none of its search logic.
 
 The RP-ADMM sweep as first written: numpy element indexing, one
 `scalar_block_update` call per block and one np.max per row family.
-`rpadmm.run` must reproduce it byte for byte.
+`rpadmm.run` must reproduce it byte for byte.  Its message count is the
+sparse pattern product `rpadmm.message_footprint` first used; the
+set-union count must equal it.
 
 The exact MILP as first written: one flow commodity per VM on every
 arc, with arrival, conservation, processing and endpoint-total rows.
@@ -34,10 +36,12 @@ link cost looked up through `topology.forwarding_cost`.
 same distance and parent dicts.
 """
 
+import dataclasses
 import heapq
 import itertools
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from vnfscale import lp, milp, rpadmm, scaling
 from vnfscale.chain_state import OVERLOAD, UNDERLOAD
@@ -97,6 +101,20 @@ def enumerate_single_host(mp, prefilter=True):
     return best_obj, best_assign
 
 
+def without_rows(mp, family):
+    """A copy of a built MILP whose model lacks every row of one family
+    (label up to its first "["), so an enumeration over it cannot share a
+    cut the solver adds."""
+    model = lp.LpModel(mp.base.name)
+    for name, lo, hi in zip(mp.base.var_names, mp.base.lower, mp.base.upper):
+        model.add_var(name, lo, hi)
+    model.add_objective(mp.base.objective)
+    for coeffs, rel, rhs, label in mp.base.rows:
+        if label.partition("[")[0] != family:
+            model.add_row(coeffs, rel, rhs, label)
+    return dataclasses.replace(mp, base=model)
+
+
 def enumerate_all_bits(mp):
     """Literal sweep of every b vector in {0,1}^n, no shortcuts. Only
     sensible for small binary grids."""
@@ -130,6 +148,18 @@ def reference_family_max(res, fam_rows):
             for fam, idx in fam_rows.items()}
 
 
+def reference_message_footprint(system):
+    """`rpadmm.message_footprint` as first written: the sparse pattern
+    product pattern.T @ pattern, counted where the two owners differ."""
+    a = system.model.matrices().a
+    pattern = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    shared = (pattern.T @ pattern).tocoo()
+    codes = {}
+    owner = np.array([codes.setdefault(system.owners[i], len(codes))
+                      for i in range(a.shape[1])], dtype=int)
+    return int(np.count_nonzero(owner[shared.row] != owner[shared.col]))
+
+
 def reference_admm_run(system, cfg):
     """`rpadmm.run` with the original per-block loop and no divergence
     guard; returns (x, trace)."""
@@ -150,7 +180,7 @@ def reference_admm_run(system, cfg):
 
     fam_rows = _family_rows(system)
     baseline = reference_family_max(res, fam_rows)
-    messages = rpadmm.message_footprint(system)
+    messages = reference_message_footprint(system)
     trace = rpadmm.AdmmTrace(families=system.families, baseline=baseline,
                              messages_per_sweep=messages)
 

@@ -6,8 +6,10 @@ import pytest
 import vnfscale as vs
 from vnfscale import lp, milp, scaling
 
-from corpus import k2_instance, pm, tree4, capacity, scenario1, problem
-from oracle import enumerate_single_host, enumerate_all_bits, reference_flow_milp
+from corpus import k2_instance, pm, tree4, capacity, scenario1, problem, \
+    underload_shape
+from oracle import enumerate_single_host, enumerate_all_bits, reference_flow_milp, \
+    without_rows
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -31,9 +33,10 @@ def test_variable_count_reference():
     ref = reference_flow_milp(p)
     assert 100 <= ref.base.num_vars <= 150
     # the model solved has a b and an alpha per (PM, VM) pair: 4 PMs x 3
-    # VMs, with 24 coupling rows, coverage, 4 capacity and 3 one-host rows
+    # VMs, with 24 coupling rows, coverage, cover, 4 capacity and 3
+    # one-host rows
     mp = milp.build_milp(p)
-    assert (mp.base.num_vars, mp.base.num_rows) == (24, 32)
+    assert (mp.base.num_vars, mp.base.num_rows) == (24, 33)
     # and both grow monotonically with the tree
     big = problem(tree4(), scenario1(), 400.0, 4, vs.OVERLOAD)
     assert milp.build_milp(big).base.num_vars > mp.base.num_vars
@@ -45,7 +48,7 @@ def test_no_flow_variables_or_rows():
         model = milp.build_milp(p).base
         assert {n.partition("[")[0] for n in model.var_names} == {"b", "alpha"}
         assert {l.partition("[")[0] for l in model.row_labels()} == {
-            "couple_hi", "couple_lo", "coverage", "capacity", "one_host"}
+            "couple_hi", "couple_lo", "coverage", "cover", "capacity", "one_host"}
 
 
 def test_zero_point_violates_coverage_by_one():
@@ -171,10 +174,10 @@ def test_total_decomposes():
 # instance.  A change to the node LPs (a warm start, say) that moves any of
 # these is a behaviour change and has to say so.
 BRANCH_AND_BOUND = [
-    (0, 17, -19833.297375903294, {"vm1": pm(2), "vm2": pm(1), "off1": pm(3)}),
+    (0, 1, -19833.297375903294, {"vm1": pm(3), "vm2": pm(2), "off1": pm(1)}),
     (1, 1, 10070.376662132954, {"vm1": pm(1), "vm2": None, "off1": None}),
-    (2, 7, -19983.94463832217, {"vm1": pm(2), "vm2": pm(1), "off1": pm(2)}),
-    (4, 13, -19913.239896408344, {"vm1": pm(3), "vm2": pm(4), "off1": pm(2)}),
+    (2, 1, -19983.94463832217, {"vm1": pm(1), "vm2": pm(2), "off1": pm(2)}),
+    (4, 1, -19913.239896408344, {"vm1": pm(3), "vm2": pm(2), "off1": pm(4)}),
 ]
 
 
@@ -189,11 +192,51 @@ def test_branch_and_bound_is_pinned(seed, nodes, total, placement):
 
 
 def test_budget_exhaustion_reported():
-    p, mp = build(0)
+    # the k=2 corpus proves at the root; this group still branches once
+    mp = milp.build_milp(underload_shape(4, 4, 3, 0))
     sol = milp.solve_milp(mp, budget=1)
     assert sol.proven is False
     assert sol.status in ("budget_exhausted", "optimal")
     assert sol.status == "budget_exhausted"
+
+
+# the cover row against enumerations of the model without it: overload and
+# underload k=2 groups, and underload groups that may shrink 3 VMs to 2
+COVER_CASES = ([pytest.param(lambda s=s, m=m: k2_instance(s, m), id="%s-seed%d" % (m, s))
+                for m in (vs.OVERLOAD, vs.UNDERLOAD) for s in range(10)]
+               + [pytest.param(lambda s=s: underload_shape(2, 3, 2, s), id="3to2-seed%d" % s)
+                  for s in range(6)])
+
+
+@pytest.mark.parametrize("make", COVER_CASES)
+def test_cover_row_removes_no_optimum(make):
+    mp = milp.build_milp(make())
+    uncut = without_rows(mp, "cover")
+    assert uncut.base.num_rows == mp.base.num_rows - 1
+    # no prefilter: its share-coverage count is the cover row itself
+    expect, _ = enumerate_single_host(uncut, prefilter=False)
+    got = milp.solve_milp(mp)
+    assert got.status == "optimal" and got.proven
+    assert got.total == pytest.approx(expect, rel=1e-9)
+
+
+def test_cover_row_removes_no_optimum_of_every_bit_vector():
+    # the literal sweep of test_full_bit_enumeration_small_instance, over
+    # the model without the cover row
+    p = k2_instance(7, vs.OVERLOAD)
+    p.group.candidate_pms = [p.topology.pms[0], p.topology.pms[1]]
+    mp = milp.build_milp(p)
+    expect = enumerate_all_bits(without_rows(mp, "cover"))
+    assert milp.solve_milp(mp).total == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (4, 4, 3)], ids=["k2-3to2", "k4-4to3"])
+def test_underload_groups_prove_within_three_nodes(shape):
+    # without the cover row these draws branch to 11-113 (k=2) and
+    # 99-2,919 (k=4) nodes
+    for seed in range(8):
+        sol = milp.solve_milp(milp.build_milp(underload_shape(*shape, seed)))
+        assert sol.proven and sol.nodes <= 3, (seed, sol.nodes)
 
 
 def test_deployment_cost_examples():

@@ -12,7 +12,7 @@ from vnfscale import lp, rpadmm
 
 from corpus import pm, tree4, scenario1, scenario4, problem, k2_instance, \
     admm_fixture
-from oracle import reference_admm_run
+from oracle import reference_admm_run, reference_message_footprint
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +481,18 @@ def test_messages_logged_match_the_footprint(fixture_system):
     assert trace.messages_per_sweep == total
     assert all(rec.messages_sent == total for rec in trace.records)
     assert total > 0
+
+
+def test_message_footprint_matches_the_pattern_product(topo):
+    for p in lift_instances(topo):
+        system = rpadmm.reformulate(p)
+        assert rpadmm.message_footprint(system) == reference_message_footprint(system)
+    # owners by index parity put two owners in almost every row
+    system = rpadmm.reformulate(k2_instance(0, mode=vs.OVERLOAD))
+    mixed = rpadmm.ReformulatedSystem(
+        model=system.model, owners={i: i % 2 for i in range(system.model.num_vars)},
+        row_family=system.row_family)
+    assert rpadmm.message_footprint(mixed) == reference_message_footprint(mixed) > 0
 
 
 def test_trace_csv_layout(fixture_system):

@@ -1,3 +1,4 @@
+import functools
 import os
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import vnfscale as vs
-from vnfscale import lp, rpadmm, scaling, scenario
+from vnfscale import lp, milp, rpadmm, scaling, scenario
 from vnfscale.cli import main as cli_main
 from vnfscale.scaling import forwarding_cost_of
 
@@ -461,6 +462,68 @@ def test_cli_infeasible_is_exit_three(tmp_path, capsys):
     # four instances at share cap 25/200 cannot carry the load
     body = minimal(event="traffic = 200").replace("vm1  P2  100", "vm1  P2  25")
     assert cli_main(["run", write_scenario(tmp_path, body)]) == 3
+
+
+# an underload group of four VMs that may shrink to three on k=4: its root
+# relaxation is fractional and the first branch finds the optimum
+BRANCHING = """
+[topology]
+k = 4
+pms_per_rack = 2
+
+[group]
+chain = c
+gamma = 1.455
+ingress = P1
+egress = P3
+candidates = P1-P16
+offline = 1
+
+[vms]
+vm1  P5   100  0.27
+vm2  P8   100  0.20
+vm3  P12  100  0.23
+vm4  P9   100  0.18
+
+[pms]
+capacity = cpu:200
+
+[event]
+baseline = 240.33
+traffic = 277.11
+
+[solver]
+method = milp
+"""
+
+
+def with_budget(monkeypatch, budget):
+    monkeypatch.setattr(milp, "solve_milp",
+                        functools.partial(milp.solve_milp, budget=budget))
+
+
+def test_cli_milp_budget_with_an_incumbent_warns(tmp_path, capsys, monkeypatch):
+    path = write_scenario(tmp_path, BRANCHING)
+    assert cli_main(["run", path]) == 0
+    proven = capsys.readouterr().out
+    assert "WARNING" not in proven
+    with_budget(monkeypatch, 2)
+    assert cli_main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert ("WARNING: not proven optimal: branch-and-bound stopped at its"
+            " budget (2 nodes) with this incumbent") in out
+    # the incumbent is the decision printed, here the proven one
+    assert out.split("  model:")[0] == proven.split("  model:")[0]
+
+
+def test_cli_milp_budget_without_an_incumbent_is_exit_four(tmp_path, capsys,
+                                                          monkeypatch):
+    with_budget(monkeypatch, 1)
+    assert cli_main(["run", write_scenario(tmp_path, BRANCHING)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("no usable solution: branch-and-bound found no"
+                            " integral point within its budget (1 nodes)\n")
 
 
 def test_cli_over_capped_baseline_is_exit_three(tmp_path, capsys):
