@@ -2,8 +2,9 @@
 
 Sets up the scale-out instance the acceptance runs use (three hot
 instances, one slot to fill, no capacity rows), hands the central
-relaxation itself to the distributed solver (shares and interests in
-traffic units, rows equilibrated, every block owned by a PM agent), and
+relaxation itself to the distributed solver (its export with shares and
+interests in traffic units and rows equilibrated, every block owned by a
+PM agent; no second model is built), and
 lets the per-variable sweep run for up to 25 rounds.  At primal_tol = 0
 the run stops early only at an exact fixed point.  The trace prints as
 objective gap plus the two slowest constraint families, then the agent
@@ -38,8 +39,8 @@ print("central optimum: %.6g" % central.objective_value)
 system = rpadmm.reformulate(p)
 print("distributed system: %d scalar blocks, %d equality rows, "
       "%d messages per sweep"
-      % (system.model.num_vars, system.model.num_rows,
-         rpadmm.message_footprint(system)))
+      % (system.central.num_vars, system.central.num_rows,
+         system.messages_per_sweep))
 
 point, trace = rpadmm.run(system, rpadmm.AdmmConfig(beta=5.0, max_iters=25,
                                                     seed=0, primal_tol=0.0))
@@ -57,9 +58,8 @@ print()
 print("best gap over the run: %.3f%%  (converged flag: %s)"
       % (100 * best, trace.converged))
 
-owners = rpadmm.agent_partition(system)
 kinds = {}
-for name, agent in owners.items():
+for agent in system.owners:
     kinds[agent.kind] = kinds.get(agent.kind, 0) + 1
 print("blocks by owning agent kind: %s"
       % ", ".join("%s=%d" % kv for kv in sorted(kinds.items())))

@@ -4,8 +4,8 @@ from .topology import (NodeId, Topology, build_fat_tree, forwarding_cost,
                        neighbors, topology_listing, pm_name, PM, TOR, AGG,
                        CORE, DEFAULT_LAYER_COSTS)
 from .chain_state import (Thresholds, VmInstance, VnfGroup, classify_group,
-                          classify_chain, required_instances, OVERLOAD,
-                          UNDERLOAD, NORMAL, ClassificationError)
+                          required_instances, OVERLOAD, UNDERLOAD, NORMAL,
+                          ClassificationError)
 from .scaling import (ScalingProblem, ScalingDecision, Penalties, Weights,
                       build_overload_lp, build_underload_lp, decode,
                       uniform_capacity, forwarding_cost_of,
@@ -17,7 +17,7 @@ from .milp import (MilpProblem, MilpSolution, build_milp, solve_milp,
 from .rpadmm import (AdmmConfig, AdmmRecord, AdmmTrace, ReformulatedSystem,
                      reformulate, system_from_model, run,
                      scalar_block_update, normalized_violations,
-                     agent_partition, message_footprint,
+                     message_footprint,
                      UnboundedUpdateError, AdmmDivergenceError)
 from .scenario import (Scenario, RunReport, CompareReport, ScenarioParseError,
                        load_scenario, run_scenario, sweep_topologies,

@@ -131,24 +131,6 @@ def classify_group(g):
     return NORMAL
 
 
-def classify_chain(groups):
-    """State of a whole chain plus the group that triggered it.
-
-    Any overloaded group marks the chain overloaded (first in chain
-    order is reported); otherwise any underloaded group marks it
-    underloaded; otherwise the chain is normal and the group slot is
-    None.
-    """
-    if not groups:
-        raise ValueError("empty chain")
-    states = [classify_group(g) for g in groups]
-    for want in (OVERLOAD, UNDERLOAD):
-        for g, s in zip(groups, states):
-            if s == want:
-                return want, g
-    return NORMAL, None
-
-
 def required_instances(g, traffic):
     """Number of instances v* needed to serve the given traffic rate.
 

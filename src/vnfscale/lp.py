@@ -50,8 +50,6 @@ _STATUS = {
     highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
 
-Violation = namedtuple("Violation", "row amount label")
-
 # c and every row as (a, b, rel)
 Matrices = namedtuple("Matrices", "c a b rel")
 
@@ -254,24 +252,3 @@ def solve(model, bounds_override=None):
     point = np.array(h.getSolution().col_value)
     value = h.getInfo().objective_function_value
     return LpSolution(OPTIMAL, point, value, model)
-
-
-def check_feasibility(model, point, tol=1e-8):
-    """Per-row signed violations of a candidate point.
-
-    Equality rows report lhs - rhs whenever |lhs - rhs| > tol; <= rows
-    report positive excess, >= rows negative shortfall.  Empty result
-    means the point is feasible within tol.
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (model.num_vars,):
-        raise ValueError("point covers %d variables, model has %d"
-                         % (point.size, model.num_vars))
-    mats = model.matrices()
-    diff = mats.a @ point - mats.b
-    bad = (((mats.rel == EQ) & (np.abs(diff) > tol))
-           | ((mats.rel == LE) & (diff > tol))
-           | ((mats.rel == GE) & (diff < -tol)))
-    bad = np.flatnonzero(bad).tolist()
-    labels = model.row_labels() if bad else []
-    return [Violation(k, diff[k], labels[k]) for k in bad]

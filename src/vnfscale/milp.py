@@ -193,7 +193,8 @@ def _decode(mp, point, total, nodes, proven):
 def solve_milp(mp, budget=20000):
     """Branch-and-bound over the binaries. Within budget LP-solves the
     result is the proven optimum; past it the best incumbent is returned
-    flagged non-proven."""
+    flagged non-proven.  Nodes the incumbent prunes are dropped before
+    the budget is checked, so a proof of exactly budget solves is proven."""
     model = mp.base
     base_bounds = list(zip(model.lower, model.upper))
 
@@ -208,12 +209,12 @@ def solve_milp(mp, budget=20000):
     nodes = 0
     proven = True
     while open_list:
-        if nodes >= budget:
-            proven = False
-            break
         parent_bound, fixed = open_list.pop()
         if parent_bound >= best_obj - 1e-9:
             continue
+        if nodes >= budget:
+            proven = False
+            break
         nodes += 1
         sol = lp.solve(model, bounds_override=node_bounds(fixed))
         if sol.status != lp.OPTIMAL:

@@ -14,8 +14,10 @@ interest column is multiplied by T (by 1 when T = 0) and its cost
 divided by T, so x' = T x and the objective is unchanged; then each row
 is divided by its largest |coefficient| (l-infinity equilibration;
 Ruiz, RAL-TR-2001-034).  Slacks keep their units.  The scale follows
-the units and is not tuned; `ReformulatedSystem.unscale` maps a point
-back onto the central model, which decodes it.
+the units and is not tuned.  There is no second model: the system holds
+the central model's own export, scaled once in a vectorized pass, and
+`ReformulatedSystem.unscale` maps a point back onto the central model,
+which decodes it.
 
 A run stops when the residuals are small and the point has stopped
 moving: every normalized violation is at most primal_tol, and no block
@@ -35,11 +37,13 @@ to one `scalar_block_update` call per block.  One reduceat over the
 rows gathered family by family gives every family's max |residual|.
 """
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import lp, scaling
 from .chain_state import OVERLOAD
@@ -80,19 +84,37 @@ class AdmmConfig:
 
 @dataclass
 class ReformulatedSystem:
-    """Equality-row model the sweep runs on, plus the agent bookkeeping it
-    needs.  Its point is `scale` times a point of `central`, the model
-    decode reads."""
+    """The central model's export in the sweep's units, and the agent
+    owning each scalar block.  Cost, rows and bounds are those of
+    `central` with each column multiplied by `scale` and each row
+    divided by its peak; the CSR `a` shares its pattern with the central
+    export, explicit zeros included.  Its point is `scale` times a point
+    of `central`, the model decode reads.  A block without an owner is a
+    construction fault and raises RuntimeError when the system is built."""
 
-    model: object
-    owners: dict = field(default_factory=dict)    # var index -> owning agent
-    row_family: list = field(default_factory=list)
-    central: object = None
-    scale: object = None       # per-variable column scale, an array
+    central: object
+    scale: object              # per-column scale, an array
+    owners: list               # per block, its owning agent
+    c: object
+    a: object
+    b: object
+    lower: object
+    upper: object
+    row_family: list
+
+    def __post_init__(self):
+        for i in range(self.a.shape[1]):
+            if i >= len(self.owners) or self.owners[i] is None:
+                raise RuntimeError("block %r has no owning agent"
+                                   % self.central.var_names[i])
 
     @property
     def families(self):
         return list(dict.fromkeys(self.row_family))
+
+    @functools.cached_property
+    def messages_per_sweep(self):
+        return message_footprint(self)
 
     def unscale(self, x):
         """The point of the central model that x stands for."""
@@ -103,6 +125,31 @@ def _family_of(label):
     return label.split("[", 1)[0] if "[" in label else label
 
 
+def _scaled(central, owners, scale, equilibrate):
+    """The system over central's export with each column multiplied by
+    scale and, when equilibrate, each row divided by its largest
+    |coefficient|.  The sweep needs equality rows."""
+    mats = central.matrices()
+    bad = np.flatnonzero(mats.rel != lp.EQ)
+    if bad.size:
+        raise ValueError("the sweep needs equality rows, got %r in %r"
+                         % (str(mats.rel[bad[0]]), central.row_labels()[bad[0]]))
+    a = mats.a
+    data = a.data / scale[a.indices]
+    peak = np.ones(a.shape[0])
+    if equilibrate:
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        peak = np.zeros(a.shape[0])
+        np.maximum.at(peak, rows, np.abs(data))
+        data = data / peak[rows]
+    return ReformulatedSystem(
+        central=central, scale=scale, owners=owners, c=mats.c / scale,
+        a=csr_array((data, a.indices, a.indptr), shape=a.shape),
+        b=mats.b / peak, lower=np.asarray(central.lower) * scale,
+        upper=np.asarray(central.upper) * scale,
+        row_family=[_family_of(l) for l in central.row_labels()])
+
+
 def reformulate(p):
     """The central relaxation of p in per-agent form, in traffic units
     and with its rows equilibrated (see the module docstring)."""
@@ -110,7 +157,7 @@ def reformulate(p):
              else scaling.build_underload_lp)
     central = build(p)
     lay = central.layout
-    owners = {}
+    owners = [None] * central.num_vars
     for s in lay.slots:
         owners[lay.alpha_idx[(lay.rel_pms[0], s.key)]] = (
             lay.rel_pms[0] if s.host is None else s.host)
@@ -118,64 +165,26 @@ def reformulate(p):
         owners[i] = q
     for tag, i in lay.slack_idx.items():
         owners[i] = tag[1]
-
-    mats = central.matrices()
     scale = np.ones(central.num_vars)
     scale[list(lay.alpha_idx.values()) + list(lay.e_idx.values())] = \
         p.traffic if p.traffic > 0 else 1.0
-    a = mats.a
-    data = a.data / scale[a.indices]
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    peak = np.zeros(a.shape[0])
-    np.maximum.at(peak, rows, np.abs(data))
-    model = lp.LpModel(central.name + "_admm")
-    for name, lo, hi in zip(central.var_names,
-                            (np.asarray(central.lower) * scale).tolist(),
-                            (np.asarray(central.upper) * scale).tolist()):
-        model.add_var(name, lo, hi)
-    model.add_objective({i: c / scale[i] for i, c in central.objective.items()})
-    # each central row's columns in CSR order, explicit zeros kept
-    labels = central.row_labels()
-    ptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), (data / peak[rows]).tolist()
-    for lo, hi, rhs, label in zip(ptr, ptr[1:], (mats.b / peak).tolist(), labels):
-        model.add_row(dict(zip(cols[lo:hi], vals[lo:hi])), lp.EQ, rhs, label)
-    system = ReformulatedSystem(
-        model=model, owners=owners,
-        row_family=[_family_of(l) for l in labels],
-        central=central, scale=scale)
-    agent_partition(system)   # fail fast on any orphan block
-    return system
+    return _scaled(central, owners, scale, equilibrate=True)
 
 
-def system_from_model(model, owner="agent"):
-    """Wrap a hand-built equality model as a single-agent system, mainly
-    for small reference instances in tests."""
-    return ReformulatedSystem(
-        model=model, owners={i: owner for i in range(model.num_vars)},
-        row_family=[_family_of(l) for l in model.row_labels()],
-        central=model, scale=np.ones(model.num_vars))
-
-
-def agent_partition(system):
-    """Owning agent of every scalar block; an orphan block means the
-    system was built wrong."""
-    out = {}
-    for i in range(system.model.num_vars):
-        if i not in system.owners:
-            raise RuntimeError("block %r has no owning agent"
-                               % system.model.var_names[i])
-        out[i] = system.owners[i]
-    return out
+def system_from_model(model):
+    """Wrap a hand-built equality model, unscaled, as a single-agent
+    system, mainly for small reference instances in tests."""
+    n = model.num_vars
+    return _scaled(model, ["agent"] * n, np.ones(n), equilibrate=False)
 
 
 def message_footprint(system):
     """Total distinct foreign values the agents read per sweep: for each
     block, the variables sharing a row with it but owned elsewhere."""
-    a = system.model.matrices().a
+    a = system.a
     ptr, cols = a.indptr.tolist(), a.indices.tolist()
     codes = {}
-    owner = [codes.setdefault(system.owners[i], len(codes))
-             for i in range(a.shape[1])]
+    owner = [codes.setdefault(agent, len(codes)) for agent in system.owners]
     rows_of = [[] for _ in owner]       # per column, the rows holding it
     for lo, hi in zip(ptr, ptr[1:]):
         row = cols[lo:hi]
@@ -253,19 +262,16 @@ def _normalize(cur, baseline):
     return out
 
 
-def _residuals(model, point):
-    mats = model.matrices()
-    return mats.a @ point - mats.b
+def _residuals(system, point):
+    return system.a @ point - system.b
 
 
-def normalized_violations(point, system, baseline=None):
-    """Per-family normalized violation of a point; the baseline defaults
-    to the residuals of the all-zero start."""
+def normalized_violations(point, system):
+    """Per-family normalized violation of a point, against the residuals
+    of the all-zero start."""
     fams = _Families(system.row_family)
-    if baseline is None:
-        baseline = fams.max_abs(
-            _residuals(system.model, np.zeros(system.model.num_vars)))
-    cur = fams.max_abs(_residuals(system.model, np.asarray(point, float)))
+    baseline = fams.max_abs(_residuals(system, np.zeros(len(system.c))))
+    cur = fams.max_abs(_residuals(system, np.asarray(point, float)))
     return _normalize(cur, baseline)
 
 
@@ -338,19 +344,12 @@ def run(system, cfg=None):
     the sweep; raises AdmmDivergenceError past the divergence limit.
     """
     cfg = cfg if cfg is not None else AdmmConfig()
-    model = system.model
-    nv, nr = model.num_vars, model.num_rows
-    mats = model.matrices()
-    bad = np.flatnonzero(mats.rel != lp.EQ)
-    if bad.size:
-        raise ValueError("the sweep needs equality rows, got %r in %r"
-                         % (str(mats.rel[bad[0]]), model.row_labels()[bad[0]]))
-
-    lo, hi = model.lower, model.upper
-    cost = mats.c
+    nr, nv = system.a.shape
+    lo, hi = system.lower.tolist(), system.upper.tolist()
+    cost = system.c
     c_list = cost.tolist()
     beta = cfg.beta
-    csc = mats.a.tocsc()
+    csc = system.a.tocsc()
     ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
     blocks = []   # per block: its (row, coefficient) column, denom, -c/beta, lo, hi
     for i in range(nv):
@@ -360,10 +359,10 @@ def run(system, cfg=None):
             denom += a * a
         blocks.append((col, denom, -c_list[i] / beta, lo[i], hi[i]))
 
-    res = _residuals(model, np.zeros(nv))
+    res = _residuals(system, np.zeros(nv))
     fams = _Families(system.row_family)
     baseline = fams.max_abs(res)
-    messages = message_footprint(system)
+    messages = system.messages_per_sweep
     trace = AdmmTrace(families=fams.names, baseline=baseline,
                       messages_per_sweep=messages)
 

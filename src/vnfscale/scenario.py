@@ -467,7 +467,7 @@ def _rpadmm(p, admm_config):
         stats = {"iterations": len(trace.records), "converged": trace.converged,
                  "coverage": coverage}
         return dec, stats, trace
-    return system.model, solve
+    return system.central, solve
 
 
 SOLVERS = {"lp": _lp, "milp": _milp, "rpadmm": _rpadmm}

@@ -91,11 +91,6 @@ class Topology:
         """Whether i is a node of this tree."""
         return i in self._order
 
-    def pod_of(self, i):
-        """Pod number of i, or -1 for core switches (pod-less)."""
-        self._require(i)
-        return self._pod[i]
-
     def node_position(self, i):
         """Position of i in the canonical node ordering."""
         pos = self._order.get(i)

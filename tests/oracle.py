@@ -9,7 +9,11 @@ The RP-ADMM sweep as first written: numpy element indexing, one
 `scalar_block_update` call per block and one np.max per row family.
 `rpadmm.run` must reproduce it byte for byte.  Its message count is the
 sparse pattern product `rpadmm.message_footprint` first used; the
-set-union count must equal it.
+set-union count must equal it.  `scaled_model` rebuilds a system as the
+`LpModel` `rpadmm.reformulate` once copied, so HiGHS can solve it.
+
+`check_feasibility` reports each row a point violates; only the tests
+check points row by row.
 
 The exact MILP as first written: one flow commodity per VM on every
 arc, with arrival, conservation, processing and endpoint-total rows.
@@ -39,6 +43,7 @@ same distance and parent dicts.
 import dataclasses
 import heapq
 import itertools
+from collections import namedtuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -47,6 +52,30 @@ from vnfscale import lp, milp, rpadmm, scaling
 from vnfscale.chain_state import OVERLOAD, UNDERLOAD
 from vnfscale.netflow import FlowNet
 from vnfscale.topology import PM, forwarding_cost, neighbors
+
+
+Violation = namedtuple("Violation", "row amount label")
+
+
+def check_feasibility(model, point, tol=1e-8):
+    """Per-row signed violations of a candidate point.
+
+    Equality rows report lhs - rhs whenever |lhs - rhs| > tol; <= rows
+    report positive excess, >= rows negative shortfall.  Empty result
+    means the point is feasible within tol.
+    """
+    point = np.asarray(point, dtype=float)
+    if point.shape != (model.num_vars,):
+        raise ValueError("point covers %d variables, model has %d"
+                         % (point.size, model.num_vars))
+    mats = model.matrices()
+    diff = mats.a @ point - mats.b
+    bad = (((mats.rel == lp.EQ) & (np.abs(diff) > tol))
+           | ((mats.rel == lp.LE) & (diff > tol))
+           | ((mats.rel == lp.GE) & (diff < -tol)))
+    bad = np.flatnonzero(bad).tolist()
+    labels = model.row_labels() if bad else []
+    return [Violation(k, diff[k], labels[k]) for k in bad]
 
 
 def _assignment_bounds(mp, assign):
@@ -151,7 +180,7 @@ def reference_family_max(res, fam_rows):
 def reference_message_footprint(system):
     """`rpadmm.message_footprint` as first written: the sparse pattern
     product pattern.T @ pattern, counted where the two owners differ."""
-    a = system.model.matrices().a
+    a = system.a
     pattern = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
     shared = (pattern.T @ pattern).tocoo()
     codes = {}
@@ -163,19 +192,17 @@ def reference_message_footprint(system):
 def reference_admm_run(system, cfg):
     """`rpadmm.run` with the original per-block loop and no divergence
     guard; returns (x, trace)."""
-    model = system.model
-    nv, nr = model.num_vars, model.num_rows
-    mats = model.matrices()
-    lo, hi = np.asarray(model.lower), np.asarray(model.upper)
-    cost = mats.c
-    csc = mats.a.tocsc()
+    nr, nv = system.a.shape
+    lo, hi = system.lower, system.upper
+    cost = system.c
+    csc = system.a.tocsc()
     ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
     cols = [list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
             for i in range(nv)]
 
     x = np.zeros(nv)
     prev = x.copy()
-    res = rpadmm._residuals(model, x)
+    res = rpadmm._residuals(system, x)
     duals = np.zeros(nr)
 
     fam_rows = _family_rows(system)
@@ -215,6 +242,25 @@ def reference_admm_run(system, cfg):
             trace.converged = True
             break
     return x, trace
+
+
+def scaled_model(system):
+    """The system as an `LpModel`: the central names and labels, the
+    scaled bounds and cost, and each row's columns in CSR order with
+    explicit zeros kept, built var by var and row by row the way
+    `rpadmm.reformulate` once copied the central model."""
+    central = system.central
+    model = lp.LpModel(central.name + "_admm")
+    for name, lo, hi in zip(central.var_names, system.lower.tolist(),
+                            system.upper.tolist()):
+        model.add_var(name, lo, hi)
+    model.add_objective({i: system.c[i] for i in central.objective})
+    a = system.a
+    ptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    for lo, hi, rhs, label in zip(ptr, ptr[1:], system.b.tolist(),
+                                  central.row_labels()):
+        model.add_row(dict(zip(cols[lo:hi], vals[lo:hi])), lp.EQ, rhs, label)
+    return model
 
 
 def flow_skeleton(p, name):

@@ -15,7 +15,7 @@ from vnfscale import lp, milp, rpadmm
 
 from corpus import (U, admm_fixture, capacity, flow_violations, k2_instance, pm,
                     problem, scenario1, scenario3, scenario4, solve_decoded, tree4)
-from oracle import enumerate_single_host
+from oracle import enumerate_single_host, scaled_model
 
 
 def report(num, ok, detail):
@@ -143,7 +143,7 @@ def test_criterion_6_exact_lift():
         central = lp.solve(vs.build_overload_lp(p))
         assert central.status == lp.OPTIMAL, name
         system = rpadmm.reformulate(p)
-        lifted = lp.solve(system.model)
+        lifted = lp.solve(scaled_model(system))
         assert lifted.status == lp.OPTIMAL, name
         rel = (abs(lifted.objective_value - central.objective_value)
                / max(1.0, abs(central.objective_value)))

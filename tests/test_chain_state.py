@@ -71,15 +71,6 @@ def test_classify_requires_utilization():
         cs.classify_group(g)
 
 
-def test_chain_level_classification():
-    normal = make_group([0.5, 0.5])
-    over = make_group([0.95, 0.5])
-    state, culprit = cs.classify_chain([normal, over])
-    assert state == cs.OVERLOAD and culprit is over
-    state, culprit = cs.classify_chain([normal, normal])
-    assert state == cs.NORMAL and culprit is None
-
-
 def test_multi_resource_any_hot_triggers():
     thr = cs.Thresholds.uniform(("cpu", "mem"))
     g = make_group([0.5], thresholds=thr)

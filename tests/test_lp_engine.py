@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ import vnfscale as vs
 from vnfscale import lp, milp, rpadmm
 
 from corpus import admm_fixture, k2_instance
+from oracle import check_feasibility, scaled_model
 
 
 def small_model():
@@ -107,13 +110,13 @@ def test_model_highs_rejects_is_infeasible():
 
 def test_check_feasibility_flags_violations():
     m, x, y = small_model()
-    ok = lp.check_feasibility(m, np.array([4.0, 0.0]))
+    ok = check_feasibility(m, np.array([4.0, 0.0]))
     assert ok == []
-    bad = lp.check_feasibility(m, np.array([1.0, 1.0]))
+    bad = check_feasibility(m, np.array([1.0, 1.0]))
     assert len(bad) == 1
     assert bad[0].row == 0 and bad[0].amount == pytest.approx(-2.0)
     with pytest.raises(ValueError):
-        lp.check_feasibility(m, np.array([1.0]))
+        check_feasibility(m, np.array([1.0]))
 
 
 def test_free_and_negative_variables():
@@ -130,7 +133,7 @@ def test_solution_consistency_roundtrip():
     sol = lp.solve(m)
     # objective recomputed from the point matches the solver's number
     assert m.objective_value(sol.point) == pytest.approx(sol.objective_value)
-    assert lp.check_feasibility(m, sol.point, tol=1e-7) == []
+    assert check_feasibility(m, sol.point, tol=1e-7) == []
 
 
 def test_deterministic_vertex():
@@ -174,12 +177,13 @@ SOLVED = ["lp", "milp0", "milp1", "milp2", "milp3"]
 
 
 def corpus_model(name):
-    """The central LP and the ADMM lift of the ADMM fixture, and the MILP
-    bases of four k=2 instances."""
+    """The central LP and the ADMM lift of the ADMM fixture (its scaled
+    system rebuilt as a model), and the MILP bases of four k=2
+    instances."""
     if name == "lp":
         return vs.build_overload_lp(admm_fixture())
     if name == "lift":
-        return rpadmm.reformulate(admm_fixture()).model
+        return scaled_model(rpadmm.reformulate(admm_fixture()))
     return milp.build_milp(k2_instance(int(name[-1]))).base
 
 
@@ -352,6 +356,6 @@ def test_message_footprint_counts_an_explicit_zero():
     b = m.add_var("b", -np.inf, np.inf)
     m.add_row({a: 1.0, b: 0.0}, "=", 0.0, "r")
     assert m.matrices().a.nnz == 2
-    system = rpadmm.ReformulatedSystem(model=m, owners={a: "p", b: "q"},
-                                       row_family=["r"])
+    system = dataclasses.replace(rpadmm.system_from_model(m), owners=["p", "q"])
+    assert system.a.nnz == 2
     assert rpadmm.message_footprint(system) == 2

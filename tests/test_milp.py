@@ -8,8 +8,8 @@ from vnfscale import lp, milp, scaling
 
 from corpus import k2_instance, pm, tree4, capacity, scenario1, problem, \
     underload_shape
-from oracle import enumerate_single_host, enumerate_all_bits, reference_flow_milp, \
-    without_rows
+from oracle import check_feasibility, enumerate_single_host, enumerate_all_bits, \
+    reference_flow_milp, without_rows
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -54,7 +54,7 @@ def test_no_flow_variables_or_rows():
 def test_zero_point_violates_coverage_by_one():
     p, mp = build(1)
     zeros = np.zeros(mp.base.num_vars)
-    bad = lp.check_feasibility(mp.base, zeros)
+    bad = check_feasibility(mp.base, zeros)
     cover = [v for v in bad if v.label == "coverage"]
     assert len(cover) == 1 and cover[0].amount == pytest.approx(-1.0)
 
@@ -155,7 +155,7 @@ def test_root_relaxation_bounds_milp():
 def test_solution_feasible_on_template():
     p, mp = build(4)
     sol = milp.solve_milp(mp)
-    assert lp.check_feasibility(mp.base, sol.point, tol=1e-6) == []
+    assert check_feasibility(mp.base, sol.point, tol=1e-6) == []
     # binaries integral
     for idx in mp.binaries:
         assert min(sol.point[idx], 1.0 - sol.point[idx]) <= 1e-6
@@ -342,7 +342,7 @@ def test_decisions_are_exact_in_the_flow_milp(make):
     ref, x = reference_point(p, sol)
     model = ref.base
     tol = 1e-9 * max(1.0, p.traffic)
-    assert lp.check_feasibility(model, x, tol=tol) == []
+    assert check_feasibility(model, x, tol=tol) == []
     assert np.all(x >= np.array(model.lower) - tol)
     assert np.all(x <= np.array(model.upper) + tol)
     want = milp.solve_milp(ref)

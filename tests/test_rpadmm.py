@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import subprocess
@@ -12,7 +13,7 @@ from vnfscale import lp, rpadmm
 
 from corpus import pm, tree4, scenario1, scenario4, problem, k2_instance, \
     admm_fixture
-from oracle import reference_admm_run, reference_message_footprint
+from oracle import reference_admm_run, reference_message_footprint, scaled_model
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ def lift_instances(topo):
 def test_reformulated_optimum_matches_central(topo):
     for p in lift_instances(topo):
         central = central_optimum(p).objective_value
-        lifted = lp.solve(rpadmm.reformulate(p).model)
+        lifted = lp.solve(scaled_model(rpadmm.reformulate(p)))
         assert lifted.status == lp.OPTIMAL
         assert lifted.objective_value == pytest.approx(central, rel=1e-12)
 
@@ -60,47 +61,49 @@ def test_lifted_central_point_is_feasible(topo):
         system = rpadmm.reformulate(p)
         sol = central_optimum(p)
         x = sol.point * system.scale
-        res = rpadmm._residuals(system.model, x)
+        res = rpadmm._residuals(system, x)
         assert float(np.max(np.abs(res))) < 1e-9 * max(1.0, p.traffic)
-        assert np.all(x >= np.array(system.model.lower))
-        assert np.all(x <= np.array(system.model.upper))
+        assert np.all(x >= system.lower)
+        assert np.all(x <= system.upper)
         assert system.unscale(x) == pytest.approx(sol.point, rel=1e-15)
-        assert system.model.objective_value(x) == pytest.approx(
-            sol.objective_value, rel=1e-12)
+        assert float(system.c @ x) == pytest.approx(sol.objective_value, rel=1e-12)
 
 
 def test_columns_in_traffic_units_and_rows_equilibrated(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     system = rpadmm.reformulate(p)
-    names = system.model.var_names
-    for i, name in enumerate(names):
+    for i, name in enumerate(system.central.var_names):
         want = 1.0 if "slack" in name else 400.0
         assert system.scale[i] == want, name
-    mats = system.model.matrices()
-    peaks = [max(abs(v) for v in coeffs.values())
-             for coeffs, _, _, _ in system.model.rows]
-    assert peaks == [1.0] * system.model.num_rows
-    assert mats.b[system.model.row_labels().index("coverage")] == 400.0
+    peaks = np.maximum.reduceat(np.abs(system.a.data), system.a.indptr[:-1])
+    assert peaks.tolist() == [1.0] * system.central.num_rows
+    assert system.b[system.central.row_labels().index("coverage")] == 400.0
     assert system.central.name == "overload_lp"
-    assert system.model.row_labels() == system.central.row_labels()
-    # the copy keeps the central layout: the same CSR pattern with its
-    # explicit zeros (an omega of 0 puts them in the capacity rows), the
-    # central bounds times the scale, and the central names
+    # the scaled export keeps the central layout: the same CSR pattern
+    # with its explicit zeros (an omega of 0 puts them in the capacity
+    # rows), sharing the central index arrays, and the central cost and
+    # bounds rescaled
     g = scenario1()
     g.omega = {"cpu": 0.0}
     zeros = 0
     for q in (p, problem(topo, g, 400.0, 4, vs.OVERLOAD)):
         system = rpadmm.reformulate(q)
-        got, want = system.model.matrices().a, system.central.matrices().a
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data == 0.0, want.data == 0.0)
+        got, want = system.a, system.central.matrices()
+        assert np.shares_memory(got.indptr, want.a.indptr)
+        assert np.shares_memory(got.indices, want.a.indices)
+        assert np.array_equal(got.indptr, want.a.indptr)
+        assert np.array_equal(got.indices, want.a.indices)
+        assert np.array_equal(got.data == 0.0, want.a.data == 0.0)
         zeros += int(np.count_nonzero(got.data == 0.0))
+        # and so does the model HiGHS solves for criterion 6
+        rebuilt = scaled_model(system).matrices()
+        assert rebuilt.a.nnz == want.a.nnz
+        assert np.array_equal(rebuilt.a.data == 0.0, want.a.data == 0.0)
+        assert np.array_equal(system.c, want.c / system.scale)
         for bound in ("lower", "upper"):
-            assert np.array_equal(getattr(system.model, bound),
+            assert np.array_equal(getattr(system, bound),
                                   np.asarray(getattr(system.central, bound))
                                   * system.scale), bound
-        assert system.model.var_names == system.central.var_names
     assert zeros > 0
 
 
@@ -122,8 +125,8 @@ def test_underload_has_a_distributed_form(topo):
     p = problem(topo, scenario1([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD)
     system = rpadmm.reformulate(p)
     assert "keep" in system.families
-    owners = rpadmm.agent_partition(system)
-    names = system.model.var_names
+    owners = system.owners
+    names = system.central.var_names
     assert owners[names.index("keep_slack[PM4]")] == pm(5)
     assert owners[names.index("e[PM1,d1]")] == pm(2)
     assert owners[names.index("alpha[PM1,d1]")] == pm(2)
@@ -271,16 +274,34 @@ def test_unbounded_block_raises_through_the_sweep():
 
 # -- the distributed run on the worked geometry --------------------------------
 
-def test_fixed_seed_runs_are_bit_identical(fixture_system):
-    system, _ = fixture_system
+def system_arrays(system):
+    a = system.a
+    return [arr.tobytes() for arr in (system.c, a.data, a.indices, a.indptr,
+                                      system.b, system.lower, system.upper,
+                                      system.scale)]
+
+
+def test_fixed_seed_runs_are_bit_identical(monkeypatch):
+    # two runs on one system: the same bytes, the system's arrays as they
+    # were, and the message footprint counted once, on the first run
+    calls = []
+    real = rpadmm.message_footprint
+    monkeypatch.setattr(rpadmm, "message_footprint",
+                        lambda system: calls.append(system) or real(system))
+    system = rpadmm.reformulate(admm_fixture())
+    before = system_arrays(system)
     cfg = rpadmm.AdmmConfig(beta=5.0, max_iters=12, seed=3)
-    _, a = rpadmm.run(system, cfg)
-    _, b = rpadmm.run(system, cfg)
+    (xa, a), (xb, b) = rpadmm.run(system, cfg), rpadmm.run(system, cfg)
+    assert xa.tobytes() == xb.tobytes()
+    assert a.csv() == b.csv()
     assert a.objectives == b.objectives
-    for ra, rb in zip(a.records, b.records):
+    for ra, rb in zip(a.records, b.records, strict=True):
         assert ra.permutation == rb.permutation
-        assert np.array_equal(ra.residuals, rb.residuals)
-        assert np.array_equal(ra.duals, rb.duals)
+        assert ra.residuals.tobytes() == rb.residuals.tobytes()
+        assert ra.duals.tobytes() == rb.duals.tobytes()
+    assert system_arrays(system) == before
+    assert len(calls) == 1 and calls[0] is system
+    assert a.messages_per_sweep == b.messages_per_sweep == real(system)
 
 
 def assert_same_as_reference_loop(system, cfg):
@@ -306,7 +327,7 @@ def test_sweep_matches_reference_loop_byte_for_byte(fixture_system, seed):
 
 def test_override_sweep_matches_reference_loop(fixture_system):
     system, _ = fixture_system
-    nv = system.model.num_vars
+    nv = system.central.num_vars
     orders = [np.arange(nv)[::-1], np.random.default_rng(7).permutation(nv)]
     assert_same_as_reference_loop(system, rpadmm.AdmmConfig(
         max_iters=5, primal_tol=0.0, permutations=orders))
@@ -433,7 +454,7 @@ def test_violations_normalize_to_one_at_start_and_zero_when_feasible(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     system = rpadmm.reformulate(p)
     at_zero = rpadmm.normalized_violations(
-        np.zeros(system.model.num_vars), system)
+        np.zeros(system.central.num_vars), system)
     assert at_zero["coverage"] == 1.0
     assert at_zero["interest"] == 0.0
     scaled = central_optimum(p).point * system.scale
@@ -453,25 +474,24 @@ def test_divergence_guard_carries_partial_trace(fixture_system):
 
 def test_agent_partition_assigns_every_block(fixture_system):
     system, _ = fixture_system
-    owners = rpadmm.agent_partition(system)
-    assert len(owners) == system.model.num_vars
-    names = system.model.var_names
-    by_name = {names[i]: agent for i, agent in owners.items()}
+    owners = system.owners
+    assert len(owners) == system.central.num_vars
+    by_name = dict(zip(system.central.var_names, owners))
     # shares sit at the first relevant PM, P2: pinned ones belong to
     # their hosts, the new one to P2; every interest to its PM
     assert by_name["alpha[PM1,d1]"] == pm(3)
     assert by_name["alpha[PM1,d2]"] == pm(5)
     assert by_name["alpha[PM1,d4]"] == pm(2)
     assert by_name["e[PM15,d4]"] == pm(16)
-    assert set(owners.values()) <= set(system.central.layout.rel_pms)
+    assert set(owners) <= set(system.central.layout.rel_pms)
 
 
 def test_orphan_block_is_a_construction_fault():
-    m = toy_model()
-    system = rpadmm.ReformulatedSystem(model=m, owners={0: "a", 2: "a"},
-                                       row_family=["r1", "r2"])
-    with pytest.raises(RuntimeError):
-        rpadmm.agent_partition(system)
+    system = rpadmm.system_from_model(toy_model())
+    with pytest.raises(RuntimeError, match="'x2' has no owning agent"):
+        dataclasses.replace(system, owners=["a", None, "a"])
+    with pytest.raises(RuntimeError, match="'x3' has no owning agent"):
+        dataclasses.replace(system, owners=["a", "a"])
 
 
 def test_messages_logged_match_the_footprint(fixture_system):
@@ -489,9 +509,8 @@ def test_message_footprint_matches_the_pattern_product(topo):
         assert rpadmm.message_footprint(system) == reference_message_footprint(system)
     # owners by index parity put two owners in almost every row
     system = rpadmm.reformulate(k2_instance(0, mode=vs.OVERLOAD))
-    mixed = rpadmm.ReformulatedSystem(
-        model=system.model, owners={i: i % 2 for i in range(system.model.num_vars)},
-        row_family=system.row_family)
+    mixed = dataclasses.replace(
+        system, owners=[i % 2 for i in range(system.central.num_vars)])
     assert rpadmm.message_footprint(mixed) == reference_message_footprint(mixed) > 0
 
 

@@ -13,8 +13,8 @@ from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance, admm_fixture, flow_violations
-from oracle import reference_baseline_cost, reference_relaxation, \
-    reference_shortest_path_tree
+from oracle import check_feasibility, reference_baseline_cost, \
+    reference_relaxation, reference_shortest_path_tree
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +301,7 @@ def assert_exact(p, dec):
     1e-9 * max(1, T) and prices to that LP's optimum within 1e-9."""
     model, x = reference_point(p, dec)
     tol = 1e-9 * max(1.0, p.traffic)
-    assert lp.check_feasibility(model, x, tol=tol) == []
+    assert check_feasibility(model, x, tol=tol) == []
     assert np.all(x >= np.array(model.lower) - tol)
     assert np.all(x <= np.array(model.upper) + tol)
     want = lp.solve(model)

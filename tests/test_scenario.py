@@ -11,6 +11,7 @@ from vnfscale.cli import main as cli_main
 from vnfscale.scaling import forwarding_cost_of
 
 from corpus import pm
+from oracle import without_rows
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -502,7 +503,10 @@ def with_budget(monkeypatch, budget):
                         functools.partial(milp.solve_milp, budget=budget))
 
 
-def test_cli_milp_budget_with_an_incumbent_warns(tmp_path, capsys, monkeypatch):
+def test_cli_milp_budget_spent_on_a_finished_proof_does_not_warn(
+        tmp_path, capsys, monkeypatch):
+    # BRANCHING proves in 2 nodes: at budget 2 every open node left is
+    # pruned by the incumbent, so the run is proven
     path = write_scenario(tmp_path, BRANCHING)
     assert cli_main(["run", path]) == 0
     proven = capsys.readouterr().out
@@ -510,10 +514,29 @@ def test_cli_milp_budget_with_an_incumbent_warns(tmp_path, capsys, monkeypatch):
     with_budget(monkeypatch, 2)
     assert cli_main(["run", path]) == 0
     out = capsys.readouterr().out
-    assert ("WARNING: not proven optimal: branch-and-bound stopped at its"
-            " budget (2 nodes) with this incumbent") in out
-    # the incumbent is the decision printed, here the proven one
+    assert "WARNING" not in out
     assert out.split("  model:")[0] == proven.split("  model:")[0]
+
+
+def test_cli_milp_budget_with_an_incumbent_warns(tmp_path, capsys, monkeypatch):
+    # without its cover row BRANCHING's MILP is still open after 4 nodes,
+    # with an incumbent in hand
+    path = write_scenario(tmp_path, BRANCHING)
+    assert cli_main(["run", path]) == 0
+    proven = capsys.readouterr().out
+    real = milp.build_milp
+    monkeypatch.setattr(milp, "build_milp",
+                        lambda p: without_rows(real(p), "cover"))
+    with_budget(monkeypatch, 4)
+    assert cli_main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert ("WARNING: not proven optimal: branch-and-bound stopped at its"
+            " budget (4 nodes) with this incumbent") in out
+    # the incumbent is the decision printed, here a tied optimum
+    cost = [line for line in out.splitlines() if "forwarding cost" in line]
+    assert cost == [line for line in proven.splitlines()
+                    if "forwarding cost" in line]
+    assert "terminate" in out.split("  model:")[0]
 
 
 def test_cli_milp_budget_without_an_incumbent_is_exit_four(tmp_path, capsys,

@@ -69,12 +69,25 @@ def test_every_link_is_symmetric():
             assert t.linked(w, v)
 
 
+def pod_of(t, i):
+    """Pod number of i, or -1 for a core switch: pod p holds ToR and
+    aggregation switches p*k/2 to p*k/2 + k/2 - 1 and the PMs under its
+    ToRs."""
+    if i.kind == tp.CORE:
+        return -1
+    per_pod = t.k // 2 * (t.pms_per_rack if i.kind == tp.PM else 1)
+    return i.index // per_pod
+
+
 def test_pod_assignment():
     t = tp.build_fat_tree(4, pms_per_rack=2)
-    assert t.pod_of(tp.NodeId(tp.PM, 0)) == 0
-    assert t.pod_of(tp.NodeId(tp.PM, 4)) == 1
-    assert t.pod_of(tp.NodeId(tp.TOR, 2)) == 1
-    assert t.pod_of(tp.NodeId(tp.CORE, 0)) == -1
+    assert pod_of(t, tp.NodeId(tp.PM, 0)) == 0
+    assert pod_of(t, tp.NodeId(tp.PM, 4)) == 1
+    assert pod_of(t, tp.NodeId(tp.TOR, 2)) == 1
+    assert pod_of(t, tp.NodeId(tp.CORE, 0)) == -1
+    # the listing's pod column
+    for v, line in zip(t.nodes, tp.topology_listing(t).splitlines()):
+        assert int(line.split()[2]) == pod_of(t, v), line
 
 
 def test_forwarding_cost_layers():
@@ -238,7 +251,7 @@ def test_lookup_errors_are_unchanged_after_a_cached_build():
     for call in (lambda: tp.forwarding_cost(t, gone, tor0),
                  lambda: tp.forwarding_cost(t, pm0, gone),
                  lambda: tp.forwarding_cost(t, gone, gone),
-                 lambda: t.node_position(gone), lambda: t.pod_of(gone),
+                 lambda: t.node_position(gone),
                  lambda: t.linked(pm0, gone), lambda: tp.neighbors(t, gone)):
         with pytest.raises(KeyError, match="^'node PM16 not in topology'$"):
             call()
