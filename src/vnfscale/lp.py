@@ -3,15 +3,15 @@
 LpModel is a registry of variables (name, bounds), a sparse linear
 objective and relational rows, added one at a time.  All rows live in
 one CSR kept as Python lists: add_row appends a coefficient dict.
-matrices() exports the objective and rows as arrays for every reader of
-the rows, each row's coefficients in insertion order with explicit zeros
-kept.  solve() loads that export once into one HiGHS object per model
-(scipy's bundled HiGHS), then per call sets only the column bounds and
-re-runs the dual simplex from a cold start.  Every add_* call drops the
-export and the HiGHS object; bounds stay out of both, so
-branch-and-bound nodes share one of each.  The dual simplex is
-deterministic for a fixed model and returns a basic (vertex) optimal
-point, which placement decoding relies on.
+solve() loads those lists once into one HiGHS object per model (scipy's
+bundled HiGHS), then per call sets only the column bounds and re-runs
+the dual simplex from a cold start.  matrices() exports the objective
+and rows as scipy arrays, each row's coefficients in insertion order
+with explicit zeros kept; only ADMM (scaled) and the tests read it, so
+no solve builds it.  Every add_* call drops the export and the HiGHS
+object; bounds stay out of both, so branch-and-bound nodes share one of
+each.  The dual simplex is deterministic for a fixed model and returns a
+basic (vertex) optimal point, which placement decoding relies on.
 """
 
 from collections import namedtuple
@@ -164,40 +164,47 @@ def _export(model):
                     np.array(model._rel, dtype="<U2"))
 
 
-def _highs_inf(x):
-    return np.clip(x, -highs.kHighsInf, highs.kHighsInf)
-
-
 def _load_highs(model):
     """One HiGHS object holding the model's rows, in the layout linprog
     gives HiGHS: the <= rows and the negated >= rows in model order,
     stacked above the = rows, as -inf <= a x <= b and b <= a x <= b.
-    None when HiGHS rejects the model."""
-    mats = model.matrices()
-    if not (np.isfinite(mats.c).all() and np.isfinite(mats.a.data).all()
-            and np.isfinite(mats.b).all()):
+    The columnwise arrays come straight from the model's CSR lists: one
+    stable sort on (column, stacked row), explicit zeros kept.  None when
+    HiGHS rejects the model."""
+    n, m, nnz = model.num_vars, model.num_rows, len(model._data)
+    obj = model.objective
+    c = np.zeros(n)
+    c[np.fromiter(obj, int, len(obj))] = np.fromiter(obj.values(), float,
+                                                     len(obj))
+    data = np.fromiter(model._data, float, nnz)
+    b = np.fromiter(model._rhs, float, m)
+    if not (np.isfinite(c).all() and np.isfinite(data).all()
+            and np.isfinite(b).all()):
         raise ValueError("%s: objective and rows must be finite" % model.name)
-    a = mats.a
-    flip = np.where(mats.rel == GE, -1.0, 1.0)
-    signed = csr_array((np.repeat(flip, np.diff(a.indptr)) * a.data,
-                        a.indices, a.indptr), shape=a.shape)
-    ub, eq = np.flatnonzero(mats.rel != EQ), np.flatnonzero(mats.rel == EQ)
-    order = np.concatenate((ub, eq))
-    a = signed[order].tocsc()
-    rhs = (flip * mats.b)[order]
-    lhs = np.concatenate((np.full(ub.size, -np.inf), mats.b[eq]))
+    eq = np.fromiter((r == EQ for r in model._rel), bool, m)
+    ge = np.fromiter((r == GE for r in model._rel), bool, m)
+    flip = np.where(ge, -1.0, 1.0)
+    stacked = np.argsort(eq, kind="stable")     # stacked row -> model row
+    position = np.empty(m, dtype=int)           # model row -> stacked row
+    position[stacked] = np.arange(m)
+    row = np.repeat(np.arange(m), np.diff(model._indptr))
+    col = np.fromiter(model._indices, int, nnz)
+    order = np.lexsort((position[row], col))
+    row_of = row[order]
     hlp = highs.HighsLp()
-    hlp.num_col_ = hlp.a_matrix_.num_col_ = model.num_vars
-    hlp.num_row_ = hlp.a_matrix_.num_row_ = model.num_rows
+    hlp.num_col_ = hlp.a_matrix_.num_col_ = n
+    hlp.num_row_ = hlp.a_matrix_.num_row_ = m
     hlp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    hlp.a_matrix_.start_ = a.indptr
-    hlp.a_matrix_.index_ = a.indices
-    hlp.a_matrix_.value_ = a.data
-    hlp.col_cost_ = mats.c
-    hlp.col_lower_ = _highs_inf(np.asarray(model.lower))
-    hlp.col_upper_ = _highs_inf(np.asarray(model.upper))
-    hlp.row_lower_ = _highs_inf(lhs)
-    hlp.row_upper_ = _highs_inf(rhs)
+    # HighsLp copies these fields element by element, faster from a list
+    # than from an ndarray
+    hlp.a_matrix_.start_ = [0] + np.cumsum(np.bincount(col, minlength=n)).tolist()
+    hlp.a_matrix_.index_ = position[row_of].tolist()
+    hlp.a_matrix_.value_ = (flip[row_of] * data[order]).tolist()
+    hlp.col_cost_ = c
+    hlp.col_lower_ = model.lower
+    hlp.col_upper_ = model.upper
+    hlp.row_lower_ = np.where(eq, b, -np.inf)[stacked].tolist()
+    hlp.row_upper_ = (flip * b)[stacked].tolist()
     h = highs._Highs()
     for key, val in _OPTIONS.items():
         h.setOptionValue(key, val)
@@ -222,7 +229,7 @@ def solve(model, bounds_override=None):
 
     bounds_override, a length-num_vars list of (lo, hi) pairs, replaces
     the model's bounds so branch-and-bound can pin binaries while reusing
-    the model's cached matrices.  Infeasible and unbounded come back as
+    the model's HiGHS object.  Infeasible and unbounded come back as
     statuses; solver failures raise LpError.
     """
     n = model.num_vars
@@ -239,7 +246,7 @@ def solve(model, bounds_override=None):
             return LpSolution(INFEASIBLE, None, np.nan, model)
         model._highs = h
     h = model._highs
-    lo, hi = _highs_inf(np.array(bounds, dtype=float))
+    lo, hi = np.array(bounds, dtype=float)
     h.changeColsBounds(n, np.arange(n), lo, hi)
     h.clearSolver()
     h.run()
@@ -250,5 +257,5 @@ def solve(model, bounds_override=None):
     if status != OPTIMAL:
         return LpSolution(status, None, np.nan, model)
     point = np.array(h.getSolution().col_value)
-    value = h.getInfo().objective_function_value
+    value = h.getObjectiveValue()
     return LpSolution(OPTIMAL, point, value, model)

@@ -224,14 +224,19 @@ def _placement_slots(p):
     Overload pins each online VM to its host and spreads v* - |V| new
     slots over the launch PMs; underload spreads v* slots over the hosts.
     Raises ModelInfeasibleError when v* shares at the share cap cannot
-    cover the traffic, or the launch PMs fit fewer new VMs than needed."""
+    cover the traffic, the offline pool holds fewer VMs than the launches
+    need, or the launch PMs fit fewer new VMs than needed."""
     if p.v_star * p.share_cap < 1.0 - 1e-9:
         raise ModelInfeasibleError(
             "v_star=%d instances at share cap %.4g cannot cover the traffic"
             % (p.v_star, p.share_cap))
     order, online = p.topology.node_position, p.group.online
     if p.mode == OVERLOAD:
-        new, room = p.v_star - len(online), sum(p.launch_slots.values())
+        new, pool = p.v_star - len(online), len(p.group.offline_pool)
+        if new > pool:
+            raise ModelInfeasibleError(
+                "the offline pool holds %d VMs, %d launches required" % (pool, new))
+        room = sum(p.launch_slots.values())
         if new > room:
             raise ModelInfeasibleError(
                 "candidate PMs fit %d new instances, %d required" % (room, new))

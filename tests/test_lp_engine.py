@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 import vnfscale as vs
 from vnfscale import lp, milp, rpadmm
@@ -280,11 +281,11 @@ def test_solves_on_one_model_leave_no_state_behind():
     assert statuses == [lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL, lp.OPTIMAL]
 
 
-@pytest.mark.parametrize("name", SOLVED + ["lift"])
+@pytest.mark.parametrize("name", SOLVED + ["lift"] + list(NODES))
 def test_highs_holds_the_linprog_layout(name, monkeypatch):
     """The model HiGHS holds is, array for array, the one linprog hands it:
     the <= and negated >= rows above the = rows, colwise, with -inf or
-    b_eq as the row lower bounds."""
+    b_eq as the row lower bounds; a node's pinned bounds leave it as is."""
     from scipy.optimize import _linprog_highs
     seen = {}
     real = _linprog_highs._highs_wrapper
@@ -295,9 +296,9 @@ def test_highs_holds_the_linprog_layout(name, monkeypatch):
         return real(c, indptr, indices, data, lhs, rhs, *rest)
 
     monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
-    model = corpus_model(name)
-    dense_linprog(model, list(zip(model.lower, model.upper)))
-    lp.solve(model)
+    model, override = node_case(name)
+    dense_linprog(model, override or list(zip(model.lower, model.upper)))
+    lp.solve(model, bounds_override=override)
     held = model._highs.getLp()
     assert np.array_equal(held.col_cost_, seen["c"])
     assert np.array_equal(held.a_matrix_.start_, seen["start"])
@@ -305,6 +306,72 @@ def test_highs_holds_the_linprog_layout(name, monkeypatch):
     assert np.array_equal(held.a_matrix_.value_, seen["value"])
     assert np.array_equal(held.row_lower_, seen["lhs"])
     assert np.array_equal(held.row_upper_, seen["rhs"])
+
+
+def spy_on_pass_model(monkeypatch):
+    """The HighsLp of every passModel call, as lp handed it to HiGHS
+    (HiGHS itself drops explicit zeros from what it holds)."""
+    passed = []
+
+    class Spy(highs._Highs):
+        def passModel(self, hlp):
+            passed.append(hlp)
+            return super().passModel(hlp)
+
+    monkeypatch.setattr(highs, "_Highs", Spy)
+    return passed
+
+
+def test_highs_layout_of_mixed_rows_with_an_explicit_zero(monkeypatch):
+    """Rows stack as <= and negated >= in model order above the = rows;
+    within a column they ascend in that order.  The explicit zero stays
+    an entry, and the column in no row has an empty slice."""
+    passed = spy_on_pass_model(monkeypatch)
+    m = lp.LpModel("mixed")
+    x = [m.add_var("x%d" % i, 0.0, 10.0) for i in range(4)]
+    m.add_objective({x[0]: 1.0, x[1]: 1.0, x[3]: 1.0})
+    m.add_row({x[1]: 2.0, x[0]: 1.0}, "=", 3.0, "r0")
+    m.add_row({x[0]: 1.0, x[2]: 0.0}, ">=", 1.0, "r1")
+    m.add_row({x[2]: 4.0, x[1]: -1.0}, "<=", 5.0, "r2")
+    m.add_row({x[0]: 1.0, x[1]: 1.0, x[2]: 1.0}, ">=", 0.5, "r3")
+    sol = lp.solve(m)
+    assert sol.objective_value == pytest.approx(2.0)
+    assert (sol.value("x0"), sol.value("x1")) == pytest.approx((1.0, 1.0))
+    [held] = passed
+    # stacked rows: r1 (negated), r2, r3 (negated), then r0
+    assert list(held.a_matrix_.start_) == [0, 3, 6, 9, 9]
+    assert list(held.a_matrix_.index_) == [0, 2, 3, 1, 2, 3, 0, 1, 2]
+    assert list(held.a_matrix_.value_) == [-1.0, -1.0, 1.0, -1.0, -1.0, 2.0,
+                                           0.0, 4.0, -1.0]
+    assert list(held.row_lower_) == [-np.inf, -np.inf, -np.inf, 3.0]
+    assert list(held.row_upper_) == [-1.0, 5.0, -0.5, 3.0]
+    assert list(held.col_cost_) == [1.0, 1.0, 0.0, 1.0]
+
+
+def test_highs_layout_of_a_model_without_rows(monkeypatch):
+    passed = spy_on_pass_model(monkeypatch)
+    m = lp.LpModel("free")
+    x = m.add_var("x", 0.0, 2.0)
+    y = m.add_var("y", -1.0, 1.0)
+    m.add_objective({x: 1.0, y: 1.0})
+    sol = lp.solve(m)
+    assert sol.status == lp.OPTIMAL
+    assert sol.point.tolist() == [0.0, -1.0]
+    assert sol.objective_value == -1.0
+    [held] = passed
+    assert list(held.a_matrix_.start_) == [0, 0, 0]
+    assert len(held.a_matrix_.index_) == len(held.row_upper_) == 0
+
+
+def test_solving_builds_no_scipy_export():
+    """lp.solve and branch-and-bound load HiGHS from the model's own
+    lists; the cached export stays unbuilt."""
+    m, _, _ = small_model()
+    lp.solve(m)
+    assert m._matrices is None
+    mp = milp.build_milp(k2_instance(0))
+    assert milp.solve_milp(mp).proven
+    assert mp.base._matrices is None
 
 
 def test_export_is_cached_until_the_model_changes():

@@ -465,6 +465,23 @@ def test_cli_infeasible_is_exit_three(tmp_path, capsys):
     assert cli_main(["run", write_scenario(tmp_path, body)]) == 3
 
 
+@pytest.mark.parametrize("solver, why", [
+    ("lp", "the offline pool holds 0 VMs, 1 launches required"),
+    ("rpadmm", "the offline pool holds 0 VMs, 1 launches required"),
+    ("milp", "joint model is infeasible"),
+])
+def test_cli_launch_beyond_the_offline_pool_is_exit_three(tmp_path, capsys,
+                                                           solver, why):
+    # v* = 3 with two online VMs needs one launch, and the pool is empty
+    with open(scen("scale_out_v3.scn")) as f:
+        body = f.read().replace("offline = 8", "offline = 0")
+    path = write_scenario(tmp_path, body)
+    assert cli_main(["run", path, "--solver", solver]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infeasible: %s\n" % why
+
+
 # an underload group of four VMs that may shrink to three on k=4: its root
 # relaxation is fractional and the first branch finds the optimum
 BRANCHING = """
