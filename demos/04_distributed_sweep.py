@@ -2,9 +2,9 @@
 
 Sets up the scale-out instance the acceptance runs use (three hot
 instances, one slot to fill, no capacity rows), hands the central
-relaxation itself to the distributed solver (its export with shares and
-interests in traffic units and rows equilibrated, every block owned by a
-PM agent; no second model is built), and
+relaxation itself to the distributed solver (its CSR lists with shares
+and interests in traffic units and rows equilibrated, every block owned
+by a PM agent; no second model is built), and
 lets the per-variable sweep run for up to 25 rounds.  At primal_tol = 0
 the run stops early only at an exact fixed point.  The trace prints as
 objective gap plus the two slowest constraint families, then the agent

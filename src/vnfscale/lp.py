@@ -5,21 +5,18 @@ objective and relational rows, added one at a time.  All rows live in
 one CSR kept as Python lists: add_row appends a coefficient dict.
 solve() loads those lists once into one HiGHS object per model (scipy's
 bundled HiGHS), then per call sets only the column bounds and re-runs
-the dual simplex from a cold start.  matrices() exports the objective
-and rows as scipy arrays, each row's coefficients in insertion order
-with explicit zeros kept; only ADMM (scaled) and the tests read it, so
-no solve builds it.  Every add_* call drops the export and the HiGHS
-object; bounds stay out of both, so branch-and-bound nodes share one of
-each.  The dual simplex is deterministic for a fixed model and returns a
-basic (vertex) optimal point, which placement decoding relies on.
+the dual simplex from a cold start.  RP-ADMM (`rpadmm._scaled`) reads
+the same lists; nothing builds a scipy matrix from them.  Every add_*
+call drops the HiGHS object; bounds stay out of it, so branch-and-bound
+nodes share one.  The dual simplex is deterministic for a fixed model
+and returns a basic (vertex) optimal point, which placement decoding
+relies on.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csr_array
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -50,10 +47,6 @@ _STATUS = {
     highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
 
-# c and every row as (a, b, rel)
-Matrices = namedtuple("Matrices", "c a b rel")
-
-
 class LpError(RuntimeError):
     """Numeric breakdown inside the solver (not a model status)."""
 
@@ -75,7 +68,6 @@ class LpModel:
         self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
         self._rel, self._rhs = [], []
         self._labels = []       # row index -> label
-        self._matrices = None
         self._highs = None
 
     def add_var(self, name, lo=0.0, hi=np.inf):
@@ -88,7 +80,7 @@ class LpModel:
         self.lower.append(float(lo))
         self.upper.append(float(hi))
         self._by_name[name] = idx
-        self._matrices = self._highs = None
+        self._highs = None
         return idx
 
     @property
@@ -111,7 +103,7 @@ class LpModel:
         self._indices.extend(coeffs)
         self._data.extend(coeffs.values())
         self._indptr.append(len(self._indices))
-        self._matrices = self._highs = None
+        self._highs = None
         return len(self._rhs) - 1
 
     def add_objective(self, coeffs):
@@ -120,7 +112,7 @@ class LpModel:
             raise ValueError("objective references an unknown variable")
         for idx, c in coeffs.items():
             self.objective[idx] = self.objective.get(idx, 0.0) + float(c)
-        self._matrices = self._highs = None
+        self._highs = None
 
     @property
     def num_vars(self):
@@ -145,24 +137,6 @@ class LpModel:
 
     def objective_value(self, point):
         return sum((c * point[i] for i, c in self.objective.items()), 0.0)
-
-    def matrices(self):
-        """The cached sparse export of the objective and rows."""
-        if self._matrices is None:
-            self._matrices = _export(self)
-        return self._matrices
-
-
-def _export(model):
-    n, m = model.num_vars, model.num_rows
-    c = np.zeros(n)
-    c[list(model.objective)] = list(model.objective.values())
-    a = csr_array((np.array(model._data, dtype=float),
-                   np.array(model._indices, dtype=int),
-                   np.array(model._indptr, dtype=int)), shape=(m, n))
-    return Matrices(c, a, np.array(model._rhs, dtype=float),
-                    np.array(model._rel, dtype="<U2"))
-
 
 def _load_highs(model):
     """One HiGHS object holding the model's rows, in the layout linprog

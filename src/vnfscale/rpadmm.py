@@ -14,8 +14,9 @@ interest column is multiplied by T (by 1 when T = 0) and its cost
 divided by T, so x' = T x and the objective is unchanged; then each row
 is divided by its largest |coefficient| (l-infinity equilibration;
 Ruiz, RAL-TR-2001-034).  Slacks keep their units.  The scale follows
-the units and is not tuned.  There is no second model: the system holds
-the central model's own export, scaled once in a vectorized pass, and
+the units and is not tuned.  There is no second model and no scipy
+matrix: the system is the central model's own CSR lists, read into
+plain arrays and scaled in one vectorized pass, and
 `ReformulatedSystem.unscale` maps a point back onto the central model,
 which decodes it.
 
@@ -25,25 +26,30 @@ moved by more than primal_tol * max|x| in the sweep (the primal and the
 dual residual together; Boyd et al., 2011, section 3.3).  At
 primal_tol = 0 that is an exact fixed point, which is a KKT point.
 
-The sweep runs on flat Python lists (each block's column, denominator,
--c/beta and bounds built once; x, residuals and scaled duals kept as
-lists for the whole run), because indexing numpy arrays one element at
-a time dominated it.  For a block with a quadratic term it writes out
-`_minimizer`'s update and its min(max(x, lo), hi) clamp inline; a block
-without one, or an update that is not finite, goes through `_minimizer`
-itself.  `scalar_block_update` is its reference: the sweep performs the
-same float operations in the same order, so its trace is byte-identical
-to one `scalar_block_update` call per block.  One reduceat over the
-rows gathered family by family gives every family's max |residual|.
+The sweep runs on flat Python lists (each block's column, taken by a
+Python transpose of the CSR arrays, its denominator, -c/beta and bounds
+built once; x, residuals and scaled duals kept as lists for the whole
+run), because indexing numpy arrays one element at a time dominated it.
+For a block with a quadratic term it writes out `_minimizer`'s update
+and its min(max(x, lo), hi) clamp inline; a block without one, or an
+update that is not finite, goes through `_minimizer` itself.
+`scalar_block_update` is its reference: the sweep performs the same
+float operations in the same order, so its trace is byte-identical to
+one `scalar_block_update` call per block.  The start residual is
+`_residuals` at the all-zero point, with the float operations of
+scipy's CSR product.  After each sweep the lists become one array (x,
+the residuals, a 0.0 and the duals), and one reduceat over its
+|residual| part gives every family's peak and the overall max the
+divergence test reads.
 """
 
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import lp, scaling
 from .chain_state import OVERLOAD
@@ -84,26 +90,29 @@ class AdmmConfig:
 
 @dataclass
 class ReformulatedSystem:
-    """The central model's export in the sweep's units, and the agent
-    owning each scalar block.  Cost, rows and bounds are those of
-    `central` with each column multiplied by `scale` and each row
-    divided by its peak; the CSR `a` shares its pattern with the central
-    export, explicit zeros included.  Its point is `scale` times a point
-    of `central`, the model decode reads.  A block without an owner is a
-    construction fault and raises RuntimeError when the system is built."""
+    """The central model in the sweep's units, and the agent owning each
+    scalar block.  Cost, rows and bounds are those of `central` with
+    each column multiplied by `scale` and each row divided by its peak;
+    the rows are a CSR held as three plain arrays (`indptr`, `indices`,
+    `data`) with the central pattern, explicit zeros included.  Its
+    point is `scale` times a point of `central`, the model decode reads.
+    A block without an owner is a construction fault and raises
+    RuntimeError when the system is built."""
 
     central: object
     scale: object              # per-column scale, an array
     owners: list               # per block, its owning agent
     c: object
-    a: object
+    indptr: object             # the scaled rows' CSR
+    indices: object
+    data: object
     b: object
     lower: object
     upper: object
     row_family: list
 
     def __post_init__(self):
-        for i in range(self.a.shape[1]):
+        for i in range(len(self.c)):
             if i >= len(self.owners) or self.owners[i] is None:
                 raise RuntimeError("block %r has no owning agent"
                                    % self.central.var_names[i])
@@ -126,28 +135,33 @@ def _family_of(label):
 
 
 def _scaled(central, owners, scale, equilibrate):
-    """The system over central's export with each column multiplied by
-    scale and, when equilibrate, each row divided by its largest
+    """The system over central's CSR lists with each column multiplied
+    by scale and, when equilibrate, each row divided by its largest
     |coefficient|.  The sweep needs equality rows."""
-    mats = central.matrices()
-    bad = np.flatnonzero(mats.rel != lp.EQ)
-    if bad.size:
-        raise ValueError("the sweep needs equality rows, got %r in %r"
-                         % (str(mats.rel[bad[0]]), central.row_labels()[bad[0]]))
-    a = mats.a
-    data = a.data / scale[a.indices]
-    peak = np.ones(a.shape[0])
+    for t, rel in enumerate(central._rel):
+        if rel != lp.EQ:
+            raise ValueError("the sweep needs equality rows, got %r in %r"
+                             % (rel, central._labels[t]))
+    m, nnz, obj = central.num_rows, len(central._data), central.objective
+    c = np.zeros(central.num_vars)
+    c[np.fromiter(obj, int, len(obj))] = np.fromiter(obj.values(), float,
+                                                     len(obj))
+    indptr = np.fromiter(central._indptr, int, m + 1)
+    indices = np.fromiter(central._indices, int, nnz)
+    data = np.fromiter(central._data, float, nnz) / scale[indices]
+    b = np.fromiter(central._rhs, float, m)
     if equilibrate:
-        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-        peak = np.zeros(a.shape[0])
+        rows = np.repeat(np.arange(m), np.diff(indptr))
+        peak = np.zeros(m)
         np.maximum.at(peak, rows, np.abs(data))
         data = data / peak[rows]
+        b = b / peak
     return ReformulatedSystem(
-        central=central, scale=scale, owners=owners, c=mats.c / scale,
-        a=csr_array((data, a.indices, a.indptr), shape=a.shape),
-        b=mats.b / peak, lower=np.asarray(central.lower) * scale,
+        central=central, scale=scale, owners=owners, c=c / scale,
+        indptr=indptr, indices=indices, data=data, b=b,
+        lower=np.asarray(central.lower) * scale,
         upper=np.asarray(central.upper) * scale,
-        row_family=[_family_of(l) for l in central.row_labels()])
+        row_family=[_family_of(l) for l in central._labels])
 
 
 def reformulate(p):
@@ -181,8 +195,7 @@ def system_from_model(model):
 def message_footprint(system):
     """Total distinct foreign values the agents read per sweep: for each
     block, the variables sharing a row with it but owned elsewhere."""
-    a = system.a
-    ptr, cols = a.indptr.tolist(), a.indices.tolist()
+    ptr, cols = system.indptr.tolist(), system.indices.tolist()
     codes = {}
     owner = [codes.setdefault(agent, len(codes)) for agent in system.owners]
     rows_of = [[] for _ in owner]       # per column, the rows holding it
@@ -229,50 +242,77 @@ def scalar_block_update(c, terms, lo, hi, beta):
 
 
 class _Families:
-    """Row families in first-seen order, with their rows gathered family
-    by family so one reduceat gives every family's max |residual|."""
+    """Row families in first-seen order.  Reading the residuals with one
+    0.0 appended, it gathers the rows family by family and then every
+    row and the 0.0, so one reduceat gives each family's max |residual|
+    and, last, the max over all rows (0.0 when there are none)."""
 
     def __init__(self, row_family):
         rows = {}
         for t, fam in enumerate(row_family):
             rows.setdefault(fam, []).append(t)
         self.names = list(rows)
-        self.order = np.array([t for idx in rows.values() for t in idx], dtype=int)
-        self.starts = np.cumsum([0] + [len(idx) for idx in rows.values()])[:-1]
+        self.gather = np.array([t for idx in rows.values() for t in idx]
+                               + list(range(len(row_family) + 1)), dtype=int)
+        self.starts = np.array(list(itertools.accumulate(
+            [0] + [len(idx) for idx in rows.values()])), dtype=int)
 
-    def max_abs(self, res):
-        peaks = np.maximum.reduceat(np.abs(res)[self.order], self.starts)
-        return dict(zip(self.names, peaks.tolist()))
+    def peaks(self, padded):
+        """Each family's max |residual| and then the overall max, as a
+        list, from the residuals followed by a 0.0."""
+        return np.maximum.reduceat(np.abs(padded[self.gather]),
+                                   self.starts).tolist()
 
 
-def _normalize(cur, baseline):
-    """Violations scaled per family by its initial residual.  A family
-    that starts satisfied borrows the largest initial residual in the
-    system as its scale; everything is capped at 1."""
-    fallback = max(baseline.values(), default=0.0)
-    out = {}
-    for fam, val in cur.items():
-        scale = baseline.get(fam, 0.0)
-        if scale <= 0.0:
-            scale = fallback
-        if scale > 0.0:
-            out[fam] = min(1.0, val / scale)
-        else:
-            out[fam] = 0.0 if val == 0.0 else 1.0
-    return out
+def _scales(baseline):
+    """Each family's normalizing scale, from the list of initial peaks:
+    its own, or for a family that starts satisfied the largest one."""
+    fallback = max(baseline, default=0.0)
+    return [fallback if scale <= 0.0 else scale for scale in baseline]
+
+
+def _normalize(names, peaks, scales):
+    """Violations per family, each peak divided by its scale and capped
+    at 1; with no scale at all a violation is 0 or 1."""
+    return {fam: (min(1.0, val / scale) if scale > 0.0
+                  else 0.0 if val == 0.0 else 1.0)
+            for fam, val, scale in zip(names, peaks, scales)}
 
 
 def _residuals(system, point):
-    return system.a @ point - system.b
+    """a @ point - b with the float operations of scipy's CSR product:
+    each row's terms added onto +0.0 in CSR order, then b subtracted."""
+    terms = (system.data * point[system.indices]).tolist()
+    ptr = system.indptr.tolist()
+    out = []
+    for lo, hi, rhs in zip(ptr, ptr[1:], system.b.tolist()):
+        total = 0.0
+        for v in terms[lo:hi]:
+            total += v
+        out.append(total - rhs)
+    return np.array(out)
+
+
+def _columns(system):
+    """Each block's column as (row, coefficient) pairs in row order: the
+    transpose of the CSR lists, explicit zeros kept, with the entries
+    and order of scipy's tocsc()."""
+    cols = [[] for _ in range(len(system.c))]
+    ptr, idx = system.indptr.tolist(), system.indices.tolist()
+    coef = system.data.tolist()
+    for t, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
+        for i, a in zip(idx[lo:hi], coef[lo:hi]):
+            cols[i].append((t, a))
+    return cols
 
 
 def normalized_violations(point, system):
     """Per-family normalized violation of a point, against the residuals
     of the all-zero start."""
     fams = _Families(system.row_family)
-    baseline = fams.max_abs(_residuals(system, np.zeros(len(system.c))))
-    cur = fams.max_abs(_residuals(system, np.asarray(point, float)))
-    return _normalize(cur, baseline)
+    start, cur = (fams.peaks(np.append(_residuals(system, x), 0.0))[:-1]
+                  for x in (np.zeros(len(system.c)), np.asarray(point, float)))
+    return _normalize(fams.names, cur, _scales(start))
 
 
 @dataclass
@@ -316,7 +356,8 @@ def _settled(violations, prev, x, tol):
     sweep from prev to x moved no block by more than tol * max|x|."""
     if max(violations.values(), default=0.0) > tol:
         return False
-    return not x.size or np.max(np.abs(x - prev)) <= tol * np.max(np.abs(x))
+    peak = np.maximum.reduce
+    return not x.size or peak(np.abs(x - prev)) <= tol * peak(np.abs(x))
 
 
 def _sweep_orders(cfg, num_vars):
@@ -344,33 +385,31 @@ def run(system, cfg=None):
     the sweep; raises AdmmDivergenceError past the divergence limit.
     """
     cfg = cfg if cfg is not None else AdmmConfig()
-    nr, nv = system.a.shape
+    nr, nv = len(system.b), len(system.c)
     lo, hi = system.lower.tolist(), system.upper.tolist()
     cost = system.c
     c_list = cost.tolist()
     beta = cfg.beta
-    csc = system.a.tocsc()
-    ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
     blocks = []   # per block: its (row, coefficient) column, denom, -c/beta, lo, hi
-    for i in range(nv):
-        col = list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
+    for i, col in enumerate(_columns(system)):
         denom = 0.0
         for _, a in col:
             denom += a * a
         blocks.append((col, denom, -c_list[i] / beta, lo[i], hi[i]))
 
-    res = _residuals(system, np.zeros(nv))
+    rs = _residuals(system, np.zeros(nv)).tolist()
     fams = _Families(system.row_family)
-    baseline = fams.max_abs(res)
+    *start, _ = fams.peaks(np.array(rs + [0.0]))
+    baseline, scales = dict(zip(fams.names, start)), _scales(start)
     messages = system.messages_per_sweep
     trace = AdmmTrace(families=fams.names, baseline=baseline,
                       messages_per_sweep=messages)
 
     orders = _sweep_orders(cfg, nv)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if orders is None else None
     inf = math.inf
     # x, the residuals and the scaled duals stay lists for the whole run
-    xs, rs, us = [0.0] * nv, res.tolist(), [0.0] * nr
+    xs, us = [0.0] * nv, [0.0] * nr
     x = np.zeros(nv)
     for it in range(1, cfg.max_iters + 1):
         if orders is not None:
@@ -404,14 +443,18 @@ def run(system, cfg=None):
                     rs[t] += a * step
                 xs[i] = new
         us = [u + r for u, r in zip(us, rs)]
-        prev, x, res, duals = x, np.array(xs), np.array(rs), np.array(us)
+        # one array per sweep: x, the residuals, a 0.0 for the family
+        # peaks, then the scaled duals
+        buf = np.array(xs + rs + [0.0] + us)
+        prev, x = x, buf[:nv]
+        res, duals = buf[nv:nv + nr], buf[nv + nr + 1:]
 
         objective = float(cost @ x)
-        viol = _normalize(fams.max_abs(res), baseline)
+        *peaks, raw = fams.peaks(buf[nv:])
+        viol = _normalize(fams.names, peaks, scales)
         trace.records.append(AdmmRecord(
             it, objective, viol, perm, messages, res, duals))
-        raw = float(np.max(np.abs(res))) if nr else 0.0
-        if not np.isfinite(objective) or abs(objective) > cfg.divergence_limit \
+        if not math.isfinite(objective) or abs(objective) > cfg.divergence_limit \
                 or raw > cfg.divergence_limit:
             raise AdmmDivergenceError(
                 "diverged at iteration %d: objective %.3g, max residual %.3g"

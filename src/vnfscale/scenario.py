@@ -462,7 +462,7 @@ def _rpadmm(p, admm_config):
                             model=system.central)
         dec = decode(sol, p)
         coverage = sum(dec.shares.values())
-        if coverage < 1.0 - 1e-6:
+        if abs(coverage - 1.0) > 1e-6:
             dec.warnings.append("the shares cover %.4f of the traffic" % coverage)
         stats = {"iterations": len(trace.records), "converged": trace.converged,
                  "coverage": coverage}

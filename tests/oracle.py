@@ -1,11 +1,17 @@
 """Reference implementations the solvers are checked against.
 
+`export` is the scipy form of an `LpModel` that the tests read: the
+objective and rows as arrays, each row's coefficients in insertion order
+with explicit zeros kept.  No solver builds it; `system_csr` is the same
+for an RP-ADMM system's CSR arrays.
+
 Brute force for the joint placement model: enumerates placement
 assignments directly and LP-solves the continuous part for each, so the
 branch-and-bound can be checked against an implementation that shares
 none of its search logic.
 
-The RP-ADMM sweep as first written: numpy element indexing, one
+The RP-ADMM sweep as first written: scipy's tocsc() for the columns and
+a @ 0 - b for the start residual, numpy element indexing, one
 `scalar_block_update` call per block and one np.max per row family.
 `rpadmm.run` must reproduce it byte for byte.  Its message count is the
 sparse pattern product `rpadmm.message_footprint` first used; the
@@ -47,6 +53,7 @@ from collections import namedtuple
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.sparse._base import _spbase
 
 from vnfscale import lp, milp, rpadmm, scaling
 from vnfscale.chain_state import OVERLOAD, UNDERLOAD
@@ -55,6 +62,42 @@ from vnfscale.topology import PM, forwarding_cost, neighbors
 
 
 Violation = namedtuple("Violation", "row amount label")
+
+# c and every row as (a, b, rel)
+Matrices = namedtuple("Matrices", "c a b rel")
+
+
+def export(model):
+    """The objective and rows of an `LpModel` as scipy arrays."""
+    n, m = model.num_vars, model.num_rows
+    c = np.zeros(n)
+    c[list(model.objective)] = list(model.objective.values())
+    a = csr_array((np.array(model._data, dtype=float),
+                   np.array(model._indices, dtype=int),
+                   np.array(model._indptr, dtype=int)), shape=(m, n))
+    return Matrices(c, a, np.array(model._rhs, dtype=float),
+                    np.array(model._rel, dtype="<U2"))
+
+
+def record_sparse_builds(monkeypatch):
+    """A list that collects the class of every scipy.sparse object built
+    while monkeypatch holds: every format's constructor runs
+    `_spbase.__init__`."""
+    built = []
+    real = _spbase.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_spbase, "__init__", spy)
+    return built
+
+
+def system_csr(system):
+    """An RP-ADMM system's scaled rows as a scipy CSR over its arrays."""
+    return csr_array((system.data, system.indices, system.indptr),
+                     shape=(len(system.b), len(system.c)))
 
 
 def check_feasibility(model, point, tol=1e-8):
@@ -68,7 +111,7 @@ def check_feasibility(model, point, tol=1e-8):
     if point.shape != (model.num_vars,):
         raise ValueError("point covers %d variables, model has %d"
                          % (point.size, model.num_vars))
-    mats = model.matrices()
+    mats = export(model)
     diff = mats.a @ point - mats.b
     bad = (((mats.rel == lp.EQ) & (np.abs(diff) > tol))
            | ((mats.rel == lp.LE) & (diff > tol))
@@ -177,10 +220,25 @@ def reference_family_max(res, fam_rows):
             for fam, idx in fam_rows.items()}
 
 
+def reference_normalize(cur, baseline):
+    """`rpadmm._normalize` as first written, over family dicts."""
+    fallback = max(baseline.values(), default=0.0)
+    out = {}
+    for fam, val in cur.items():
+        scale = baseline.get(fam, 0.0)
+        if scale <= 0.0:
+            scale = fallback
+        if scale > 0.0:
+            out[fam] = min(1.0, val / scale)
+        else:
+            out[fam] = 0.0 if val == 0.0 else 1.0
+    return out
+
+
 def reference_message_footprint(system):
     """`rpadmm.message_footprint` as first written: the sparse pattern
     product pattern.T @ pattern, counted where the two owners differ."""
-    a = system.a
+    a = system_csr(system)
     pattern = csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
     shared = (pattern.T @ pattern).tocoo()
     codes = {}
@@ -192,17 +250,18 @@ def reference_message_footprint(system):
 def reference_admm_run(system, cfg):
     """`rpadmm.run` with the original per-block loop and no divergence
     guard; returns (x, trace)."""
-    nr, nv = system.a.shape
+    csr = system_csr(system)
+    nr, nv = csr.shape
     lo, hi = system.lower, system.upper
     cost = system.c
-    csc = system.a.tocsc()
+    csc = csr.tocsc()
     ptr, row_of, coef = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
     cols = [list(zip(row_of[ptr[i]:ptr[i + 1]], coef[ptr[i]:ptr[i + 1]]))
             for i in range(nv)]
 
     x = np.zeros(nv)
     prev = x.copy()
-    res = rpadmm._residuals(system, x)
+    res = csr @ x - system.b
     duals = np.zeros(nr)
 
     fam_rows = _family_rows(system)
@@ -230,7 +289,7 @@ def reference_admm_run(system, cfg):
         duals += res
 
         objective = float(cost @ x)
-        viol = rpadmm._normalize(reference_family_max(res, fam_rows), baseline)
+        viol = reference_normalize(reference_family_max(res, fam_rows), baseline)
         trace.records.append(rpadmm.AdmmRecord(
             it, objective, viol, tuple(int(v) for v in perm),
             messages, res.copy(), duals.copy()))
@@ -255,8 +314,8 @@ def scaled_model(system):
                             system.upper.tolist()):
         model.add_var(name, lo, hi)
     model.add_objective({i: system.c[i] for i in central.objective})
-    a = system.a
-    ptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    ptr, cols = system.indptr.tolist(), system.indices.tolist()
+    vals = system.data.tolist()
     for lo, hi, rhs, label in zip(ptr, ptr[1:], system.b.tolist(),
                                   central.row_labels()):
         model.add_row(dict(zip(cols[lo:hi], vals[lo:hi])), lp.EQ, rhs, label)

@@ -10,7 +10,8 @@ import vnfscale as vs
 from vnfscale import lp, milp, rpadmm
 
 from corpus import admm_fixture, k2_instance
-from oracle import check_feasibility, scaled_model
+from oracle import check_feasibility, export, record_sparse_builds, \
+    scaled_model
 
 
 def small_model():
@@ -199,7 +200,7 @@ def dense_rows(model):
 @pytest.mark.parametrize("name", SOLVED + ["lift"])
 def test_export_matches_the_row_dicts(name):
     model = corpus_model(name)
-    mats = model.matrices()
+    mats = export(model)
     a = dense_rows(model)
     assert np.array_equal(mats.a.toarray(), a)
     assert list(mats.b) == [r[2] for r in model.rows]
@@ -246,7 +247,7 @@ def dense_linprog(model, bounds):
     ub, eq = rel != lp.EQ, rel == lp.EQ
     sign = np.where(rel == lp.GE, -1.0, 1.0)[:, None]
     feas_tol = 1e-9
-    return linprog(model.matrices().c, A_ub=(sign * a)[ub],
+    return linprog(export(model).c, A_ub=(sign * a)[ub],
                    b_ub=(sign[:, 0] * b)[ub], A_eq=a[eq], b_eq=b[eq],
                    bounds=bounds, method="highs-ds",
                    options={"presolve": True,
@@ -363,29 +364,17 @@ def test_highs_layout_of_a_model_without_rows(monkeypatch):
     assert len(held.a_matrix_.index_) == len(held.row_upper_) == 0
 
 
-def test_solving_builds_no_scipy_export():
+def test_solving_builds_no_scipy_export(monkeypatch):
     """lp.solve and branch-and-bound load HiGHS from the model's own
-    lists; the cached export stays unbuilt."""
+    lists; no scipy.sparse object is built."""
+    built = record_sparse_builds(monkeypatch)
     m, _, _ = small_model()
     lp.solve(m)
-    assert m._matrices is None
     mp = milp.build_milp(k2_instance(0))
     assert milp.solve_milp(mp).proven
-    assert mp.base._matrices is None
-
-
-def test_export_is_cached_until_the_model_changes():
-    m, x, y = small_model()
-    first = m.matrices()
-    assert m.matrices() is first
-    z = m.add_var("z", 0.0, 1.0)
-    assert m.matrices() is not first and m.matrices().a.shape == (1, 3)
-    second = m.matrices()
-    m.add_objective({z: 3.0})
-    assert m.matrices() is not second and m.matrices().c[z] == 3.0
-    third = m.matrices()
-    m.add_row({z: 1.0}, "<=", 1.0)
-    assert m.matrices() is not third and m.matrices().a.shape == (2, 3)
+    assert built == []
+    export(m)
+    assert built == ["csr_array"]
 
 
 def test_resolve_after_a_new_row_sees_the_row():
@@ -422,7 +411,7 @@ def test_message_footprint_counts_an_explicit_zero():
     a = m.add_var("a", -np.inf, np.inf)
     b = m.add_var("b", -np.inf, np.inf)
     m.add_row({a: 1.0, b: 0.0}, "=", 0.0, "r")
-    assert m.matrices().a.nnz == 2
+    assert export(m).a.nnz == 2
     system = dataclasses.replace(rpadmm.system_from_model(m), owners=["p", "q"])
-    assert system.a.nnz == 2
+    assert system.data.tolist() == [1.0, 0.0]
     assert rpadmm.message_footprint(system) == 2

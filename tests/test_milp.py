@@ -8,8 +8,8 @@ from vnfscale import lp, milp, scaling
 
 from corpus import k2_instance, pm, tree4, capacity, scenario1, problem, \
     underload_shape
-from oracle import check_feasibility, enumerate_single_host, enumerate_all_bits, \
-    reference_flow_milp, without_rows
+from oracle import check_feasibility, export, enumerate_single_host, \
+    enumerate_all_bits, reference_flow_milp, without_rows
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -347,5 +347,5 @@ def test_decisions_are_exact_in_the_flow_milp(make):
     assert np.all(x <= np.array(model.upper) + tol)
     want = milp.solve_milp(ref)
     assert want.status == "optimal"
-    assert model.matrices().c @ x == pytest.approx(want.total, rel=1e-9, abs=1e-9)
+    assert export(model).c @ x == pytest.approx(want.total, rel=1e-9, abs=1e-9)
     assert sol.total == pytest.approx(want.total, rel=1e-9, abs=1e-9)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import os
 import subprocess
 import sys
 
@@ -13,7 +14,11 @@ from vnfscale import lp, rpadmm
 
 from corpus import pm, tree4, scenario1, scenario4, problem, k2_instance, \
     admm_fixture
-from oracle import reference_admm_run, reference_message_footprint, scaled_model
+from oracle import export, record_sparse_builds, reference_admm_run, \
+    reference_message_footprint, scaled_model, system_csr
+
+
+SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 @pytest.fixture(scope="module")
@@ -75,28 +80,26 @@ def test_columns_in_traffic_units_and_rows_equilibrated(topo):
     for i, name in enumerate(system.central.var_names):
         want = 1.0 if "slack" in name else 400.0
         assert system.scale[i] == want, name
-    peaks = np.maximum.reduceat(np.abs(system.a.data), system.a.indptr[:-1])
+    peaks = np.maximum.reduceat(np.abs(system.data), system.indptr[:-1])
     assert peaks.tolist() == [1.0] * system.central.num_rows
     assert system.b[system.central.row_labels().index("coverage")] == 400.0
     assert system.central.name == "overload_lp"
-    # the scaled export keeps the central layout: the same CSR pattern
-    # with its explicit zeros (an omega of 0 puts them in the capacity
-    # rows), sharing the central index arrays, and the central cost and
-    # bounds rescaled
+    # the scaled rows keep the central layout: the central model's own
+    # CSR lists, with their explicit zeros (an omega of 0 puts them in
+    # the capacity rows), and the central cost and bounds rescaled
     g = scenario1()
     g.omega = {"cpu": 0.0}
     zeros = 0
     for q in (p, problem(topo, g, 400.0, 4, vs.OVERLOAD)):
         system = rpadmm.reformulate(q)
-        got, want = system.a, system.central.matrices()
-        assert np.shares_memory(got.indptr, want.a.indptr)
-        assert np.shares_memory(got.indices, want.a.indices)
-        assert np.array_equal(got.indptr, want.a.indptr)
-        assert np.array_equal(got.indices, want.a.indices)
-        assert np.array_equal(got.data == 0.0, want.a.data == 0.0)
-        zeros += int(np.count_nonzero(got.data == 0.0))
+        central, want = system.central, export(system.central)
+        assert system.indptr.tolist() == central._indptr
+        assert system.indices.tolist() == central._indices
+        assert np.array_equal(system.data == 0.0,
+                              np.array(central._data) == 0.0)
+        zeros += int(np.count_nonzero(system.data == 0.0))
         # and so does the model HiGHS solves for criterion 6
-        rebuilt = scaled_model(system).matrices()
+        rebuilt = export(scaled_model(system))
         assert rebuilt.a.nnz == want.a.nnz
         assert np.array_equal(rebuilt.a.data == 0.0, want.a.data == 0.0)
         assert np.array_equal(system.c, want.c / system.scale)
@@ -275,10 +278,9 @@ def test_unbounded_block_raises_through_the_sweep():
 # -- the distributed run on the worked geometry --------------------------------
 
 def system_arrays(system):
-    a = system.a
-    return [arr.tobytes() for arr in (system.c, a.data, a.indices, a.indptr,
-                                      system.b, system.lower, system.upper,
-                                      system.scale)]
+    return [arr.tobytes() for arr in (system.c, system.data, system.indices,
+                                      system.indptr, system.b, system.lower,
+                                      system.upper, system.scale)]
 
 
 def test_fixed_seed_runs_are_bit_identical(monkeypatch):
@@ -366,6 +368,60 @@ HAND_SYSTEMS = {
                       [({0: 2.0, 1: 1.0}, 1.0)]),
     "no_rows": ([(-1.0, 1.0, 1.0), (-1.0, 1.0, -1.0), (0.5, 1.0, 0.0)], []),
 }
+
+
+def corpus_systems(topo):
+    """The lifted corpus, a lift with explicit zeros in its capacity
+    rows (omega 0), the hand systems, and one hand system with explicit
+    zeros, negative coefficients, rhs 0.0 and -0.0, and an inf and a
+    nan coefficient."""
+    for p in lift_instances(topo):
+        yield rpadmm.reformulate(p)
+    g = scenario1()
+    g.omega = {"cpu": 0.0}
+    yield rpadmm.reformulate(problem(topo, g, 400.0, 4, vs.OVERLOAD))
+    for name in sorted(HAND_SYSTEMS):
+        yield hand_system(*HAND_SYSTEMS[name])
+    yield hand_system([(-1.0, 1.0, 0.0)] * 3,
+                      [({0: np.inf, 1: -1.0}, 0.0), ({0: -2.0, 1: 0.0}, 0.0),
+                       ({2: np.nan}, -0.0), ({2: -3.0, 0: 0.0}, -0.0),
+                       ({1: 0.5, 2: 4.0}, 2.0)])
+
+
+def test_columns_and_start_residual_match_scipy_bit_for_bit(topo):
+    zeros = rhs_zero = 0
+    for system in corpus_systems(topo):
+        csr = system_csr(system)
+        csc = csr.tocsc()
+        cols = rpadmm._columns(system)
+        assert [len(col) for col in cols] == np.diff(csc.indptr).tolist()
+        assert [t for col in cols for t, _ in col] == csc.indices.tolist()
+        coef = np.array([a for col in cols for _, a in col], dtype=float)
+        assert coef.tobytes() == csc.data.tobytes()
+        zeros += int(np.count_nonzero(csc.data == 0.0))
+
+        point = np.zeros(len(system.c))
+        with np.errstate(invalid="ignore"):
+            start = rpadmm._residuals(system, point)
+        assert start.tobytes() == (csr @ point - system.b).tobytes()
+        # a row with finite coefficients and rhs 0 starts at +0.0
+        at_zero = (system.b == 0.0) & np.isfinite(start)
+        assert not np.signbit(start[at_zero]).any()
+        rhs_zero += int(np.count_nonzero(at_zero))
+    assert zeros > 0 and rhs_zero > 0
+
+
+def test_a_distributed_decision_builds_no_scipy_sparse_object(monkeypatch):
+    """reformulate, run and the message count read the central model's
+    CSR lists: no export, no tocsc(), no csr_array of any kind."""
+    built = record_sparse_builds(monkeypatch)
+    report = vs.scenario.run_scenario(
+        os.path.join(SCEN_DIR, "distributed_scale_out.scn"),
+        overrides={"method": "rpadmm"})
+    assert report.method == "rpadmm" and report.admm_trace.records
+    assert built == []
+    system_csr(rpadmm.reformulate(admm_fixture()))
+    assert built == ["csr_array"]
 
 
 @pytest.mark.parametrize("name", sorted(HAND_SYSTEMS))

@@ -13,7 +13,7 @@ from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance, admm_fixture, flow_violations
-from oracle import check_feasibility, reference_baseline_cost, \
+from oracle import check_feasibility, export, reference_baseline_cost, \
     reference_relaxation, reference_shortest_path_tree
 
 
@@ -287,7 +287,7 @@ def reference_point(p, dec):
     for flows, index in ((dec.flows_n, lay.fv.n_idx), (dec.flows_m, lay.fv.m_idx)):
         for k, val in flows.items():
             x[index[k]] = val
-    mats = model.matrices()
+    mats = export(model)
     col = mats.a.tocsc()
     residual = mats.a @ x - mats.b
     for i in lay.slack_idx.values():
@@ -306,7 +306,7 @@ def assert_exact(p, dec):
     assert np.all(x <= np.array(model.upper) + tol)
     want = lp.solve(model)
     assert want.status == lp.OPTIMAL
-    assert model.matrices().c @ x == pytest.approx(want.objective_value, rel=1e-9, abs=1e-9)
+    assert export(model).c @ x == pytest.approx(want.objective_value, rel=1e-9, abs=1e-9)
     assert dec.forwarding_cost * p.weights.forwarding == pytest.approx(
         want.objective_value, rel=1e-9, abs=1e-9)
 

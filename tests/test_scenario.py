@@ -240,6 +240,46 @@ def test_distributed_run_warns_when_the_shares_fall_short():
     assert full.decision.warnings == [] and "WARNING" not in full.text()
 
 
+# a k=4 overload whose distributed point at seed 2 sums its shares
+# above 1 after the 25 sweeps
+OVER_COVERING = """
+[topology]
+k = 4
+pms_per_rack = 2
+
+[group]
+chain = c
+gamma = 0.919610
+ingress = P11
+egress = P1
+candidates = P1-P16
+offline = 2
+
+[vms]
+vm1  P6   100  0.957406
+vm2  P12  100  0.700557
+vm3  P11  100  0.558090
+
+[pms]
+capacity = none
+
+[event]
+baseline = 183.462344
+traffic = 326.008479
+
+[solver]
+method = rpadmm
+seed = 2
+"""
+
+
+def test_distributed_run_warns_when_the_shares_cover_too_much(tmp_path):
+    report = scenario.run_scenario(write_scenario(tmp_path, OVER_COVERING))
+    assert report.stats["coverage"] > 1.0 + 1e-6
+    assert report.decision.warnings == ["the shares cover 1.0013 of the traffic"]
+    assert "  WARNING: the shares cover 1.0013 of the traffic\n" in report.text()
+
+
 def underload_body():
     body = minimal(util="0.10", event="preset = underload", method="rpadmm")
     return body.replace("vm1  P2  100  0.10",
