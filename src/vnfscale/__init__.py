@@ -8,10 +8,9 @@ from .chain_state import (Thresholds, VmInstance, VnfGroup, classify_group,
                           ClassificationError)
 from .scaling import (ScalingProblem, ScalingDecision, Penalties, Weights,
                       build_overload_lp, build_underload_lp, decode,
-                      uniform_capacity, forwarding_cost_of,
-                      baseline_forwarding_cost, decision_table,
-                      decision_csv, flows_csv, ModelInfeasibleError,
-                      DecodeError)
+                      uniform_capacity, baseline_forwarding_cost,
+                      decision_table, decision_csv, flows_csv,
+                      ModelInfeasibleError, DecodeError)
 from .milp import (MilpProblem, MilpSolution, build_milp, solve_milp,
                    deployment_cost, BudgetExhaustedError)
 from .rpadmm import (AdmmConfig, AdmmRecord, AdmmTrace, ReformulatedSystem,

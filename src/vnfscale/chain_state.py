@@ -54,10 +54,6 @@ class VmInstance:
     host: object = None         # NodeId of a PM, or None when offline
     utilization: dict = None    # resource -> fraction of capacity, online only
 
-    @property
-    def online(self):
-        return self.host is not None
-
 
 @dataclass
 class VnfGroup:

@@ -4,13 +4,14 @@ LpModel is a registry of variables (name, bounds), a sparse linear
 objective and relational rows, added one at a time.  All rows live in
 one CSR kept as Python lists: add_row appends a coefficient dict.
 solve() loads those lists once into one HiGHS object per model (scipy's
-bundled HiGHS), then per call sets only the column bounds and re-runs
-the dual simplex from a cold start.  RP-ADMM (`rpadmm._scaled`) reads
-the same lists; nothing builds a scipy matrix from them.  Every add_*
-call drops the HiGHS object; bounds stay out of it, so branch-and-bound
-nodes share one.  The dual simplex is deterministic for a fixed model
-and returns a basic (vertex) optimal point, which placement decoding
-relies on.
+bundled HiGHS), each row in model order as a range of a x, then per call
+sets only the column bounds, with the variables a branch-and-bound node
+pins fixed at their values, and re-runs the dual simplex from a cold
+start.  RP-ADMM (`rpadmm._scaled`) reads the same lists; nothing builds
+a scipy matrix from them.  Every add_* call drops the HiGHS object;
+bounds stay out of it, so branch-and-bound nodes share one.  The dual
+simplex is deterministic for a fixed model and returns a basic (vertex)
+optimal point, which placement decoding relies on.
 """
 
 from dataclasses import dataclass
@@ -139,12 +140,11 @@ class LpModel:
         return sum((c * point[i] for i, c in self.objective.items()), 0.0)
 
 def _load_highs(model):
-    """One HiGHS object holding the model's rows, in the layout linprog
-    gives HiGHS: the <= rows and the negated >= rows in model order,
-    stacked above the = rows, as -inf <= a x <= b and b <= a x <= b.
-    The columnwise arrays come straight from the model's CSR lists: one
-    stable sort on (column, stacked row), explicit zeros kept.  None when
-    HiGHS rejects the model."""
+    """One HiGHS object holding the model's rows in model order, each as
+    a range: <= is (-inf, b), >= is (b, +inf) and = is (b, b).  The
+    columnwise arrays come straight from the model's CSR lists: one
+    stable sort on the column, explicit zeros kept.  None when HiGHS
+    rejects the model."""
     n, m, nnz = model.num_vars, model.num_rows, len(model._data)
     obj = model.objective
     c = np.zeros(n)
@@ -155,16 +155,10 @@ def _load_highs(model):
     if not (np.isfinite(c).all() and np.isfinite(data).all()
             and np.isfinite(b).all()):
         raise ValueError("%s: objective and rows must be finite" % model.name)
-    eq = np.fromiter((r == EQ for r in model._rel), bool, m)
-    ge = np.fromiter((r == GE for r in model._rel), bool, m)
-    flip = np.where(ge, -1.0, 1.0)
-    stacked = np.argsort(eq, kind="stable")     # stacked row -> model row
-    position = np.empty(m, dtype=int)           # model row -> stacked row
-    position[stacked] = np.arange(m)
-    row = np.repeat(np.arange(m), np.diff(model._indptr))
     col = np.fromiter(model._indices, int, nnz)
-    order = np.lexsort((position[row], col))
-    row_of = row[order]
+    order = np.argsort(col, kind="stable")
+    row = np.repeat(np.arange(m), np.diff(model._indptr))
+    rel = model._rel
     hlp = highs.HighsLp()
     hlp.num_col_ = hlp.a_matrix_.num_col_ = n
     hlp.num_row_ = hlp.a_matrix_.num_row_ = m
@@ -172,13 +166,13 @@ def _load_highs(model):
     # HighsLp copies these fields element by element, faster from a list
     # than from an ndarray
     hlp.a_matrix_.start_ = [0] + np.cumsum(np.bincount(col, minlength=n)).tolist()
-    hlp.a_matrix_.index_ = position[row_of].tolist()
-    hlp.a_matrix_.value_ = (flip[row_of] * data[order]).tolist()
+    hlp.a_matrix_.index_ = row[order].tolist()
+    hlp.a_matrix_.value_ = data[order].tolist()
     hlp.col_cost_ = c
     hlp.col_lower_ = model.lower
     hlp.col_upper_ = model.upper
-    hlp.row_lower_ = np.where(eq, b, -np.inf)[stacked].tolist()
-    hlp.row_upper_ = (flip * b)[stacked].tolist()
+    hlp.row_lower_ = [-np.inf if r == LE else v for r, v in zip(rel, model._rhs)]
+    hlp.row_upper_ = [np.inf if r == GE else v for r, v in zip(rel, model._rhs)]
     h = highs._Highs()
     for key, val in _OPTIONS.items():
         h.setOptionValue(key, val)
@@ -198,21 +192,22 @@ class LpSolution:
         return float(self.point[self.model.var(name)])
 
 
-def solve(model, bounds_override=None):
+def solve(model, fixed=None):
     """Solve min objective over the model's rows and bounds.
 
-    bounds_override, a length-num_vars list of (lo, hi) pairs, replaces
-    the model's bounds so branch-and-bound can pin binaries while reusing
-    the model's HiGHS object.  Infeasible and unbounded come back as
-    statuses; solver failures raise LpError.
+    fixed maps a variable index to the value a branch-and-bound node pins
+    it at; every other column keeps the model's bounds, and all solves
+    share the model's HiGHS object.  Infeasible and unbounded come back
+    as statuses; solver failures raise LpError.
     """
     n = model.num_vars
-    if bounds_override is None:
-        bounds = (model.lower, model.upper)
-    elif len(bounds_override) != n:
-        raise ValueError("bounds_override must cover all %d variables" % n)
-    else:
-        bounds = np.array(bounds_override, dtype=float).reshape(n, 2).T
+    lo, hi = np.array((model.lower, model.upper), dtype=float)
+    if fixed:
+        idx = np.fromiter(fixed, int, len(fixed))
+        if not ((0 <= idx) & (idx < n)).all():
+            raise ValueError("%s: a pinned index lies outside its %d variables"
+                             % (model.name, n))
+        lo[idx] = hi[idx] = np.fromiter(fixed.values(), float, len(fixed))
     if model._highs is None:
         h = _load_highs(model)
         if h is None:
@@ -220,7 +215,6 @@ def solve(model, bounds_override=None):
             return LpSolution(INFEASIBLE, None, np.nan, model)
         model._highs = h
     h = model._highs
-    lo, hi = np.array(bounds, dtype=float)
     h.changeColsBounds(n, np.arange(n), lo, hi)
     h.clearSolver()
     h.run()

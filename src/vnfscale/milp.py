@@ -11,7 +11,8 @@ part is a min-cost flow that sends every unit along a shortest path
 A share alpha[q,j] is therefore priced at T * w_fwd * u(q), the
 shortest-path cost of serving it at q (`ScalingProblem.unit_cost`), and
 the model has no flow variable; the decode routes the flows of the
-optimum with `scaling.route_flows`, as the central relaxation does.
+optimum with `scaling.route_flows` and prices its shares with
+`ScalingProblem.split_cost`, as the central decode does.
 
 The `cover` row, sum of every b >= ceil(1 / share_cap), is a cover
 inequality (Wolsey, Integer Programming, 1998, ch. 9): each placed VM
@@ -23,7 +24,8 @@ proves the shapes tabled in README in one to three nodes.
 
 Solved by branch-and-bound on the binaries over LP relaxations: most
 fractional variable first (ties to the lowest index), depth-first with a
-best-bound re-sort of the open list every 16 nodes. Deterministic.
+best-bound re-sort of the open list every 16 nodes.  Each node hands
+`lp.solve` only the binaries it pins.  Deterministic.
 """
 
 import math
@@ -175,7 +177,7 @@ def _decode(mp, point, total, nodes, proven):
     placed = {j: q for j, q in placement.items() if q is not None}
     kept = {j: q for j, q in placed.items() if j in online}
     flows_n, flows_m = scaling.route_flows(p, alpha)
-    fwd = scaling.forwarding_cost_of(flows_n, flows_m, p.topology)
+    fwd = p.split_cost(alpha)
     dep = deployment_cost(placement, p.penalties, mp.online_ids)
     return MilpSolution(
         mode=p.mode, kept=kept,
@@ -196,14 +198,6 @@ def solve_milp(mp, budget=20000):
     flagged non-proven.  Nodes the incumbent prunes are dropped before
     the budget is checked, so a proof of exactly budget solves is proven."""
     model = mp.base
-    base_bounds = list(zip(model.lower, model.upper))
-
-    def node_bounds(fixed):
-        bounds = list(base_bounds)
-        for idx, val in fixed.items():
-            bounds[idx] = (float(val), float(val))
-        return bounds
-
     best_point, best_obj = None, float("inf")
     open_list = [(-float("inf"), {})]
     nodes = 0
@@ -216,7 +210,7 @@ def solve_milp(mp, budget=20000):
             proven = False
             break
         nodes += 1
-        sol = lp.solve(model, bounds_override=node_bounds(fixed))
+        sol = lp.solve(model, fixed)
         if sol.status != lp.OPTIMAL:
             continue
         if sol.objective_value >= best_obj - 1e-9:

@@ -321,7 +321,6 @@ class AdmmRecord:
     objective: float
     violations: dict
     permutation: tuple
-    messages_sent: int
     residuals: object          # raw row residuals after the sweep
     duals: object              # scaled duals after the ascent
 
@@ -347,7 +346,7 @@ class AdmmTrace:
                       % (r.iteration, r.objective,
                          ",".join("%.6g" % r.violations.get(f, 0.0)
                                   for f in self.families),
-                         r.messages_sent))
+                         self.messages_per_sweep))
         return out.getvalue()
 
 
@@ -401,9 +400,8 @@ def run(system, cfg=None):
     fams = _Families(system.row_family)
     *start, _ = fams.peaks(np.array(rs + [0.0]))
     baseline, scales = dict(zip(fams.names, start)), _scales(start)
-    messages = system.messages_per_sweep
     trace = AdmmTrace(families=fams.names, baseline=baseline,
-                      messages_per_sweep=messages)
+                      messages_per_sweep=system.messages_per_sweep)
 
     orders = _sweep_orders(cfg, nv)
     rng = np.random.default_rng(cfg.seed) if orders is None else None
@@ -453,7 +451,7 @@ def run(system, cfg=None):
         *peaks, raw = fams.peaks(buf[nv:])
         viol = _normalize(fams.names, peaks, scales)
         trace.records.append(AdmmRecord(
-            it, objective, viol, perm, messages, res, duals))
+            it, objective, viol, perm, res, duals))
         if not math.isfinite(objective) or abs(objective) > cfg.divergence_limit \
                 or raw > cfg.divergence_limit:
             raise AdmmDivergenceError(

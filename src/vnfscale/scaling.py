@@ -14,10 +14,12 @@ unit along a shortest path (flow decomposition; Ahuja, Magnanti and
 Orlin, Network Flows, 1993).  One multi-source Dijkstra from the
 ingress set and one from the egress set, run once per problem, give
 every PM q its unit cost u(q) = d_in(q) + gamma * d_out(q); the
-objective is T * w_fwd * u(q) on each e[q,s], and decode routes the
-decision's flows down the two shortest-path trees.  The distributed
-solver (`rpadmm`) runs on this same model, so both decode alike, and
-the exact MILP (`milp`) prices and routes its shares the same way.
+objective is T * w_fwd * u(q) on each e[q,s], decode routes the
+decision's flows down the two shortest-path trees, and
+`ScalingProblem.split_cost` prices the decision by the same u(q).  The
+distributed solver (`rpadmm`) runs on this same model, so both decode
+alike, and the exact MILP (`milp`) prices and routes its shares the
+same way.
 
 Relaxed capacity rows keep the interest mass physically meaningful:
 traffic landing on a PM cannot exceed what its resources serve, and
@@ -42,7 +44,7 @@ from functools import cached_property
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
-from .topology import forwarding_cost, pm_name
+from .topology import pm_name
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -138,6 +140,13 @@ class ScalingProblem:
         of traffic served at PM q on shortest paths."""
         into, out = self.paths
         return into.dist[q] + self.group.gamma * out.dist[q]
+
+    def split_cost(self, split):
+        """Forwarding cost of a split {(PM, instance): fraction of T}:
+        T * sum of fraction * u(q) over its positive entries, the cost of
+        routing it with `route_flows`."""
+        return self.traffic * sum(f * self.unit_cost(q)
+                                  for (q, _), f in split.items() if f > 0.0)
 
     # -- capacity ledger -------------------------------------------------
 
@@ -439,7 +448,7 @@ def decode(solution, p):
                             % (vm_of.get(s.key, s.key), shares[s.key], p.epsilon))
 
     flows_n, flows_m = route_flows(p, e_vals)
-    fwd = forwarding_cost_of(flows_n, flows_m, p.topology)
+    fwd = p.split_cost(e_vals)
     return ScalingDecision(mode=p.mode, kept=kept, launched=launched,
                            terminated=terminated, alpha=alpha_vals, e=e_vals,
                            shares=shares, flows_n=flows_n, flows_m=flows_m,
@@ -548,20 +557,6 @@ def baseline_forwarding_cost(p):
     if left > 1e-9:
         raise ModelInfeasibleError("baseline configuration is infeasible")
     return traffic * p.weights.forwarding * cost
-
-
-def forwarding_cost_of(flows_n, flows_m, topo):
-    """Total layered cost of carrying the given flows: sum of
-    F(i,j) * (n + m) over every arc.  Flow on a non-link pair is an error."""
-    cost = {}
-    total = 0.0
-    for flows in (flows_n, flows_m):
-        for (i, j, _d), val in flows.items():
-            c = cost.get((i, j))
-            if c is None:
-                c = cost[(i, j)] = forwarding_cost(topo, i, j)
-            total += c * val
-    return total
 
 
 def _decision_rows(decision):

@@ -463,7 +463,7 @@ def _rpadmm(p, admm_config):
         dec = decode(sol, p)
         coverage = sum(dec.shares.values())
         if abs(coverage - 1.0) > 1e-6:
-            dec.warnings.append("the shares cover %.4f of the traffic" % coverage)
+            dec.warnings.append("the shares cover %.9f of the traffic" % coverage)
         stats = {"iterations": len(trace.records), "converged": trace.converged,
                  "coverage": coverage}
         return dec, stats, trace

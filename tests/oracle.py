@@ -40,6 +40,11 @@ The baseline cost as first written: the pinned overload LP built and
 solved.  `scaling.baseline_forwarding_cost` prices the same optimum by
 shortest paths and a fractional knapsack, and must match it.
 
+The forwarding cost as first written: the layered link cost of every
+routed arc, summed flow by flow.  Decisions price their split by
+`ScalingProblem.split_cost`, T * sum of fraction * u(q), and must match
+this arc walk of their routed flows.
+
 The shortest-path tree as first written: Dijkstra over NodeIds, each
 link cost looked up through `topology.forwarding_cost`.
 `scaling._shortest_path_tree` runs on node positions and must give the
@@ -77,6 +82,20 @@ def export(model):
                    np.array(model._indptr, dtype=int)), shape=(m, n))
     return Matrices(c, a, np.array(model._rhs, dtype=float),
                     np.array(model._rel, dtype="<U2"))
+
+
+def forwarding_cost_of(flows_n, flows_m, topo):
+    """Total layered cost of carrying the given flows: sum of
+    F(i,j) * (n + m) over every arc.  Flow on a non-link pair is an error."""
+    cost = {}
+    total = 0.0
+    for flows in (flows_n, flows_m):
+        for (i, j, _d), val in flows.items():
+            c = cost.get((i, j))
+            if c is None:
+                c = cost[(i, j)] = forwarding_cost(topo, i, j)
+            total += c * val
+    return total
 
 
 def record_sparse_builds(monkeypatch):
@@ -121,13 +140,9 @@ def check_feasibility(model, point, tol=1e-8):
     return [Violation(k, diff[k], labels[k]) for k in bad]
 
 
-def _assignment_bounds(mp, assign):
-    model = mp.base
-    bounds = list(zip(model.lower, model.upper))
-    for (q, j), idx in mp.b_idx.items():
-        val = 1.0 if assign.get(j) == q else 0.0
-        bounds[idx] = (val, val)
-    return bounds
+def _assignment_pins(mp, assign):
+    return {idx: 1.0 if assign.get(j) == q else 0.0
+            for (q, j), idx in mp.b_idx.items()}
 
 
 def _passes_quick_filters(mp, assign):
@@ -165,7 +180,7 @@ def enumerate_single_host(mp, prefilter=True):
         assign = dict(zip(keys, combo))
         if prefilter and not _passes_quick_filters(mp, assign):
             continue
-        sol = lp.solve(mp.base, bounds_override=_assignment_bounds(mp, assign))
+        sol = lp.solve(mp.base, _assignment_pins(mp, assign))
         if sol.status != lp.OPTIMAL:
             continue
         if best_obj is None or sol.objective_value < best_obj - 1e-12:
@@ -190,15 +205,9 @@ def without_rows(mp, family):
 def enumerate_all_bits(mp):
     """Literal sweep of every b vector in {0,1}^n, no shortcuts. Only
     sensible for small binary grids."""
-    model = mp.base
-    base_bounds = list(zip(model.lower, model.upper))
-    indices = list(mp.binaries)
     best_obj = None
-    for bits in itertools.product((0.0, 1.0), repeat=len(indices)):
-        bounds = list(base_bounds)
-        for idx, val in zip(indices, bits):
-            bounds[idx] = (val, val)
-        sol = lp.solve(model, bounds_override=bounds)
+    for bits in itertools.product((0.0, 1.0), repeat=len(mp.binaries)):
+        sol = lp.solve(mp.base, dict(zip(mp.binaries, bits)))
         if sol.status != lp.OPTIMAL:
             continue
         if best_obj is None or sol.objective_value < best_obj:
@@ -266,9 +275,8 @@ def reference_admm_run(system, cfg):
 
     fam_rows = _family_rows(system)
     baseline = reference_family_max(res, fam_rows)
-    messages = reference_message_footprint(system)
     trace = rpadmm.AdmmTrace(families=system.families, baseline=baseline,
-                             messages_per_sweep=messages)
+                             messages_per_sweep=reference_message_footprint(system))
 
     orders = rpadmm._sweep_orders(cfg, nv)
     rng = np.random.default_rng(cfg.seed)
@@ -292,7 +300,7 @@ def reference_admm_run(system, cfg):
         viol = reference_normalize(reference_family_max(res, fam_rows), baseline)
         trace.records.append(rpadmm.AdmmRecord(
             it, objective, viol, tuple(int(v) for v in perm),
-            messages, res.copy(), duals.copy()))
+            res.copy(), duals.copy()))
         moved = float(np.max(np.abs(x - prev))) if nv else 0.0
         peak = float(np.max(np.abs(x))) if nv else 0.0
         prev = x.copy()

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -227,19 +228,24 @@ NODES = {
 
 
 def node_case(name):
-    """(model, bounds_override): a corpus model as built, or a NODES
-    entry's MILP base with the bounds a branch-and-bound node gives it."""
+    """(model, pins): a corpus model as built with no pins, or a NODES
+    entry's MILP base with the binaries a branch-and-bound node pins."""
     if name not in NODES:
         return corpus_model(name), None
     base, pins = NODES[name]
     mp = milp.build_milp(k2_instance(int(base[-1])))
-    bounds = list(zip(mp.base.lower, mp.base.upper))
-    for pos, val in pins.items():
-        bounds[mp.binaries[pos]] = (float(val), float(val))
-    return mp.base, bounds
+    return mp.base, {mp.binaries[pos]: float(val) for pos, val in pins.items()}
 
 
-def dense_linprog(model, bounds):
+def pinned_bounds(model, pins):
+    """linprog's bounds list: the model's bounds with each pin fixed."""
+    bounds = list(zip(model.lower, model.upper))
+    for idx, val in (pins or {}).items():
+        bounds[idx] = (val, val)
+    return bounds
+
+
+def dense_linprog(model, pins):
     """linprog on the rows assembled densely from the row dicts."""
     a = dense_rows(model)
     rel = np.array([r[1] for r in model.rows])
@@ -249,7 +255,7 @@ def dense_linprog(model, bounds):
     feas_tol = 1e-9
     return linprog(export(model).c, A_ub=(sign * a)[ub],
                    b_ub=(sign[:, 0] * b)[ub], A_eq=a[eq], b_eq=b[eq],
-                   bounds=bounds, method="highs-ds",
+                   bounds=pinned_bounds(model, pins), method="highs-ds",
                    options={"presolve": True,
                             "primal_feasibility_tolerance": feas_tol,
                             "dual_feasibility_tolerance": feas_tol})
@@ -257,9 +263,9 @@ def dense_linprog(model, bounds):
 
 @pytest.mark.parametrize("name", SOLVED + list(NODES))
 def test_solve_lands_on_the_dense_assembly_vertex(name):
-    model, override = node_case(name)
-    res = dense_linprog(model, override or list(zip(model.lower, model.upper)))
-    sol = lp.solve(model, bounds_override=override)
+    model, pins = node_case(name)
+    res = dense_linprog(model, pins)
+    sol = lp.solve(model, pins)
     assert sol.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE}[res.status]
     if res.status == 0:
         assert np.array_equal(sol.point, res.x)
@@ -267,46 +273,19 @@ def test_solve_lands_on_the_dense_assembly_vertex(name):
 
 
 def test_solves_on_one_model_leave_no_state_behind():
-    """Node bounds and the last basis do not carry over to the next
+    """Node pins and the last basis do not carry over to the next
     solve: each point equals a solve on a freshly built model."""
     model, a = node_case("milp0-b0=1-b4=0")
     _, b = node_case("milp0-b0=0")
     _, nowhere = node_case("milp0-all=0")
     statuses = []
-    for override in (a, nowhere, b, None):
-        got = lp.solve(model, bounds_override=override)
-        want = lp.solve(corpus_model("milp0"), bounds_override=override)
+    for pins in (a, nowhere, b, None):
+        got = lp.solve(model, pins)
+        want = lp.solve(corpus_model("milp0"), pins)
         assert got.status == want.status
         assert np.array_equal(got.point, want.point)
         statuses.append(got.status)
     assert statuses == [lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL, lp.OPTIMAL]
-
-
-@pytest.mark.parametrize("name", SOLVED + ["lift"] + list(NODES))
-def test_highs_holds_the_linprog_layout(name, monkeypatch):
-    """The model HiGHS holds is, array for array, the one linprog hands it:
-    the <= and negated >= rows above the = rows, colwise, with -inf or
-    b_eq as the row lower bounds; a node's pinned bounds leave it as is."""
-    from scipy.optimize import _linprog_highs
-    seen = {}
-    real = _linprog_highs._highs_wrapper
-
-    def spy(c, indptr, indices, data, lhs, rhs, *rest):
-        seen.update(c=c, start=indptr, index=indices, value=data,
-                    lhs=lhs, rhs=rhs)
-        return real(c, indptr, indices, data, lhs, rhs, *rest)
-
-    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
-    model, override = node_case(name)
-    dense_linprog(model, override or list(zip(model.lower, model.upper)))
-    lp.solve(model, bounds_override=override)
-    held = model._highs.getLp()
-    assert np.array_equal(held.col_cost_, seen["c"])
-    assert np.array_equal(held.a_matrix_.start_, seen["start"])
-    assert np.array_equal(held.a_matrix_.index_, seen["index"])
-    assert np.array_equal(held.a_matrix_.value_, seen["value"])
-    assert np.array_equal(held.row_lower_, seen["lhs"])
-    assert np.array_equal(held.row_upper_, seen["rhs"])
 
 
 def spy_on_pass_model(monkeypatch):
@@ -323,10 +302,59 @@ def spy_on_pass_model(monkeypatch):
     return passed
 
 
-def test_highs_layout_of_mixed_rows_with_an_explicit_zero(monkeypatch):
-    """Rows stack as <= and negated >= in model order above the = rows;
-    within a column they ascend in that order.  The explicit zero stays
-    an entry, and the column in no row has an empty slice."""
+@pytest.mark.parametrize("name", SOLVED + ["lift"] + list(NODES))
+def test_highs_holds_the_model_rows_in_order(name, monkeypatch):
+    """HiGHS gets the columnwise form of the model's CSR with the rows in
+    model order, each a range of a x: <= is (-inf, b), >= is (b, inf) and
+    = is (b, b).  A node's pins change column bounds only."""
+    passed = spy_on_pass_model(monkeypatch)
+    model, pins = node_case(name)
+    lp.solve(model, pins)
+    [held] = passed
+    mats = export(model)
+    csc = mats.a.tocsc()
+    assert list(held.a_matrix_.start_) == csc.indptr.tolist()
+    assert list(held.a_matrix_.index_) == csc.indices.tolist()
+    assert list(held.a_matrix_.value_) == csc.data.tolist()
+    assert list(held.row_lower_) == np.where(mats.rel == lp.LE, -np.inf,
+                                             mats.b).tolist()
+    assert list(held.row_upper_) == np.where(mats.rel == lp.GE, np.inf,
+                                             mats.b).tolist()
+    assert list(held.col_cost_) == mats.c.tolist()
+    assert list(held.col_lower_) == model.lower
+    assert list(held.col_upper_) == model.upper
+
+
+# central models of either mode and the RP-ADMM lift: = rows only
+EQUALITY_MODELS = {
+    "overload": lambda: corpus_model("lp"),
+    "underload": lambda: vs.build_underload_lp(k2_instance(1)),
+    "lift": lambda: corpus_model("lift"),
+}
+
+
+@pytest.mark.parametrize("name", list(EQUALITY_MODELS))
+def test_equality_models_load_as_linprog_loads_them(name, monkeypatch):
+    """A model of = rows only, as every central model and the RP-ADMM
+    lift are, reaches HiGHS array for array as linprog hands it over."""
+    passed = spy_on_pass_model(monkeypatch)
+    model = EQUALITY_MODELS[name]()
+    assert set(model._rel) == {lp.EQ}
+    dense_linprog(model, None)
+    lp.solve(model)
+    theirs, ours = passed
+    for field in ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                  "row_upper_", "a_matrix_.start_", "a_matrix_.index_",
+                  "a_matrix_.value_"):
+        got, want = (np.asarray(operator.attrgetter(field)(held))
+                     for held in (ours, theirs))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_highs_holds_mixed_rows_in_order_as_ranges(monkeypatch):
+    """Rows keep model order whatever their relation; within a column
+    they ascend.  The explicit zero stays an entry, and the column in no
+    row has an empty slice."""
     passed = spy_on_pass_model(monkeypatch)
     m = lp.LpModel("mixed")
     x = [m.add_var("x%d" % i, 0.0, 10.0) for i in range(4)]
@@ -339,13 +367,12 @@ def test_highs_layout_of_mixed_rows_with_an_explicit_zero(monkeypatch):
     assert sol.objective_value == pytest.approx(2.0)
     assert (sol.value("x0"), sol.value("x1")) == pytest.approx((1.0, 1.0))
     [held] = passed
-    # stacked rows: r1 (negated), r2, r3 (negated), then r0
     assert list(held.a_matrix_.start_) == [0, 3, 6, 9, 9]
-    assert list(held.a_matrix_.index_) == [0, 2, 3, 1, 2, 3, 0, 1, 2]
-    assert list(held.a_matrix_.value_) == [-1.0, -1.0, 1.0, -1.0, -1.0, 2.0,
-                                           0.0, 4.0, -1.0]
-    assert list(held.row_lower_) == [-np.inf, -np.inf, -np.inf, 3.0]
-    assert list(held.row_upper_) == [-1.0, 5.0, -0.5, 3.0]
+    assert list(held.a_matrix_.index_) == [0, 1, 3, 0, 2, 3, 1, 2, 3]
+    assert list(held.a_matrix_.value_) == [1.0, 1.0, 1.0, 2.0, -1.0, 1.0,
+                                           0.0, 4.0, 1.0]
+    assert list(held.row_lower_) == [3.0, 1.0, -np.inf, 0.5]
+    assert list(held.row_upper_) == [3.0, np.inf, 5.0, np.inf]
     assert list(held.col_cost_) == [1.0, 1.0, 0.0, 1.0]
 
 
@@ -398,12 +425,16 @@ def test_resolve_after_a_new_variable_or_objective_term():
     assert sol.objective_value == pytest.approx(-1.0)
 
 
-def test_bounds_override_must_cover_every_variable():
+def test_pin_outside_the_model_is_rejected():
     m, x, y = small_model()
-    with pytest.raises(ValueError):
-        lp.solve(m, bounds_override=[(0.0, 1.0)])
-    sol = lp.solve(m, bounds_override=[(0.0, 1.0), (0.0, 10.0)])
+    for bad in (2, -1):
+        with pytest.raises(ValueError):
+            lp.solve(m, {x: 1.0, bad: 0.0})
+    sol = lp.solve(m, {x: 1.0})
+    assert sol.value("x") == 1.0
     assert sol.value("y") == pytest.approx(3.0)
+    # the pin holds for that solve only
+    assert lp.solve(m).value("x") == pytest.approx(4.0)
 
 
 def test_message_footprint_counts_an_explicit_zero():

@@ -90,10 +90,8 @@ def test_symmetric_candidates_identical_total():
     # pms[2] and pms[3] sit in the other pod, symmetric to each other
     totals = []
     for q in (pms[2], pms[3]):
-        bounds = list(zip(mp.base.lower, mp.base.upper))
-        for (qq, j), idx in mp.b_idx.items():
-            bounds[idx] = (1.0, 1.0) if qq == q else (0.0, 0.0)
-        sol = lp.solve(mp.base, bounds_override=bounds)
+        pins = {idx: float(qq == q) for (qq, _), idx in mp.b_idx.items()}
+        sol = lp.solve(mp.base, pins)
         assert sol.status == lp.OPTIMAL
         totals.append(sol.objective_value)
     assert totals[0] == pytest.approx(totals[1], rel=1e-9)
@@ -237,6 +235,17 @@ def test_underload_groups_prove_within_three_nodes(shape):
     for seed in range(8):
         sol = milp.solve_milp(milp.build_milp(underload_shape(*shape, seed)))
         assert sol.proven and sol.nodes <= 3, (seed, sol.nodes)
+
+
+def test_tied_underload_lands_on_the_model_order_vertex():
+    # keeping vm1 or vm3 beside vm4 on P54 costs the same; with the rows
+    # in model order the dual simplex keeps vm3
+    sol = milp.solve_milp(milp.build_milp(underload_shape(8, 4, 2, 10)))
+    assert sol.proven and sol.nodes == 2
+    assert sol.total == pytest.approx(44888.26248257102, rel=1e-12)
+    assert {j: vs.pm_name(q) for j, q in sol.kept.items()} == {"vm3": "P54",
+                                                               "vm4": "P54"}
+    assert set(sol.terminated) == {"vm1", "vm2"}
 
 
 def test_deployment_cost_examples():

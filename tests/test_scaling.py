@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnfscale as vs
-from vnfscale import lp, scaling
+from vnfscale import lp, milp, scaling, scenario
 from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
 
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance, admm_fixture, flow_violations
-from oracle import check_feasibility, export, reference_baseline_cost, \
-    reference_relaxation, reference_shortest_path_tree
+from oracle import check_feasibility, export, forwarding_cost_of, \
+    reference_baseline_cost, reference_relaxation, reference_shortest_path_tree
 
 
 @pytest.fixture(scope="module")
@@ -416,7 +416,7 @@ def test_central_decisions_are_exact_on_drawn_problems(p):
         dec = vs.ScalingDecision(
             mode=p.mode, e=e, flows_n=flows_n, flows_m=flows_m,
             shares={key: float(sol.point[i]) for (_, key), i in lay.alpha_idx.items()},
-            forwarding_cost=vs.forwarding_cost_of(flows_n, flows_m, p.topology))
+            forwarding_cost=forwarding_cost_of(flows_n, flows_m, p.topology))
     assert_exact(p, dec)
 
 
@@ -622,24 +622,24 @@ def test_share_below_epsilon_warns(topo):
 
 def test_forwarding_cost_examples(topo):
     n = {(NodeId(PM, 0), NodeId(TOR, 0), "d1"): 1.0}
-    assert vs.forwarding_cost_of(n, {}, topo) == pytest.approx(10.0)
-    assert vs.forwarding_cost_of({}, {}, topo) == 0.0
+    assert forwarding_cost_of(n, {}, topo) == pytest.approx(10.0)
+    assert forwarding_cost_of({}, {}, topo) == 0.0
     path = {(NodeId(PM, 0), NodeId(TOR, 0), "d1"): 1.0,
             (NodeId(TOR, 0), NodeId(AGG, 0), "d1"): 1.0,
             (NodeId(AGG, 0), NodeId(TOR, 1), "d1"): 1.0,
             (NodeId(TOR, 1), NodeId(PM, 2), "d1"): 1.0}
-    assert vs.forwarding_cost_of(path, {}, topo) == pytest.approx(60.0)
+    assert forwarding_cost_of(path, {}, topo) == pytest.approx(60.0)
 
 
 def test_forwarding_cost_rejects_non_link(topo):
     bad = {(NodeId(PM, 0), NodeId(PM, 1), "d1"): 1.0}
     with pytest.raises(ValueError):
-        vs.forwarding_cost_of(bad, {}, topo)
+        forwarding_cost_of(bad, {}, topo)
     # also after a link seen twice
     link = (NodeId(PM, 0), NodeId(TOR, 0))
     bad = {link + ("d1",): 1.0, link + ("d2",): 2.0, (NodeId(PM, 0), NodeId(PM, 1), "d2"): 1.0}
     with pytest.raises(ValueError):
-        vs.forwarding_cost_of(bad, {}, topo)
+        forwarding_cost_of(bad, {}, topo)
 
 
 def test_forwarding_cost_of_sums_every_flow_in_order(topo):
@@ -651,6 +651,32 @@ def test_forwarding_cost_of_sums_every_flow_in_order(topo):
         for (i, j, _), val in flows.items():
             total += forwarding_cost(topo, i, j) * val
     assert dec.forwarding_cost == total
+
+
+def priced_decisions(topo):
+    """(topology, decision) for the central decisions above, the k=2 MILP
+    corpus and every shipped scenario that decides."""
+    for p, _, dec in every_optimal_decision(topo):
+        yield p.topology, dec
+    for seed in range(10):
+        p = k2_instance(seed)
+        yield p.topology, milp.solve_milp(milp.build_milp(p))
+    for name in sorted(os.listdir(SCEN_DIR)):
+        path = os.path.join(SCEN_DIR, name)
+        report = scenario.run_scenario(path)
+        if report.decision is not None:
+            yield scenario.load_scenario(path).topology, report.decision
+
+
+def test_arc_walk_equals_the_unit_cost_price(topo):
+    # each decision is priced T * sum of fraction * u(q) over its split;
+    # walking its routed flows arc by arc gives the same cost
+    checked = 0
+    for topology, dec in priced_decisions(topo):
+        walk = forwarding_cost_of(dec.flows_n, dec.flows_m, topology)
+        assert dec.forwarding_cost == pytest.approx(walk, rel=1e-12, abs=0)
+        checked += 1
+    assert checked == 7 + 10 + 7
 
 
 def test_decision_and_flow_csv(topo):

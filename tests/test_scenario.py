@@ -8,10 +8,9 @@ import pytest
 import vnfscale as vs
 from vnfscale import lp, milp, rpadmm, scaling, scenario
 from vnfscale.cli import main as cli_main
-from vnfscale.scaling import forwarding_cost_of
 
 from corpus import pm
-from oracle import without_rows
+from oracle import forwarding_cost_of, without_rows
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -233,8 +232,8 @@ def test_distributed_run_warns_when_the_shares_fall_short():
     short = scenario.run_scenario(scen("distributed_scale_out.scn"),
                                   overrides={"iters": 1})
     assert short.stats["coverage"] < 1.0 - 1e-6
-    assert short.decision.warnings == ["the shares cover 0.8750 of the traffic"]
-    assert "  WARNING: the shares cover 0.8750 of the traffic\n" in short.text()
+    assert short.decision.warnings == ["the shares cover 0.875000000 of the traffic"]
+    assert "  WARNING: the shares cover 0.875000000 of the traffic\n" in short.text()
     full = scenario.run_scenario(scen("distributed_scale_out.scn"))
     assert full.stats["coverage"] >= 1.0 - 1e-6
     assert full.decision.warnings == [] and "WARNING" not in full.text()
@@ -276,8 +275,8 @@ seed = 2
 def test_distributed_run_warns_when_the_shares_cover_too_much(tmp_path):
     report = scenario.run_scenario(write_scenario(tmp_path, OVER_COVERING))
     assert report.stats["coverage"] > 1.0 + 1e-6
-    assert report.decision.warnings == ["the shares cover 1.0013 of the traffic"]
-    assert "  WARNING: the shares cover 1.0013 of the traffic\n" in report.text()
+    assert report.decision.warnings == ["the shares cover 1.001311694 of the traffic"]
+    assert "  WARNING: the shares cover 1.001311694 of the traffic\n" in report.text()
 
 
 def underload_body():
@@ -674,3 +673,27 @@ def test_cli_sweep_and_compare(capsys):
     assert cli_main(["compare", scen("distributed_scale_out.scn"),
                      "--seed", "9", "--iters", "20"]) == 0
     assert "final gap" in capsys.readouterr().out
+
+
+def test_compare_writes_the_trace_that_run_writes(tmp_path, capsys):
+    path = scen("distributed_scale_out.scn")
+    assert cli_main(["compare", path, "--seed", "3",
+                     "--out-dir", str(tmp_path / "compare")]) == 0
+    assert cli_main(["run", path, "--solver", "rpadmm", "--seed", "3",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "compare" / "distributed_scale_out_trace.csv").read_bytes()
+    assert written.startswith(b"iteration,objective,violation_")
+    assert written == (tmp_path / "run" / "distributed_scale_out_trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_cli_divergence_is_exit_four(verb, monkeypatch, capsys):
+    # a divergence limit below the first sweep's objective: the sweep
+    # itself raises AdmmDivergenceError
+    monkeypatch.setattr(rpadmm, "AdmmConfig",
+                        functools.partial(rpadmm.AdmmConfig, divergence_limit=1e-9))
+    assert cli_main([verb, scen("distributed_scale_out.scn")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("diverged: diverged at iteration 1:")
+    assert "Traceback" not in captured.out + captured.err

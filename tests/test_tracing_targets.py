@@ -8,13 +8,19 @@ from vnfscale import scenario, topology
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# `scenario` no longer imports the first two by name; they are called inside
-# `scaling` only, where the tracer's `scaling` entries wrap them.  The link
-# bandwidth rows are gone from the program, so nothing calls the third.
+# `scenario` no longer imports `baseline_forwarding_cost` by name; it is
+# called inside `scaling` only, where the tracer's `scaling` entry wraps it.
+# The link bandwidth rows are gone from the program, so nothing calls
+# `add_bandwidth`.  Decisions price their split by u(q), so the arc walk
+# `forwarding_cost_of` left the program and its span,
+# `scaling.forwarding_cost_of`, reads 0.
 STALE = {"vnfscale.scenario.baseline_forwarding_cost",
          "vnfscale.scenario.forwarding_cost_of",
+         "vnfscale.scaling.forwarding_cost_of",
          "FlowNet.add_bandwidth"}
-DELETED = {"FlowNet.add_bandwidth"}
+DELETED = {"vnfscale.scenario.forwarding_cost_of",
+           "vnfscale.scaling.forwarding_cost_of",
+           "FlowNet.add_bandwidth"}
 
 
 def load_tracing():
