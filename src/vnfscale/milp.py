@@ -7,10 +7,11 @@ placed offline VM and credits retain per kept online VM.
 
 Links are uncapacitated, so once the shares are fixed the forwarding
 part is a min-cost flow that sends every unit along a shortest path
-(flow decomposition; Ahuja, Magnanti and Orlin, Network Flows, 1993).
-A share alpha[q,j] is therefore priced at T * w_fwd * u(q), the
-shortest-path cost of serving it at q (`ScalingProblem.unit_cost`), and
-the model has no flow variable; the decode routes the flows of the
+(flow decomposition; Ahuja, Magnanti and Orlin, Network Flows, 1993),
+which on a fat tree climbs to the lowest layer its ends share and comes
+back down.  A share alpha[q,j] is therefore priced at T * w_fwd * u(q),
+the closed-form cost of serving it at q (`ScalingProblem.unit_cost`),
+and the model has no flow variable; the decode routes the flows of the
 optimum with `scaling.route_flows` and prices its shares with
 `ScalingProblem.split_cost`, as the central decode does.
 

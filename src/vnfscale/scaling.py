@@ -11,11 +11,13 @@ argmax over e.
 The relaxation has no flow variables.  Links are uncapacitated, so its
 flow part is an uncapacitated min-cost flow, whose optimum sends every
 unit along a shortest path (flow decomposition; Ahuja, Magnanti and
-Orlin, Network Flows, 1993).  One multi-source Dijkstra from the
-ingress set and one from the egress set, run once per problem, give
-every PM q its unit cost u(q) = d_in(q) + gamma * d_out(q); the
+Orlin, Network Flows, 1993).  On a fat tree that path climbs to the
+lowest layer its ends share and comes back down, so
+`topology.source_distances` gives every PM its cost from the nearest
+ingress and the nearest egress in closed form, and every PM q its unit
+cost u(q) = d_in(q) + gamma * d_out(q), once per problem.  The
 objective is T * w_fwd * u(q) on each e[q,s], decode routes the
-decision's flows down the two shortest-path trees, and
+decision's flows on `topology.source_route`, and
 `ScalingProblem.split_cost` prices the decision by the same u(q).  The
 distributed solver (`rpadmm`) runs on this same model, so both decode
 alike, and the exact MILP (`milp`) prices and routes its shares the
@@ -36,7 +38,6 @@ decode's slot supply all read that table.  The baseline is priced on the
 problem itself, with the share cap taken at the baseline traffic.
 """
 
-import heapq
 import io
 import math
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from functools import cached_property
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
-from .topology import pm_name
+from .topology import pm_name, source_distances, source_route
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -129,17 +130,18 @@ class ScalingProblem:
         return baseline_forwarding_cost(self)
 
     @cached_property
-    def paths(self):
-        """(ingress tree, egress tree): the shortest-path trees from the
-        ingress and the egress PM sets, built on the first read and kept."""
-        return (_shortest_path_tree(self.topology, self.group.ingress_pms),
-                _shortest_path_tree(self.topology, self.group.egress_pms))
+    def unit_costs(self):
+        """u(q) = d_in(q) + gamma * d_out(q) per PM, indexed by PM index:
+        the forwarding cost of one unit of traffic served at PM q on
+        shortest routes, worked out on the first read and kept."""
+        topo, gamma = self.topology, self.group.gamma
+        d_in = source_distances(topo, self.group.ingress_pms)
+        d_out = source_distances(topo, self.group.egress_pms)
+        return tuple(i + gamma * o for i, o in zip(d_in, d_out))
 
     def unit_cost(self, q):
-        """u(q) = d_in(q) + gamma * d_out(q): the forwarding cost of one unit
-        of traffic served at PM q on shortest paths."""
-        into, out = self.paths
-        return into.dist[q] + self.group.gamma * out.dist[q]
+        """u(q) of PM q, read from `unit_costs`."""
+        return self.unit_costs[q.index]
 
     def split_cost(self, split):
         """Forwarding cost of a split {(PM, instance): fraction of T}:
@@ -377,7 +379,7 @@ def decode(solution, p):
     value (ties to the lowest-indexed PM).  Should two instances claim
     more slots than a PM offers, later instances fall back to their
     next-best candidate; a warning records the fallback.  The flows are
-    the interest split routed on the shortest-path trees.
+    the interest split routed by `route_flows`.
     """
     if solution.status != lp.OPTIMAL:
         raise DecodeError("cannot decode a %s solution" % solution.status)
@@ -457,70 +459,23 @@ def decode(solution, p):
                            warnings=warnings, vm_slot=vm_slot)
 
 
-@dataclass(frozen=True)
-class PathTree:
-    """Multi-source shortest-path tree: dist maps each reached node to its
-    cost from the nearest source, parent to the next node on the way back
-    to that source (None at a source)."""
-
-    dist: dict
-    parent: dict
-
-    def hops(self, q):
-        """Arcs (node, parent) from q back to its nearest source; a source
-        is its own one-arc path (q, q)."""
-        if self.parent[q] is None:
-            return [(q, q)]
-        arcs = []
-        while self.parent[q] is not None:
-            arcs.append((q, self.parent[q]))
-            q = self.parent[q]
-        return arcs
-
-
-def _shortest_path_tree(topo, sources):
-    """Multi-source Dijkstra from the source PMs, run on node positions
-    over the topology's arc table.  Flow never passes through a PM, so
-    only sources and switches are expanded.  Heap ties break by node
-    position, then by the parent's position (-1 at a source), so the
-    tree is the same on every run."""
-    nodes, arcs, n_pms = topo.nodes, topo.arcs, len(topo.pms)
-    starts = {topo.node_position(q) for q in sources}
-    done = [False] * len(nodes)
-    dist, parent = {}, {}
-    heap = [(0.0, i, -1) for i in starts]
-    heapq.heapify(heap)
-    while heap:
-        d, i, via = heapq.heappop(heap)
-        if done[i]:
-            continue
-        done[i] = True
-        node = nodes[i]
-        dist[node] = d
-        parent[node] = nodes[via] if via >= 0 else None
-        if i < n_pms and i not in starts:     # a PM (PMs come first), not a source
-            continue
-        for j, cost in arcs[i]:
-            if not done[j]:
-                heapq.heappush(heap, (d + cost, j, i))
-    return PathTree(dist, parent)
-
-
 def route_flows(p, e):
-    """n and m flows of an interest split on the shortest-path trees:
-    T * e[q,s] from the nearest ingress down to q and gamma * T * e[q,s]
-    from q to the nearest egress, a PM that is itself an ingress (egress)
-    on its self-arc.  Only arcs that carry flow are keyed."""
-    into, out = p.paths
+    """n and m flows of an interest split on shortest routes: T * e[q,s]
+    from the nearest ingress down to q and gamma * T * e[q,s] from q to
+    the nearest egress, each on `topology.source_route` (up to the lowest
+    layer the two PMs share and down again, ties to the lowest-indexed
+    source and to switch 0 of a layer), a PM that is itself an ingress
+    (egress) on its self-arc.  Only arcs that carry flow are keyed."""
+    topo, into, out = p.topology, p.group.ingress_pms, p.group.egress_pms
     flows_n, flows_m = {}, {}
     for (q, d), val in e.items():
         if val <= 0.0:
             continue
         n = p.traffic * val
-        for i, j in into.hops(q):
+        for i, j in source_route(topo, into, q):
             flows_n[(j, i, d)] = flows_n.get((j, i, d), 0.0) + n
         m = p.group.gamma * n
-        for i, j in out.hops(q):
+        for i, j in source_route(topo, out, q):
             flows_m[(i, j, d)] = flows_m.get((i, j, d), 0.0) + m
     return flows_n, flows_m
 
@@ -533,7 +488,7 @@ def baseline_forwarding_cost(p):
     is an uncapacitated min-cost flow, and its optimum routes every unit
     on a shortest path (flow decomposition; Ahuja, Magnanti and Orlin,
     Network Flows, 1993).  A unit served on host q then costs
-    u(q) = d_in(q) + gamma * d_out(q), read from the problem's trees.
+    u(q) = d_in(q) + gamma * d_out(q), read from `unit_costs`.
     What is left is a fractional knapsack: fill the hosts in order of
     (u(q), node position), each up to its share cap at the baseline
     traffic times its online VMs and up to its capacity rows, until the

@@ -9,6 +9,7 @@ same PM is handled internally and costs nothing.
 """
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -70,9 +71,7 @@ class Topology:
 
     nodes are ordered PMs first, then ToR, aggregation and core
     switches, each sorted by pod; this ordering fixes the variable
-    indexing of every optimization model built on top.  A node's
-    position in it indexes arcs: arcs[n] holds (neighbour position,
-    link cost) for each neighbour of nodes[n], in canonical order.
+    indexing of every optimization model built on top.
     """
 
     k: int
@@ -81,7 +80,6 @@ class Topology:
     nodes: tuple
     pms: tuple = field(repr=False)
     switches: tuple = field(repr=False)
-    arcs: tuple = field(repr=False)
     _adj: dict = field(repr=False)
     _pod: dict = field(repr=False)
     _order: dict = field(repr=False)
@@ -121,7 +119,7 @@ def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS):
         raise ValueError("fat-tree arity k must be a positive even integer, got %r" % (k,))
     if pms_per_rack < 1:
         raise ValueError("pms_per_rack must be >= 1")
-    if len(layer_costs) != 3 or any(c < 0 for c in layer_costs):
+    if len(layer_costs) != 3 or any(not math.isfinite(c) or c < 0 for c in layer_costs):
         raise ValueError("layer_costs must be three nonnegative numbers")
     return _wire(k, operator.index(pms_per_rack), tuple(float(c) for c in layer_costs))
 
@@ -169,11 +167,10 @@ def _wire(k, pms_per_rack, layer_costs):
 
     order = {v: n for n, v in enumerate(nodes)}
     adj = {v: tuple(sorted(adj[v], key=order.__getitem__)) for v in nodes}
-    arcs = tuple(tuple((order[j], cost[(i, j)]) for j in adj[i]) for i in nodes)
     return Topology(k=k, pms_per_rack=pms_per_rack, layer_costs=layer_costs,
                     nodes=nodes, pms=tuple(v for v in nodes if v.kind == PM),
                     switches=tuple(v for v in nodes if v.kind != PM),
-                    arcs=arcs, _adj=adj, _pod=pod, _order=order, _cost=cost)
+                    _adj=adj, _pod=pod, _order=order, _cost=cost)
 
 
 def neighbors(t, i):
@@ -197,6 +194,47 @@ def forwarding_cost(t, i, j):
     if i == j:
         raise ValueError("self-transfer only defined on PMs, got %s" % (i,))
     raise ValueError("nodes %s and %s are not linked" % (i, j))
+
+
+def source_distances(t, sources):
+    """Cost from each PM to its nearest source PM, indexed by PM index.
+
+    A shortest PM-to-PM route on a fat tree climbs to the lowest layer
+    its ends share and comes back down (Al-Fares, Loukissas and Vahdat,
+    SIGCOMM 2008, section 3): 0 at a source, 2a in a source's rack,
+    2a+2b in its pod, 2a+2b+2c elsewhere, summed from the source out."""
+    a, b, c = t.layer_costs
+    by_level = (0.0, (0.0 + a) + a, (((0.0 + a) + b) + b) + a,
+                (((((0.0 + a) + b) + c) + c) + b) + a)
+    ppr, half = t.pms_per_rack, t.k // 2
+    own = {t.node_position(q) for q in sources}     # a PM's position is its index
+    racks = {i // ppr for i in own}
+    pods = {r // half for r in racks}
+    return tuple(by_level[0 if i in own else 1 if i // ppr in racks
+                          else 2 if i // ppr // half in pods else 3]
+                 for i in range(len(t.pms)))
+
+
+def source_route(t, sources, q):
+    """The links (node, next node) from PM q to its nearest source PM on
+    the route `source_distances` prices; a source is its own link (q, q).
+    The lowest source in q's rack is taken, else the lowest in its pod,
+    else the lowest of all, crossing switch 0 of each switch layer."""
+    if q in sources:
+        return [(q, q)]
+    ppr, half = t.pms_per_rack, t.k // 2
+    rack = q.index // ppr
+
+    def level(s):
+        r = s.index // ppr
+        return 1 if r == rack else 2 if r // half == rack // half else 3
+
+    s = min(sources, key=lambda s: (level(s), s.index))
+    top, s_rack = level(s), s.index // ppr
+    up = [q, NodeId(TOR, rack), NodeId(AGG, rack // half * half), NodeId(CORE, 0)]
+    down = [s, NodeId(TOR, s_rack), NodeId(AGG, s_rack // half * half)]
+    route = up[:top + 1] + down[top - 1::-1]
+    return list(zip(route, route[1:]))
 
 
 def topology_listing(t):

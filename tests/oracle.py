@@ -46,9 +46,11 @@ routed arc, summed flow by flow.  Decisions price their split by
 this arc walk of their routed flows.
 
 The shortest-path tree as first written: Dijkstra over NodeIds, each
-link cost looked up through `topology.forwarding_cost`.
-`scaling._shortest_path_tree` runs on node positions and must give the
-same distance and parent dicts.
+link cost looked up through `topology.forwarding_cost`, heap ties broken
+by node position.  `topology.source_distances` and `source_route` give
+each PM's cost and route in closed form (up to the lowest shared layer
+and down, ties to the lowest-indexed source and to switch 0 of a layer)
+and must give the same distance bits and the same hops.
 """
 
 import dataclasses
@@ -525,8 +527,31 @@ def reference_flow_milp(p):
     return mp
 
 
+@dataclasses.dataclass(frozen=True)
+class PathTree:
+    """Multi-source shortest-path tree: dist maps each reached node to its
+    cost from the nearest source, parent to the next node on the way back
+    to that source (None at a source)."""
+
+    dist: dict
+    parent: dict
+
+    def hops(self, q):
+        """Arcs (node, parent) from q back to its nearest source; a source
+        is its own one-arc path (q, q)."""
+        if self.parent[q] is None:
+            return [(q, q)]
+        arcs = []
+        while self.parent[q] is not None:
+            arcs.append((q, self.parent[q]))
+            q = self.parent[q]
+        return arcs
+
+
 def reference_shortest_path_tree(topo, sources):
-    """`scaling._shortest_path_tree` as first written, on NodeIds."""
+    """Multi-source Dijkstra over NodeIds from the source PMs.  Flow never
+    passes through a PM, so only sources and switches are expanded; heap
+    ties break by node position, then by the parent's position."""
     sources = set(sources)
     dist, parent = {}, {}
     heap = [(0.0, topo.node_position(q), -1, q, None) for q in sources]
@@ -544,4 +569,4 @@ def reference_shortest_path_tree(topo, sources):
             if j not in dist:
                 heapq.heappush(heap, (d + forwarding_cost(topo, i, j),
                                       topo.node_position(j), at, j, i))
-    return scaling.PathTree(dist, parent)
+    return PathTree(dist, parent)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import vnfscale as vs
 from vnfscale import lp, milp, scaling, scenario
-from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost
+from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost, source_distances, \
+    source_route
 
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance, admm_fixture, flow_violations
@@ -454,17 +455,19 @@ def test_ingress_egress_preference_at_unit_gamma(topo):
 
 
 
-# -- shortest-path trees on node positions ----------------------------------
+# -- the closed form against Dijkstra ----------------------------------------
 
 @st.composite
 def path_problems(draw):
     """A problem on a drawn tree with drawn ingress and egress sets, and an
-    interest split to route down its trees."""
-    k = draw(st.sampled_from([2, 4, 8]), label="k")
+    interest split to route on it."""
+    k = draw(st.sampled_from([2, 4, 6, 8, 12, 16]), label="k")
     ppr = draw(st.integers(1, 3), label="pms per rack")
     # with zero costs every tie is broken by position
     costs = draw(st.sampled_from([(10.0, 20.0, 40.0), (5.0, 0.0, 40.0),
-                                  (0.0, 20.0, 0.0), (0.0, 0.0, 0.0)]), label="costs")
+                                  (0.0, 20.0, 0.0), (0.0, 0.0, 0.0),
+                                  (0.1, 0.2, 0.3), (0.7, 1.3, 0.1),
+                                  (1e-300, 0.0, 3.0)]), label="costs")
     topo = vs.build_fat_tree(k, pms_per_rack=ppr, layer_costs=costs)
     pms = topo.pms
     ends = draw(st.sampled_from(["one PM", "several PMs", "a PM at both ends"]),
@@ -495,19 +498,34 @@ def path_problems(draw):
     return p, e
 
 
+def routed_on(p, trees, e):
+    """`scaling.route_flows` of the split e, walked down reference trees."""
+    flows_n, flows_m = {}, {}
+    for (q, d), val in e.items():
+        if val > 0.0:
+            n = p.traffic * val
+            for i, j in trees[0].hops(q):
+                flows_n[(j, i, d)] = flows_n.get((j, i, d), 0.0) + n
+            for i, j in trees[1].hops(q):
+                flows_m[(i, j, d)] = flows_m.get((i, j, d), 0.0) + p.group.gamma * n
+    return flows_n, flows_m
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(path_problems())
 def test_shortest_path_trees_match_the_reference(case):
     p, e = case
-    reference = tuple(reference_shortest_path_tree(p.topology, ends)
+    topo = p.topology
+    reference = tuple(reference_shortest_path_tree(topo, ends)
                       for ends in (p.group.ingress_pms, p.group.egress_pms))
-    for tree, ref in zip(p.paths, reference):
-        assert tree.dist == ref.dist and tree.parent == ref.parent
-        assert list(tree.dist) == list(ref.dist)    # the same pop order
+    for ends, ref in zip((p.group.ingress_pms, p.group.egress_pms), reference):
+        dist = source_distances(topo, ends)
+        assert len(dist) == len(topo.pms)
+        for q in topo.pms:
+            assert repr(dist[q.index]) == repr(ref.dist[q])
+            assert source_route(topo, ends, q) == ref.hops(q)
     flows = scaling.route_flows(p, e)
-    on_reference = dataclasses.replace(p)
-    vars(on_reference)["paths"] = reference         # what the cached property keeps
-    assert scaling.route_flows(on_reference, e) == flows
+    assert routed_on(p, reference, e) == flows
     assert all(flows) == any(val > 0.0 for val in e.values())
 
 

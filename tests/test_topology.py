@@ -196,11 +196,10 @@ def test_each_tree_is_built_once():
 
 def test_a_tree_cannot_be_changed():
     t = tp.build_fat_tree(4)
-    for name in ("k", "pms_per_rack", "layer_costs", "nodes", "pms", "switches",
-                 "arcs"):
+    for name in ("k", "pms_per_rack", "layer_costs", "nodes", "pms", "switches"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(t, name, None)
-    for seq in (t.nodes, t.pms, t.switches, t.arcs, t.layer_costs):
+    for seq in (t.nodes, t.pms, t.switches, t.layer_costs):
         with pytest.raises(TypeError):
             seq[0] = seq[-1]
         assert not hasattr(seq, "append") and not hasattr(seq, "sort")
@@ -208,14 +207,10 @@ def test_a_tree_cannot_be_changed():
     assert t.switches == tuple(v for v in t.nodes if v.kind != tp.PM)
 
 
-def test_arc_table_matches_neighbors_and_costs():
+def test_node_positions_index_the_node_order():
     for t in (tp.build_fat_tree(2, pms_per_rack=3), tp.build_fat_tree(4),
               tp.build_fat_tree(4, layer_costs=(0.0, 5.0, 0.0))):
-        assert len(t.arcs) == len(t.nodes)
         for i, v in enumerate(t.nodes):
-            assert [t.nodes[j] for j, _ in t.arcs[i]] == list(tp.neighbors(t, v))
-            assert [c for _, c in t.arcs[i]] == [tp.forwarding_cost(t, v, w)
-                                                 for w in tp.neighbors(t, v)]
             assert v in t and t.node_position(v) == i
         assert tp.NodeId(tp.PM, len(t.pms)) not in t
 
@@ -230,6 +225,8 @@ BAD_BUILDS = [
     ((4, 2.0), TypeError, "'float' object cannot be interpreted as an integer"),
     ((4, 2, (10, 20)), ValueError, "^layer_costs must be three nonnegative numbers$"),
     ((4, 2, [10, -1, 40]), ValueError, "^layer_costs must be three nonnegative numbers$"),
+    ((4, 2, (float("nan"), 1, 1)), ValueError, "^layer_costs must be three nonnegative numbers$"),
+    ((4, 2, (1, float("inf"), 1)), ValueError, "^layer_costs must be three nonnegative numbers$"),
 ]
 
 
