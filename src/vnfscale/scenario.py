@@ -31,6 +31,7 @@ machine of the tree.
 
 import math
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -75,12 +76,16 @@ def _bad_values_named(where):
         raise ScenarioParseError("%s: %s" % (where, err)) from None
 
 
+_PM_NAME = re.compile("P([0-9]+)")    # [0-9]: \d and int() take any script's digits
+
+
 def parse_pm(token, topo=None):
     """'P5' -> the fifth PM (NodeId index 4): the tree's own NodeId when
     topo is given, so topology-keyed lookups stop at the identity check."""
-    if not token.startswith("P") or not token[1:].isdigit():
+    name = _PM_NAME.fullmatch(token)
+    if name is None:
         raise ScenarioParseError("bad PM name %r" % token)
-    index = int(token[1:]) - 1
+    index = int(name[1]) - 1
     if topo is None:
         return NodeId(PM, index)
     if not 0 <= index < len(topo.pms):
@@ -89,14 +94,15 @@ def parse_pm(token, topo=None):
 
 
 def parse_pm_list(text, topo=None):
-    """'P1 P3-P5' -> those PMs in order; a reversed range or a PM named
-    twice is an error."""
+    """'P1 P3-P5' -> those PMs in order; each end of a range is a PM name,
+    and a reversed range or a PM named twice is an error."""
     out = []
     for token in text.split():
         if "-" in token[1:]:
-            a, b = token.split("-", 1)
-            with _bad_values_named("bad PM range %r" % token):
-                lo, hi = int(a.lstrip("P")), int(b.lstrip("P"))
+            ends = [_PM_NAME.fullmatch(end) for end in token.split("-", 1)]
+            if None in ends:
+                raise ScenarioParseError("bad PM range %r" % token)
+            lo, hi = (int(end[1]) for end in ends)
             if lo > hi:
                 raise ScenarioParseError("reversed PM range %r" % token)
             out.extend(parse_pm("P%d" % i, topo) for i in range(lo, hi + 1))

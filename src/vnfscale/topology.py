@@ -6,6 +6,13 @@ configurable number of physical machines (PMs).  Links carry a
 per-bit-per-unit-time forwarding cost that depends only on the layer
 pair they connect, and no bandwidth limit; traffic between VMs on the
 same PM is handled internally and costs nothing.
+
+A tree stores no links: they follow from the node indices (Al-Fares,
+Loukissas and Vahdat, SIGCOMM 2008, section 3).  With h = k/2, ToR r
+links to the PMs of rack r; pod p holds ToR and aggregation switches
+p*h .. p*h + h - 1, and each ToR links to each aggregation switch of
+its pod; aggregation switch a links to core switches g*h .. g*h + h - 1
+of core group g = a mod h.
 """
 
 import functools
@@ -67,11 +74,13 @@ def pm_name(node):
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable wired fat-tree, indexed once when it is built.
+    """Immutable fat-tree: its arguments and its node tuples, no links.
 
     nodes are ordered PMs first, then ToR, aggregation and core
-    switches, each sorted by pod; this ordering fixes the variable
-    indexing of every optimization model built on top.
+    switches, each by index; this ordering fixes the variable indexing
+    of every optimization model built on top.  Membership, positions,
+    neighbours and link costs are computed from the indices by the
+    wiring rule in the module docstring.
     """
 
     k: int
@@ -80,139 +89,120 @@ class Topology:
     nodes: tuple
     pms: tuple = field(repr=False)
     switches: tuple = field(repr=False)
-    _adj: dict = field(repr=False)
-    _pod: dict = field(repr=False)
-    _order: dict = field(repr=False)
-    _cost: dict = field(repr=False)     # (i, j) -> cost of a link or a PM self-pair
+    _span: dict = field(repr=False)     # kind -> (position of its index 0, count)
 
     def __contains__(self, i):
         """Whether i is a node of this tree."""
-        return i in self._order
+        return i.__class__ is NodeId and i.index < self._span[i.kind][1]
 
     def node_position(self, i):
         """Position of i in the canonical node ordering."""
-        pos = self._order.get(i)
-        if pos is None:
-            self._require(i)
-        return pos
+        if i.__class__ is NodeId:
+            first, count = self._span[i.kind]
+            if i.index < count:
+                return first + i.index
+        raise KeyError("node %s not in topology" % (i,))
 
     def linked(self, i, j):
-        self._require(i)
-        self._require(j)
-        return j in self._adj[i]
-
-    def _require(self, i):
-        if i not in self._adj:
-            raise KeyError("node %s not in topology" % (i,))
+        nbrs = neighbors(self, i)
+        self.node_position(j)
+        return j in nbrs
 
 
 def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS):
-    """Wire a k-fat-tree and return the finished Topology.
-
-    k must be a positive even integer.  Aggregation switch a of every
-    pod uplinks to the k/2 core switches of core group a; ToR and
-    aggregation switches of one pod form a complete bipartite graph;
-    each ToR attaches pms_per_rack PMs.  A Topology is immutable, so
-    one is built per set of arguments and returned again after that.
-    """
+    """The k-fat-tree for k a positive even integer, pms_per_rack at
+    least 1 and three finite nonnegative layer costs (PM-ToR,
+    ToR-aggregation, aggregation-core).  A Topology is immutable, so one
+    is built per set of arguments and returned again after that."""
     if not isinstance(k, int) or k <= 0 or k % 2 != 0:
         raise ValueError("fat-tree arity k must be a positive even integer, got %r" % (k,))
     if pms_per_rack < 1:
         raise ValueError("pms_per_rack must be >= 1")
     if len(layer_costs) != 3 or any(not math.isfinite(c) or c < 0 for c in layer_costs):
         raise ValueError("layer_costs must be three nonnegative numbers")
-    return _wire(k, operator.index(pms_per_rack), tuple(float(c) for c in layer_costs))
+    return _build(k, operator.index(pms_per_rack), tuple(float(c) for c in layer_costs))
 
 
 @functools.cache
-def _wire(k, pms_per_rack, layer_costs):
+def _build(k, pms_per_rack, layer_costs):
     half = k // 2
-    pod = {}
-
-    for p in range(k):
-        for t in range(half):
-            for s in range(pms_per_rack):
-                v = NodeId(PM, (p * half + t) * pms_per_rack + s)
-                pod[v] = p
-    for p in range(k):
-        for t in range(half):
-            pod[NodeId(TOR, p * half + t)] = p
-    for p in range(k):
-        for a in range(half):
-            pod[NodeId(AGG, p * half + a)] = p
-    for c in range(half * half):
-        pod[NodeId(CORE, c)] = -1
-
-    nodes = tuple(sorted(pod, key=NodeId.sort_key))
-    cost = {(v, v): 0.0 for v in nodes if v.kind == PM}
-    adj = {v: [] for v in nodes}
-    pm_tor, tor_agg, agg_core = layer_costs
-
-    def link(i, j, c):
-        adj[i].append(j)
-        adj[j].append(i)
-        cost[(i, j)] = cost[(j, i)] = c
-
-    for p in range(k):
-        for t in range(half):
-            tor = NodeId(TOR, p * half + t)
-            for s in range(pms_per_rack):
-                link(NodeId(PM, (p * half + t) * pms_per_rack + s), tor, pm_tor)
-            for a in range(half):
-                link(tor, NodeId(AGG, p * half + a), tor_agg)
-        for a in range(half):
-            agg = NodeId(AGG, p * half + a)
-            for c in range(half):
-                link(agg, NodeId(CORE, a * half + c), agg_core)
-
-    order = {v: n for n, v in enumerate(nodes)}
-    adj = {v: tuple(sorted(adj[v], key=order.__getitem__)) for v in nodes}
+    counts = (k * half * pms_per_rack, k * half, k * half, half * half)
+    span, nodes = {}, []
+    for kind, count in zip(_KIND_ORDER, counts):
+        span[kind] = (len(nodes), count)
+        nodes.extend(NodeId(kind, n) for n in range(count))
+    nodes = tuple(nodes)
     return Topology(k=k, pms_per_rack=pms_per_rack, layer_costs=layer_costs,
-                    nodes=nodes, pms=tuple(v for v in nodes if v.kind == PM),
-                    switches=tuple(v for v in nodes if v.kind != PM),
-                    _adj=adj, _pod=pod, _order=order, _cost=cost)
+                    nodes=nodes, pms=nodes[:counts[0]], switches=nodes[counts[0]:],
+                    _span=span)
+
+
+def _locate(t, i):
+    """(rack, pod) of node i by the wiring rule: PM n is in rack
+    n // pms_per_rack, ToR and aggregation switch n are in column n of
+    their layer, column r is in pod r // (k/2), and a core switch is in
+    neither (-1, -1)."""
+    if i.kind == CORE:
+        return -1, -1
+    rack = i.index // t.pms_per_rack if i.kind == PM else i.index
+    return rack, rack // (t.k // 2)
+
+
+def _nodes(t, kind, start, stop, step=1):
+    """The tree's nodes of one kind with index in range(start, stop, step)."""
+    first = t._span[kind][0]
+    return t.nodes[first + start:first + stop:step]
 
 
 def neighbors(t, i):
     """All nodes adjacent to i, in canonical order."""
-    t._require(i)
-    return t._adj[i]
+    t.node_position(i)
+    half = t.k // 2
+    rack, pod = _locate(t, i)
+    if i.kind == PM:
+        return _nodes(t, TOR, rack, rack + 1)
+    if i.kind == TOR:
+        pms = rack * t.pms_per_rack
+        return (_nodes(t, PM, pms, pms + t.pms_per_rack)
+                + _nodes(t, AGG, pod * half, pod * half + half))
+    if i.kind == AGG:
+        group = i.index % half * half
+        return (_nodes(t, TOR, pod * half, pod * half + half)
+                + _nodes(t, CORE, group, group + half))
+    return _nodes(t, AGG, i.index // half, t.k * half, half)
 
 
 def forwarding_cost(t, i, j):
-    """Per-bit-per-unit-time cost of the link between i and j.
-
-    The diagonal PM case (i == j) models intra-PM transfers between
-    co-located VMs and costs 0.  Any other non-adjacent pair is an
-    error.
-    """
-    cost = t._cost.get((i, j))
-    if cost is not None:
-        return cost
-    t._require(i)
-    t._require(j)
+    """Per-bit-per-unit-time cost of the link between i and j: the cost
+    of the lower layer it joins.  A PM with itself (i == j) models
+    intra-PM transfers between co-located VMs and costs 0; any other
+    pair that is not a link is an error."""
+    t.node_position(i)
+    t.node_position(j)
     if i == j:
+        if i.kind == PM:
+            return 0.0
         raise ValueError("self-transfer only defined on PMs, got %s" % (i,))
-    raise ValueError("nodes %s and %s are not linked" % (i, j))
+    if j not in neighbors(t, i):
+        raise ValueError("nodes %s and %s are not linked" % (i, j))
+    return t.layer_costs[min(_KIND_ORDER[i.kind], _KIND_ORDER[j.kind])]
 
 
 def source_distances(t, sources):
     """Cost from each PM to its nearest source PM, indexed by PM index.
 
-    A shortest PM-to-PM route on a fat tree climbs to the lowest layer
-    its ends share and comes back down (Al-Fares, Loukissas and Vahdat,
-    SIGCOMM 2008, section 3): 0 at a source, 2a in a source's rack,
-    2a+2b in its pod, 2a+2b+2c elsewhere, summed from the source out."""
+    A shortest PM-to-PM route climbs to the lowest layer its ends share
+    and comes back down: 0 at a source, 2a in a source's rack, 2a+2b in
+    its pod, 2a+2b+2c elsewhere, summed from the source out."""
     a, b, c = t.layer_costs
     by_level = (0.0, (0.0 + a) + a, (((0.0 + a) + b) + b) + a,
                 (((((0.0 + a) + b) + c) + c) + b) + a)
-    ppr, half = t.pms_per_rack, t.k // 2
+    where = [_locate(t, q) for q in t.pms]
     own = {t.node_position(q) for q in sources}     # a PM's position is its index
-    racks = {i // ppr for i in own}
-    pods = {r // half for r in racks}
-    return tuple(by_level[0 if i in own else 1 if i // ppr in racks
-                          else 2 if i // ppr // half in pods else 3]
-                 for i in range(len(t.pms)))
+    racks = {where[i][0] for i in own}
+    pods = {where[i][1] for i in own}
+    return tuple(by_level[0 if i in own else 1 if rack in racks else 2 if pod in pods else 3]
+                 for i, (rack, pod) in enumerate(where))
 
 
 def source_route(t, sources, q):
@@ -222,17 +212,17 @@ def source_route(t, sources, q):
     else the lowest of all, crossing switch 0 of each switch layer."""
     if q in sources:
         return [(q, q)]
-    ppr, half = t.pms_per_rack, t.k // 2
-    rack = q.index // ppr
+    rack, pod = _locate(t, q)
 
     def level(s):
-        r = s.index // ppr
-        return 1 if r == rack else 2 if r // half == rack // half else 3
+        r, p = _locate(t, s)
+        return 1 if r == rack else 2 if p == pod else 3
 
     s = min(sources, key=lambda s: (level(s), s.index))
-    top, s_rack = level(s), s.index // ppr
-    up = [q, NodeId(TOR, rack), NodeId(AGG, rack // half * half), NodeId(CORE, 0)]
-    down = [s, NodeId(TOR, s_rack), NodeId(AGG, s_rack // half * half)]
+    top, (r, p) = level(s), _locate(t, s)
+    half = t.k // 2
+    up = [q, NodeId(TOR, rack), NodeId(AGG, pod * half), NodeId(CORE, 0)]
+    down = [s, NodeId(TOR, r), NodeId(AGG, p * half)]
     route = up[:top + 1] + down[top - 1::-1]
     return list(zip(route, route[1:]))
 
@@ -244,6 +234,6 @@ def topology_listing(t):
     """
     lines = []
     for v in t.nodes:
-        nbrs = ",".join(str(u) for u in t._adj[v])
-        lines.append("%s %d %d %s" % (v.kind, v.index, t._pod[v], nbrs))
+        nbrs = ",".join(str(u) for u in neighbors(t, v))
+        lines.append("%s %d %d %s" % (v.kind, v.index, _locate(t, v)[1], nbrs))
     return "\n".join(lines) + "\n"

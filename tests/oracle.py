@@ -40,20 +40,28 @@ The baseline cost as first written: the pinned overload LP built and
 solved.  `scaling.baseline_forwarding_cost` prices the same optimum by
 shortest paths and a fractional knapsack, and must match it.
 
+The fat tree as first built: every link materialized in adjacency
+lists and a link-cost map by the wiring loops.  `topology` stores only
+the node tuples and derives neighbours, link costs and pods from the
+node indices, and must give the same nodes, neighbours, costs and
+listing.  The two references below walk this graph, so they share no
+code with the closed form they check.
+
 The forwarding cost as first written: the layered link cost of every
 routed arc, summed flow by flow.  Decisions price their split by
 `ScalingProblem.split_cost`, T * sum of fraction * u(q), and must match
 this arc walk of their routed flows.
 
-The shortest-path tree as first written: Dijkstra over NodeIds, each
-link cost looked up through `topology.forwarding_cost`, heap ties broken
-by node position.  `topology.source_distances` and `source_route` give
-each PM's cost and route in closed form (up to the lowest shared layer
-and down, ties to the lowest-indexed source and to switch 0 of a layer)
-and must give the same distance bits and the same hops.
+The shortest-path tree as first written: Dijkstra over NodeIds on the
+wired tree, heap ties broken by node position.
+`topology.source_distances` and `source_route` give each PM's cost and
+route in closed form (up to the lowest shared layer and down, ties to
+the lowest-indexed source and to switch 0 of a layer) and must give the
+same distance bits and the same hops.
 """
 
 import dataclasses
+import functools
 import heapq
 import itertools
 from collections import namedtuple
@@ -65,13 +73,18 @@ from scipy.sparse._base import _spbase
 from vnfscale import lp, milp, rpadmm, scaling
 from vnfscale.chain_state import OVERLOAD, UNDERLOAD
 from vnfscale.netflow import FlowNet
-from vnfscale.topology import PM, forwarding_cost, neighbors
+from vnfscale.topology import AGG, CORE, PM, TOR, NodeId
 
 
 Violation = namedtuple("Violation", "row amount label")
 
 # c and every row as (a, b, rel)
 Matrices = namedtuple("Matrices", "c a b rel")
+
+# a wired fat tree: node tuple, node -> neighbours in node order,
+# node -> pod (-1 for a core switch), node -> position, and
+# (i, j) -> cost of a link in either direction or of a PM self-pair
+ReferenceTree = namedtuple("ReferenceTree", "nodes adj pod order cost")
 
 
 def export(model):
@@ -86,16 +99,68 @@ def export(model):
                     np.array(model._rel, dtype="<U2"))
 
 
+@functools.cache
+def reference_fat_tree(k, pms_per_rack, layer_costs):
+    """The k-fat-tree as first built, every link materialized: ToR
+    p*k/2 + t of pod p attaches PMs (p*k/2 + t)*pms_per_rack onwards and
+    links to each aggregation switch of its pod, and aggregation switch
+    a of every pod uplinks to the k/2 core switches of core group a.
+    Each adjacency list is sorted by node position.  `topology` stores
+    no links; its closed form must give the same nodes, neighbours,
+    costs and pods."""
+    half = k // 2
+    pod = {}
+    for p in range(k):
+        for t in range(half):
+            for s in range(pms_per_rack):
+                pod[NodeId(PM, (p * half + t) * pms_per_rack + s)] = p
+    for p in range(k):
+        for t in range(half):
+            pod[NodeId(TOR, p * half + t)] = p
+    for p in range(k):
+        for a in range(half):
+            pod[NodeId(AGG, p * half + a)] = p
+    for c in range(half * half):
+        pod[NodeId(CORE, c)] = -1
+
+    nodes = tuple(sorted(pod, key=NodeId.sort_key))
+    cost = {(v, v): 0.0 for v in nodes if v.kind == PM}
+    adj = {v: [] for v in nodes}
+    pm_tor, tor_agg, agg_core = layer_costs
+
+    def link(i, j, c):
+        adj[i].append(j)
+        adj[j].append(i)
+        cost[(i, j)] = cost[(j, i)] = c
+
+    for p in range(k):
+        for t in range(half):
+            tor = NodeId(TOR, p * half + t)
+            for s in range(pms_per_rack):
+                link(NodeId(PM, (p * half + t) * pms_per_rack + s), tor, pm_tor)
+            for a in range(half):
+                link(tor, NodeId(AGG, p * half + a), tor_agg)
+        for a in range(half):
+            agg = NodeId(AGG, p * half + a)
+            for c in range(half):
+                link(agg, NodeId(CORE, a * half + c), agg_core)
+
+    order = {v: n for n, v in enumerate(nodes)}
+    adj = {v: tuple(sorted(adj[v], key=order.__getitem__)) for v in nodes}
+    return ReferenceTree(nodes, adj, pod, order, cost)
+
+
 def forwarding_cost_of(flows_n, flows_m, topo):
     """Total layered cost of carrying the given flows: sum of
-    F(i,j) * (n + m) over every arc.  Flow on a non-link pair is an error."""
-    cost = {}
+    F(i,j) * (n + m) over every arc, each F looked up in the wired
+    reference tree.  Flow on a non-link pair is an error."""
+    cost = reference_fat_tree(topo.k, topo.pms_per_rack, topo.layer_costs).cost
     total = 0.0
     for flows in (flows_n, flows_m):
         for (i, j, _d), val in flows.items():
             c = cost.get((i, j))
             if c is None:
-                c = cost[(i, j)] = forwarding_cost(topo, i, j)
+                raise ValueError("nodes %s and %s are not linked" % (i, j))
             total += c * val
     return total
 
@@ -549,12 +614,14 @@ class PathTree:
 
 
 def reference_shortest_path_tree(topo, sources):
-    """Multi-source Dijkstra over NodeIds from the source PMs.  Flow never
-    passes through a PM, so only sources and switches are expanded; heap
-    ties break by node position, then by the parent's position."""
+    """Multi-source Dijkstra over the wired reference tree from the source
+    PMs.  Flow never passes through a PM, so only sources and switches
+    are expanded; heap ties break by node position, then by the
+    parent's position."""
+    ref = reference_fat_tree(topo.k, topo.pms_per_rack, topo.layer_costs)
     sources = set(sources)
     dist, parent = {}, {}
-    heap = [(0.0, topo.node_position(q), -1, q, None) for q in sources]
+    heap = [(0.0, ref.order[q], -1, q, None) for q in sources]
     heapq.heapify(heap)
     while heap:
         d, _, _, i, via = heapq.heappop(heap)
@@ -564,9 +631,8 @@ def reference_shortest_path_tree(topo, sources):
         parent[i] = via
         if i.kind == PM and i not in sources:
             continue
-        at = topo.node_position(i)
-        for j in neighbors(topo, i):
+        at = ref.order[i]
+        for j in ref.adj[i]:
             if j not in dist:
-                heapq.heappush(heap, (d + forwarding_cost(topo, i, j),
-                                      topo.node_position(j), at, j, i))
+                heapq.heappush(heap, (d + ref.cost[(i, j)], ref.order[j], at, j, i))
     return PathTree(dist, parent)

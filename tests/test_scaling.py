@@ -661,14 +661,15 @@ def test_forwarding_cost_rejects_non_link(topo):
 
 
 def test_forwarding_cost_of_sums_every_flow_in_order(topo):
-    # one F(i,j) lookup per link, the same float sum as one per flow
+    # the walk over the wired reference's cost map is the same float sum
+    # as one closed-form F(i,j) per flow, added in flow order
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     _, dec = solve_decoded(p)
     total = 0.0
     for flows in (dec.flows_n, dec.flows_m):
         for (i, j, _), val in flows.items():
             total += forwarding_cost(topo, i, j) * val
-    assert dec.forwarding_cost == total
+    assert forwarding_cost_of(dec.flows_n, dec.flows_m, topo) == total
 
 
 def priced_decisions(topo):

@@ -159,10 +159,13 @@ def test_row1_v4_report_shape():
 
 def test_cost_delta_round_trips_through_flow_costs():
     report = scenario.run_scenario(scen("scale_out_v4.scn"))
+    assert report.cost_delta == report.forwarding_cost - report.baseline_cost
+    # the u(q) price and the arc walk agree to the 1e-12 of
+    # test_arc_walk_equals_the_unit_cost_price, not to the last bit
     dec = report.decision
     sc = scenario.load_scenario(scen("scale_out_v4.scn"))
-    recomputed = forwarding_cost_of(dec.flows_n, dec.flows_m, sc.topology)
-    assert recomputed - report.baseline_cost == report.cost_delta
+    walk = forwarding_cost_of(dec.flows_n, dec.flows_m, sc.topology)
+    assert report.forwarding_cost == pytest.approx(walk, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("name, lp_solves", [
@@ -386,6 +389,11 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
     assert "EXPECT FAILED: state normal" in capsys.readouterr().out
 
 
+# each name and each end of a range must be P followed by ASCII digits
+BAD_PM_NAMES = ["1-4", "PP1-PP4", "P1-4", "P+1-P4", "1", "PP1", "P+1",
+                "P\u0661", "P1-P\u0664"]
+
+
 @pytest.mark.parametrize("old, new, named", [
     ("[solver]", "[solvers]", "unknown section [solvers]"),
     ("k = 2", "k = four", "[topology] k = four"),
@@ -431,7 +439,9 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
     ("preset = overload:1", "preset = overload:1\ntraffic = 150",
      "case.scn: [event] needs exactly one of preset and traffic"),
     ("preset = overload:1", "", "case.scn: [event] needs exactly one of"),
-], ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
+] + [("candidates = P1-P4", "candidates = " + bad, "[group] candidates")
+     for bad in BAD_PM_NAMES],
+    ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
         "baseline", "gamma_nan", "capacity_nan", "costs_nan", "beta_nan",
         "baseline_inf", "vm_capacity_zero", "ingress_empty", "egress_empty",
         "preset_negative", "offline_negative", "unknown_section",
@@ -440,7 +450,8 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
         "vm_util_negative", "omega_negative", "pms_per_rack_zero",
         "costs_two", "costs_negative", "range_reversed", "pm_twice",
         "ranges_overlap", "vm_id_twice", "pair_twice", "key_twice",
-        "traffic_and_preset", "no_traffic"])
+        "traffic_and_preset", "no_traffic"]
+    + ["candidates_%r" % bad for bad in BAD_PM_NAMES])
 def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new, named):
     body = minimal().replace(old, new)
     assert body != minimal()

@@ -1,12 +1,15 @@
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 
 import pytest
 
 from vnfscale import topology as tp
+
+from oracle import reference_fat_tree
 
 
 def counts(k, pms_per_rack=2):
@@ -213,6 +216,47 @@ def test_node_positions_index_the_node_order():
         for i, v in enumerate(t.nodes):
             assert v in t and t.node_position(v) == i
         assert tp.NodeId(tp.PM, len(t.pms)) not in t
+
+
+@pytest.mark.parametrize("pms_per_rack", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_values_past_each_kind_are_not_nodes(k, pms_per_rack):
+    t = tp.build_fat_tree(k, pms_per_rack=pms_per_rack)
+    past = [tp.NodeId(tp.PM, k * k // 2 * pms_per_rack), tp.NodeId(tp.TOR, k * k // 2),
+            tp.NodeId(tp.AGG, k * k // 2), tp.NodeId(tp.CORE, (k // 2) ** 2)]
+    for v in past:
+        last = tp.NodeId(v.kind, v.index - 1)
+        assert last in t and t.nodes[t.node_position(last)] == last
+    for v in past + ["PM3", (tp.PM, 3)]:
+        assert v not in t
+        message = "^%s$" % re.escape(repr("node %s not in topology" % (v,)))
+        for call in (t.node_position, lambda v: tp.neighbors(t, v)):
+            with pytest.raises(KeyError, match=message):
+                call(v)
+
+
+COSTS = [(10.0, 20.0, 40.0), (0.0, 5.0, 0.0), (0.1, 0.2, 0.3)]
+
+
+@pytest.mark.parametrize("layer_costs", COSTS, ids=[repr(c) for c in COSTS])
+@pytest.mark.parametrize("pms_per_rack", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
+def test_closed_form_matches_the_wired_reference(k, pms_per_rack, layer_costs):
+    # the tree stores no links: neighbours, link costs and pods follow
+    # from the node indices and must equal the materialized wiring
+    t = tp.build_fat_tree(k, pms_per_rack, layer_costs)
+    ref = reference_fat_tree(k, pms_per_rack, layer_costs)
+    assert t.nodes == ref.nodes
+    assert [t.node_position(v) for v in ref.nodes] == [ref.order[v] for v in ref.nodes]
+    assert [tp.neighbors(t, v) for v in ref.nodes] == [ref.adj[v] for v in ref.nodes]
+    # every link in both directions and every PM's self-pair
+    assert len(ref.cost) == sum(map(len, ref.adj.values())) + len(t.pms)
+    for (i, j), cost in ref.cost.items():
+        assert tp.forwarding_cost(t, i, j) == cost
+    listing = "".join("%s %d %d %s\n" % (v.kind, v.index, ref.pod[v],
+                                          ",".join(str(u) for u in ref.adj[v]))
+                      for v in ref.nodes)
+    assert tp.topology_listing(t) == listing
 
 
 BAD_BUILDS = [
