@@ -1,9 +1,9 @@
 """Command line front end: run scenario files, size models, compare solvers.
 
-Exit codes: 0 success, 1 expectation failure, 2 parse or usage error,
-3 infeasible model, 4 solver gave no usable point (divergence, breakdown, no
-placement signal, or a branch-and-bound budget spent before any integral
-point).
+Exit codes: 0 success, 1 expectation failure, 2 parse or usage error (a
+file that cannot be read or written included), 3 infeasible model, 4
+solver gave no usable point (divergence, breakdown, no placement signal,
+or a branch-and-bound budget spent before any integral point).
 """
 
 import argparse
@@ -89,11 +89,11 @@ def main(argv=None):
                                     out_dir=args.out_dir)
         sys.stdout.write(report.text())
         return 0
-    except sc.ScenarioParseError as err:
+    except (sc.ScenarioParseError, OSError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
-    except FileNotFoundError as err:
-        sys.stderr.write("error: %s\n" % err)
+    except UnicodeDecodeError as err:
+        sys.stderr.write("error: %s is not UTF-8 text: %s\n" % (args.file, err))
         return 2
     except ModelInfeasibleError as err:
         sys.stderr.write("infeasible: %s\n" % err)

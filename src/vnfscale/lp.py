@@ -3,15 +3,16 @@
 LpModel is a registry of variables (name, bounds), a sparse linear
 objective and relational rows, added one at a time.  All rows live in
 one CSR kept as Python lists: add_row appends a coefficient dict.
-solve() loads those lists once into one HiGHS object per model (scipy's
-bundled HiGHS), each row in model order as a range of a x, then per call
-sets only the column bounds, with the variables a branch-and-bound node
-pins fixed at their values, and re-runs the dual simplex from a cold
-start.  RP-ADMM (`rpadmm._scaled`) reads the same lists; nothing builds
-a scipy matrix from them.  Every add_* call drops the HiGHS object;
-bounds stay out of it, so branch-and-bound nodes share one.  The dual
-simplex is deterministic for a fixed model and returns a basic (vertex)
-optimal point, which placement decoding relies on.
+solve() drives one HiGHS object per process (scipy's bundled HiGHS,
+made by the first solve with its options set once), loaded rowwise,
+passed again on a model switch, an add_* call or a rejection.  The load
+comes straight from those lists, each row in model order as a range of
+a x.  Per call solve() sets every column bound, with the variables a
+branch-and-bound node pins fixed at their values, and re-runs the dual
+simplex from a cold start.  RP-ADMM (`rpadmm._scaled`) reads the same
+lists; nothing builds a scipy matrix from them.  The dual simplex is
+deterministic for a fixed model and returns a basic (vertex) optimal
+point, which placement decoding relies on.
 """
 
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ class LpModel:
         self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
         self._rel, self._rhs = [], []
         self._labels = []       # row index -> label
-        self._highs = None
+        self._edited = True     # changed since HiGHS last took the model
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         if name in self._by_name:
@@ -81,7 +82,7 @@ class LpModel:
         self.lower.append(float(lo))
         self.upper.append(float(hi))
         self._by_name[name] = idx
-        self._highs = None
+        self._edited = True
         return idx
 
     @property
@@ -104,7 +105,7 @@ class LpModel:
         self._indices.extend(coeffs)
         self._data.extend(coeffs.values())
         self._indptr.append(len(self._indices))
-        self._highs = None
+        self._edited = True
         return len(self._rhs) - 1
 
     def add_objective(self, coeffs):
@@ -113,7 +114,7 @@ class LpModel:
             raise ValueError("objective references an unknown variable")
         for idx, c in coeffs.items():
             self.objective[idx] = self.objective.get(idx, 0.0) + float(c)
-        self._highs = None
+        self._edited = True
 
     @property
     def num_vars(self):
@@ -139,46 +140,56 @@ class LpModel:
     def objective_value(self, point):
         return sum((c * point[i] for i, c in self.objective.items()), 0.0)
 
+
+# the process's one HiGHS object, made by the first solve, and the model
+# it holds: a strong reference, so no other model can pass for it, and
+# None before the first load and after a rejected one
+_HIGHS = None
+_HELD = None
+
+
 def _load_highs(model):
-    """One HiGHS object holding the model's rows in model order, each as
-    a range: <= is (-inf, b), >= is (b, +inf) and = is (b, b).  The
-    columnwise arrays come straight from the model's CSR lists: one
-    stable sort on the column, explicit zeros kept.  None when HiGHS
-    rejects the model."""
-    n, m, nnz = model.num_vars, model.num_rows, len(model._data)
-    obj = model.objective
-    c = np.zeros(n)
-    c[np.fromiter(obj, int, len(obj))] = np.fromiter(obj.values(), float,
-                                                     len(obj))
-    data = np.fromiter(model._data, float, nnz)
-    b = np.fromiter(model._rhs, float, m)
-    if not (np.isfinite(c).all() and np.isfinite(data).all()
-            and np.isfinite(b).all()):
+    """Have the process's HiGHS object hold the model: one HiGHS object
+    per process, loaded rowwise, passed again on a model switch, an add_*
+    call or a rejection, else left as it is.  The load is the model's
+    CSR lists as they are, each row in model order as a range:
+    <= is (-inf, b), >= is (b, +inf) and = is (b, b).  HiGHS itself
+    turns the rows into columns and drops explicit zeros.  False when
+    HiGHS rejects the model."""
+    global _HIGHS, _HELD
+    if _HELD is model and not model._edited:
+        return True
+    n, rel, rhs = model.num_vars, model._rel, model._rhs
+    c = [0.0] * n
+    for i, v in model.objective.items():
+        c[i] = v
+    if not (np.isfinite(c).all() and np.isfinite(model._data).all()
+            and np.isfinite(rhs).all()):
         raise ValueError("%s: objective and rows must be finite" % model.name)
-    col = np.fromiter(model._indices, int, nnz)
-    order = np.argsort(col, kind="stable")
-    row = np.repeat(np.arange(m), np.diff(model._indptr))
-    rel = model._rel
+    if _HIGHS is None:
+        _HIGHS = highs._Highs()
+        for key, val in _OPTIONS.items():
+            _HIGHS.setOptionValue(key, val)
     hlp = highs.HighsLp()
     hlp.num_col_ = hlp.a_matrix_.num_col_ = n
-    hlp.num_row_ = hlp.a_matrix_.num_row_ = m
-    hlp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    hlp.num_row_ = hlp.a_matrix_.num_row_ = len(rhs)
+    hlp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
     # HighsLp copies these fields element by element, faster from a list
     # than from an ndarray
-    hlp.a_matrix_.start_ = [0] + np.cumsum(np.bincount(col, minlength=n)).tolist()
-    hlp.a_matrix_.index_ = row[order].tolist()
-    hlp.a_matrix_.value_ = data[order].tolist()
+    hlp.a_matrix_.start_ = model._indptr
+    hlp.a_matrix_.index_ = model._indices
+    hlp.a_matrix_.value_ = model._data
     hlp.col_cost_ = c
     hlp.col_lower_ = model.lower
     hlp.col_upper_ = model.upper
-    hlp.row_lower_ = [-np.inf if r == LE else v for r, v in zip(rel, model._rhs)]
-    hlp.row_upper_ = [np.inf if r == GE else v for r, v in zip(rel, model._rhs)]
-    h = highs._Highs()
-    for key, val in _OPTIONS.items():
-        h.setOptionValue(key, val)
-    if h.passModel(hlp) == highs.HighsStatus.kError:
-        return None
-    return h
+    hlp.row_lower_ = [-np.inf if r == LE else v for r, v in zip(rel, rhs)]
+    hlp.row_upper_ = [np.inf if r == GE else v for r, v in zip(rel, rhs)]
+    # a rejected load leaves HiGHS holding no model
+    _HELD = None
+    if _HIGHS.passModel(hlp) == highs.HighsStatus.kError:
+        return False
+    _HELD, model._edited = model, False
+    return True
 
 
 @dataclass
@@ -197,8 +208,9 @@ def solve(model, fixed=None):
 
     fixed maps a variable index to the value a branch-and-bound node pins
     it at; every other column keeps the model's bounds, and all solves
-    share the model's HiGHS object.  Infeasible and unbounded come back
-    as statuses; solver failures raise LpError.
+    of one model share its load into the process's HiGHS object.
+    Infeasible and unbounded come back as statuses; solver failures raise
+    LpError.
     """
     n = model.num_vars
     lo, hi = np.array((model.lower, model.upper), dtype=float)
@@ -208,13 +220,10 @@ def solve(model, fixed=None):
             raise ValueError("%s: a pinned index lies outside its %d variables"
                              % (model.name, n))
         lo[idx] = hi[idx] = np.fromiter(fixed.values(), float, len(fixed))
-    if model._highs is None:
-        h = _load_highs(model)
-        if h is None:
-            # HiGHS rejected the model, which linprog reports as infeasible
-            return LpSolution(INFEASIBLE, None, np.nan, model)
-        model._highs = h
-    h = model._highs
+    if not _load_highs(model):
+        # HiGHS rejected the model, which linprog reports as infeasible
+        return LpSolution(INFEASIBLE, None, np.nan, model)
+    h = _HIGHS
     h.changeColsBounds(n, np.arange(n), lo, hi)
     h.clearSolver()
     h.run()

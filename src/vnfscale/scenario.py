@@ -159,7 +159,7 @@ def parse_scenario(path):
     """Sections as {name: {"kv": {...}, "rows": [...]}}, checked lightly."""
     sections = {}
     current = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -148,6 +148,11 @@ def _locate(t, i):
     return rack, rack // (t.k // 2)
 
 
+def _node(t, kind, index):
+    """The tree's node of one kind and index."""
+    return t.nodes[t._span[kind][0] + index]
+
+
 def _nodes(t, kind, start, stop, step=1):
     """The tree's nodes of one kind with index in range(start, stop, step)."""
     first = t._span[kind][0]
@@ -209,7 +214,9 @@ def source_route(t, sources, q):
     """The links (node, next node) from PM q to its nearest source PM on
     the route `source_distances` prices; a source is its own link (q, q).
     The lowest source in q's rack is taken, else the lowest in its pod,
-    else the lowest of all, crossing switch 0 of each switch layer."""
+    else the lowest of all, crossing switch 0 of each switch layer.
+    Every node of the route is the tree's own NodeId."""
+    q = t.nodes[t.node_position(q)]
     if q in sources:
         return [(q, q)]
     rack, pod = _locate(t, q)
@@ -219,10 +226,11 @@ def source_route(t, sources, q):
         return 1 if r == rack else 2 if p == pod else 3
 
     s = min(sources, key=lambda s: (level(s), s.index))
+    s = t.nodes[t.node_position(s)]
     top, (r, p) = level(s), _locate(t, s)
     half = t.k // 2
-    up = [q, NodeId(TOR, rack), NodeId(AGG, pod * half), NodeId(CORE, 0)]
-    down = [s, NodeId(TOR, r), NodeId(AGG, p * half)]
+    up = [q, _node(t, TOR, rack), _node(t, AGG, pod * half), _node(t, CORE, 0)]
+    down = [s, _node(t, TOR, r), _node(t, AGG, p * half)]
     route = up[:top + 1] + down[top - 1::-1]
     return list(zip(route, route[1:]))
 

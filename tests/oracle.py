@@ -5,6 +5,12 @@ objective and rows as arrays, each row's coefficients in insertion order
 with explicit zeros kept.  No solver builds it; `system_csr` is the same
 for an RP-ADMM system's CSR arrays.
 
+The HiGHS loader as first written: one fresh HiGHS object per model,
+loaded columnwise by one stable sort of the CSR on the column, explicit
+zeros kept.  `lp.solve` loads the rows as they are into one HiGHS
+object per process, and every solve must give the status and the point
+bits of `reference_solve`.
+
 Brute force for the joint placement model: enumerates placement
 assignments directly and LP-solves the continuous part for each, so the
 branch-and-bound can be checked against an implementation that shares
@@ -67,6 +73,7 @@ import itertools
 from collections import namedtuple
 
 import numpy as np
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csr_array
 from scipy.sparse._base import _spbase
 
@@ -97,6 +104,44 @@ def export(model):
                    np.array(model._indptr, dtype=int)), shape=(m, n))
     return Matrices(c, a, np.array(model._rhs, dtype=float),
                     np.array(model._rel, dtype="<U2"))
+
+
+def reference_solve(model, fixed=None):
+    """`lp.solve` on its own fresh HiGHS object, the rows loaded as
+    columns: the same options, the same ranges for the rows, the pinned
+    bounds and a cold run."""
+    n, m, nnz = model.num_vars, model.num_rows, len(model._data)
+    mats = export(model)
+    col = np.fromiter(model._indices, int, nnz)
+    order = np.argsort(col, kind="stable")
+    row = np.repeat(np.arange(m), np.diff(model._indptr))
+    hlp = highs.HighsLp()
+    hlp.num_col_ = hlp.a_matrix_.num_col_ = n
+    hlp.num_row_ = hlp.a_matrix_.num_row_ = m
+    hlp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    hlp.a_matrix_.start_ = [0] + np.cumsum(np.bincount(col, minlength=n)).tolist()
+    hlp.a_matrix_.index_ = row[order].tolist()
+    hlp.a_matrix_.value_ = np.fromiter(model._data, float, nnz)[order].tolist()
+    hlp.col_cost_ = mats.c
+    hlp.col_lower_ = model.lower
+    hlp.col_upper_ = model.upper
+    hlp.row_lower_ = np.where(mats.rel == lp.LE, -np.inf, mats.b)
+    hlp.row_upper_ = np.where(mats.rel == lp.GE, np.inf, mats.b)
+    h = highs._Highs()
+    for key, val in lp._OPTIONS.items():
+        h.setOptionValue(key, val)
+    if h.passModel(hlp) == highs.HighsStatus.kError:
+        return lp.LpSolution(lp.INFEASIBLE, None, np.nan, model)
+    lo, hi = np.array((model.lower, model.upper), dtype=float)
+    for idx, val in (fixed or {}).items():
+        lo[idx] = hi[idx] = val
+    h.changeColsBounds(n, np.arange(n), lo, hi)
+    h.run()
+    status = lp._STATUS[h.getModelStatus()]
+    if status != lp.OPTIMAL:
+        return lp.LpSolution(status, None, np.nan, model)
+    return lp.LpSolution(status, np.array(h.getSolution().col_value),
+                         h.getObjectiveValue(), model)
 
 
 @functools.cache

@@ -12,7 +12,7 @@ from vnfscale import lp, milp, rpadmm
 
 from corpus import admm_fixture, k2_instance
 from oracle import check_feasibility, export, record_sparse_builds, \
-    scaled_model
+    reference_solve, scaled_model
 
 
 def small_model():
@@ -288,9 +288,47 @@ def test_solves_on_one_model_leave_no_state_behind():
     assert statuses == [lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL, lp.OPTIMAL]
 
 
+def test_solves_on_many_models_leave_no_state_behind():
+    """The process's one HiGHS object takes each model afresh when the
+    model changes, after an add_row and after a model it rejected: every
+    solve gives the status and the point bits of a fresh HiGHS object
+    loaded columnwise.  A rejection comes between two solves of one
+    model, so HiGHS left holding no model would show."""
+    a, _ = node_case("lp")
+    b, pins = node_case("milp0-b0=1-b4=0")
+    rejected = lp.LpModel("huge")
+    rejected.add_var("x", 0.0, 10.0)
+    rejected.add_row({0: 1e16}, ">=", 1.0)
+    infeasible = lp.LpModel("bad")
+    infeasible.add_var("x", 0.0, 1.0)
+    infeasible.add_row({0: 1.0}, ">=", 2.0)
+
+    def solved(model, fixed=None):
+        got, want = lp.solve(model, fixed), reference_solve(model, fixed)
+        assert got.status == want.status
+        assert (got.point is None) == (want.point is None)
+        if want.point is not None:
+            assert got.point.tobytes() == want.point.tobytes()
+        return got.status
+
+    statuses = [solved(a), solved(b, pins), solved(rejected), solved(a),
+                solved(rejected), solved(a)]
+    # a row added to the model HiGHS holds moves that model's optimum
+    capped = b.var("alpha[PM3,off1]")
+    assert lp.solve(b, pins).point[capped] > 0.1
+    b.add_row({capped: 1.0}, "<=", 0.1, "cap")
+    statuses += [solved(b, pins), solved(infeasible), solved(a)]
+    assert lp.solve(b, pins).point[capped] <= 0.1
+    assert statuses == [lp.OPTIMAL, lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL,
+                        lp.INFEASIBLE, lp.OPTIMAL, lp.OPTIMAL, lp.INFEASIBLE,
+                        lp.OPTIMAL]
+
+
 def spy_on_pass_model(monkeypatch):
-    """The HighsLp of every passModel call, as lp handed it to HiGHS
-    (HiGHS itself drops explicit zeros from what it holds)."""
+    """Make a spy the process's HiGHS object, built and set up by the
+    next solve, and return the HighsLp of every passModel call as it was
+    handed to HiGHS (HiGHS itself drops explicit zeros from what it
+    holds)."""
     passed = []
 
     class Spy(highs._Highs):
@@ -299,30 +337,55 @@ def spy_on_pass_model(monkeypatch):
             return super().passModel(hlp)
 
     monkeypatch.setattr(highs, "_Highs", Spy)
+    monkeypatch.setattr(lp, "_HIGHS", None)
+    monkeypatch.setattr(lp, "_HELD", None)
     return passed
+
+
+def held_csc(model):
+    """The model's CSC as HiGHS holds it after a solve: the rows turned
+    into columns, explicit zeros dropped."""
+    csc = export(model).a.tocsc()
+    csc.eliminate_zeros()
+    return csc
+
+
+def assert_held_matrix(csc):
+    held = lp._HIGHS.getLp().a_matrix_
+    assert held.format_ == highs.MatrixFormat.kColwise
+    assert list(held.start_) == csc.indptr.tolist()
+    assert list(held.index_) == csc.indices.tolist()
+    assert list(held.value_) == csc.data.tolist()
 
 
 @pytest.mark.parametrize("name", SOLVED + ["lift"] + list(NODES))
 def test_highs_holds_the_model_rows_in_order(name, monkeypatch):
-    """HiGHS gets the columnwise form of the model's CSR with the rows in
-    model order, each a range of a x: <= is (-inf, b), >= is (b, inf) and
-    = is (b, b).  A node's pins change column bounds only."""
+    """HiGHS gets the model's own CSR lists rowwise, each row in model
+    order as a range of a x: <= is (-inf, b), >= is (b, inf) and = is
+    (b, b).  After the solve it holds their columnwise form, explicit
+    zeros dropped.  A node's pins change column bounds only."""
     passed = spy_on_pass_model(monkeypatch)
     model, pins = node_case(name)
     lp.solve(model, pins)
-    [held] = passed
+    [handed] = passed
     mats = export(model)
-    csc = mats.a.tocsc()
-    assert list(held.a_matrix_.start_) == csc.indptr.tolist()
-    assert list(held.a_matrix_.index_) == csc.indices.tolist()
-    assert list(held.a_matrix_.value_) == csc.data.tolist()
-    assert list(held.row_lower_) == np.where(mats.rel == lp.LE, -np.inf,
-                                             mats.b).tolist()
-    assert list(held.row_upper_) == np.where(mats.rel == lp.GE, np.inf,
-                                             mats.b).tolist()
-    assert list(held.col_cost_) == mats.c.tolist()
-    assert list(held.col_lower_) == model.lower
-    assert list(held.col_upper_) == model.upper
+    assert handed.a_matrix_.format_ == highs.MatrixFormat.kRowwise
+    assert list(handed.a_matrix_.start_) == model._indptr
+    assert list(handed.a_matrix_.index_) == model._indices
+    assert list(handed.a_matrix_.value_) == model._data
+    assert list(handed.row_lower_) == np.where(mats.rel == lp.LE, -np.inf,
+                                               mats.b).tolist()
+    assert list(handed.row_upper_) == np.where(mats.rel == lp.GE, np.inf,
+                                               mats.b).tolist()
+    assert list(handed.col_cost_) == mats.c.tolist()
+    assert list(handed.col_lower_) == model.lower
+    assert list(handed.col_upper_) == model.upper
+    assert_held_matrix(held_csc(model))
+    held = lp._HIGHS.getLp()
+    assert list(held.row_lower_) == list(handed.row_lower_)
+    assert list(held.row_upper_) == list(handed.row_upper_)
+    assert list(zip(held.col_lower_, held.col_upper_)) == \
+        pinned_bounds(model, pins)
 
 
 # central models of either mode and the RP-ADMM lift: = rows only
@@ -336,13 +399,15 @@ EQUALITY_MODELS = {
 @pytest.mark.parametrize("name", list(EQUALITY_MODELS))
 def test_equality_models_load_as_linprog_loads_them(name, monkeypatch):
     """A model of = rows only, as every central model and the RP-ADMM
-    lift are, reaches HiGHS array for array as linprog hands it over."""
+    lift are, is held by HiGHS after the solve array for array as
+    linprog hands it over."""
     passed = spy_on_pass_model(monkeypatch)
     model = EQUALITY_MODELS[name]()
     assert set(model._rel) == {lp.EQ}
     dense_linprog(model, None)
     lp.solve(model)
-    theirs, ours = passed
+    theirs, _ = passed
+    ours = lp._HIGHS.getLp()
     for field in ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
                   "row_upper_", "a_matrix_.start_", "a_matrix_.index_",
                   "a_matrix_.value_"):
@@ -352,9 +417,10 @@ def test_equality_models_load_as_linprog_loads_them(name, monkeypatch):
 
 
 def test_highs_holds_mixed_rows_in_order_as_ranges(monkeypatch):
-    """Rows keep model order whatever their relation; within a column
-    they ascend.  The explicit zero stays an entry, and the column in no
-    row has an empty slice."""
+    """Rows keep model order whatever their relation and reach HiGHS as
+    written, the explicit zero an entry; after the solve each column's
+    rows ascend, the zero is gone and the column in no row has an empty
+    slice."""
     passed = spy_on_pass_model(monkeypatch)
     m = lp.LpModel("mixed")
     x = [m.add_var("x%d" % i, 0.0, 10.0) for i in range(4)]
@@ -366,14 +432,19 @@ def test_highs_holds_mixed_rows_in_order_as_ranges(monkeypatch):
     sol = lp.solve(m)
     assert sol.objective_value == pytest.approx(2.0)
     assert (sol.value("x0"), sol.value("x1")) == pytest.approx((1.0, 1.0))
-    [held] = passed
-    assert list(held.a_matrix_.start_) == [0, 3, 6, 9, 9]
-    assert list(held.a_matrix_.index_) == [0, 1, 3, 0, 2, 3, 1, 2, 3]
-    assert list(held.a_matrix_.value_) == [1.0, 1.0, 1.0, 2.0, -1.0, 1.0,
-                                           0.0, 4.0, 1.0]
-    assert list(held.row_lower_) == [3.0, 1.0, -np.inf, 0.5]
-    assert list(held.row_upper_) == [3.0, np.inf, 5.0, np.inf]
-    assert list(held.col_cost_) == [1.0, 1.0, 0.0, 1.0]
+    [handed] = passed
+    assert list(handed.a_matrix_.start_) == [0, 2, 4, 6, 9]
+    assert list(handed.a_matrix_.index_) == [1, 0, 0, 2, 2, 1, 0, 1, 2]
+    assert list(handed.a_matrix_.value_) == [2.0, 1.0, 1.0, 0.0, 4.0, -1.0,
+                                             1.0, 1.0, 1.0]
+    assert list(handed.row_lower_) == [3.0, 1.0, -np.inf, 0.5]
+    assert list(handed.row_upper_) == [3.0, np.inf, 5.0, np.inf]
+    assert list(handed.col_cost_) == [1.0, 1.0, 0.0, 1.0]
+    held = lp._HIGHS.getLp().a_matrix_
+    assert list(held.start_) == [0, 3, 6, 8, 8]
+    assert list(held.index_) == [0, 1, 3, 0, 2, 3, 2, 3]
+    assert list(held.value_) == [1.0, 1.0, 1.0, 2.0, -1.0, 1.0, 4.0, 1.0]
+    assert_held_matrix(held_csc(m))
 
 
 def test_highs_layout_of_a_model_without_rows(monkeypatch):
@@ -386,7 +457,10 @@ def test_highs_layout_of_a_model_without_rows(monkeypatch):
     assert sol.status == lp.OPTIMAL
     assert sol.point.tolist() == [0.0, -1.0]
     assert sol.objective_value == -1.0
-    [held] = passed
+    [handed] = passed
+    assert list(handed.a_matrix_.start_) == [0]
+    assert len(handed.a_matrix_.index_) == len(handed.row_upper_) == 0
+    held = lp._HIGHS.getLp()
     assert list(held.a_matrix_.start_) == [0, 0, 0]
     assert len(held.a_matrix_.index_) == len(held.row_upper_) == 0
 

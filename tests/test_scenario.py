@@ -464,6 +464,24 @@ def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new, named):
         assert "error: " in captured.err
 
 
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+@pytest.mark.parametrize("case", ["directory", "not_utf8", "out_dir_is_a_file"])
+def test_cli_unreadable_input_or_unwritable_output_is_exit_two(
+        tmp_path, capsys, verb, case):
+    path = write_scenario(tmp_path, minimal())
+    latin = tmp_path / "latin.scn"
+    latin.write_bytes(b"\xff\xfe[topology]\n")
+    argv, message = {
+        "directory": ([verb, str(tmp_path)], "Is a directory"),
+        "not_utf8": ([verb, str(latin)], "latin.scn is not UTF-8 text"),
+        "out_dir_is_a_file": ([verb, path, "--out-dir", path], "File exists"),
+    }[case]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
+
 @pytest.mark.parametrize("bad", ["four", "3", "0"])
 def test_cli_sweep_bad_k_is_usage_error(capsys, bad):
     with pytest.raises(SystemExit) as exc:

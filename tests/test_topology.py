@@ -9,7 +9,7 @@ import pytest
 
 from vnfscale import topology as tp
 
-from oracle import reference_fat_tree
+from oracle import reference_fat_tree, reference_shortest_path_tree
 
 
 def counts(k, pms_per_rack=2):
@@ -258,6 +258,24 @@ def test_closed_form_matches_the_wired_reference(k, pms_per_rack, layer_costs):
                       for v in ref.nodes)
     assert tp.topology_listing(t) == listing
 
+
+
+@pytest.mark.parametrize("pms_per_rack", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_routes_are_made_of_the_trees_own_nodes(k, pms_per_rack):
+    # routes keyed into flow dicts: each node is the tree's own NodeId,
+    # whichever equal copies q and the sources are given as
+    t = tp.build_fat_tree(k, pms_per_rack)
+    pms = t.pms
+    for sources in ([pms[0]], [pms[-1]], [pms[len(pms) // 2], pms[1]],
+                    pms[::pms_per_rack + 1]):
+        copies = [tp.NodeId(tp.PM, s.index) for s in sources]
+        ref = reference_shortest_path_tree(t, sources)
+        for q in pms:
+            route = tp.source_route(t, copies, tp.NodeId(tp.PM, q.index))
+            assert route == ref.hops(q)
+            for v in (v for link in route for v in link):
+                assert v is t.nodes[t.node_position(v)]
 
 BAD_BUILDS = [
     ((3,), ValueError, "positive even integer, got 3$"),
