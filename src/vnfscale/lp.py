@@ -1,8 +1,11 @@
 """Sparse linear-program container and exact solver.
 
 LpModel is a registry of variables (name, bounds), a sparse linear
-objective and relational rows, added one at a time.  All rows live in
-one CSR kept as Python lists: add_row appends a coefficient dict.
+objective and relational rows, appended in blocks (add_vars, add_rows;
+add_var and add_row append one).  A name given twice, an empty bound
+interval, a bad relation or a row naming an unknown variable or one
+variable twice rejects the whole block, the first fault named, and the
+model stays as it was.  All rows live in one CSR kept as Python lists.
 solve() drives one HiGHS object per process (scipy's bundled HiGHS,
 made by the first solve with its options set once), loaded rowwise,
 passed again on a model switch, an add_* call or a rejection.  The load
@@ -15,6 +18,7 @@ deterministic for a fixed model and returns a basic (vertex) optimal
 point, which placement decoding relies on.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +77,31 @@ class LpModel:
         self._edited = True     # changed since HiGHS last took the model
 
     def add_var(self, name, lo=0.0, hi=np.inf):
-        if name in self._by_name:
-            raise ValueError("duplicate variable %r" % name)
-        if not lo <= hi:
-            raise ValueError("empty bound interval for %r" % name)
-        idx = len(self._names)
-        self._names.append(name)
-        self.lower.append(float(lo))
-        self.upper.append(float(hi))
-        self._by_name[name] = idx
+        return self.add_vars([name], [lo], [hi])
+
+    def add_vars(self, names, lower, upper):
+        """Append variables names[i] on [lower[i], upper[i]]; returns the
+        index of the first."""
+        first = len(self._names)
+        lower, upper = list(map(float, lower)), list(map(float, upper))
+        new = dict(zip(names, range(first, first + len(names))))
+        if not len(names) == len(lower) == len(upper):
+            raise ValueError("malformed variable block")
+        if len(new) < len(names) or not self._by_name.keys().isdisjoint(new) \
+                or not all(map(operator.le, lower, upper)):
+            seen = set(self._by_name)
+            for name, lo, hi in zip(names, lower, upper):
+                if name in seen:
+                    raise ValueError("duplicate variable %r" % name)
+                if not lo <= hi:
+                    raise ValueError("empty bound interval for %r" % name)
+                seen.add(name)
+        self._names += names
+        self.lower += lower
+        self.upper += upper
+        self._by_name.update(new)
         self._edited = True
-        return idx
+        return first
 
     @property
     def var_names(self):
@@ -93,27 +111,47 @@ class LpModel:
         return self._by_name[name]
 
     def add_row(self, coeffs, rel, rhs, label=""):
+        return self.add_rows(rel, [0, len(coeffs)], list(coeffs),
+                             list(coeffs.values()), [rhs], [label])
+
+    def add_rows(self, rel, ptr, cols, vals, rhs, labels):
+        """Append rows `sum of vals[k] * x[cols[k]] over ptr[t] <= k <
+        ptr[t+1]`, rel rhs[t], labelled labels[t] (ptr[0] is 0); returns
+        the index of the first."""
         if rel not in (EQ, LE, GE):
             raise ValueError("bad relation %r" % rel)
-        n = self.num_vars
-        for idx in coeffs:
-            if not (0 <= idx < n):
-                raise ValueError("row %r references unknown variable %d" % (label, idx))
-        self._rhs.append(float(rhs))
-        self._rel.append(rel)
-        self._labels.append(label)
-        self._indices.extend(coeffs)
-        self._data.extend(coeffs.values())
-        self._indptr.append(len(self._indices))
+        if not (ptr[0] == 0 and ptr[-1] == len(cols) == len(vals)
+                and len(rhs) == len(labels) == len(ptr) - 1):
+            raise ValueError("malformed row block")
+        n, rows = self.num_vars, map(cols.__getitem__, map(slice, ptr, ptr[1:]))
+        # an unknown column, or a row with fewer distinct columns than entries
+        if cols and not (0 <= min(cols) and max(cols) < n) or \
+                list(map(len, map(set, rows))) != list(map(operator.sub, ptr[1:], ptr)):
+            for lo, hi, label in zip(ptr, ptr[1:], labels):
+                seen = set()
+                for idx in cols[lo:hi]:
+                    if not 0 <= idx < n:
+                        raise ValueError("row %r references unknown variable %d"
+                                         % (label, idx))
+                    if idx in seen:
+                        raise ValueError("row %r names variable %d twice" % (label, idx))
+                    seen.add(idx)
+        first, base = len(self._rhs), len(self._indices)
+        self._rhs += map(float, rhs)
+        self._rel += [rel] * len(rhs)
+        self._labels += labels
+        self._indices += cols
+        self._data += vals
+        self._indptr += [base + k for k in ptr[1:]]
         self._edited = True
-        return len(self._rhs) - 1
+        return first
 
     def add_objective(self, coeffs):
-        n = self.num_vars
-        if not all(0 <= idx < n for idx in coeffs):
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < self.num_vars):
             raise ValueError("objective references an unknown variable")
+        obj = self.objective
         for idx, c in coeffs.items():
-            self.objective[idx] = self.objective.get(idx, 0.0) + float(c)
+            obj[idx] = obj.get(idx, 0.0) + float(c)
         self._edited = True
 
     @property
@@ -127,15 +165,6 @@ class LpModel:
     def row_labels(self):
         """Every row's label in row order."""
         return list(self._labels)
-
-    @property
-    def rows(self):
-        """Every row as a (coeffs dict, rel, rhs, label) tuple: a
-        read-only view built on each read."""
-        ptr, cols, vals = self._indptr, self._indices, self._data
-        return tuple((dict(zip(cols[lo:hi], vals[lo:hi])), rel, rhs, label)
-                     for lo, hi, rel, rhs, label
-                     in zip(ptr, ptr[1:], self._rel, self._rhs, self._labels))
 
     def objective_value(self, point):
         return sum((c * point[i] for i, c in self.objective.items()), 0.0)

@@ -29,6 +29,7 @@ best-bound re-sort of the open list every 16 nodes.  Each node hands
 `lp.solve` only the binaries it pins.  Deterministic.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -76,70 +77,66 @@ def build_milp(p):
 
     Online VMs may sit on (or migrate to) any PM; offline VMs only on the
     group's candidate PMs.  A share is priced by its shortest-path cost.
-    """
+    Each VM's (b, alpha) pairs come in PM order, online VMs first, and
+    each row family is one block."""
     group = p.group
     if not group.online:
         raise ValueError("group has no online VM")
     topo = p.topology
     model = lp.LpModel("milp")
-
+    vms = [*group.online, *group.offline_pool]
     online_ids = [vm.id for vm in group.online]
     offline_ids = [vm.id for vm in group.offline_pool]
-    keys = online_ids + offline_ids
 
-    placeable = {}
-    for vm in group.online:
-        placeable[vm.id] = list(topo.pms)
-    for vm in group.offline_pool:
-        placeable[vm.id] = list(group.candidate_pms)
-
-    cap = p.share_cap
-    b_idx, alpha_idx, binaries = {}, {}, []
-    for j in keys:
-        for q in placeable[j]:
-            b_idx[(q, j)] = model.add_var("b[%s,%s]" % (q, j), 0.0, 1.0)
-            binaries.append(b_idx[(q, j)])
-            alpha_idx[(q, j)] = model.add_var("alpha[%s,%s]" % (q, j), 0.0, cap)
-
+    cap, pen, capped = p.share_cap, p.penalties, p.capped
+    names, tags, b_idx, alpha_idx, at, own, cost = [], [], {}, {}, {}, [], []
+    for k, vm in enumerate(vms):
+        online = k < len(online_ids)
+        pms = topo.pms if online else group.candidate_pms
+        own.append(range(len(names), len(names) + 2 * len(pms), 2))
+        for i, q in zip(own[-1], pms):
+            b_idx[(q, vm.id)], alpha_idx[(q, vm.id)] = i, i + 1
+            at.setdefault(q.index, []).append((vm, i))
+            tags.append("%s,%s" % (q, vm.id))
+            names += ("b[%s]" % tags[-1], "alpha[%s]" % tags[-1])
+        cost += [p.weights.deployment * (-pen.retain if online else pen.activate)] * len(pms)
+    binaries, alphas = list(b_idx.values()), list(alpha_idx.values())
+    model.add_vars(names, [0.0] * len(names), [1.0, cap] * len(binaries))
     # objective: weighted deployment penalties plus forwarding cost
-    w1, w2 = p.weights.deployment, p.weights.forwarding
-    pen = p.penalties
-    offline = set(offline_ids)
-    obj = {}
-    for (q, j), idx in b_idx.items():
-        obj[idx] = w1 * (pen.activate if j in offline else -pen.retain)
-    scale = p.traffic * w2
-    for (q, j), idx in alpha_idx.items():
-        obj[idx] = scale * p.unit_cost(q)
-    model.add_objective(obj)
+    scale, u = p.traffic * p.weights.forwarding, p.unit_costs
+    model.add_objective(dict(zip(binaries, cost)) | {
+        i: scale * u[q.index] for (q, _), i in alpha_idx.items()})
 
     # share requires placement and placement requires a minimum share
-    for (q, j), idx in alpha_idx.items():
-        bi = b_idx[(q, j)]
-        model.add_row({idx: 1.0, bi: -cap}, "<=", 0.0, "couple_hi[%s,%s]" % (q, j))
-        model.add_row({bi: p.epsilon, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
+    m = len(binaries)
+    model.add_rows(lp.LE, range(0, 4 * m + 1, 2),
+                   [j for i in binaries for j in (i + 1, i, i, i + 1)],
+                   [1.0, -cap, p.epsilon, -1.0] * m, [0.0] * (2 * m),
+                   [f % t for t in tags for f in ("couple_hi[%s]", "couple_lo[%s]")])
 
-    model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
+    model.add_rows(lp.EQ, [0, m], alphas, [1.0] * m, [1.0], ["coverage"])
     # at least ceil(1 / cap) VMs carry the traffic, with the share-cap
     # tolerance of scaling._placement_slots; at cap 0 coverage alone is
     # infeasible
     need = math.ceil((1.0 - 1e-9) / cap) if cap > 0 else 1
-    model.add_row({idx: 1.0 for idx in binaries}, ">=", need, "cover")
+    model.add_rows(lp.GE, [0, m], binaries, [1.0] * m, [need], ["cover"])
 
     # placed VMs must fit the PM's resources
-    members = {vm.id: vm for vm in list(group.online) + list(group.offline_pool)}
+    ptr, cols, vals, rhs, labels = [0], [], [], [], []
     for q in topo.pms:
-        for r in p.capped:
-            coeffs = {b_idx[(q, j)]: members[j].capacity[r]
-                      for j in keys if (q, j) in b_idx}
-            if coeffs:
-                model.add_row(coeffs, "<=", p.pm_capacity[r][q],
-                              "capacity[%s,%s]" % (q, r))
+        here = at.get(q.index)
+        for r in capped if here else ():
+            cols += [i for _, i in here]
+            vals += [vm.capacity[r] for vm, _ in here]
+            ptr.append(len(cols))
+            rhs.append(p.pm_capacity[r][q])
+            labels.append("capacity[%s,%s]" % (q, r))
+    model.add_rows(lp.LE, ptr, cols, vals, rhs, labels)
 
-    for j in keys:
-        coeffs = {b_idx[(q, j)]: 1.0 for q in placeable[j]}
-        if coeffs:
-            model.add_row(coeffs, "<=", 1.0, "one_host[%s]" % (j,))
+    held = [(vm, b) for vm, b in zip(vms, own) if b]
+    model.add_rows(lp.LE, [0, *itertools.accumulate(len(b) for _, b in held)],
+                   [i for _, b in held for i in b], [1.0] * m, [1.0] * len(held),
+                   ["one_host[%s]" % (vm.id,) for vm, _ in held])
 
     return MilpProblem(base=model, binaries=binaries, problem=p,
                        b_idx=b_idx, alpha_idx=alpha_idx, online_ids=online_ids,

@@ -29,23 +29,27 @@ new placements cannot exceed its free instance slots.  Without these
 rows the optimum piles every instance onto the single cheapest PM and
 the decode degenerates.
 
-Each capacity fact is worked out once per problem.  The per-VM capacity
-u_r is `VnfGroup.vm_capacity(r)`.  `ScalingProblem.launch_slots` lists
-the launch PMs in node order: the candidate PMs with room for at least
-one new VM, each with its free slots, floor((free_r + 1e-12) / u_r) at
-the fewest over the capped resources.  The new slots, the room check and
-decode's slot supply all read that table.  The baseline is priced on the
-problem itself, with the share cap taken at the baseline traffic.
+Each capacity fact is worked out once per problem: u_r per resource
+(`ScalingProblem.vm_caps`), and the online VMs and the free capacity of
+each PM by PM index (`free_by_index`).  `launch_slots` lists the launch
+PMs in node order: the candidate PMs with room for at least one new VM,
+each with its free slots, floor((free_r + 1e-12) / u_r) at the fewest
+over the capped resources.  The new slots, the room check and decode's
+slot supply all read that table.  The builder groups the interests by
+PM index to emit each capacity row family as one block.  The baseline
+is priced on the problem itself, with the share cap at the baseline
+traffic.
 """
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
-from .topology import pm_name, source_distances, source_route
+from .topology import PM, pm_name, source_distances, source_route
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -157,6 +161,11 @@ class ScalingProblem:
         """The group's resources that have a per-PM capacity table."""
         return [r for r in self.group.omega if r in (self.pm_capacity or ())]
 
+    @cached_property
+    def vm_caps(self):
+        """u_r (`VnfGroup.vm_capacity`) per resource, worked out once."""
+        return {r: self.group.vm_capacity(r) for r in self.group.omega}
+
     def share_cap_at(self, traffic):
         """Largest share of `traffic` one instance may take: min over
         resources of u_r / (omega_r * traffic), further capped by phi."""
@@ -165,7 +174,7 @@ class ScalingProblem:
             return cap
         for r, w in self.group.omega.items():
             if w > 0:
-                cap = min(cap, self.group.vm_capacity(r) / (w * traffic))
+                cap = min(cap, self.vm_caps[r] / (w * traffic))
         return cap
 
     @property
@@ -174,19 +183,20 @@ class ScalingProblem:
         return self.share_cap_at(self.traffic)
 
     @cached_property
-    def _online_counts(self):
-        counts = {}
-        for vm in self.group.online:
-            counts[vm.host] = counts.get(vm.host, 0) + 1
-        return counts
+    def _online_counts(self):      # PM index -> online VMs of the group
+        return Counter(vm.host.index for vm in self.group.online)
 
     def online_count(self, p):
         """Online VMs of the group on PM p, counted on the first call."""
-        return self._online_counts.get(p, 0)
+        return self._online_counts.get(p.index, 0) if p.kind == PM else 0
 
-    def free_capacity(self, q, r):
-        """Resource r left on PM q by the group's online VMs there."""
-        return max(0.0, self.pm_capacity[r][q] - self.group.vm_capacity(r) * self.online_count(q))
+    @cached_property
+    def free_by_index(self):
+        """{r: {PM index: r left on the PM by the group's online VMs}}
+        per capped resource, worked out on the first read."""
+        n = self._online_counts
+        return {r: {q.index: max(0.0, c - self.vm_caps[r] * n.get(q.index, 0))
+                    for q, c in self.pm_capacity[r].items()} for r in self.capped}
 
     @cached_property
     def launch_slots(self):
@@ -195,14 +205,13 @@ class ScalingProblem:
         kept.  Per capped resource r a PM fits floor((free + 1e-12) / u_r)
         new VMs, so a PM short of a whole VM by float error takes it; with
         no capped resource every candidate fits any number (inf)."""
-        vm_cap = {r: max(self.group.vm_capacity(r), 1e-30) for r in self.capped}
-        table = {}
-        for q in sorted(self.group.candidate_pms, key=self.topology.node_position):
-            room = min((int((self.free_capacity(q, r) + 1e-12) // u)
-                        for r, u in vm_cap.items()), default=math.inf)
-            if room >= 1:
-                table[q] = room
-        return table
+        cands = sorted(self.group.candidate_pms, key=self.topology.node_position)
+        rooms = [math.inf] * len(cands)
+        for r in self.capped:
+            free, u = self.free_by_index[r], max(self.vm_caps[r], 1e-30)
+            rooms = [min(room, int((free[q.index] + 1e-12) // u))
+                     for q, room in zip(cands, rooms)]
+        return {q: room for q, room in zip(cands, rooms) if room >= 1}
 
     def relative_cost_delta(self, cost):
         """(cost - baseline cost) / baseline cost, or None without a
@@ -214,7 +223,7 @@ class ScalingProblem:
 
 def uniform_capacity(topo, caps):
     """Expand {resource: value} into per-PM capacity tables."""
-    return {r: {p: float(v) for p in topo.pms} for r, v in caps.items()}
+    return {r: dict.fromkeys(topo.pms, float(v)) for r, v in caps.items()}
 
 
 class _Layout:
@@ -260,79 +269,76 @@ def _placement_slots(p):
         hosts = tuple(sorted(set(p.group.host_pms), key=order))
         slots = [InstanceSlot("d%d" % (i + 1), None, None, hosts)
                  for i in range(p.v_star)]
-    rel_pms = sorted(dict.fromkeys(q for s in slots for q in s.candidates), key=order)
+    rel_pms = sorted({q.index: q for s in slots for q in s.candidates}.values(), key=order)
     return slots, rel_pms
 
 
-def _share_and_interest_vars(p, model, slots, share_pms):
-    """Per slot, a share variable at each of share_pms and an interest
-    variable at each candidate; returns the (PM, key) -> var maps."""
-    cap = p.share_cap
-    alpha_idx, e_idx = {}, {}
-    for s in slots:
-        for q in share_pms:
-            alpha_idx[(q, s.key)] = model.add_var("alpha[%s,%s]" % (q, s.key), 0.0, cap)
-        for q in s.candidates:
-            e_idx[(q, s.key)] = model.add_var("e[%s,%s]" % (q, s.key), 0.0, 1.0)
-    return alpha_idx, e_idx
-
-
-def _interest_rows(model):
-    """One row per slot: its interests sum to its share, read at the
-    first relevant PM."""
-    lay = model.layout
-    for s in lay.slots:
-        coeffs = {lay.e_idx[(c, s.key)]: 1.0 for c in s.candidates}
-        coeffs[lay.alpha_idx[(lay.rel_pms[0], s.key)]] = -1.0
-        model.add_row(coeffs, "=", 0.0, "interest[%s]" % s.key)
-
-
-def _capacity_rows(p, model):
-    """Every unit of interest must be backed by capacity on the PM (and,
-    in overload, by a free slot); in underload each host keeps at most
-    its online VMs."""
-    lay = model.layout
-    slots, rel_pms, e_idx = lay.slots, lay.rel_pms, lay.e_idx
-    vm_cap = {r: p.group.vm_capacity(r) for r in p.capped}
-    for q in rel_pms:
-        here = [s for s in slots if (q, s.key) in e_idx]
-        for r in vm_cap:
-            coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
-            slack = model.add_var("cap_slack[%s,%s]" % (q, r))
-            lay.slack_idx[("cap", q, r)] = slack
-            coeffs[slack] = 1.0
-            model.add_row(coeffs, "=", p.pm_capacity[r][q], "cap[%s,%s]" % (q, r))
-    if p.mode == OVERLOAD:
-        for q in rel_pms:
-            newer = [s for s in slots if s.vm_id is None and (q, s.key) in e_idx]
-            for r in vm_cap:
-                coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
-                slack = model.add_var("slot_slack[%s,%s]" % (q, r))
-                lay.slack_idx[("slots", q, r)] = slack
-                coeffs[slack] = 1.0
-                model.add_row(coeffs, "=", p.free_capacity(q, r), "slots[%s,%s]" % (q, r))
-    else:
-        for q in rel_pms:
-            coeffs = {e_idx[(q, s.key)]: 1.0 for s in slots if (q, s.key) in e_idx}
-            slack = model.add_var("keep_slack[%s]" % (q,))
-            lay.slack_idx[("keep", q)] = slack
-            coeffs[slack] = 1.0
-            model.add_row(coeffs, "=", float(p.online_count(q)), "keep[%s]" % (q,))
+def _slack_rows(model, family, slack, rows):
+    """Append a block of rows family[tag], one per (key, tag, columns,
+    coefficient, rhs): the coefficient on each column plus a new slack
+    slack[tag] at 1.0, = rhs, keyed (family, *key) in slack_idx."""
+    first, n = model.num_vars, len(rows)
+    model.add_vars(["%s[%s]" % (slack, row[1]) for row in rows], [0.0] * n,
+                   [math.inf] * n)
+    ptr, cols, vals = [0], [], []
+    for i, (key, _, columns, coef, _) in enumerate(rows, first):
+        model.layout.slack_idx[(family, *key)] = i
+        cols += [*columns, i]
+        vals += [coef] * len(columns) + [1.0]
+        ptr.append(len(cols))
+    model.add_rows(lp.EQ, ptr, cols, vals, [row[4] for row in rows],
+                   ["%s[%s]" % (family, row[1]) for row in rows])
 
 
 def _build_relaxation(p):
     """The relaxation over shares and interests: a unit of interest at q
     costs T * w_fwd * u(q), its shortest-path cost, so no flow variable
-    is needed (see the module docstring)."""
+    is needed (see the module docstring).  Each row family is one block.
+    Interest needs capacity on its PM (in overload, a free slot too); in
+    underload each host keeps at most its online VMs."""
     slots, rel_pms = _placement_slots(p)
     model = lp.LpModel("%s_lp" % p.mode)
-    alpha_idx, e_idx = _share_and_interest_vars(p, model, slots, rel_pms[:1])
-    scale = p.traffic * p.weights.forwarding
-    model.add_objective({i: scale * p.unit_cost(q) for (q, _), i in e_idx.items()})
+    name = {q.index: str(q) for q in rel_pms}
+    q0, cap = rel_pms[0], p.share_cap
+    names, upper, alpha_idx, e_idx = [], [], {}, {}
+    at = {i: [] for i in name}          # PM index -> [(slot, e var)]
+    ptr, cols, vals = [0], [], []       # the interest rows
+    for s in slots:
+        alpha_idx[(q0, s.key)] = a = len(names)
+        names.append("alpha[%s,%s]" % (name[q0.index], s.key))
+        for i, q in enumerate(s.candidates, a + 1):
+            e_idx[(q, s.key)] = i
+            at[q.index].append((s, i))
+            names.append("e[%s,%s]" % (name[q.index], s.key))
+        upper += [cap] + [1.0] * len(s.candidates)
+        cols += [*range(a + 1, len(names)), a]
+        vals += [1.0] * len(s.candidates) + [-1.0]
+        ptr.append(len(cols))
+    model.add_vars(names, [0.0] * len(names), upper)
+    scale, unit = p.traffic * p.weights.forwarding, p.unit_costs
+    model.add_objective({i: scale * unit[q.index] for (q, _), i in e_idx.items()})
     model.layout = _Layout(p, slots, rel_pms, alpha_idx, e_idx)
-    _interest_rows(model)
-    model.add_row(dict.fromkeys(alpha_idx.values(), 1.0), "=", 1.0, "coverage")
-    _capacity_rows(p, model)
+    model.add_rows(lp.EQ, ptr, cols, vals, [0.0] * len(slots),
+                   ["interest[%s]" % s.key for s in slots])
+    alphas = list(alpha_idx.values())
+    model.add_rows(lp.EQ, [0, len(alphas)], alphas, [1.0] * len(alphas), [1.0],
+                   ["coverage"])
+
+    capped = p.capped
+    if capped:
+        _slack_rows(model, "cap", "cap_slack", [
+            ((q, r), "%s,%s" % (name[q.index], r), [i for _, i in at[q.index]],
+             p.traffic * p.group.omega[r], p.pm_capacity[r][q])
+            for q in rel_pms for r in capped])
+    if p.mode == UNDERLOAD:
+        _slack_rows(model, "keep", "keep_slack", [
+            ((q,), name[q.index], [i for _, i in at[q.index]], 1.0,
+             float(p.online_count(q))) for q in rel_pms])
+    elif capped:
+        _slack_rows(model, "slots", "slot_slack", [
+            ((q, r), "%s,%s" % (name[q.index], r),
+             [i for s, i in at[q.index] if s.vm_id is None], p.vm_caps[r],
+             p.free_by_index[r][q.index]) for q in rel_pms for r in capped])
     return model
 
 

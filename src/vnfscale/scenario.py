@@ -94,9 +94,9 @@ def parse_pm(token, topo=None):
 
 
 def parse_pm_list(text, topo=None):
-    """'P1 P3-P5' -> those PMs in order; each end of a range is a PM name,
-    and a reversed range or a PM named twice is an error."""
-    out = []
+    """'P1 P3-P5' -> those PMs in order; each end of a range is a PM name.
+    A reversed range is an error, and so, once all names parse, a repeat."""
+    n, out = len(topo.pms) if topo is not None else math.inf, []
     for token in text.split():
         if "-" in token[1:]:
             ends = [_PM_NAME.fullmatch(end) for end in token.split("-", 1)]
@@ -105,15 +105,18 @@ def parse_pm_list(text, topo=None):
             lo, hi = (int(end[1]) for end in ends)
             if lo > hi:
                 raise ScenarioParseError("reversed PM range %r" % token)
-            out.extend(parse_pm("P%d" % i, topo) for i in range(lo, hi + 1))
+            for end in (lo, min(hi, n + 1)):    # the first PM outside the tree
+                parse_pm("P%d" % end, topo)
+            out += range(lo - 1, hi)
         else:
-            out.append(parse_pm(token, topo))
-    seen = set()
-    for q in out:
-        if q in seen:
-            raise ScenarioParseError("%s named twice" % pm_name(q))
-        seen.add(q)
-    return out
+            out.append(parse_pm(token, topo).index)
+    if len(set(out)) < len(out):
+        seen = set()
+        for i in out:
+            if i in seen:
+                raise ScenarioParseError("P%d named twice" % (i + 1))
+            seen.add(i)
+    return [topo.pms[i] for i in out] if topo else [NodeId(PM, i) for i in out]
 
 
 def _number(text, kind=float, at_least=None, above=None):
@@ -156,40 +159,41 @@ def _thresholds(text, resources):
 
 
 def parse_scenario(path):
-    """Sections as {name: {"kv": {...}, "rows": [...]}}, checked lightly."""
+    """Sections as {name: {"kv": {...}, "rows": [...]}}, checked lightly.
+    A byte-order mark is dropped; only a line feed ends a line."""
     sections = {}
     current = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = "%s:%d" % (path, lineno)
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                if current not in SECTION_KEYS:
-                    raise ScenarioParseError(
-                        "%s unknown section [%s]" % (where, current))
-                if current in sections:
-                    raise ScenarioParseError(
-                        "%s duplicate section [%s]" % (where, current))
-                sections[current] = {"kv": {}, "rows": []}
-            elif current is None:
-                raise ScenarioParseError("%s content before any section" % where)
-            elif "=" in line:
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key not in SECTION_KEYS[current]:
-                    raise ScenarioParseError(
-                        "%s [%s] has no key %r" % (where, current, key))
-                if key in sections[current]["kv"]:
-                    raise ScenarioParseError(
-                        "%s [%s] %s given twice" % (where, current, key))
-                sections[current]["kv"][key] = val
-            elif current != "vms":
-                raise ScenarioParseError(
-                    "%s bare row %r outside [vms]" % (where, line))
-            else:
-                sections[current]["rows"].append(line.split())
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+
+    def error(message):
+        return ScenarioParseError("%s:%d %s" % (path, lineno, message))
+
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            current = line[1:-1].strip()
+            if current not in SECTION_KEYS:
+                raise error("unknown section [%s]" % current)
+            if current in sections:
+                raise error("duplicate section [%s]" % current)
+            kv, rows = {}, []
+            sections[current] = {"kv": kv, "rows": rows}
+        elif current is None:
+            raise error("content before any section")
+        elif "=" in line:
+            key, val = (s.strip() for s in line.split("=", 1))
+            if key not in SECTION_KEYS[current]:
+                raise error("[%s] has no key %r" % (current, key))
+            if key in kv:
+                raise error("[%s] %s given twice" % (current, key))
+            kv[key] = val
+        elif current != "vms":
+            raise error("bare row %r outside [vms]" % line)
+        else:
+            rows.append(line.split())
     for required in ("topology", "group", "vms", "event", "solver"):
         if required not in sections:
             raise ScenarioParseError("%s: missing [%s] section" % (path, required))
@@ -221,8 +225,11 @@ def load_scenario(path, overrides=None):
         text = sec.get(section, {"kv": {}})["kv"].get(key, default)
         if text is None:
             raise ScenarioParseError("%s: [%s] needs %s" % (path, section, key))
-        with _bad_values_named("%s: [%s] %s = %s" % (path, section, key, text)):
+        try:
             return convert(text)
+        except ValueError as err:
+            raise ScenarioParseError("%s: [%s] %s = %s: %s"
+                                     % (path, section, key, text, err)) from None
 
     def integer(text):
         return _number(text, int)

@@ -35,9 +35,10 @@ DEFAULT_LAYER_COSTS = (10.0, 20.0, 40.0)  # (pm_tor, tor_agg, agg_core)
 class NodeId:
     """A node handle: kind plus index unique within that kind.
 
-    Every model keys its dicts and sets by NodeId, so the hash is computed
-    once, from ints only: the same value in every process, where a string
-    hash is randomized per process.  A NodeId equals only a NodeId."""
+    Public maps key by NodeId (the set-up's own tables by PM index), so
+    the hash is computed once, from ints only: the same in every process,
+    where a string hash is randomized per process.  A NodeId equals only
+    a NodeId."""
 
     kind: str
     index: int

@@ -33,6 +33,13 @@ arc, with arrival, conservation, processing and endpoint-total rows.
 and every MILP decision, with its flows routed on shortest paths, must
 be a feasible optimal point of `reference_flow_milp`.
 
+The central relaxation and the joint MILP as first assembled: variable
+by variable and row by row through `add_var` and `add_row`, each
+capacity fact worked out from the group where it is read.
+`scaling._build_relaxation` and `milp.build_milp` append the same
+variables and rows in blocks, from facts kept by PM index, and must
+build byte-identical models and maps.
+
 The central relaxation as first written: per-instance flow variables on
 every arc, conservation, processing and endpoint-total rows, share
 equalities over every pair of relevant PMs and one interest row per
@@ -70,6 +77,7 @@ import dataclasses
 import functools
 import heapq
 import itertools
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -104,6 +112,15 @@ def export(model):
                    np.array(model._indptr, dtype=int)), shape=(m, n))
     return Matrices(c, a, np.array(model._rhs, dtype=float),
                     np.array(model._rel, dtype="<U2"))
+
+
+def row_dicts(model):
+    """Every row of an `LpModel` as a (coeffs dict, rel, rhs, label)
+    tuple."""
+    ptr, cols, vals = model._indptr, model._indices, model._data
+    return tuple((dict(zip(cols[lo:hi], vals[lo:hi])), rel, rhs, label)
+                 for lo, hi, rel, rhs, label
+                 in zip(ptr, ptr[1:], model._rel, model._rhs, model._labels))
 
 
 def reference_solve(model, fixed=None):
@@ -308,7 +325,7 @@ def without_rows(mp, family):
     for name, lo, hi in zip(mp.base.var_names, mp.base.lower, mp.base.upper):
         model.add_var(name, lo, hi)
     model.add_objective(mp.base.objective)
-    for coeffs, rel, rhs, label in mp.base.rows:
+    for coeffs, rel, rhs, label in row_dicts(mp.base):
         if label.partition("[")[0] != family:
             model.add_row(coeffs, rel, rhs, label)
     return dataclasses.replace(mp, base=model)
@@ -442,6 +459,151 @@ def scaled_model(system):
     return model
 
 
+def share_and_interest_vars(p, model, slots, share_pms):
+    """Per slot, a share variable at each of share_pms and an interest
+    variable at each candidate; returns the (PM, key) -> var maps."""
+    cap = p.share_cap
+    alpha_idx, e_idx = {}, {}
+    for s in slots:
+        for q in share_pms:
+            alpha_idx[(q, s.key)] = model.add_var("alpha[%s,%s]" % (q, s.key), 0.0, cap)
+        for q in s.candidates:
+            e_idx[(q, s.key)] = model.add_var("e[%s,%s]" % (q, s.key), 0.0, 1.0)
+    return alpha_idx, e_idx
+
+
+def interest_rows(model):
+    """One row per slot: its interests sum to its share, read at the
+    first relevant PM."""
+    lay = model.layout
+    for s in lay.slots:
+        coeffs = {lay.e_idx[(c, s.key)]: 1.0 for c in s.candidates}
+        coeffs[lay.alpha_idx[(lay.rel_pms[0], s.key)]] = -1.0
+        model.add_row(coeffs, "=", 0.0, "interest[%s]" % s.key)
+
+
+def capacity_rows(p, model):
+    """Every unit of interest must be backed by capacity on the PM (and,
+    in overload, by a free slot); in underload each host keeps at most
+    its online VMs.  u_r, the online counts and the free capacity are
+    worked out from the group at each read."""
+    lay = model.layout
+    slots, rel_pms, e_idx = lay.slots, lay.rel_pms, lay.e_idx
+    vm_cap = {r: p.group.vm_capacity(r) for r in p.capped}
+
+    def online(q):
+        return sum(1 for vm in p.group.online if vm.host == q)
+
+    for q in rel_pms:
+        here = [s for s in slots if (q, s.key) in e_idx]
+        for r in vm_cap:
+            coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
+            slack = model.add_var("cap_slack[%s,%s]" % (q, r))
+            lay.slack_idx[("cap", q, r)] = slack
+            coeffs[slack] = 1.0
+            model.add_row(coeffs, "=", p.pm_capacity[r][q], "cap[%s,%s]" % (q, r))
+    if p.mode == OVERLOAD:
+        for q in rel_pms:
+            newer = [s for s in slots if s.vm_id is None and (q, s.key) in e_idx]
+            for r in vm_cap:
+                coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
+                slack = model.add_var("slot_slack[%s,%s]" % (q, r))
+                lay.slack_idx[("slots", q, r)] = slack
+                coeffs[slack] = 1.0
+                free = max(0.0, p.pm_capacity[r][q] - p.group.vm_capacity(r) * online(q))
+                model.add_row(coeffs, "=", free, "slots[%s,%s]" % (q, r))
+    else:
+        for q in rel_pms:
+            coeffs = {e_idx[(q, s.key)]: 1.0 for s in slots if (q, s.key) in e_idx}
+            slack = model.add_var("keep_slack[%s]" % (q,))
+            lay.slack_idx[("keep", q)] = slack
+            coeffs[slack] = 1.0
+            model.add_row(coeffs, "=", float(online(q)), "keep[%s]" % (q,))
+
+
+def reference_central_model(p):
+    """`scaling._build_relaxation` as first assembled, the relevant PMs
+    deduplicated by NodeId."""
+    slots, _ = scaling._placement_slots(p)
+    rel_pms = sorted(dict.fromkeys(q for s in slots for q in s.candidates),
+                     key=p.topology.node_position)
+    model = lp.LpModel("%s_lp" % p.mode)
+    alpha_idx, e_idx = share_and_interest_vars(p, model, slots, rel_pms[:1])
+    scale = p.traffic * p.weights.forwarding
+    model.add_objective({i: scale * p.unit_cost(q) for (q, _), i in e_idx.items()})
+    model.layout = scaling._Layout(p, slots, rel_pms, alpha_idx, e_idx)
+    interest_rows(model)
+    model.add_row(dict.fromkeys(alpha_idx.values(), 1.0), "=", 1.0, "coverage")
+    capacity_rows(p, model)
+    return model
+
+
+def reference_build_milp(p):
+    """`milp.build_milp` as first assembled: variable by variable and row
+    by row, PMs looked up by NodeId."""
+    group = p.group
+    if not group.online:
+        raise ValueError("group has no online VM")
+    topo = p.topology
+    model = lp.LpModel("milp")
+
+    online_ids = [vm.id for vm in group.online]
+    offline_ids = [vm.id for vm in group.offline_pool]
+    keys = online_ids + offline_ids
+
+    placeable = {}
+    for vm in group.online:
+        placeable[vm.id] = list(topo.pms)
+    for vm in group.offline_pool:
+        placeable[vm.id] = list(group.candidate_pms)
+
+    cap = p.share_cap
+    b_idx, alpha_idx, binaries = {}, {}, []
+    for j in keys:
+        for q in placeable[j]:
+            b_idx[(q, j)] = model.add_var("b[%s,%s]" % (q, j), 0.0, 1.0)
+            binaries.append(b_idx[(q, j)])
+            alpha_idx[(q, j)] = model.add_var("alpha[%s,%s]" % (q, j), 0.0, cap)
+
+    w1, w2 = p.weights.deployment, p.weights.forwarding
+    pen = p.penalties
+    offline = set(offline_ids)
+    obj = {}
+    for (q, j), idx in b_idx.items():
+        obj[idx] = w1 * (pen.activate if j in offline else -pen.retain)
+    scale = p.traffic * w2
+    for (q, j), idx in alpha_idx.items():
+        obj[idx] = scale * p.unit_cost(q)
+    model.add_objective(obj)
+
+    for (q, j), idx in alpha_idx.items():
+        bi = b_idx[(q, j)]
+        model.add_row({idx: 1.0, bi: -cap}, "<=", 0.0, "couple_hi[%s,%s]" % (q, j))
+        model.add_row({bi: p.epsilon, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
+
+    model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
+    need = math.ceil((1.0 - 1e-9) / cap) if cap > 0 else 1
+    model.add_row({idx: 1.0 for idx in binaries}, ">=", need, "cover")
+
+    members = {vm.id: vm for vm in list(group.online) + list(group.offline_pool)}
+    for q in topo.pms:
+        for r in p.capped:
+            coeffs = {b_idx[(q, j)]: members[j].capacity[r]
+                      for j in keys if (q, j) in b_idx}
+            if coeffs:
+                model.add_row(coeffs, "<=", p.pm_capacity[r][q],
+                              "capacity[%s,%s]" % (q, r))
+
+    for j in keys:
+        coeffs = {b_idx[(q, j)]: 1.0 for q in placeable[j]}
+        if coeffs:
+            model.add_row(coeffs, "<=", 1.0, "one_host[%s]" % (j,))
+
+    return milp.MilpProblem(base=model, binaries=binaries, problem=p,
+                            b_idx=b_idx, alpha_idx=alpha_idx,
+                            online_ids=online_ids, offline_ids=offline_ids)
+
+
 def flow_skeleton(p, name):
     """Model with per-instance flow variables, a share copy at every
     relevant PM, interest variables and the forwarding objective on the
@@ -451,7 +613,7 @@ def flow_skeleton(p, name):
     model = lp.LpModel(name)
     fv = FlowNet(p.topology, p.group.ingress_pms, p.group.egress_pms)
     fv.add_flow_vars(model, [s.key for s in slots])
-    alpha_idx, e_idx = scaling._share_and_interest_vars(p, model, slots, rel_pms)
+    alpha_idx, e_idx = share_and_interest_vars(p, model, slots, rel_pms)
     model.add_objective(fv.objective_coeffs(p.weights.forwarding))
     model.layout = scaling._Layout(p, slots, rel_pms, alpha_idx, e_idx)
     model.layout.fv = fv
@@ -518,7 +680,9 @@ def reference_placement_rows(p, model):
                     slack = model.add_var("slot_slack[%s,%s]" % (q, r))
                     lay.slack_idx[("slots", q, r)] = slack
                     coeffs[slack] = 1.0
-                    model.add_row(coeffs, "=", p.free_capacity(q, r), "slots[%s,%s]" % (q, r))
+                    free = max(0.0, p.pm_capacity[r][q]
+                               - vm_cap[r] * sum(vm.host == q for vm in p.group.online))
+                    model.add_row(coeffs, "=", free, "slots[%s,%s]" % (q, r))
     if p.mode == UNDERLOAD:
         for q in rel_pms:
             coeffs = {e_idx[(q, s.key)]: 1.0 for s in slots if (q, s.key) in e_idx}

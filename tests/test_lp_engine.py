@@ -12,7 +12,7 @@ from vnfscale import lp, milp, rpadmm
 
 from corpus import admm_fixture, k2_instance
 from oracle import check_feasibility, export, record_sparse_builds, \
-    reference_solve, scaled_model
+    reference_solve, row_dicts, scaled_model
 
 
 def small_model():
@@ -192,7 +192,7 @@ def corpus_model(name):
 
 def dense_rows(model):
     a = np.zeros((model.num_rows, model.num_vars))
-    for t, (coeffs, _, _, _) in enumerate(model.rows):
+    for t, (coeffs, _, _, _) in enumerate(row_dicts(model)):
         for i, v in coeffs.items():
             a[t, i] = v
     return a
@@ -204,15 +204,15 @@ def test_export_matches_the_row_dicts(name):
     mats = export(model)
     a = dense_rows(model)
     assert np.array_equal(mats.a.toarray(), a)
-    assert list(mats.b) == [r[2] for r in model.rows]
-    assert list(mats.rel) == [r[1] for r in model.rows]
+    assert list(mats.b) == [r[2] for r in row_dicts(model)]
+    assert list(mats.rel) == [r[1] for r in row_dicts(model)]
     assert list(mats.c) == [model.objective.get(i, 0.0)
                             for i in range(model.num_vars)]
     # each row keeps its insertion order, so A @ x adds the terms in the
     # order the row was written
     x = np.random.default_rng(0).normal(size=model.num_vars)
     by_hand = [sum(c * x[i] for i, c in coeffs.items()) - rhs
-               for coeffs, _, rhs, _ in model.rows]
+               for coeffs, _, rhs, _ in row_dicts(model)]
     assert (mats.a @ x - mats.b).tolist() == by_hand
 
 
@@ -248,8 +248,8 @@ def pinned_bounds(model, pins):
 def dense_linprog(model, pins):
     """linprog on the rows assembled densely from the row dicts."""
     a = dense_rows(model)
-    rel = np.array([r[1] for r in model.rows])
-    b = np.array([r[2] for r in model.rows])
+    rel = np.array([r[1] for r in row_dicts(model)])
+    b = np.array([r[2] for r in row_dicts(model)])
     ub, eq = rel != lp.EQ, rel == lp.EQ
     sign = np.where(rel == lp.GE, -1.0, 1.0)[:, None]
     feas_tol = 1e-9
@@ -520,3 +520,129 @@ def test_message_footprint_counts_an_explicit_zero():
     system = dataclasses.replace(rpadmm.system_from_model(m), owners=["p", "q"])
     assert system.data.tolist() == [1.0, 0.0]
     assert rpadmm.message_footprint(system) == 2
+
+
+# -- the block API --------------------------------------------------------------
+
+def state_of(model):
+    """Every list, the name map and the edit flag, copied."""
+    return {k: (dict(v) if isinstance(v, dict) else
+                list(v) if isinstance(v, list) else v)
+            for k, v in vars(model).items()}
+
+
+def solved_model():
+    """small_model() after a solve, so HiGHS holds it unedited."""
+    m, x, y = small_model()
+    lp.solve(m)
+    assert not m._edited
+    return m
+
+
+def raised(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+# (one-element call, block call holding the same fault among good entries)
+BAD_VARS = {
+    "duplicate_in_model": (lambda m: m.add_var("x"),
+                           lambda m: m.add_vars(["z", "x"], [0.0, 0.0], [1.0, 1.0])),
+    "duplicate_in_block": (lambda m: (m.add_var("z"), m.add_var("z")),
+                           lambda m: m.add_vars(["z", "w", "z"], [0.0] * 3, [1.0] * 3)),
+    "empty_interval": (lambda m: m.add_var("z", 2.0, 1.0),
+                       lambda m: m.add_vars(["w", "z"], [0.0, 2.0], [1.0, 1.0])),
+    "nan_bound": (lambda m: m.add_var("z", np.nan, 1.0),
+                  lambda m: m.add_vars(["w", "z"], [0.0, np.nan], [1.0, 1.0])),
+}
+
+# rows over the two variables of small_model()
+BAD_ROWS = {
+    "relation": (lambda m: m.add_row({0: 1.0}, "<", 1.0, "r"),
+                 lambda m: m.add_rows("<", [0, 1, 2], [0, 1], [1.0, 1.0],
+                                      [1.0, 1.0], ["q", "r"])),
+    "unknown": (lambda m: m.add_row({0: 1.0, 2: 1.0}, "<=", 1.0, "r"),
+                lambda m: m.add_rows("<=", [0, 1, 3], [1, 0, 2], [1.0] * 3,
+                                     [1.0, 1.0], ["q", "r"])),
+    "negative": (lambda m: m.add_row({-1: 1.0}, "=", 1.0, "r"),
+                 lambda m: m.add_rows("=", [0, 2, 3], [0, 1, -1], [1.0] * 3,
+                                      [1.0, 1.0], ["q", "r"])),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_VARS) + list(BAD_ROWS))
+def test_a_rejected_block_names_the_fault_and_leaves_the_model(name):
+    one, block = {**BAD_VARS, **BAD_ROWS}[name]
+    message = raised(lambda: one(solved_model()))
+    m = solved_model()
+    before = state_of(m)
+    assert raised(lambda: block(m)) == message
+    assert state_of(m) == before
+    assert not m._edited
+
+
+def test_a_row_naming_a_variable_twice_is_rejected():
+    """A dict row cannot name a column twice; a CSR block can, and HiGHS
+    must never see it."""
+    m = solved_model()
+    before = state_of(m)
+    assert raised(lambda: m.add_rows(">=", [0, 2, 5], [0, 1, 1, 0, 1], [1.0] * 5,
+                                     [1.0, 2.0], ["ok", "twice"])) == \
+        "row 'twice' names variable 1 twice"
+    assert state_of(m) == before
+
+
+def test_the_first_fault_of_a_block_is_named():
+    m = solved_model()
+    assert raised(lambda: m.add_vars(["w", "y", "v"], [0.0, 0.0, 2.0],
+                                     [1.0, 1.0, 1.0])) == "duplicate variable 'y'"
+    assert raised(lambda: m.add_vars(["w", "v", "y"], [0.0, 2.0, 0.0],
+                                     [1.0, 1.0, 1.0])) == "empty bound interval for 'v'"
+    assert raised(lambda: m.add_rows("=", [0, 2, 3], [1, 1, 5], [1.0] * 3,
+                                     [0.0, 0.0], ["a", "b"])) == \
+        "row 'a' names variable 1 twice"
+    assert raised(lambda: m.add_rows("=", [0, 2, 3], [1, 7, 1], [1.0] * 3,
+                                     [0.0, 0.0], ["a", "b"])) == \
+        "row 'a' references unknown variable 7"
+
+
+@pytest.mark.parametrize("block", [
+    lambda m: m.add_vars(["w"], [0.0, 0.0], [1.0]),
+    lambda m: m.add_rows("=", [0, 1], [0], [1.0], [0.0, 1.0], ["a"]),
+    lambda m: m.add_rows("=", [0, 2], [0, 1], [1.0], [0.0], ["a"]),
+    lambda m: m.add_rows("=", [1, 2], [0, 1], [1.0, 1.0], [0.0], ["a"]),
+])
+def test_a_malformed_block_is_rejected(block):
+    m = solved_model()
+    before = state_of(m)
+    with pytest.raises(ValueError, match="malformed"):
+        block(m)
+    assert state_of(m) == before
+
+
+def test_blocks_append_as_one_element_calls_do(monkeypatch):
+    """add_vars and add_rows give the model the single calls would, and
+    the next solve passes the model to HiGHS again."""
+    one, block = solved_model(), solved_model()
+    for name, lo, hi in (("z", -1.0, 2.0), ("w", 0, 5)):
+        one.add_var(name, lo, hi)
+    one.add_row({3: 1.0, 0: -2.0}, "<=", 3.0, "a")
+    one.add_row({2: 1.0}, "<=", 1, "b")
+    one.add_row({}, "<=", 0.0, "c")
+    assert block.add_vars(["z", "w"], [-1.0, 0], [2.0, 5]) == 2
+    assert block.add_rows("<=", [0, 2, 3, 3], [3, 0, 2], [1.0, -2.0, 1.0],
+                          [3.0, 1, 0.0], ["a", "b", "c"]) == 1
+    assert state_of(block) == state_of(one)
+    assert block._edited
+    passed = spy_on_pass_model(monkeypatch)
+    sol = lp.solve(block)
+    assert len(passed) == 1 and list(passed[0].a_matrix_.start_) == [0, 2, 4, 5, 5]
+    assert sol.objective_value == lp.solve(one).objective_value
+    lp.solve(block)
+    assert len(passed) == 3     # `one` was loaded in between
+    lp.solve(block)
+    assert len(passed) == 3
+    block.add_vars([], [], [])
+    lp.solve(block)
+    assert len(passed) == 4

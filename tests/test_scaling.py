@@ -15,7 +15,8 @@ from vnfscale.topology import PM, TOR, AGG, NodeId, forwarding_cost, source_dist
 from corpus import U, pm, tree4, capacity, group, scenario1, scenario3, scenario4, \
     problem, solve_decoded, k2_instance, admm_fixture, flow_violations
 from oracle import check_feasibility, export, forwarding_cost_of, \
-    reference_baseline_cost, reference_relaxation, reference_shortest_path_tree
+    reference_baseline_cost, reference_relaxation, reference_shortest_path_tree, \
+    row_dicts
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,7 @@ def test_scenario4_underload_keeps_cheapest_host(topo):
 def test_no_binaries_and_no_bandwidth_rows(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     model = vs.build_overload_lp(p)
-    labels = [row[3] for row in model.rows]
+    labels = [row[3] for row in row_dicts(model)]
     assert not any(lbl.startswith("bandwidth") for lbl in labels)
     # every variable is continuous with simple bounds; hi == 0 marks flow
     # arcs a leg can never use (wrong-direction PM endpoints)
@@ -136,7 +137,7 @@ def test_a_pm_at_the_edge_is_a_launch_pm_with_one_slot(topo, cap, u):
         vm.capacity["cpu"] = u
     p = vs.ScalingProblem(topology=topo, group=g, traffic=u, v_star=3,
                           mode=vs.OVERLOAD, pm_capacity=capacity(topo, cap))
-    assert u - 1e-12 <= p.free_capacity(pm(2), "cpu") <= u
+    assert u - 1e-12 <= p.free_by_index["cpu"][pm(2).index] <= u
     assert p.launch_slots == {pm(2): 1}
     slots, _ = scaling._placement_slots(p)
     assert slots[-1].candidates == (pm(2),)

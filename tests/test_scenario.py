@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import time
 
 import numpy as np
@@ -90,6 +91,73 @@ def test_duplicate_section_rejected(tmp_path):
 def test_content_before_sections_rejected(tmp_path):
     with pytest.raises(scenario.ScenarioParseError):
         scenario.load_scenario(write_scenario(tmp_path, "k = 2\n" + minimal()))
+
+
+def test_pm_outside_the_tree_is_named_as_written(tmp_path):
+    body = minimal().replace("egress = P4", "egress = P0100")
+    with pytest.raises(scenario.ScenarioParseError,
+                       match="egress = P0100: P0100 is not in the topology"):
+        scenario.load_scenario(write_scenario(tmp_path, body))
+    # a range names its first PM outside the tree
+    topo = vs.build_fat_tree(2)
+    for text, named in (("P3-P9", "P5"), ("P0-P2", "P0"), ("P02-P07", "P5")):
+        with pytest.raises(scenario.ScenarioParseError,
+                           match="^%s is not in the topology$" % named):
+            scenario.parse_pm_list(text, topo)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("P1 Px P9", "bad PM name 'Px'"),
+    ("P9 Px", "P9 is not in the topology"),
+    ("P3-P1 P9 Px", "reversed PM range 'P3-P1'"),
+    ("P1-Px P3-P1", "bad PM range 'P1-Px'"),
+    ("P1 P2-P9 Px", "P5 is not in the topology"),
+    ("P2 P1 P2 P1", "P2 named twice"),
+    ("P4 P1-P4 P1", "P4 named twice"),
+    ("P3 P1-P4", "P3 named twice"),
+    ("P1-P2 P02", "P2 named twice"),
+])
+def test_first_fault_of_a_pm_list_wins(text, error):
+    """Names parse in file order, the first bad one raising; then the
+    first repeat in list order is the one reported."""
+    with pytest.raises(scenario.ScenarioParseError, match="^%s$" % error):
+        scenario.parse_pm_list(text, vs.build_fat_tree(2))
+
+
+def loaded(path):
+    """What a scenario file loads to, compared field by field."""
+    sc = scenario.load_scenario(path)
+    return (sc.topology, sc.group, sc.baseline, sc.traffic, sc.method,
+            sc.admm_config, sc.pm_capacity, sc.expect)
+
+
+def test_crlf_files_parse_alike(tmp_path):
+    body = minimal(extra="\n[expect]\nkeep = P2\nstate = overload")
+    crlf = tmp_path / "crlf.scn"
+    crlf.write_bytes(body.replace("\n", "\r\n").encode())
+    assert loaded(str(crlf)) == loaded(write_scenario(tmp_path, body))
+    twice = body.replace("preset = overload:1",
+                         "preset = overload:1\npreset = underload")
+    crlf.write_bytes(twice.replace("\n", "\r\n").encode())
+    with pytest.raises(scenario.ScenarioParseError,
+                       match="crlf.scn:22 \\[event\\] preset given twice"):
+        scenario.load_scenario(str(crlf))
+
+
+def test_vertical_tab_and_form_feed_do_not_split_a_line(tmp_path):
+    """Only a line feed (after universal newlines) ends a line: a page
+    break or vertical tab inside a line is part of it, and the lines
+    after it keep their numbers."""
+    body = "# page\x0cbreak\x0bhere\n" + minimal().replace(
+        "chain = c", "chain = c\x0cd").replace(
+        "preset = overload:1", "preset = overload:1\npreset = underload")
+    with pytest.raises(scenario.ScenarioParseError,
+                       match="case.scn:23 \\[event\\] preset given twice"):
+        scenario.load_scenario(write_scenario(tmp_path, body))
+    body = "# page\x0cbreak\x0bhere\n" + minimal().replace("chain = c",
+                                                          "chain = c\x0cd")
+    assert scenario.load_scenario(
+        write_scenario(tmp_path, body)).group.chain == "c\x0cd"
 
 
 def test_unknown_preset_rejected(tmp_path):
@@ -481,6 +549,33 @@ def test_cli_unreadable_input_or_unwritable_output_is_exit_two(
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("error: ") and message in captured.err
+
+def masked(report):
+    return re.sub(r"solve \d+\.\d+ s", "solve <t> s", report.text())
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys):
+    """A file saved with a UTF-8 byte-order mark reads as the same file
+    without one."""
+    original = scen("scale_out_v3.scn")
+    with open(original, "rb") as fh:
+        text = fh.read()
+    marked = tmp_path / "scale_out_v3.scn"
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert masked(scenario.run_scenario(str(marked))) == \
+        masked(scenario.run_scenario(original))
+    assert cli_main(["run", str(marked)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_non_utf8_bytes_after_a_byte_order_mark_are_exit_two(tmp_path, capsys):
+    bad = tmp_path / "latin.scn"
+    bad.write_bytes(b"\xef\xbb\xbf" + minimal().replace(
+        "chain = c", "chain = caf\xe9").encode("latin-1"))
+    assert cli_main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "latin.scn is not UTF-8 text" in err
+
 
 @pytest.mark.parametrize("bad", ["four", "3", "0"])
 def test_cli_sweep_bad_k_is_usage_error(capsys, bad):
