@@ -7,15 +7,14 @@ interval, a bad relation or a row naming an unknown variable or one
 variable twice rejects the whole block, the first fault named, and the
 model stays as it was.  All rows live in one CSR kept as Python lists.
 solve() drives one HiGHS object per process (scipy's bundled HiGHS,
-made by the first solve with its options set once), loaded rowwise,
-passed again on a model switch, an add_* call or a rejection.  The load
-comes straight from those lists, each row in model order as a range of
-a x.  Per call solve() sets every column bound, with the variables a
-branch-and-bound node pins fixed at their values, and re-runs the dual
-simplex from a cold start.  RP-ADMM (`rpadmm._scaled`) reads the same
-lists; nothing builds a scipy matrix from them.  The dual simplex is
-deterministic for a fixed model and returns a basic (vertex) optimal
-point, which placement decoding relies on.
+made by the first solve with its options set once) and keeps no model
+between calls: each solve passes its model rowwise, straight from those
+lists, each row in model order as a range of a x, then fixes the
+columns a branch-and-bound node pins and runs the dual simplex from a
+cold start.  RP-ADMM (`rpadmm._scaled`) reads the same lists; nothing
+builds a scipy matrix from them.  The dual simplex is deterministic for
+a fixed model and returns a basic (vertex) optimal point, which
+placement decoding relies on.
 """
 
 import operator
@@ -74,7 +73,6 @@ class LpModel:
         self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
         self._rel, self._rhs = [], []
         self._labels = []       # row index -> label
-        self._edited = True     # changed since HiGHS last took the model
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         return self.add_vars([name], [lo], [hi])
@@ -100,7 +98,6 @@ class LpModel:
         self.lower += lower
         self.upper += upper
         self._by_name.update(new)
-        self._edited = True
         return first
 
     @property
@@ -143,7 +140,6 @@ class LpModel:
         self._indices += cols
         self._data += vals
         self._indptr += [base + k for k in ptr[1:]]
-        self._edited = True
         return first
 
     def add_objective(self, coeffs):
@@ -152,7 +148,6 @@ class LpModel:
         obj = self.objective
         for idx, c in coeffs.items():
             obj[idx] = obj.get(idx, 0.0) + float(c)
-        self._edited = True
 
     @property
     def num_vars(self):
@@ -170,24 +165,17 @@ class LpModel:
         return sum((c * point[i] for i, c in self.objective.items()), 0.0)
 
 
-# the process's one HiGHS object, made by the first solve, and the model
-# it holds: a strong reference, so no other model can pass for it, and
-# None before the first load and after a rejected one
+# the process's one HiGHS object, made by the first solve
 _HIGHS = None
-_HELD = None
 
 
 def _load_highs(model):
-    """Have the process's HiGHS object hold the model: one HiGHS object
-    per process, loaded rowwise, passed again on a model switch, an add_*
-    call or a rejection, else left as it is.  The load is the model's
-    CSR lists as they are, each row in model order as a range:
+    """Pass the model to the process's HiGHS object, rowwise: the
+    model's CSR lists as they are, each row in model order as a range,
     <= is (-inf, b), >= is (b, +inf) and = is (b, b).  HiGHS itself
-    turns the rows into columns and drops explicit zeros.  False when
-    HiGHS rejects the model."""
-    global _HIGHS, _HELD
-    if _HELD is model and not model._edited:
-        return True
+    turns the rows into columns and drops explicit zeros, and a new model
+    drops the last basis.  False when HiGHS rejects the model."""
+    global _HIGHS
     n, rel, rhs = model.num_vars, model._rel, model._rhs
     c = [0.0] * n
     for i, v in model.objective.items():
@@ -213,12 +201,7 @@ def _load_highs(model):
     hlp.col_upper_ = model.upper
     hlp.row_lower_ = [-np.inf if r == LE else v for r, v in zip(rel, rhs)]
     hlp.row_upper_ = [np.inf if r == GE else v for r, v in zip(rel, rhs)]
-    # a rejected load leaves HiGHS holding no model
-    _HELD = None
-    if _HIGHS.passModel(hlp) == highs.HighsStatus.kError:
-        return False
-    _HELD, model._edited = model, False
-    return True
+    return _HIGHS.passModel(hlp) != highs.HighsStatus.kError
 
 
 @dataclass
@@ -236,25 +219,22 @@ def solve(model, fixed=None):
     """Solve min objective over the model's rows and bounds.
 
     fixed maps a variable index to the value a branch-and-bound node pins
-    it at; every other column keeps the model's bounds, and all solves
-    of one model share its load into the process's HiGHS object.
+    it at for this solve; every other column keeps the model's bounds.
     Infeasible and unbounded come back as statuses; solver failures raise
     LpError.
     """
-    n = model.num_vars
-    lo, hi = np.array((model.lower, model.upper), dtype=float)
     if fixed:
         idx = np.fromiter(fixed, int, len(fixed))
-        if not ((0 <= idx) & (idx < n)).all():
+        if not ((0 <= idx) & (idx < model.num_vars)).all():
             raise ValueError("%s: a pinned index lies outside its %d variables"
-                             % (model.name, n))
-        lo[idx] = hi[idx] = np.fromiter(fixed.values(), float, len(fixed))
+                             % (model.name, model.num_vars))
     if not _load_highs(model):
         # HiGHS rejected the model, which linprog reports as infeasible
         return LpSolution(INFEASIBLE, None, np.nan, model)
     h = _HIGHS
-    h.changeColsBounds(n, np.arange(n), lo, hi)
-    h.clearSolver()
+    if fixed:
+        val = np.fromiter(fixed.values(), float, len(fixed))
+        h.changeColsBounds(len(idx), idx, val, val)
     h.run()
     status = _STATUS.get(h.getModelStatus())
     if status is None:

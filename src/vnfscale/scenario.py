@@ -44,7 +44,7 @@ from .chain_state import (OVERLOAD, UNDERLOAD, NORMAL, Thresholds, VmInstance,
 from .scaling import (ScalingProblem, build_overload_lp, build_underload_lp,
                       decode, uniform_capacity, decision_csv, decision_table,
                       flows_csv, ModelInfeasibleError)
-from .topology import PM, NodeId, build_fat_tree, pm_name
+from .topology import build_fat_tree, pm_name
 
 DEFAULT_TIME_BUDGET = 1200.0
 
@@ -79,24 +79,22 @@ def _bad_values_named(where):
 _PM_NAME = re.compile("P([0-9]+)")    # [0-9]: \d and int() take any script's digits
 
 
-def parse_pm(token, topo=None):
-    """'P5' -> the fifth PM (NodeId index 4): the tree's own NodeId when
-    topo is given, so topology-keyed lookups stop at the identity check."""
+def parse_pm(token, topo):
+    """'P5' -> the fifth PM (NodeId index 4), the tree's own NodeId, so
+    topology-keyed lookups stop at the identity check."""
     name = _PM_NAME.fullmatch(token)
     if name is None:
         raise ScenarioParseError("bad PM name %r" % token)
     index = int(name[1]) - 1
-    if topo is None:
-        return NodeId(PM, index)
     if not 0 <= index < len(topo.pms):
         raise ScenarioParseError("%s is not in the topology" % token)
     return topo.pms[index]
 
 
-def parse_pm_list(text, topo=None):
+def parse_pm_list(text, topo):
     """'P1 P3-P5' -> those PMs in order; each end of a range is a PM name.
     A reversed range is an error, and so, once all names parse, a repeat."""
-    n, out = len(topo.pms) if topo is not None else math.inf, []
+    n, out = len(topo.pms), []
     for token in text.split():
         if "-" in token[1:]:
             ends = [_PM_NAME.fullmatch(end) for end in token.split("-", 1)]
@@ -116,7 +114,7 @@ def parse_pm_list(text, topo=None):
             if i in seen:
                 raise ScenarioParseError("P%d named twice" % (i + 1))
             seen.add(i)
-    return [topo.pms[i] for i in out] if topo else [NodeId(PM, i) for i in out]
+    return [topo.pms[i] for i in out]
 
 
 def _number(text, kind=float, at_least=None, above=None):

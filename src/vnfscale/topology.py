@@ -104,11 +104,6 @@ class Topology:
                 return first + i.index
         raise KeyError("node %s not in topology" % (i,))
 
-    def linked(self, i, j):
-        nbrs = neighbors(self, i)
-        self.node_position(j)
-        return j in nbrs
-
 
 def build_fat_tree(k, pms_per_rack=2, layer_costs=DEFAULT_LAYER_COSTS):
     """The k-fat-tree for k a positive even integer, pms_per_rack at
@@ -203,12 +198,13 @@ def source_distances(t, sources):
     a, b, c = t.layer_costs
     by_level = (0.0, (0.0 + a) + a, (((0.0 + a) + b) + b) + a,
                 (((((0.0 + a) + b) + c) + c) + b) + a)
-    where = [_locate(t, q) for q in t.pms]
+    per_rack, half = t.pms_per_rack, t.k // 2
     own = {t.node_position(q) for q in sources}     # a PM's position is its index
-    racks = {where[i][0] for i in own}
-    pods = {where[i][1] for i in own}
-    return tuple(by_level[0 if i in own else 1 if rack in racks else 2 if pod in pods else 3]
-                 for i, (rack, pod) in enumerate(where))
+    racks = {i // per_rack for i in own}
+    pods = {rack // half for rack in racks}
+    return tuple(by_level[0 if i in own else 1 if i // per_rack in racks
+                          else 2 if i // per_rack // half in pods else 3]
+                 for i in range(len(t.pms)))
 
 
 def source_route(t, sources, q):

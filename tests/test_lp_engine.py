@@ -289,11 +289,10 @@ def test_solves_on_one_model_leave_no_state_behind():
 
 
 def test_solves_on_many_models_leave_no_state_behind():
-    """The process's one HiGHS object takes each model afresh when the
-    model changes, after an add_row and after a model it rejected: every
-    solve gives the status and the point bits of a fresh HiGHS object
-    loaded columnwise.  A rejection comes between two solves of one
-    model, so HiGHS left holding no model would show."""
+    """The process's one HiGHS object takes each model afresh, across
+    model switches, an add_row and a model it rejected: every solve gives
+    the status and the point bits of a fresh HiGHS object loaded
+    columnwise."""
     a, _ = node_case("lp")
     b, pins = node_case("milp0-b0=1-b4=0")
     rejected = lp.LpModel("huge")
@@ -313,7 +312,7 @@ def test_solves_on_many_models_leave_no_state_behind():
 
     statuses = [solved(a), solved(b, pins), solved(rejected), solved(a),
                 solved(rejected), solved(a)]
-    # a row added to the model HiGHS holds moves that model's optimum
+    # a row added to a solved model moves its optimum
     capped = b.var("alpha[PM3,off1]")
     assert lp.solve(b, pins).point[capped] > 0.1
     b.add_row({capped: 1.0}, "<=", 0.1, "cap")
@@ -338,7 +337,6 @@ def spy_on_pass_model(monkeypatch):
 
     monkeypatch.setattr(highs, "_Highs", Spy)
     monkeypatch.setattr(lp, "_HIGHS", None)
-    monkeypatch.setattr(lp, "_HELD", None)
     return passed
 
 
@@ -499,6 +497,43 @@ def test_resolve_after_a_new_variable_or_objective_term():
     assert sol.objective_value == pytest.approx(-1.0)
 
 
+def test_every_solve_passes_its_model_once_and_pins_only_its_own(monkeypatch):
+    """Each solve hands HiGHS its model exactly once, as the model's own
+    bounds; a node's pins reach only the pinned columns, and only for
+    that solve."""
+    model, pins = node_case("milp0-b0=1-b4=0")
+    other, _ = node_case("lp")
+    free = list(zip(model.lower, model.upper))
+    cases = [(model, pins), (model, None), (other, None), (model, pins),
+             (model, pins), (model, None)]
+    wants = [reference_solve(m, fixed).point.tobytes() for m, fixed in cases]
+    passed = spy_on_pass_model(monkeypatch)
+    for n, ((m, fixed), want) in enumerate(zip(cases, wants), start=1):
+        assert lp.solve(m, fixed).point.tobytes() == want
+        assert len(passed) == n
+        assert list(passed[-1].col_lower_) == m.lower
+        assert list(passed[-1].col_upper_) == m.upper
+        held = lp._HIGHS.getLp()
+        assert list(zip(held.col_lower_, held.col_upper_)) == \
+            pinned_bounds(m, fixed)
+    assert list(zip(model.lower, model.upper)) == free
+
+
+def test_an_objective_edited_in_place_is_seen():
+    """The public objective dict is the model's cost: a coefficient
+    changed between two solves of one model moves its optimum."""
+    m = lp.LpModel("edit")
+    x = m.add_var("x", 0.0, 1.0)
+    y = m.add_var("y", 0.0, 1.0)
+    m.add_objective({x: 1.0, y: 2.0})
+    m.add_row({x: 1.0, y: 1.0}, ">=", 1.0, "cover")
+    sol = lp.solve(m)
+    assert (sol.value("x"), sol.value("y"), sol.objective_value) == (1.0, 0.0, 1.0)
+    m.objective[x] = 3.0
+    sol = lp.solve(m)
+    assert (sol.value("x"), sol.value("y"), sol.objective_value) == (0.0, 1.0, 2.0)
+
+
 def test_pin_outside_the_model_is_rejected():
     m, x, y = small_model()
     for bad in (2, -1):
@@ -525,17 +560,16 @@ def test_message_footprint_counts_an_explicit_zero():
 # -- the block API --------------------------------------------------------------
 
 def state_of(model):
-    """Every list, the name map and the edit flag, copied."""
+    """Every list and the name map, copied."""
     return {k: (dict(v) if isinstance(v, dict) else
                 list(v) if isinstance(v, list) else v)
             for k, v in vars(model).items()}
 
 
 def solved_model():
-    """small_model() after a solve, so HiGHS holds it unedited."""
+    """small_model() after a solve."""
     m, x, y = small_model()
     lp.solve(m)
-    assert not m._edited
     return m
 
 
@@ -579,7 +613,6 @@ def test_a_rejected_block_names_the_fault_and_leaves_the_model(name):
     before = state_of(m)
     assert raised(lambda: block(m)) == message
     assert state_of(m) == before
-    assert not m._edited
 
 
 def test_a_row_naming_a_variable_twice_is_rejected():
@@ -623,7 +656,7 @@ def test_a_malformed_block_is_rejected(block):
 
 def test_blocks_append_as_one_element_calls_do(monkeypatch):
     """add_vars and add_rows give the model the single calls would, and
-    the next solve passes the model to HiGHS again."""
+    the next solve passes the grown model to HiGHS."""
     one, block = solved_model(), solved_model()
     for name, lo, hi in (("z", -1.0, 2.0), ("w", 0, 5)):
         one.add_var(name, lo, hi)
@@ -634,15 +667,7 @@ def test_blocks_append_as_one_element_calls_do(monkeypatch):
     assert block.add_rows("<=", [0, 2, 3, 3], [3, 0, 2], [1.0, -2.0, 1.0],
                           [3.0, 1, 0.0], ["a", "b", "c"]) == 1
     assert state_of(block) == state_of(one)
-    assert block._edited
     passed = spy_on_pass_model(monkeypatch)
     sol = lp.solve(block)
     assert len(passed) == 1 and list(passed[0].a_matrix_.start_) == [0, 2, 4, 5, 5]
     assert sol.objective_value == lp.solve(one).objective_value
-    lp.solve(block)
-    assert len(passed) == 3     # `one` was loaded in between
-    lp.solve(block)
-    assert len(passed) == 3
-    block.add_vars([], [], [])
-    lp.solve(block)
-    assert len(passed) == 4

@@ -237,6 +237,21 @@ def test_underload_groups_prove_within_three_nodes(shape):
         assert sol.proven and sol.nodes <= 3, (seed, sol.nodes)
 
 
+def test_long_runs_without_the_cover_row_prove_the_optimum():
+    """Without the cover row these k=2 draws branch for tens of nodes,
+    past the every-16-nodes best-bound re-sort of the open list, and
+    still prove the optimum the enumeration finds."""
+    nodes = []
+    for seed in range(8):
+        uncut = without_rows(milp.build_milp(underload_shape(2, 3, 2, seed)), "cover")
+        sol = milp.solve_milp(uncut)
+        expect, _ = enumerate_single_host(uncut, prefilter=False)
+        assert sol.proven, seed
+        assert sol.total == pytest.approx(expect, rel=1e-9), seed
+        nodes.append(sol.nodes)
+    assert max(nodes) > 16, nodes
+
+
 def test_tied_underload_lands_on_the_model_order_vertex():
     # keeping vm1 or vm3 beside vm4 on P54 costs the same; with the rows
     # in model order the dual simplex keeps vm3

@@ -61,13 +61,17 @@ def minimal(util="0.95", event="preset = overload:1", method="lp", extra=""):
 # -- parsing ------------------------------------------------------------------
 
 def test_pm_names_are_one_based():
-    assert scenario.parse_pm("P5") == pm(5)
-    assert scenario.parse_pm_list("P1 P3-P5") == [pm(1), pm(3), pm(4), pm(5)]
+    tree = vs.build_fat_tree(4)
+    got = scenario.parse_pm("P5", tree)
+    assert got == pm(5) and got is tree.pms[4]
+    got = scenario.parse_pm_list("P1 P3-P5", tree)
+    assert got == [pm(1), pm(3), pm(4), pm(5)]
+    assert all(q is tree.pms[q.index] for q in got)
 
 
 def test_bad_pm_name_rejected():
     with pytest.raises(scenario.ScenarioParseError):
-        scenario.parse_pm("Q5")
+        scenario.parse_pm("Q5", vs.build_fat_tree(4))
 
 
 def test_pm_outside_topology_rejected(tmp_path):
@@ -457,6 +461,17 @@ def test_cli_expectation_failure_in_normal_state_is_printed(tmp_path, capsys):
     assert "EXPECT FAILED: state normal" in capsys.readouterr().out
 
 
+def test_cli_failed_cost_delta_expectation_is_exit_one(tmp_path, capsys):
+    with open(scen("scale_in_two_hosts.scn")) as f:
+        body = f.read()
+    assert "cost_delta = negative" in body
+    path = write_scenario(tmp_path, body.replace("cost_delta = negative",
+                                                 "cost_delta = positive"))
+    assert cli_main(["run", path]) == 1
+    assert "EXPECT FAILED: cost delta -31500, expected positive" in \
+        capsys.readouterr().out
+
+
 # each name and each end of a range must be P followed by ASCII digits
 BAD_PM_NAMES = ["1-4", "PP1-PP4", "P1-4", "P+1-P4", "1", "PP1", "P+1",
                 "P\u0661", "P1-P\u0664"]
@@ -612,7 +627,7 @@ def test_cli_flag_a_verb_does_not_read_is_usage_error(capsys, argv):
     assert "unrecognized arguments" in captured.err
 
 
-@pytest.mark.parametrize("bad", ["nan", "-1", "0"])
+@pytest.mark.parametrize("bad", ["nan", "-1", "0", "abc", "inf"])
 def test_cli_sweep_bad_budget_is_usage_error(capsys, bad):
     with pytest.raises(SystemExit) as exc:
         cli_main(["sweep", "--k", "2", "--budget", bad])
@@ -794,6 +809,8 @@ def test_cli_unbounded_block_update_is_exit_four(monkeypatch, capsys):
 def test_cli_sweep_and_compare(capsys):
     assert cli_main(["sweep", "--k", "2"]) == 0
     assert "switches" in capsys.readouterr().out
+    assert cli_main(["sweep", "--k", "2", "--budget", "5"]) == 0
+    assert re.search(r"^2 +5 +4 +15 +12 +\S+ s$", capsys.readouterr().out, re.M)
     assert cli_main(["compare", scen("distributed_scale_out.scn"),
                      "--seed", "9", "--iters", "20"]) == 0
     assert "final gap" in capsys.readouterr().out
