@@ -14,9 +14,7 @@ from .scaling import (ScalingProblem, ScalingDecision, Penalties, Weights,
 from .milp import (MilpProblem, MilpSolution, build_milp, solve_milp,
                    deployment_cost, BudgetExhaustedError)
 from .rpadmm import (AdmmConfig, AdmmRecord, AdmmTrace, ReformulatedSystem,
-                     reformulate, system_from_model, run,
-                     scalar_block_update, normalized_violations,
-                     message_footprint,
+                     reformulate, run, scalar_block_update, message_footprint,
                      UnboundedUpdateError, AdmmDivergenceError)
 from .scenario import (Scenario, RunReport, CompareReport, ScenarioParseError,
                        load_scenario, run_scenario, sweep_topologies,

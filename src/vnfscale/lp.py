@@ -104,9 +104,6 @@ class LpModel:
     def var_names(self):
         return self._names
 
-    def var(self, name):
-        return self._by_name[name]
-
     def add_row(self, coeffs, rel, rhs, label=""):
         return self.add_rows(rel, [0, len(coeffs)], list(coeffs),
                              list(coeffs.values()), [rhs], [label])
@@ -157,10 +154,6 @@ class LpModel:
     def num_rows(self):
         return len(self._rhs)
 
-    def row_labels(self):
-        """Every row's label in row order."""
-        return list(self._labels)
-
     def objective_value(self, point):
         return sum((c * point[i] for i, c in self.objective.items()), 0.0)
 
@@ -210,9 +203,6 @@ class LpSolution:
     point: object            # ndarray over model variables, or None
     objective_value: float
     model: LpModel = None
-
-    def value(self, name):
-        return float(self.point[self.model.var(name)])
 
 
 def solve(model, fixed=None):

@@ -167,10 +167,12 @@ def _decode(mp, point, total, nodes, proven):
         placement.setdefault(j, None)
     p = mp.problem
     alpha = {k: float(point[i]) for k, i in mp.alpha_idx.items()}
-    shares = {}
-    for j in placement:
-        shares[j] = sum(alpha[(q, j)] for q in p.topology.pms
-                        if (q, j) in alpha)
+    # each VM's shares summed in PM-index order, whatever order its
+    # candidate PMs came in
+    terms = {j: [] for j in placement}
+    for (q, j), v in alpha.items():
+        terms[j].append((q.index, v))
+    shares = {j: sum(v for _, v in sorted(t)) for j, t in terms.items()}
     online = {vm.id: vm.host for vm in p.group.online}
     placed = {j: q for j, q in placement.items() if q is not None}
     kept = {j: q for j, q in placed.items() if j in online}

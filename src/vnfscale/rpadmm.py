@@ -26,13 +26,19 @@ moved by more than primal_tol * max|x| in the sweep (the primal and the
 dual residual together; Boyd et al., 2011, section 3.3).  At
 primal_tol = 0 that is an exact fixed point, which is a KKT point.
 
+A trace counts the messages per sweep (`message_footprint`) only when
+its `messages_per_sweep` is read, as the trace CSV does, and the system
+keeps the count; a run whose count is never read never works it out.
+
 The sweep runs on flat Python lists (each block's column, taken by a
 Python transpose of the CSR arrays, its denominator, -c/beta and bounds
 built once; x, residuals and scaled duals kept as lists for the whole
 run), because indexing numpy arrays one element at a time dominated it.
 For a block with a quadratic term it writes out `_minimizer`'s update
 and its min(max(x, lo), hi) clamp inline; a block without one, or an
-update that is not finite, goes through `_minimizer` itself.
+update that is not finite, goes through `_minimizer` itself, which
+raises UnboundedUpdateError on a result that is not finite, saying
+whether the block had no quadratic term or overflowed.
 `scalar_block_update` is its reference: the sweep performs the same
 float operations in the same order, so its trace is byte-identical to
 one `scalar_block_update` call per block.  The start residual is
@@ -47,7 +53,7 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,10 +140,10 @@ def _family_of(label):
     return label.split("[", 1)[0] if "[" in label else label
 
 
-def _scaled(central, owners, scale, equilibrate):
+def _scaled(central, owners, scale):
     """The system over central's CSR lists with each column multiplied
-    by scale and, when equilibrate, each row divided by its largest
-    |coefficient|.  The sweep needs equality rows."""
+    by scale and each row divided by its largest |coefficient|.  The
+    sweep needs equality rows."""
     for t, rel in enumerate(central._rel):
         if rel != lp.EQ:
             raise ValueError("the sweep needs equality rows, got %r in %r"
@@ -149,16 +155,13 @@ def _scaled(central, owners, scale, equilibrate):
     indptr = np.fromiter(central._indptr, int, m + 1)
     indices = np.fromiter(central._indices, int, nnz)
     data = np.fromiter(central._data, float, nnz) / scale[indices]
-    b = np.fromiter(central._rhs, float, m)
-    if equilibrate:
-        rows = np.repeat(np.arange(m), np.diff(indptr))
-        peak = np.zeros(m)
-        np.maximum.at(peak, rows, np.abs(data))
-        data = data / peak[rows]
-        b = b / peak
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    peak = np.zeros(m)
+    np.maximum.at(peak, rows, np.abs(data))
     return ReformulatedSystem(
         central=central, scale=scale, owners=owners, c=c / scale,
-        indptr=indptr, indices=indices, data=data, b=b,
+        indptr=indptr, indices=indices, data=data / peak[rows],
+        b=np.fromiter(central._rhs, float, m) / peak,
         lower=np.asarray(central.lower) * scale,
         upper=np.asarray(central.upper) * scale,
         row_family=[_family_of(l) for l in central._labels])
@@ -166,7 +169,7 @@ def _scaled(central, owners, scale, equilibrate):
 
 def reformulate(p):
     """The central relaxation of p in per-agent form, in traffic units
-    and with its rows equilibrated (see the module docstring)."""
+    and with each row divided by its peak (see the module docstring)."""
     build = (scaling.build_overload_lp if p.mode == OVERLOAD
              else scaling.build_underload_lp)
     central = build(p)
@@ -182,14 +185,7 @@ def reformulate(p):
     scale = np.ones(central.num_vars)
     scale[list(lay.alpha_idx.values()) + list(lay.e_idx.values())] = \
         p.traffic if p.traffic > 0 else 1.0
-    return _scaled(central, owners, scale, equilibrate=True)
-
-
-def system_from_model(model):
-    """Wrap a hand-built equality model, unscaled, as a single-agent
-    system, mainly for small reference instances in tests."""
-    n = model.num_vars
-    return _scaled(model, ["agent"] * n, np.ones(n), equilibrate=False)
+    return _scaled(central, owners, scale)
 
 
 def message_footprint(system):
@@ -224,8 +220,12 @@ def _minimizer(c, denom, pull, lo, hi, beta):
         x = 0.0
     x = min(max(x, lo), hi)
     if not math.isfinite(x):
+        if denom == 0.0:
+            raise UnboundedUpdateError(
+                "block update has no quadratic term and runs off to %g" % x)
         raise UnboundedUpdateError(
-            "block update has no quadratic term and runs off to %r" % x)
+            "block update overflows (quadratic term %g) and runs off to %g"
+            % (denom, x))
     return float(x)
 
 
@@ -306,15 +306,6 @@ def _columns(system):
     return cols
 
 
-def normalized_violations(point, system):
-    """Per-family normalized violation of a point, against the residuals
-    of the all-zero start."""
-    fams = _Families(system.row_family)
-    start, cur = (fams.peaks(np.append(_residuals(system, x), 0.0))[:-1]
-                  for x in (np.zeros(len(system.c)), np.asarray(point, float)))
-    return _normalize(fams.names, cur, _scales(start))
-
-
 @dataclass
 class AdmmRecord:
     iteration: int
@@ -325,13 +316,24 @@ class AdmmRecord:
     duals: object              # scaled duals after the ascent
 
 
-@dataclass
 class AdmmTrace:
-    families: list
-    baseline: dict             # per-family max |residual| at the start point
-    messages_per_sweep: int
-    records: list = field(default_factory=list)
-    converged: bool = False
+    """The records of one run.  Its messages_per_sweep is the count it
+    was made with or, made with a system instead, that system's count,
+    worked out on the first read."""
+
+    def __init__(self, families, baseline, messages_per_sweep=None,
+                 system=None):
+        self.families = families
+        self.baseline = baseline   # per-family max |residual| at the start point
+        self._messages, self._system = messages_per_sweep, system
+        self.records = []
+        self.converged = False
+
+    @property
+    def messages_per_sweep(self):
+        if self._messages is None:
+            return self._system.messages_per_sweep
+        return self._messages
 
     @property
     def objectives(self):
@@ -400,8 +402,7 @@ def run(system, cfg=None):
     fams = _Families(system.row_family)
     *start, _ = fams.peaks(np.array(rs + [0.0]))
     baseline, scales = dict(zip(fams.names, start)), _scales(start)
-    trace = AdmmTrace(families=fams.names, baseline=baseline,
-                      messages_per_sweep=system.messages_per_sweep)
+    trace = AdmmTrace(families=fams.names, baseline=baseline, system=system)
 
     orders = _sweep_orders(cfg, nv)
     rng = np.random.default_rng(cfg.seed) if orders is None else None

@@ -229,8 +229,7 @@ def uniform_capacity(topo, caps):
 class _Layout:
     """Variable maps attached to a built model so decode can read it back."""
 
-    def __init__(self, problem, slots, rel_pms, alpha_idx, e_idx):
-        self.problem = problem
+    def __init__(self, slots, rel_pms, alpha_idx, e_idx):
         self.slots = slots
         self.rel_pms = rel_pms
         self.alpha_idx = alpha_idx
@@ -317,7 +316,7 @@ def _build_relaxation(p):
     model.add_vars(names, [0.0] * len(names), upper)
     scale, unit = p.traffic * p.weights.forwarding, p.unit_costs
     model.add_objective({i: scale * unit[q.index] for (q, _), i in e_idx.items()})
-    model.layout = _Layout(p, slots, rel_pms, alpha_idx, e_idx)
+    model.layout = _Layout(slots, rel_pms, alpha_idx, e_idx)
     model.add_rows(lp.EQ, ptr, cols, vals, [0.0] * len(slots),
                    ["interest[%s]" % s.key for s in slots])
     alphas = list(alpha_idx.values())
@@ -402,21 +401,21 @@ def decode(solution, p):
         q0 = layout.rel_pms[0]
         shares[s.key] = alpha_vals[(q0, s.key)]
 
-    # how many instances may decode onto each PM
-    supply = (dict(p.launch_slots) if p.mode == OVERLOAD
-              else {q: p.online_count(q) for q in layout.rel_pms})
+    # how many instances may decode onto each PM, by PM index
+    supply = ({q.index: n for q, n in p.launch_slots.items()} if p.mode == OVERLOAD
+              else {q.index: p.online_count(q) for q in layout.rel_pms})
     placed = {}
     for s in slots:
         if s.host is not None:
             placed[s.key] = s.host  # free-slot supply already excludes online VMs
             continue
-        column = sorted(((e_vals[(q, s.key)], -p.topology.node_position(q), q)
-                         for q in s.candidates), reverse=True)
+        column = sorted(((e_vals[(q, s.key)], -q.index, q) for q in s.candidates),
+                        reverse=True)
         if not column or column[0][0] <= 1e-9:
             raise DecodeError("instance %s has an all-zero interest column" % s.key)
         choice = None
         for val, _, q in column:
-            if supply[q] >= 1:
+            if supply[q.index] >= 1:
                 choice = q
                 break
         if choice is None:
@@ -424,7 +423,7 @@ def decode(solution, p):
         if choice != column[0][2]:
             warnings.append("instance %s displaced from %s to %s by slot supply"
                             % (s.key, pm_name(column[0][2]), pm_name(choice)))
-        supply[choice] -= 1
+        supply[choice.index] -= 1
         placed[s.key] = choice
 
     kept, launched, terminated, vm_slot = {}, {}, {}, {}
@@ -436,14 +435,14 @@ def decode(solution, p):
             else:
                 launched[s.key] = placed[s.key]
     else:
-        by_host = {}
+        by_host = {}        # PM index -> the keys of the slots placed there
         for s in slots:
-            by_host.setdefault(placed[s.key], []).append(s.key)
-        for q, keys in by_host.items():
-            vms = sorted((vm for vm in p.group.online if vm.host == q),
+            by_host.setdefault(placed[s.key].index, []).append(s.key)
+        for i, keys in by_host.items():
+            vms = sorted((vm for vm in p.group.online if vm.host.index == i),
                          key=lambda vm: vm.id)
             for vm, key in zip(vms, keys):
-                kept[vm.id] = q
+                kept[vm.id] = vm.host
                 vm_slot[vm.id] = key
         for vm in p.group.online:
             if vm.id not in kept:
@@ -496,24 +495,23 @@ def baseline_forwarding_cost(p):
     Network Flows, 1993).  A unit served on host q then costs
     u(q) = d_in(q) + gamma * d_out(q), read from `unit_costs`.
     What is left is a fractional knapsack: fill the hosts in order of
-    (u(q), node position), each up to its share cap at the baseline
+    (u(q), PM index), each up to its share cap at the baseline
     traffic times its online VMs and up to its capacity rows, until the
     shares cover the traffic.  The result equals that LP's optimum.
     """
     traffic = p.baseline_traffic
     if traffic is None:
         raise ValueError("the problem has no baseline traffic to price")
-    omega, order = p.group.omega, p.topology.node_position
+    omega, unit = p.group.omega, p.unit_costs
     capped = [r for r in p.capped if traffic * omega[r] > 0]
     cap = p.share_cap_at(traffic)
-    unit = {q: p.unit_cost(q) for q in p.group.host_pms}
     cost, left = 0.0, 1.0
-    for q in sorted(unit, key=lambda q: (unit[q], order(q))):
+    for q in sorted(p.group.host_pms, key=lambda q: (unit[q.index], q.index)):
         room = cap * p.online_count(q)
         for r in capped:
             room = min(room, p.pm_capacity[r][q] / (traffic * omega[r]))
         take = max(0.0, min(left, room))
-        cost += take * unit[q]
+        cost += take * unit[q.index]
         left -= take
     if left > 1e-9:
         raise ModelInfeasibleError("baseline configuration is infeasible")

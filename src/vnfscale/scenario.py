@@ -217,7 +217,7 @@ def load_scenario(path, overrides=None):
     sec = parse_scenario(path)
     overrides = overrides or {}
 
-    def value(section, key, convert, default=None):
+    def entry(section, key, convert, default=None):
         """One key's text through convert(); a missing key without a
         default, or a bad value, is a parse error naming file and key."""
         text = sec.get(section, {"kv": {}})["kv"].get(key, default)
@@ -240,24 +240,24 @@ def load_scenario(path, overrides=None):
 
     kwargs = {}
     if "costs" in sec["topology"]["kv"]:
-        kwargs["layer_costs"] = value("topology", "costs", costs)
-    pms_per_rack = value("topology", "pms_per_rack",
+        kwargs["layer_costs"] = entry("topology", "costs", costs)
+    pms_per_rack = entry("topology", "pms_per_rack",
                          lambda s: _number(s, int, at_least=1), "2")
-    topo = value("topology", "k", lambda s: build_fat_tree(
+    topo = entry("topology", "k", lambda s: build_fat_tree(
         integer(s), pms_per_rack=pms_per_rack, **kwargs), "4")
 
-    omega = value("group", "omega", _pairs, "cpu:1.0")
-    thresholds = value("group", "thresholds",
+    omega = entry("group", "omega", _pairs, "cpu:1.0")
+    thresholds = entry("group", "thresholds",
                        partial(_thresholds, resources=tuple(omega)),
                        "hot:0.90 warm:0.80 cold:0.30")
-    chain = value("group", "chain", str, "c")
-    vnf_type = value("group", "vnf_type", str, "fw")
+    chain = entry("group", "chain", str, "c")
+    vnf_type = entry("group", "vnf_type", str, "fw")
 
     online = []
     for row in sec["vms"]["rows"]:
         if len(row) != 4:
-            raise ScenarioParseError("vm row needs: id host capacity util, got %r"
-                                     % " ".join(row))
+            raise ScenarioParseError("%s: [vms] row %r needs: id host capacity util"
+                                     % (path, " ".join(row)))
         vm_id, host, cap, util = row
         with _bad_values_named("%s: [vms] row %r" % (path, " ".join(row))):
             if any(vm.id == vm_id for vm in online):
@@ -267,9 +267,9 @@ def load_scenario(path, overrides=None):
                 vm_id, vnf_type, chain, {r: cap for r in omega},
                 host=parse_pm(host, topo), utilization={r: util for r in omega}))
     if not online:
-        raise ScenarioParseError("scenario has no online VMs")
+        raise ScenarioParseError("%s: [vms] lists no online VM" % path)
     pool_cap = online[0].capacity
-    offline = value("group", "offline", lambda s: _number(s, int, at_least=0),
+    offline = entry("group", "offline", lambda s: _number(s, int, at_least=0),
                     "8")
     pool = [VmInstance("off%d" % (i + 1), vnf_type, chain, dict(pool_cap))
             for i in range(offline)]
@@ -282,11 +282,11 @@ def load_scenario(path, overrides=None):
             raise ValueError("needs at least one PM")
         return pms
 
-    gamma = value("group", "gamma", _number, "1.0")
-    phi = value("group", "phi", _number, "1.0")
-    ingress = value("group", "ingress", endpoints)
-    egress = value("group", "egress", endpoints)
-    candidates = value("group", "candidates", pm_list)
+    gamma = entry("group", "gamma", _number, "1.0")
+    phi = entry("group", "phi", _number, "1.0")
+    ingress = entry("group", "ingress", endpoints)
+    egress = entry("group", "egress", endpoints)
+    candidates = entry("group", "candidates", pm_list)
     with _bad_values_named("%s: [group]" % path):
         group = VnfGroup(
             chain=chain, vnf_type=vnf_type, online=online, offline_pool=pool,
@@ -304,16 +304,16 @@ def load_scenario(path, overrides=None):
 
     ev = sec["event"]["kv"]
     rate = partial(_number, at_least=0)
-    baseline = value("event", "baseline", rate)
+    baseline = entry("event", "baseline", rate)
     if ("traffic" in ev) == ("preset" in ev):
         raise ScenarioParseError(
             "%s: [event] needs exactly one of preset and traffic" % path)
-    traffic = (value("event", "traffic", rate) if "traffic" in ev
-               else value("event", "preset", preset))
+    traffic = (entry("event", "traffic", rate) if "traffic" in ev
+               else entry("event", "preset", preset))
 
     def setting(key, convert, default):
         given = overrides.get(key)
-        return given if given is not None else value("solver", key, convert,
+        return given if given is not None else entry("solver", key, convert,
                                                      default)
 
     method = setting("method", str, "lp")
@@ -325,7 +325,7 @@ def load_scenario(path, overrides=None):
     with _bad_values_named("%s: [solver]" % path):
         admm_config = rpadmm.AdmmConfig(beta=beta, max_iters=iters, seed=seed)
 
-    pm_capacity = value("pms", "capacity", lambda s: None if s == "none"
+    pm_capacity = entry("pms", "capacity", lambda s: None if s == "none"
                         else uniform_capacity(topo, _pairs(s)), "none")
 
     def hosts(text):
@@ -334,7 +334,7 @@ def load_scenario(path, overrides=None):
     convert = {"state": _one_of(OVERLOAD, UNDERLOAD, NORMAL), "v_star": integer,
                "launch": hosts, "keep": hosts, "terminate": hosts,
                "cost_delta": _one_of("positive", "negative")}
-    expect = {key: value("expect", key, convert[key])
+    expect = {key: entry("expect", key, convert[key])
               for key in sec.get("expect", {"kv": {}})["kv"]}
 
     return Scenario(

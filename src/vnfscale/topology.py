@@ -60,9 +60,6 @@ class NodeId:
             return NotImplemented
         return self.index == other.index and self.kind == other.kind
 
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.index)
-
     def __str__(self):
         return "%s%d" % (self.kind, self.index)
 

@@ -3,7 +3,9 @@
 `export` is the scipy form of an `LpModel` that the tests read: the
 objective and rows as arrays, each row's coefficients in insertion order
 with explicit zeros kept.  No solver builds it; `system_csr` is the same
-for an RP-ADMM system's CSR arrays.
+for an RP-ADMM system's CSR arrays.  `value` reads a solved variable by
+name, and `system_from_model` wraps a hand-built equality model as an
+RP-ADMM system as it stands, unscaled and with its rows as written.
 
 The HiGHS loader as first written: one fresh HiGHS object per model,
 loaded columnwise by one stable sort of the CSR on the column, explicit
@@ -101,6 +103,9 @@ Matrices = namedtuple("Matrices", "c a b rel")
 # (i, j) -> cost of a link in either direction or of a PM self-pair
 ReferenceTree = namedtuple("ReferenceTree", "nodes adj pod order cost")
 
+# node kinds in the canonical order: PMs first, then up the tree
+KINDS = (PM, TOR, AGG, CORE)
+
 
 def export(model):
     """The objective and rows of an `LpModel` as scipy arrays."""
@@ -112,6 +117,26 @@ def export(model):
                    np.array(model._indptr, dtype=int)), shape=(m, n))
     return Matrices(c, a, np.array(model._rhs, dtype=float),
                     np.array(model._rel, dtype="<U2"))
+
+
+def value(sol, name):
+    """The solved value of the variable called name."""
+    return float(sol.point[sol.model._by_name[name]])
+
+
+def system_from_model(model):
+    """A hand-built equality model as a single-agent RP-ADMM system over
+    its own CSR lists: no column scale and no row equilibration, so the
+    arrays hold the model's bits."""
+    n, mats = model.num_vars, export(model)
+    return rpadmm.ReformulatedSystem(
+        central=model, scale=np.ones(n), owners=["agent"] * n, c=mats.c,
+        indptr=np.array(model._indptr, dtype=int),
+        indices=np.array(model._indices, dtype=int),
+        data=np.array(model._data, dtype=float), b=mats.b,
+        lower=np.array(model.lower, dtype=float),
+        upper=np.array(model.upper, dtype=float),
+        row_family=[rpadmm._family_of(l) for l in model._labels])
 
 
 def row_dicts(model):
@@ -185,7 +210,7 @@ def reference_fat_tree(k, pms_per_rack, layer_costs):
     for c in range(half * half):
         pod[NodeId(CORE, c)] = -1
 
-    nodes = tuple(sorted(pod, key=NodeId.sort_key))
+    nodes = tuple(sorted(pod, key=lambda v: (KINDS.index(v.kind), v.index)))
     cost = {(v, v): 0.0 for v in nodes if v.kind == PM}
     adj = {v: [] for v in nodes}
     pm_tor, tor_agg, agg_core = layer_costs
@@ -265,8 +290,7 @@ def check_feasibility(model, point, tol=1e-8):
            | ((mats.rel == lp.LE) & (diff > tol))
            | ((mats.rel == lp.GE) & (diff < -tol)))
     bad = np.flatnonzero(bad).tolist()
-    labels = model.row_labels() if bad else []
-    return [Violation(k, diff[k], labels[k]) for k in bad]
+    return [Violation(k, diff[k], model._labels[k]) for k in bad]
 
 
 def _assignment_pins(mp, assign):
@@ -344,7 +368,7 @@ def enumerate_all_bits(mp):
     return best_obj
 
 
-def _family_rows(system):
+def family_rows(system):
     """Row indices of each constraint family, keyed in first-seen order."""
     rows = {fam: [] for fam in system.families}
     for t, fam in enumerate(system.row_family):
@@ -402,7 +426,7 @@ def reference_admm_run(system, cfg):
     res = csr @ x - system.b
     duals = np.zeros(nr)
 
-    fam_rows = _family_rows(system)
+    fam_rows = family_rows(system)
     baseline = reference_family_max(res, fam_rows)
     trace = rpadmm.AdmmTrace(families=system.families, baseline=baseline,
                              messages_per_sweep=reference_message_footprint(system))
@@ -454,7 +478,7 @@ def scaled_model(system):
     ptr, cols = system.indptr.tolist(), system.indices.tolist()
     vals = system.data.tolist()
     for lo, hi, rhs, label in zip(ptr, ptr[1:], system.b.tolist(),
-                                  central.row_labels()):
+                                  central._labels):
         model.add_row(dict(zip(cols[lo:hi], vals[lo:hi])), lp.EQ, rhs, label)
     return model
 
@@ -531,7 +555,7 @@ def reference_central_model(p):
     alpha_idx, e_idx = share_and_interest_vars(p, model, slots, rel_pms[:1])
     scale = p.traffic * p.weights.forwarding
     model.add_objective({i: scale * p.unit_cost(q) for (q, _), i in e_idx.items()})
-    model.layout = scaling._Layout(p, slots, rel_pms, alpha_idx, e_idx)
+    model.layout = scaling._Layout(slots, rel_pms, alpha_idx, e_idx)
     interest_rows(model)
     model.add_row(dict.fromkeys(alpha_idx.values(), 1.0), "=", 1.0, "coverage")
     capacity_rows(p, model)
@@ -615,7 +639,7 @@ def flow_skeleton(p, name):
     fv.add_flow_vars(model, [s.key for s in slots])
     alpha_idx, e_idx = share_and_interest_vars(p, model, slots, rel_pms)
     model.add_objective(fv.objective_coeffs(p.weights.forwarding))
-    model.layout = scaling._Layout(p, slots, rel_pms, alpha_idx, e_idx)
+    model.layout = scaling._Layout(slots, rel_pms, alpha_idx, e_idx)
     model.layout.fv = fv
     return model
 

@@ -46,8 +46,7 @@ def central_fields(p):
         "slots": repr(lay.slots), "rel_pms": repr(lay.rel_pms),
         "alpha_idx": repr(list(lay.alpha_idx.items())),
         "e_idx": repr(list(lay.e_idx.items())),
-        "slack_idx": repr(list(lay.slack_idx.items())),
-        "problem": lay.problem is p}
+        "slack_idx": repr(list(lay.slack_idx.items()))}
 
 
 def reference_central_fields(p):
@@ -60,8 +59,7 @@ def reference_central_fields(p):
         "slots": repr(lay.slots), "rel_pms": repr(lay.rel_pms),
         "alpha_idx": repr(list(lay.alpha_idx.items())),
         "e_idx": repr(list(lay.e_idx.items())),
-        "slack_idx": repr(list(lay.slack_idx.items())),
-        "problem": lay.problem is p}
+        "slack_idx": repr(list(lay.slack_idx.items()))}
 
 
 def milp_fields(mp):

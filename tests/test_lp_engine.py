@@ -12,7 +12,7 @@ from vnfscale import lp, milp, rpadmm
 
 from corpus import admm_fixture, k2_instance
 from oracle import check_feasibility, export, record_sparse_builds, \
-    reference_solve, row_dicts, scaled_model
+    reference_solve, row_dicts, scaled_model, system_from_model, value
 
 
 def small_model():
@@ -29,8 +29,8 @@ def test_minimize_simple():
     sol = lp.solve(m)
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(4.0)
-    assert sol.value("x") == pytest.approx(4.0)
-    assert sol.value("y") == pytest.approx(0.0)
+    assert value(sol, "x") == pytest.approx(4.0)
+    assert value(sol, "y") == pytest.approx(0.0)
 
 
 def test_equality_and_bounds():
@@ -41,8 +41,8 @@ def test_equality_and_bounds():
     m.add_row({x: 1.0, y: 1.0}, "=", 5.0)
     sol = lp.solve(m)
     assert sol.status == lp.OPTIMAL
-    assert sol.value("x") == pytest.approx(3.0)
-    assert sol.value("y") == pytest.approx(2.0)
+    assert value(sol, "x") == pytest.approx(3.0)
+    assert value(sol, "y") == pytest.approx(2.0)
 
 
 def test_infeasible_detected():
@@ -128,7 +128,7 @@ def test_free_and_negative_variables():
     m.add_objective({x: 1.0})
     m.add_row({x: 1.0}, ">=", -5.0)
     sol = lp.solve(m)
-    assert sol.value("x") == pytest.approx(-5.0)
+    assert value(sol, "x") == pytest.approx(-5.0)
 
 
 def test_solution_consistency_roundtrip():
@@ -313,7 +313,7 @@ def test_solves_on_many_models_leave_no_state_behind():
     statuses = [solved(a), solved(b, pins), solved(rejected), solved(a),
                 solved(rejected), solved(a)]
     # a row added to a solved model moves its optimum
-    capped = b.var("alpha[PM3,off1]")
+    capped = b._by_name["alpha[PM3,off1]"]
     assert lp.solve(b, pins).point[capped] > 0.1
     b.add_row({capped: 1.0}, "<=", 0.1, "cap")
     statuses += [solved(b, pins), solved(infeasible), solved(a)]
@@ -429,7 +429,7 @@ def test_highs_holds_mixed_rows_in_order_as_ranges(monkeypatch):
     m.add_row({x[0]: 1.0, x[1]: 1.0, x[2]: 1.0}, ">=", 0.5, "r3")
     sol = lp.solve(m)
     assert sol.objective_value == pytest.approx(2.0)
-    assert (sol.value("x0"), sol.value("x1")) == pytest.approx((1.0, 1.0))
+    assert (value(sol, "x0"), value(sol, "x1")) == pytest.approx((1.0, 1.0))
     [handed] = passed
     assert list(handed.a_matrix_.start_) == [0, 2, 4, 6, 9]
     assert list(handed.a_matrix_.index_) == [1, 0, 0, 2, 2, 1, 0, 1, 2]
@@ -481,8 +481,8 @@ def test_resolve_after_a_new_row_sees_the_row():
     assert lp.solve(m).objective_value == pytest.approx(4.0)
     m.add_row({x: 1.0}, "<=", 1.0, "cap")
     sol = lp.solve(m)
-    assert sol.value("x") == pytest.approx(1.0)
-    assert sol.value("y") == pytest.approx(3.0)
+    assert value(sol, "x") == pytest.approx(1.0)
+    assert value(sol, "y") == pytest.approx(3.0)
     assert sol.objective_value == pytest.approx(7.0)
 
 
@@ -493,7 +493,7 @@ def test_resolve_after_a_new_variable_or_objective_term():
     assert lp.solve(m).point.shape == (3,)
     m.add_objective({z: -5.0})
     sol = lp.solve(m)
-    assert sol.value("z") == pytest.approx(1.0)
+    assert value(sol, "z") == pytest.approx(1.0)
     assert sol.objective_value == pytest.approx(-1.0)
 
 
@@ -528,10 +528,10 @@ def test_an_objective_edited_in_place_is_seen():
     m.add_objective({x: 1.0, y: 2.0})
     m.add_row({x: 1.0, y: 1.0}, ">=", 1.0, "cover")
     sol = lp.solve(m)
-    assert (sol.value("x"), sol.value("y"), sol.objective_value) == (1.0, 0.0, 1.0)
+    assert (value(sol, "x"), value(sol, "y"), sol.objective_value) == (1.0, 0.0, 1.0)
     m.objective[x] = 3.0
     sol = lp.solve(m)
-    assert (sol.value("x"), sol.value("y"), sol.objective_value) == (0.0, 1.0, 2.0)
+    assert (value(sol, "x"), value(sol, "y"), sol.objective_value) == (0.0, 1.0, 2.0)
 
 
 def test_pin_outside_the_model_is_rejected():
@@ -540,10 +540,10 @@ def test_pin_outside_the_model_is_rejected():
         with pytest.raises(ValueError):
             lp.solve(m, {x: 1.0, bad: 0.0})
     sol = lp.solve(m, {x: 1.0})
-    assert sol.value("x") == 1.0
-    assert sol.value("y") == pytest.approx(3.0)
+    assert value(sol, "x") == 1.0
+    assert value(sol, "y") == pytest.approx(3.0)
     # the pin holds for that solve only
-    assert lp.solve(m).value("x") == pytest.approx(4.0)
+    assert value(lp.solve(m), "x") == pytest.approx(4.0)
 
 
 def test_message_footprint_counts_an_explicit_zero():
@@ -552,7 +552,7 @@ def test_message_footprint_counts_an_explicit_zero():
     b = m.add_var("b", -np.inf, np.inf)
     m.add_row({a: 1.0, b: 0.0}, "=", 0.0, "r")
     assert export(m).a.nnz == 2
-    system = dataclasses.replace(rpadmm.system_from_model(m), owners=["p", "q"])
+    system = dataclasses.replace(system_from_model(m), owners=["p", "q"])
     assert system.data.tolist() == [1.0, 0.0]
     assert rpadmm.message_footprint(system) == 2
 

@@ -47,7 +47,7 @@ def test_no_flow_variables_or_rows():
     for p in (k2_instance(0), problem(tree4(), scenario1(), 400.0, 4, vs.OVERLOAD)):
         model = milp.build_milp(p).base
         assert {n.partition("[")[0] for n in model.var_names} == {"b", "alpha"}
-        assert {l.partition("[")[0] for l in model.row_labels()} == {
+        assert {l.partition("[")[0] for l in model._labels} == {
             "couple_hi", "couple_lo", "coverage", "cover", "capacity", "one_host"}
 
 

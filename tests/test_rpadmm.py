@@ -14,8 +14,9 @@ from vnfscale import lp, rpadmm
 
 from corpus import pm, tree4, scenario1, scenario4, problem, k2_instance, \
     admm_fixture
-from oracle import export, record_sparse_builds, reference_admm_run, \
-    reference_message_footprint, scaled_model, system_csr
+from oracle import export, family_rows, record_sparse_builds, \
+    reference_admm_run, reference_family_max, reference_message_footprint, \
+    reference_normalize, scaled_model, system_csr, system_from_model
 
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -82,7 +83,7 @@ def test_columns_in_traffic_units_and_rows_equilibrated(topo):
         assert system.scale[i] == want, name
     peaks = np.maximum.reduceat(np.abs(system.data), system.indptr[:-1])
     assert peaks.tolist() == [1.0] * system.central.num_rows
-    assert system.b[system.central.row_labels().index("coverage")] == 400.0
+    assert system.b[system.central._labels.index("coverage")] == 400.0
     assert system.central.name == "overload_lp"
     # the scaled rows keep the central layout: the central model's own
     # CSR lists, with their explicit zeros (an omega of 0 puts them in
@@ -239,7 +240,7 @@ def two_block_reference(beta, iters):
 
 def test_identity_sweep_equals_two_block_admm():
     iters, beta = 8, 2.5
-    system = rpadmm.system_from_model(toy_model())
+    system = system_from_model(toy_model())
     cfg = rpadmm.AdmmConfig(beta=beta, max_iters=iters, primal_tol=1e-12,
                             permutations=[[0, 1, 2]] * iters)
     x, trace = rpadmm.run(system, cfg)
@@ -251,7 +252,7 @@ def test_identity_sweep_equals_two_block_admm():
 
 
 def test_permutation_override_must_cover_all_blocks():
-    system = rpadmm.system_from_model(toy_model())
+    system = system_from_model(toy_model())
     with pytest.raises(ValueError):
         rpadmm.run(system, rpadmm.AdmmConfig(permutations=[[0, 1, 1]]))
 
@@ -261,8 +262,8 @@ def test_inequality_rows_rejected():
     x = m.add_var("x", 0.0, 1.0)
     m.add_objective({x: 1.0})
     m.add_row({x: 1.0}, ">=", 0.5, "r")
-    with pytest.raises(ValueError):
-        rpadmm.run(rpadmm.system_from_model(m), rpadmm.AdmmConfig(max_iters=1))
+    with pytest.raises(ValueError, match="needs equality rows, got '>=' in 'r'"):
+        rpadmm._scaled(m, ["agent"], np.ones(1))
 
 
 def test_unbounded_block_raises_through_the_sweep():
@@ -271,8 +272,24 @@ def test_unbounded_block_raises_through_the_sweep():
     free = m.add_var("free", -np.inf, np.inf)
     m.add_objective({x: 1.0, free: -2.0})
     m.add_row({x: 1.0}, "=", 0.5, "r")
-    with pytest.raises(rpadmm.UnboundedUpdateError):
-        rpadmm.run(rpadmm.system_from_model(m), rpadmm.AdmmConfig(max_iters=1))
+    with pytest.raises(rpadmm.UnboundedUpdateError,
+                       match="has no quadratic term and runs off to inf"):
+        rpadmm.run(system_from_model(m), rpadmm.AdmmConfig(max_iters=1))
+
+
+def test_an_overflowing_update_raises_in_the_first_sweep_of_both_loops():
+    # 1e200 squared is inf, so the block's quadratic term is inf, not 0,
+    # and its update inf / inf is nan: the sweep's non-finite fallback
+    m = lp.LpModel("overflow")
+    m.add_var("x", -np.inf, np.inf)
+    m.add_row({0: 1e200}, "=", 1e200, "r")
+    system = system_from_model(m)
+    cfg = rpadmm.AdmmConfig(max_iters=1)
+    want = r"^block update overflows \(quadratic term inf\) and runs off to nan$"
+    for loop in (rpadmm.run, reference_admm_run):
+        with pytest.raises(rpadmm.UnboundedUpdateError, match=want), \
+                np.errstate(over="ignore", invalid="ignore"):
+            loop(system, cfg)
 
 
 # -- the distributed run on the worked geometry --------------------------------
@@ -285,7 +302,8 @@ def system_arrays(system):
 
 def test_fixed_seed_runs_are_bit_identical(monkeypatch):
     # two runs on one system: the same bytes, the system's arrays as they
-    # were, and the message footprint counted once, on the first run
+    # were, and the message footprint counted by neither run but once, on
+    # the first read of either trace
     calls = []
     real = rpadmm.message_footprint
     monkeypatch.setattr(rpadmm, "message_footprint",
@@ -294,6 +312,7 @@ def test_fixed_seed_runs_are_bit_identical(monkeypatch):
     before = system_arrays(system)
     cfg = rpadmm.AdmmConfig(beta=5.0, max_iters=12, seed=3)
     (xa, a), (xb, b) = rpadmm.run(system, cfg), rpadmm.run(system, cfg)
+    assert calls == []
     assert xa.tobytes() == xb.tobytes()
     assert a.csv() == b.csv()
     assert a.objectives == b.objectives
@@ -349,7 +368,7 @@ def hand_system(variables, rows):
         m.add_objective({m.add_var("x%d" % k, lo, hi): c})
     for t, (coeffs, rhs) in enumerate(rows):
         m.add_row(coeffs, "=", rhs, "r%d[%d]" % (t % 2, t))
-    return rpadmm.system_from_model(m)
+    return system_from_model(m)
 
 
 HAND_SYSTEMS = {
@@ -509,12 +528,17 @@ def test_violations_fall_and_end_small(fixture_system):
 def test_violations_normalize_to_one_at_start_and_zero_when_feasible(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     system = rpadmm.reformulate(p)
-    at_zero = rpadmm.normalized_violations(
-        np.zeros(system.central.num_vars), system)
+    rows, csr = family_rows(system), system_csr(system)
+
+    def peaks(point):
+        return reference_family_max(csr @ point - system.b, rows)
+
+    start = peaks(np.zeros(system.central.num_vars))
+    at_zero = reference_normalize(start, start)
     assert at_zero["coverage"] == 1.0
     assert at_zero["interest"] == 0.0
-    scaled = central_optimum(p).point * system.scale
-    at_opt = rpadmm.normalized_violations(scaled, system)
+    at_opt = reference_normalize(
+        peaks(central_optimum(p).point * system.scale), start)
     assert max(at_opt.values()) < 1e-7
 
 
@@ -543,7 +567,7 @@ def test_agent_partition_assigns_every_block(fixture_system):
 
 
 def test_orphan_block_is_a_construction_fault():
-    system = rpadmm.system_from_model(toy_model())
+    system = system_from_model(toy_model())
     with pytest.raises(RuntimeError, match="'x2' has no owning agent"):
         dataclasses.replace(system, owners=["a", None, "a"])
     with pytest.raises(RuntimeError, match="'x3' has no owning agent"):

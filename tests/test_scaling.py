@@ -184,6 +184,28 @@ def test_mode_and_v_star_validated(topo):
         vs.build_overload_lp(p)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"traffic": -1.0}, "traffic must be nonnegative"),
+    ({"v_star": 0}, "v_star must be at least 1"),
+    ({"v_star": 0, "mode": vs.UNDERLOAD}, "v_star must be at least 1"),
+    ({"group": {"ingress_pms": []}}, "ingress and egress PM sets must be nonempty"),
+    ({"group": {"egress_pms": []}}, "ingress and egress PM sets must be nonempty"),
+], ids=["traffic_negative", "v_star_zero", "v_star_zero_underload",
+        "ingress_empty", "egress_empty"])
+def test_problem_input_checks_name_the_fault(topo, fields, message):
+    fields = dict(fields)
+    g = dataclasses.replace(scenario1(), **fields.pop("group", {}))
+    with pytest.raises(ValueError, match="^%s$" % message):
+        vs.ScalingProblem(**{"topology": topo, "group": g, "traffic": 400.0,
+                             "v_star": 3, "mode": vs.OVERLOAD, **fields})
+
+
+def test_underload_model_of_an_overload_problem_is_refused(topo):
+    p = problem(topo, scenario1(), 400.0, 3, vs.OVERLOAD)
+    with pytest.raises(ValueError, match="^problem is not in underload mode$"):
+        vs.build_underload_lp(p)
+
+
 # -- conservation and share invariants ---------------------------------------
 
 def every_optimal_decision(topo):
@@ -256,7 +278,7 @@ def test_share_chain_matches_all_pairs_reference(name, p):
 
     def row_counts(model):
         chain, interest = {}, {}
-        for label in model.row_labels():
+        for label in model._labels:
             family, _, args = label[:-1].partition("[")
             if family == "alpha_eq":
                 key = args.rsplit(",", 1)[1]
@@ -269,7 +291,7 @@ def test_share_chain_matches_all_pairs_reference(name, p):
     keys = {s.key for s in layout.slots}
     chain, interest = row_counts(got.model)
     assert chain == {} and interest == dict.fromkeys(keys, 1)
-    assert got.model.row_labels().count("coverage") == 1
+    assert got.model._labels.count("coverage") == 1
 
 
 # -- exactness against the flow LP ----------------------------------------------

@@ -522,6 +522,15 @@ BAD_PM_NAMES = ["1-4", "PP1-PP4", "P1-4", "P+1-P4", "1", "PP1", "P+1",
     ("preset = overload:1", "preset = overload:1\ntraffic = 150",
      "case.scn: [event] needs exactly one of preset and traffic"),
     ("preset = overload:1", "", "case.scn: [event] needs exactly one of"),
+    ("vm1  P2  100  0.95\n", "", "case.scn: [vms] lists no online VM"),
+    ("vm1  P2  100  0.95", "vm1  P2  100",
+     "case.scn: [vms] row 'vm1 P2 100' needs: id host capacity util"),
+    ("[event]\nbaseline = 100\npreset = overload:1\n", "",
+     "case.scn: missing [event] section"),
+    ("baseline = 100\n", "", "case.scn: [event] needs baseline"),
+    ("gamma = 1.0", "gamma = 1.0\nthresholds = hot:0.9 warm:0.8",
+     "case.scn: [group] thresholds = hot:0.9 warm:0.8: need exactly hot,"
+     " warm and cold"),
 ] + [("candidates = P1-P4", "candidates = " + bad, "[group] candidates")
      for bad in BAD_PM_NAMES],
     ids=["section", "k", "candidates", "omega", "vm_row", "traffic",
@@ -533,7 +542,8 @@ BAD_PM_NAMES = ["1-4", "PP1-PP4", "P1-4", "P+1-P4", "1", "PP1", "P+1",
         "vm_util_negative", "omega_negative", "pms_per_rack_zero",
         "costs_two", "costs_negative", "range_reversed", "pm_twice",
         "ranges_overlap", "vm_id_twice", "pair_twice", "key_twice",
-        "traffic_and_preset", "no_traffic"]
+        "traffic_and_preset", "no_traffic", "vms_empty", "vm_row_short",
+        "no_event", "no_baseline", "thresholds_two"]
     + ["candidates_%r" % bad for bad in BAD_PM_NAMES])
 def test_cli_parse_error_is_exit_two(tmp_path, capsys, old, new, named):
     body = minimal().replace(old, new)

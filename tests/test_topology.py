@@ -162,8 +162,10 @@ def test_node_id_formats_sorts_and_stays_frozen():
     assert repr(v) == "NodeId(kind='Aggregation', index=7)"
     nodes = [tp.NodeId(tp.CORE, 0), tp.NodeId(tp.PM, 2), tp.NodeId(tp.TOR, 1),
              tp.NodeId(tp.PM, 0)]
-    assert [n.sort_key() for n in sorted(nodes, key=tp.NodeId.sort_key)] == [
-        (0, 0), (0, 2), (1, 1), (3, 0)]
+    # the canonical order: PMs first, then up the tree, each by index
+    assert sorted(nodes, key=tp.build_fat_tree(4).node_position) == [
+        tp.NodeId(tp.PM, 0), tp.NodeId(tp.PM, 2), tp.NodeId(tp.TOR, 1),
+        tp.NodeId(tp.CORE, 0)]
     with pytest.raises(dataclasses.FrozenInstanceError):
         v.index = 8
     with pytest.raises(dataclasses.FrozenInstanceError):
