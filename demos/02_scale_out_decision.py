@@ -46,8 +46,12 @@ def run(g, traffic, baseline):
                           pm_capacity=vs.uniform_capacity(topo, {"cpu": 100.0}),
                           baseline_traffic=baseline)
     build = vs.build_overload_lp if state == vs.OVERLOAD else vs.build_underload_lp
-    sol = lp.solve(build(p))
-    dec = vs.decode(sol, p)
+    model = build(p)
+    sol = lp.solve(model)
+    if sol.status != lp.OPTIMAL:    # decode acts on an optimal point only
+        print("the relaxation is %s" % sol.status)
+        return
+    dec = vs.decode(model, sol.point, p)
     print(vs.decision_table(dec), end="")
     print("forwarding cost %.6g, %+.1f%% vs the baseline routing"
           % (dec.forwarding_cost, 100 * dec.cost_delta_vs_baseline))

@@ -2,10 +2,11 @@
 
 LpModel is a registry of variables (name, bounds), a sparse linear
 objective and relational rows, appended in blocks (add_vars, add_rows;
-add_var and add_row append one).  A name given twice, an empty bound
-interval, a bad relation or a row naming an unknown variable or one
-variable twice rejects the whole block, the first fault named, and the
-model stays as it was.  All rows live in one CSR kept as Python lists.
+add_var and add_row append one).  Names are labels only: nothing looks a
+variable up by name, and a name may repeat.  An empty bound interval, a
+bad relation or a row naming an unknown variable or one variable twice
+rejects the whole block, the first fault named, and the model stays as
+it was.  All rows live in one CSR kept as Python lists.
 solve() drives one HiGHS object per process (scipy's bundled HiGHS,
 made by the first solve with its options set once) and keeps no model
 between calls: each solve passes its model rowwise, straight from those
@@ -69,7 +70,6 @@ class LpModel:
         self.upper = []
         self.objective = {}     # var index -> coefficient
         self._names = []        # var index -> name
-        self._by_name = {}
         self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
         self._rel, self._rhs = [], []
         self._labels = []       # row index -> label
@@ -82,22 +82,15 @@ class LpModel:
         index of the first."""
         first = len(self._names)
         lower, upper = list(map(float, lower)), list(map(float, upper))
-        new = dict(zip(names, range(first, first + len(names))))
         if not len(names) == len(lower) == len(upper):
             raise ValueError("malformed variable block")
-        if len(new) < len(names) or not self._by_name.keys().isdisjoint(new) \
-                or not all(map(operator.le, lower, upper)):
-            seen = set(self._by_name)
+        if not all(map(operator.le, lower, upper)):
             for name, lo, hi in zip(names, lower, upper):
-                if name in seen:
-                    raise ValueError("duplicate variable %r" % name)
                 if not lo <= hi:
                     raise ValueError("empty bound interval for %r" % name)
-                seen.add(name)
         self._names += names
         self.lower += lower
         self.upper += upper
-        self._by_name.update(new)
         return first
 
     @property
@@ -202,7 +195,6 @@ class LpSolution:
     status: str
     point: object            # ndarray over model variables, or None
     objective_value: float
-    model: LpModel = None
 
 
 def solve(model, fixed=None):
@@ -220,7 +212,7 @@ def solve(model, fixed=None):
                              % (model.name, model.num_vars))
     if not _load_highs(model):
         # HiGHS rejected the model, which linprog reports as infeasible
-        return LpSolution(INFEASIBLE, None, np.nan, model)
+        return LpSolution(INFEASIBLE, None, np.nan)
     h = _HIGHS
     if fixed:
         val = np.fromiter(fixed.values(), float, len(fixed))
@@ -231,7 +223,7 @@ def solve(model, fixed=None):
         raise LpError("solver breakdown on %s: %s" % (
             model.name, h.modelStatusToString(h.getModelStatus())))
     if status != OPTIMAL:
-        return LpSolution(status, None, np.nan, model)
+        return LpSolution(status, None, np.nan)
     point = np.array(h.getSolution().col_value)
     value = h.getObjectiveValue()
-    return LpSolution(OPTIMAL, point, value, model)
+    return LpSolution(OPTIMAL, point, value)

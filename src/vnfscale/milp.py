@@ -53,8 +53,6 @@ class MilpProblem:
     problem: object             # the originating ScalingProblem
     b_idx: dict                 # (PM, vm id) -> var index
     alpha_idx: dict             # (PM, vm id) -> var index
-    online_ids: list
-    offline_ids: list
 
 
 @dataclass(kw_only=True)
@@ -85,13 +83,11 @@ def build_milp(p):
     topo = p.topology
     model = lp.LpModel("milp")
     vms = [*group.online, *group.offline_pool]
-    online_ids = [vm.id for vm in group.online]
-    offline_ids = [vm.id for vm in group.offline_pool]
 
     cap, pen, capped = p.share_cap, p.penalties, p.capped
     names, tags, b_idx, alpha_idx, at, own, cost = [], [], {}, {}, {}, [], []
     for k, vm in enumerate(vms):
-        online = k < len(online_ids)
+        online = k < len(group.online)
         pms = topo.pms if online else group.candidate_pms
         own.append(range(len(names), len(names) + 2 * len(pms), 2))
         for i, q in zip(own[-1], pms):
@@ -139,14 +135,13 @@ def build_milp(p):
                    ["one_host[%s]" % (vm.id,) for vm, _ in held])
 
     return MilpProblem(base=model, binaries=binaries, problem=p,
-                       b_idx=b_idx, alpha_idx=alpha_idx, online_ids=online_ids,
-                       offline_ids=offline_ids)
+                       b_idx=b_idx, alpha_idx=alpha_idx)
 
 
-def deployment_cost(placement, penalties, online_ids):
+def deployment_cost(placement, penalties, online):
     """Activation charges minus retention credits for a placement map
-    (vm id -> PM or None)."""
-    online = set(online_ids)
+    (vm id -> PM or None); online holds the ids of the online VMs."""
+    online = set(online)
     total = 0.0
     for j, q in placement.items():
         if q is None:
@@ -163,9 +158,9 @@ def _decode(mp, point, total, nodes, proven):
     for (q, j), idx in mp.b_idx.items():
         if round(point[idx]):
             placement[j] = q
-    for j in mp.online_ids + mp.offline_ids:
-        placement.setdefault(j, None)
     p = mp.problem
+    for vm in (*p.group.online, *p.group.offline_pool):
+        placement.setdefault(vm.id, None)
     alpha = {k: float(point[i]) for k, i in mp.alpha_idx.items()}
     # each VM's shares summed in PM-index order, whatever order its
     # candidate PMs came in
@@ -178,7 +173,7 @@ def _decode(mp, point, total, nodes, proven):
     kept = {j: q for j, q in placed.items() if j in online}
     flows_n, flows_m = scaling.route_flows(p, alpha)
     fwd = p.split_cost(alpha)
-    dep = deployment_cost(placement, p.penalties, mp.online_ids)
+    dep = deployment_cost(placement, p.penalties, online)
     return MilpSolution(
         mode=p.mode, kept=kept,
         launched={j: q for j, q in placed.items() if j not in online},

@@ -26,9 +26,10 @@ moved by more than primal_tol * max|x| in the sweep (the primal and the
 dual residual together; Boyd et al., 2011, section 3.3).  At
 primal_tol = 0 that is an exact fixed point, which is a KKT point.
 
-A trace counts the messages per sweep (`message_footprint`) only when
-its `messages_per_sweep` is read, as the trace CSV does, and the system
-keeps the count; a run whose count is never read never works it out.
+A trace reads its messages per sweep from the system it ran on: the
+system counts them (`message_footprint`) on the first read, as the trace
+CSV does, and keeps the count; a run whose count is never read never
+works it out.
 
 The sweep runs on flat Python lists (each block's column, taken by a
 Python transpose of the CSR arrays, its denominator, -c/beta and bounds
@@ -122,10 +123,6 @@ class ReformulatedSystem:
             if i >= len(self.owners) or self.owners[i] is None:
                 raise RuntimeError("block %r has no owning agent"
                                    % self.central.var_names[i])
-
-    @property
-    def families(self):
-        return list(dict.fromkeys(self.row_family))
 
     @functools.cached_property
     def messages_per_sweep(self):
@@ -317,23 +314,18 @@ class AdmmRecord:
 
 
 class AdmmTrace:
-    """The records of one run.  Its messages_per_sweep is the count it
-    was made with or, made with a system instead, that system's count,
-    worked out on the first read."""
+    """The records of one run on `system`, whose messages_per_sweep it
+    reports."""
 
-    def __init__(self, families, baseline, messages_per_sweep=None,
-                 system=None):
+    def __init__(self, families, system):
         self.families = families
-        self.baseline = baseline   # per-family max |residual| at the start point
-        self._messages, self._system = messages_per_sweep, system
+        self._system = system
         self.records = []
         self.converged = False
 
     @property
     def messages_per_sweep(self):
-        if self._messages is None:
-            return self._system.messages_per_sweep
-        return self._messages
+        return self._system.messages_per_sweep
 
     @property
     def objectives(self):
@@ -401,8 +393,8 @@ def run(system, cfg=None):
     rs = _residuals(system, np.zeros(nv)).tolist()
     fams = _Families(system.row_family)
     *start, _ = fams.peaks(np.array(rs + [0.0]))
-    baseline, scales = dict(zip(fams.names, start)), _scales(start)
-    trace = AdmmTrace(families=fams.names, baseline=baseline, system=system)
+    scales = _scales(start)
+    trace = AdmmTrace(families=fams.names, system=system)
 
     orders = _sweep_orders(cfg, nv)
     rng = np.random.default_rng(cfg.seed) if orders is None else None

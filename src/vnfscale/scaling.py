@@ -105,15 +105,15 @@ class ScalingProblem:
     pm_capacity: dict = None        # resource -> {PM NodeId: capacity}, optional
     epsilon: float = 0.01
     weights: Weights = field(default_factory=Weights)
-    penalties: Penalties = None
     baseline_traffic: float = None  # pre-event T, used for cost deltas
 
     def __post_init__(self):
         if self.mode not in (OVERLOAD, UNDERLOAD):
             raise ValueError("mode must be overload or underload")
-        if self.traffic < 0:
+        # written so that nan fails them too
+        if not self.traffic >= 0:
             raise ValueError("traffic must be nonnegative")
-        if self.baseline_traffic is not None and self.baseline_traffic < 0:
+        if self.baseline_traffic is not None and not self.baseline_traffic >= 0:
             raise ValueError("baseline traffic must be nonnegative")
         n_online = len(self.group.online)
         if self.v_star < 1:
@@ -124,8 +124,11 @@ class ScalingProblem:
             raise ValueError("underload requires v_star <= current instance count")
         if not self.group.ingress_pms or not self.group.egress_pms:
             raise ValueError("ingress and egress PM sets must be nonempty")
-        if self.penalties is None:
-            self.penalties = Penalties.for_mode(self.mode)
+
+    @property
+    def penalties(self):
+        """The deployment penalties of the problem's mode."""
+        return Penalties.for_mode(self.mode)
 
     @cached_property
     def baseline_cost(self):
@@ -377,8 +380,9 @@ class ScalingDecision:
     vm_slot: dict = field(default_factory=dict)     # kept vm id -> instance key
 
 
-def decode(solution, p):
-    """Turn an optimal relaxation point into concrete scaling actions.
+def decode(model, point, p):
+    """Turn a point of p's relaxation `model` into concrete scaling
+    actions; the caller has checked that the point is one to act on.
 
     Each unpinned instance goes to the PM with the largest interest
     value (ties to the lowest-indexed PM).  Should two instances claim
@@ -386,11 +390,8 @@ def decode(solution, p):
     next-best candidate; a warning records the fallback.  The flows are
     the interest split routed by `route_flows`.
     """
-    if solution.status != lp.OPTIMAL:
-        raise DecodeError("cannot decode a %s solution" % solution.status)
-    layout = solution.model.layout
+    layout = model.layout
     slots = layout.slots
-    point = solution.point
     warnings = []
 
     # + 0.0 turns a solver's -0.0 into 0.0, which prints as 0

@@ -352,7 +352,6 @@ class RunReport:
     v_star: int = None
     method: str = None
     decision: object = None
-    table: str = ""
     baseline_cost: float = None
     forwarding_cost: float = None
     cost_delta: float = None
@@ -368,7 +367,8 @@ class RunReport:
         else:
             lines.append("  v* = %d, solved with %s"
                          % (self.v_star, self.method))
-            lines.extend("  " + row for row in self.table.rstrip().splitlines())
+            lines.extend("  " + row for row in
+                         decision_table(self.decision).rstrip().splitlines())
             pct = ("" if not self.baseline_cost else " = %+.1f%%"
                    % (100 * self.cost_delta / self.baseline_cost))
             lines.append("  forwarding cost %.6g (baseline %.6g, %+.6g%s)"
@@ -440,7 +440,7 @@ def _lp(p, admm_config):
         sol = lp.solve(model)
         if sol.status != lp.OPTIMAL:
             raise ModelInfeasibleError("relaxation is %s" % sol.status)
-        return decode(sol, p), {}, None
+        return decode(model, sol.point, p), {}, None
     return model, solve
 
 
@@ -468,10 +468,7 @@ def _rpadmm(p, admm_config):
 
     def solve():
         x, trace = rpadmm.run(system, admm_config)
-        sol = lp.LpSolution(status=lp.OPTIMAL, point=system.unscale(x),
-                            objective_value=trace.objectives[-1],
-                            model=system.central)
-        dec = decode(sol, p)
+        dec = decode(system.central, system.unscale(x), p)
         coverage = sum(dec.shares.values())
         if abs(coverage - 1.0) > 1e-6:
             dec.warnings.append("the shares cover %.9f of the traffic" % coverage)
@@ -502,7 +499,6 @@ def run_scenario(path, out_dir=None, overrides=None):
     report.stats = {"num_vars": model.num_vars, "num_rows": model.num_rows,
                     **extra, "runtime_s": time.perf_counter() - t0}
     report.decision = dec
-    report.table = decision_table(dec)
     report.forwarding_cost = dec.forwarding_cost
     report.cost_delta = dec.forwarding_cost - report.baseline_cost
 
@@ -603,10 +599,24 @@ def sweep_table(rows, method):
 class CompareReport:
     scenario: str
     optimum: float
-    objectives: list
-    gaps: list                 # per-iteration |objective - optimum| / optimum
-    converged: bool
     trace: object
+
+    @property
+    def objectives(self):
+        return self.trace.objectives
+
+    @property
+    def gaps(self):
+        """Per-iteration |objective - optimum| / |optimum|, or |objective|
+        at a zero optimum."""
+        opt = self.optimum
+        if opt != 0.0:
+            return [abs(o - opt) / abs(opt) for o in self.objectives]
+        return [abs(o) for o in self.objectives]
+
+    @property
+    def converged(self):
+        return self.trace.converged
 
     @property
     def final_gap(self):
@@ -642,14 +652,8 @@ def compare_solvers(path, overrides=None, out_dir=None):
     if central.status != lp.OPTIMAL:
         raise ModelInfeasibleError("central relaxation is %s" % central.status)
     x, trace = rpadmm.run(system, sc.admm_config)
-    opt = central.objective_value
-    if opt != 0.0:
-        gaps = [abs(o - opt) / abs(opt) for o in trace.objectives]
-    else:
-        gaps = [abs(o) for o in trace.objectives]
-    report = CompareReport(scenario=sc.name, optimum=opt,
-                           objectives=list(trace.objectives), gaps=gaps,
-                           converged=trace.converged, trace=trace)
+    report = CompareReport(scenario=sc.name, optimum=central.objective_value,
+                           trace=trace)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "%s_trace.csv" % sc.name)

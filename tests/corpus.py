@@ -71,9 +71,10 @@ def problem(topo, g, traffic, v_star, mode, baseline=None):
 def solve_decoded(p):
     from vnfscale import lp
     build = vs.build_overload_lp if p.mode == vs.OVERLOAD else vs.build_underload_lp
-    sol = lp.solve(build(p))
+    model = build(p)
+    sol = lp.solve(model)
     assert sol.status == lp.OPTIMAL, sol.status
-    return sol, vs.decode(sol, p)
+    return sol, vs.decode(model, sol.point, p)
 
 
 def k2_instance(seed, mode=None):

@@ -119,9 +119,9 @@ def export(model):
                     np.array(model._rel, dtype="<U2"))
 
 
-def value(sol, name):
-    """The solved value of the variable called name."""
-    return float(sol.point[sol.model._by_name[name]])
+def value(model, sol, name):
+    """The solved value of model's first variable called name."""
+    return float(sol.point[model.var_names.index(name)])
 
 
 def system_from_model(model):
@@ -173,7 +173,7 @@ def reference_solve(model, fixed=None):
     for key, val in lp._OPTIONS.items():
         h.setOptionValue(key, val)
     if h.passModel(hlp) == highs.HighsStatus.kError:
-        return lp.LpSolution(lp.INFEASIBLE, None, np.nan, model)
+        return lp.LpSolution(lp.INFEASIBLE, None, np.nan)
     lo, hi = np.array((model.lower, model.upper), dtype=float)
     for idx, val in (fixed or {}).items():
         lo[idx] = hi[idx] = val
@@ -181,9 +181,9 @@ def reference_solve(model, fixed=None):
     h.run()
     status = lp._STATUS[h.getModelStatus()]
     if status != lp.OPTIMAL:
-        return lp.LpSolution(status, None, np.nan, model)
+        return lp.LpSolution(status, None, np.nan)
     return lp.LpSolution(status, np.array(h.getSolution().col_value),
-                         h.getObjectiveValue(), model)
+                         h.getObjectiveValue())
 
 
 @functools.cache
@@ -325,7 +325,8 @@ def enumerate_single_host(mp, prefilter=True):
     the LP would report them infeasible; they are skipped by shape.
     Returns (best objective, best assignment dict) or (None, None).
     """
-    keys = mp.online_ids + mp.offline_ids
+    group = mp.problem.group
+    keys = [vm.id for vm in (*group.online, *group.offline_pool)]
     options = [[None] + [q for q in mp.problem.topology.pms
                          if (q, j) in mp.b_idx] for j in keys]
     best_obj, best_assign = None, None
@@ -370,7 +371,7 @@ def enumerate_all_bits(mp):
 
 def family_rows(system):
     """Row indices of each constraint family, keyed in first-seen order."""
-    rows = {fam: [] for fam in system.families}
+    rows = {fam: [] for fam in system.row_family}
     for t, fam in enumerate(system.row_family):
         rows[fam].append(t)
     return {fam: np.array(idx, dtype=int) for fam, idx in rows.items()}
@@ -428,8 +429,7 @@ def reference_admm_run(system, cfg):
 
     fam_rows = family_rows(system)
     baseline = reference_family_max(res, fam_rows)
-    trace = rpadmm.AdmmTrace(families=system.families, baseline=baseline,
-                             messages_per_sweep=reference_message_footprint(system))
+    trace = rpadmm.AdmmTrace(families=list(fam_rows), system=system)
 
     orders = rpadmm._sweep_orders(cfg, nv)
     rng = np.random.default_rng(cfg.seed)
@@ -624,8 +624,7 @@ def reference_build_milp(p):
             model.add_row(coeffs, "<=", 1.0, "one_host[%s]" % (j,))
 
     return milp.MilpProblem(base=model, binaries=binaries, problem=p,
-                            b_idx=b_idx, alpha_idx=alpha_idx,
-                            online_ids=online_ids, offline_ids=offline_ids)
+                            b_idx=b_idx, alpha_idx=alpha_idx)
 
 
 def flow_skeleton(p, name):
@@ -819,8 +818,7 @@ def reference_flow_milp(p):
     fv.add_egress_total(model, p.traffic, group.gamma)
 
     mp = milp.MilpProblem(base=model, binaries=binaries, problem=p,
-                          b_idx=b_idx, alpha_idx=alpha_idx,
-                          online_ids=online_ids, offline_ids=offline_ids)
+                          b_idx=b_idx, alpha_idx=alpha_idx)
     mp.fv = fv
     return mp
 

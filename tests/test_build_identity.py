@@ -30,8 +30,7 @@ MODEL_FIELDS = ("name", "lower", "upper", "_names", "_indptr", "_indices",
 
 def model_fields(model):
     return {f: repr(getattr(model, f)) for f in MODEL_FIELDS} | {
-        "objective": repr(list(model.objective.items())),
-        "_by_name": repr(list(model._by_name.items()))}
+        "objective": repr(list(model.objective.items()))}
 
 
 def central_fields(p):
@@ -64,8 +63,7 @@ def reference_central_fields(p):
 
 def milp_fields(mp):
     return model_fields(mp.base) | {
-        f: repr(getattr(mp, f)) for f in ("binaries", "online_ids",
-                                          "offline_ids")} | {
+        "binaries": repr(mp.binaries),
         "b_idx": repr(list(mp.b_idx.items())),
         "alpha_idx": repr(list(mp.alpha_idx.items()))}
 

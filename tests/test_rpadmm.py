@@ -128,7 +128,7 @@ def test_zero_traffic_keeps_unit_scale(topo):
 def test_underload_has_a_distributed_form(topo):
     p = problem(topo, scenario1([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD)
     system = rpadmm.reformulate(p)
-    assert "keep" in system.families
+    assert "keep" in system.row_family
     owners = system.owners
     names = system.central.var_names
     assert owners[names.index("keep_slack[PM4]")] == pm(5)

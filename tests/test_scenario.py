@@ -214,7 +214,6 @@ def test_normal_scenario_skips_the_solver():
     report = scenario.run_scenario(scen("normal_state.scn"))
     assert report.state == vs.NORMAL
     assert report.decision is None
-    assert report.table == ""
     assert "no reconfiguration" in report.text()
 
 
@@ -470,6 +469,55 @@ def test_cli_failed_cost_delta_expectation_is_exit_one(tmp_path, capsys):
     assert cli_main(["run", path]) == 1
     assert "EXPECT FAILED: cost delta -31500, expected positive" in \
         capsys.readouterr().out
+
+
+# two VMs of 100 cpu on PMs of 10 cpu: no share of the traffic fits
+TOO_SMALL_PMS = """
+[topology]
+k = 4
+[group]
+ingress = P1
+egress = P4
+candidates = P1-P16
+[vms]
+vm1 P2 100 0.95
+vm2 P5 100 0.50
+[pms]
+capacity = cpu:10
+[event]
+baseline = 10
+traffic = 100
+[solver]
+method = lp
+"""
+
+
+def test_a_relaxation_highs_finds_infeasible_is_exit_three(tmp_path, capsys):
+    path = write_scenario(tmp_path, TOO_SMALL_PMS)
+    assert cli_main(["run", path, "--solver", "lp"]) == 3
+    assert capsys.readouterr().err == "infeasible: relaxation is infeasible\n"
+    assert cli_main(["compare", path]) == 3
+    assert capsys.readouterr().err == \
+        "infeasible: central relaxation is infeasible\n"
+    # RP-ADMM stops at its sweep limit and decides on the point it reached
+    assert cli_main(["run", path, "--solver", "rpadmm"]) == 0
+    out = capsys.readouterr().out
+    assert "vm1       keep       P2" in out and "vm2       keep       P5" in out
+    assert "sweeps: 25, converged: False, coverage 0.8346" in out
+    assert "WARNING: the shares cover 0.834571458 of the traffic" in out
+
+
+def test_a_solver_breakdown_is_exit_four(monkeypatch, capsys):
+    # a fresh process HiGHS object allowed no simplex iteration
+    monkeypatch.setattr(lp, "_HIGHS", None)
+    monkeypatch.setattr(lp, "_OPTIONS", {**lp._OPTIONS, "presolve": "off",
+                                         "simplex_iteration_limit": 0})
+    assert cli_main(["run", scen("scale_out_v3.scn")]) == 4
+    assert capsys.readouterr().err == "no usable solution: solver breakdown" \
+        " on overload_lp: Iteration limit reached\n"
+    monkeypatch.undo()
+    assert cli_main(["run", scen("scale_out_v3.scn")]) == 0
+    assert "launch" in capsys.readouterr().out
 
 
 # each name and each end of a range must be P followed by ASCII digits
