@@ -53,8 +53,9 @@ def run(g, traffic, baseline):
         return
     dec = vs.decode(model, sol.point, p)
     print(vs.decision_table(dec), end="")
+    delta = (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost
     print("forwarding cost %.6g, %+.1f%% vs the baseline routing"
-          % (dec.forwarding_cost, 100 * dec.cost_delta_vs_baseline))
+          % (dec.forwarding_cost, 100 * delta))
 
 
 print("== traffic 200 -> 300, hosts hot ==")

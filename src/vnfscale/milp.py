@@ -11,9 +11,9 @@ part is a min-cost flow that sends every unit along a shortest path
 which on a fat tree climbs to the lowest layer its ends share and comes
 back down.  A share alpha[q,j] is therefore priced at T * w_fwd * u(q),
 the closed-form cost of serving it at q (`ScalingProblem.unit_cost`),
-and the model has no flow variable; the decode routes the flows of the
-optimum with `scaling.route_flows` and prices its shares with
-`ScalingProblem.split_cost`, as the central decode does.
+and the model has no flow variable; the decode prices the optimum's
+shares with `ScalingProblem.split_cost`, as the central decode does, and
+keeps them as the decision's split, which `scaling.flows_csv` routes.
 
 The `cover` row, sum of every b >= ceil(1 / share_cap), is a cover
 inequality (Wolsey, Integer Programming, 1998, ch. 9): each placed VM
@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from . import lp, scaling
+from . import lp
 from .scaling import ScalingDecision
 
 # a binary within this distance of 0 or 1 counts as integral
@@ -59,15 +59,22 @@ class MilpProblem:
 class MilpSolution(ScalingDecision):
     """A ScalingDecision in which every VM is its own instance key: a kept
     VM (at its new host, if it migrated) maps to itself in vm_slot, shares
-    are keyed by VM id and e holds the placement binaries b."""
+    are keyed by VM id, e holds the placement binaries b and alpha the
+    shares per PM, which are the split."""
 
     status: str                 # optimal | budget_exhausted | infeasible
     proven: bool
+    alpha: dict = field(default_factory=dict)       # (PM, vm id) -> share
     total: float = None
     nodes: int = 0
     point: object = None
     placement: dict = field(default_factory=dict)   # vm id -> PM or None
     deployment_cost: float = None
+
+    @property
+    def split(self):
+        """The shares alpha per (PM, vm id)."""
+        return self.alpha
 
 
 def build_milp(p):
@@ -171,16 +178,12 @@ def _decode(mp, point, total, nodes, proven):
     online = {vm.id: vm.host for vm in p.group.online}
     placed = {j: q for j, q in placement.items() if q is not None}
     kept = {j: q for j, q in placed.items() if j in online}
-    flows_n, flows_m = scaling.route_flows(p, alpha)
-    fwd = p.split_cost(alpha)
     dep = deployment_cost(placement, p.penalties, online)
     return MilpSolution(
-        mode=p.mode, kept=kept,
-        launched={j: q for j, q in placed.items() if j not in online},
+        kept=kept, launched={j: q for j, q in placed.items() if j not in online},
         terminated={j: host for j, host in online.items() if j not in placed},
         alpha=alpha, e={k: float(point[i]) for k, i in mp.b_idx.items()},
-        shares=shares, flows_n=flows_n, flows_m=flows_m, forwarding_cost=fwd,
-        cost_delta_vs_baseline=p.relative_cost_delta(fwd),
+        shares=shares, forwarding_cost=p.split_cost(alpha),
         vm_slot={j: j for j in kept},
         status="optimal" if proven else "budget_exhausted", proven=proven,
         total=total, nodes=nodes, point=point, placement=placement,
@@ -226,8 +229,7 @@ def solve_milp(mp, budget=20000):
             open_list.sort(key=lambda t: t[0], reverse=True)
 
     if best_point is None:
-        return MilpSolution(mode=mp.problem.mode,
-                            status="infeasible" if proven else "budget_exhausted",
+        return MilpSolution(status="infeasible" if proven else "budget_exhausted",
                             proven=proven, nodes=nodes)
     return _decode(mp, best_point, best_obj, nodes, proven)
 

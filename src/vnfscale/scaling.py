@@ -16,9 +16,10 @@ lowest layer its ends share and comes back down, so
 `topology.source_distances` gives every PM its cost from the nearest
 ingress and the nearest egress in closed form, and every PM q its unit
 cost u(q) = d_in(q) + gamma * d_out(q), once per problem.  The
-objective is T * w_fwd * u(q) on each e[q,s], decode routes the
-decision's flows on `topology.source_route`, and
-`ScalingProblem.split_cost` prices the decision by the same u(q).  The
+objective is T * w_fwd * u(q) on each e[q,s], and
+`ScalingProblem.split_cost` prices the decision by the same u(q).  A
+decision keeps its split, not its flows: `route_flows` routes the split
+on `topology.source_route` when `flows_csv` writes them.  The
 distributed solver (`rpadmm`) runs on this same model, so both decode
 alike, and the exact MILP (`milp`) prices and routes its shares the
 same way.
@@ -216,13 +217,6 @@ class ScalingProblem:
                      for q, room in zip(cands, rooms)]
         return {q: room for q, room in zip(cands, rooms) if room >= 1}
 
-    def relative_cost_delta(self, cost):
-        """(cost - baseline cost) / baseline cost, or None without a
-        baseline traffic or with a zero baseline cost."""
-        if self.baseline_traffic and self.baseline_cost > 0:
-            return (cost - self.baseline_cost) / self.baseline_cost
-        return None
-
 
 def uniform_capacity(topo, caps):
     """Expand {resource: value} into per-PM capacity tables."""
@@ -365,19 +359,20 @@ class ScalingDecision:
     between the instances: the one decision record of every solver.  A
     solver that found no decision leaves the maps empty."""
 
-    mode: str
     kept: dict = field(default_factory=dict)        # vm id -> host PM
     launched: dict = field(default_factory=dict)    # instance key -> PM of the new VM
     terminated: dict = field(default_factory=dict)  # vm id -> PM the VM is removed from
-    alpha: dict = field(default_factory=dict)       # (PM, instance key) -> share variable
     e: dict = field(default_factory=dict)           # (PM, instance key) -> interest value
     shares: dict = field(default_factory=dict)      # instance key -> traffic share
-    flows_n: dict = field(default_factory=dict)
-    flows_m: dict = field(default_factory=dict)
     forwarding_cost: float = None
-    cost_delta_vs_baseline: float = None
     warnings: list = field(default_factory=list)
     vm_slot: dict = field(default_factory=dict)     # kept vm id -> instance key
+
+    @property
+    def split(self):
+        """{(PM, instance key): fraction of T} served there, the split
+        that `route_flows` routes: the interests e."""
+        return self.e
 
 
 def decode(model, point, p):
@@ -387,8 +382,7 @@ def decode(model, point, p):
     Each unpinned instance goes to the PM with the largest interest
     value (ties to the lowest-indexed PM).  Should two instances claim
     more slots than a PM offers, later instances fall back to their
-    next-best candidate; a warning records the fallback.  The flows are
-    the interest split routed by `route_flows`.
+    next-best candidate; a warning records the fallback.
     """
     layout = model.layout
     slots = layout.slots
@@ -396,11 +390,7 @@ def decode(model, point, p):
 
     # + 0.0 turns a solver's -0.0 into 0.0, which prints as 0
     e_vals = {k: float(point[i]) + 0.0 for k, i in layout.e_idx.items()}
-    alpha_vals = {k: float(point[i]) + 0.0 for k, i in layout.alpha_idx.items()}
-    shares = {}
-    for s in slots:
-        q0 = layout.rel_pms[0]
-        shares[s.key] = alpha_vals[(q0, s.key)]
+    shares = {key: float(point[i]) + 0.0 for (_, key), i in layout.alpha_idx.items()}
 
     # how many instances may decode onto each PM, by PM index
     supply = ({q.index: n for q, n in p.launch_slots.items()} if p.mode == OVERLOAD
@@ -455,13 +445,9 @@ def decode(model, point, p):
             warnings.append("instance %s share %.4g below minimum collaboration %.4g"
                             % (vm_of.get(s.key, s.key), shares[s.key], p.epsilon))
 
-    flows_n, flows_m = route_flows(p, e_vals)
-    fwd = p.split_cost(e_vals)
-    return ScalingDecision(mode=p.mode, kept=kept, launched=launched,
-                           terminated=terminated, alpha=alpha_vals, e=e_vals,
-                           shares=shares, flows_n=flows_n, flows_m=flows_m,
-                           forwarding_cost=fwd,
-                           cost_delta_vs_baseline=p.relative_cost_delta(fwd),
+    return ScalingDecision(kept=kept, launched=launched, terminated=terminated,
+                           e=e_vals, shares=shares,
+                           forwarding_cost=p.split_cost(e_vals),
                            warnings=warnings, vm_slot=vm_slot)
 
 
@@ -553,11 +539,12 @@ def decision_csv(decision):
     return out.getvalue()
 
 
-def flows_csv(decision, threshold=1e-9):
-    """Nonzero flow values, one row per (link, instance, flow kind)."""
+def flows_csv(p, decision, threshold=1e-9):
+    """Nonzero flow values of the decision's split routed by
+    `route_flows`, one row per (link, instance, flow kind)."""
     out = io.StringIO()
     out.write("from,to,instance,flow,value\n")
-    for name, flows in (("n", decision.flows_n), ("m", decision.flows_m)):
+    for name, flows in zip("nm", route_flows(p, decision.split)):
         for (i, j, d), val in sorted(flows.items(), key=lambda kv: str(kv[0])):
             if abs(val) > threshold:
                 out.write("%s,%s,%s,%s,%.9g\n"

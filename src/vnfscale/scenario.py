@@ -223,11 +223,8 @@ def load_scenario(path, overrides=None):
         text = sec.get(section, {"kv": {}})["kv"].get(key, default)
         if text is None:
             raise ScenarioParseError("%s: [%s] needs %s" % (path, section, key))
-        try:
+        with _bad_values_named("%s: [%s] %s = %s" % (path, section, key, text)):
             return convert(text)
-        except ValueError as err:
-            raise ScenarioParseError("%s: [%s] %s = %s: %s"
-                                     % (path, section, key, text, err)) from None
 
     def integer(text):
         return _number(text, int)
@@ -481,6 +478,18 @@ def _rpadmm(p, admm_config):
 SOLVERS = {"lp": _lp, "milp": _milp, "rpadmm": _rpadmm}
 
 
+def _write_csvs(out_dir, name, files):
+    """Write each {kind: text} to <out_dir>/<name>_<kind>.csv and return
+    {kind: path}."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for kind, text in files.items():
+        paths[kind] = os.path.join(out_dir, "%s_%s.csv" % (name, kind))
+        with open(paths[kind], "w") as fh:
+            fh.write(text)
+    return paths
+
+
 def run_scenario(path, out_dir=None, overrides=None):
     """Load, classify, solve and verify one scenario file."""
     sc = load_scenario(path, overrides)
@@ -503,15 +512,10 @@ def run_scenario(path, out_dir=None, overrides=None):
     report.cost_delta = dec.forwarding_cost - report.baseline_cost
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        files = {"decisions": decision_csv(dec), "flows": flows_csv(dec)}
+        files = {"decisions": decision_csv(dec), "flows": flows_csv(p, dec)}
         if report.admm_trace is not None:
             files["trace"] = report.admm_trace.csv()
-        for kind, text in files.items():
-            path = os.path.join(out_dir, "%s_%s.csv" % (sc.name, kind))
-            with open(path, "w") as fh:
-                fh.write(text)
-            report.trace_paths[kind] = path
+        report.trace_paths = _write_csvs(out_dir, sc.name, files)
 
     _check_expectations(report, sc)
     return report
@@ -655,8 +659,5 @@ def compare_solvers(path, overrides=None, out_dir=None):
     report = CompareReport(scenario=sc.name, optimum=central.objective_value,
                            trace=trace)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "%s_trace.csv" % sc.name)
-        with open(path, "w") as fh:
-            fh.write(trace.csv())
+        _write_csvs(out_dir, sc.name, {"trace": trace.csv()})
     return report

@@ -155,16 +155,18 @@ def admm_fixture():
 
 
 def flow_violations(p, dec, tol=1e-6):
-    """(check, node, instance, amount) for every place where a decision's
-    own flows break switch conservation, PM processing (m out = gamma * n
-    in) or the ingress and egress totals by more than tol."""
+    """(check, node, instance, amount) for every place where the flows of
+    a decision's split, routed by `scaling.route_flows`, break switch
+    conservation, PM processing (m out = gamma * n in) or the ingress and
+    egress totals by more than tol."""
     topo = p.topology
+    flows_n, flows_m = vs.scaling.route_flows(p, dec.split)
     into, out = {}, {}
-    for leg, flows in (("n", dec.flows_n), ("m", dec.flows_m)):
+    for leg, flows in (("n", flows_n), ("m", flows_m)):
         for (i, j, d), val in flows.items():
             out[(leg, i, d)] = out.get((leg, i, d), 0.0) + val
             into[(leg, j, d)] = into.get((leg, j, d), 0.0) + val
-    keys = sorted({d for _, _, d in list(dec.flows_n) + list(dec.flows_m)})
+    keys = sorted({d for _, _, d in list(flows_n) + list(flows_m)})
     bad = []
     for d in keys:
         for sw in topo.switches:

@@ -11,7 +11,7 @@ import pytest
 
 import vnfscale as vs
 from vnfscale import chain_state as cs
-from vnfscale import lp, milp, rpadmm
+from vnfscale import lp, milp, rpadmm, scaling
 
 from corpus import (U, admm_fixture, capacity, flow_violations, k2_instance, pm,
                     problem, scenario1, scenario3, scenario4, solve_decoded, tree4)
@@ -102,25 +102,21 @@ def test_criterion_5_structural_decisions():
     rows = []
 
     def run(g, traffic, v_star, mode, baseline):
+        """The decision and its cost relative to the baseline's."""
         p = problem(topo, g, traffic, v_star, mode, baseline=baseline)
         _, d = solve_decoded(p)
-        return d
+        return d, (d.forwarding_cost - p.baseline_cost) / p.baseline_cost
 
-    d = run(scenario1(), 300.0, 3, vs.OVERLOAD, 200.0)
-    rows.append(("s1 v3", set(d.launched.values()) == {pm(4)},
-                 d.cost_delta_vs_baseline > 0))
-    d = run(scenario1(), 400.0, 4, vs.OVERLOAD, 200.0)
-    rows.append(("s1 v4", set(d.launched.values()) == {pm(1), pm(4)},
-                 d.cost_delta_vs_baseline > 0))
-    d = run(scenario3(), 400.0, 4, vs.OVERLOAD, 200.0)
-    rows.append(("s3 v4", set(d.launched.values()) == {pm(3), pm(4)},
-                 d.cost_delta_vs_baseline > 0))
-    d = run(scenario1([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD, 200.0)
-    rows.append(("s1 under", set(d.terminated.values()) == {pm(5)},
-                 d.cost_delta_vs_baseline < 0))
-    d = run(scenario3([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD, 200.0)
-    rows.append(("s3 under", set(d.kept.values()) == {pm(1)},
-                 d.cost_delta_vs_baseline < 0))
+    d, delta = run(scenario1(), 300.0, 3, vs.OVERLOAD, 200.0)
+    rows.append(("s1 v3", set(d.launched.values()) == {pm(4)}, delta > 0))
+    d, delta = run(scenario1(), 400.0, 4, vs.OVERLOAD, 200.0)
+    rows.append(("s1 v4", set(d.launched.values()) == {pm(1), pm(4)}, delta > 0))
+    d, delta = run(scenario3(), 400.0, 4, vs.OVERLOAD, 200.0)
+    rows.append(("s3 v4", set(d.launched.values()) == {pm(3), pm(4)}, delta > 0))
+    d, delta = run(scenario1([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD, 200.0)
+    rows.append(("s1 under", set(d.terminated.values()) == {pm(5)}, delta < 0))
+    d, delta = run(scenario3([0.25, 0.20]), 100.0, 1, vs.UNDERLOAD, 200.0)
+    rows.append(("s3 under", set(d.kept.values()) == {pm(1)}, delta < 0))
     ok = all(hosts and sign for _, hosts, sign in rows)
     report(5, ok, "; ".join("%s %s" % (name, "ok" if h and s else "WRONG")
                             for name, h, s in rows))
@@ -228,7 +224,8 @@ def test_criterion_9_property_suites():
     sum_err = 0.0
     for name, p in corpus_overloads():
         sol, decision = solve_decoded(p)
-        assert decision.flows_n and decision.flows_m, name
+        flows_n, flows_m = scaling.route_flows(p, decision.split)
+        assert flows_n and flows_m, name
         bad += len(flow_violations(p, decision, tol=1e-6))
         sum_err = max(sum_err, abs(sum(decision.shares.values()) - 1.0))
     parts.append(("conservation", bad == 0, "%d balances over 1e-6" % bad))

@@ -65,7 +65,8 @@ def test_unit_gamma_balances_endpoints():
     mp = milp.build_milp(p)
     sol = milp.solve_milp(mp)
     assert sol.status == "optimal"
-    total_out = sum(v for (i, j, d), v in sol.flows_m.items()
+    _, flows_m = scaling.route_flows(p, sol.split)
+    total_out = sum(v for (i, j, d), v in flows_m.items()
                     if j in p.group.egress_pms)
     # processed traffic reaching the egress equals the ingress total
     assert total_out == pytest.approx(p.traffic, abs=1e-6)
@@ -323,7 +324,7 @@ def test_placement_and_flow_tables():
         assert action == ("keep" if vm_id in sol.kept else "launch")
         assert host == vs.pm_name(placed[vm_id])
         assert float(e_at_host) == 1.0
-    flows = vs.flows_csv(sol)
+    flows = vs.flows_csv(p, sol)
     assert flows.splitlines()[0] == "from,to,instance,flow,value"
 
 
@@ -339,7 +340,8 @@ def reference_point(p, sol):
         x[i] = sol.e[k]
     for k, i in ref.alpha_idx.items():
         x[i] = sol.alpha[k]
-    for flows, index in ((sol.flows_n, ref.fv.n_idx), (sol.flows_m, ref.fv.m_idx)):
+    for flows, index in zip(scaling.route_flows(p, sol.split),
+                            (ref.fv.n_idx, ref.fv.m_idx)):
         for k, val in flows.items():
             x[index[k]] = val
     return ref, x

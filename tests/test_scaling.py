@@ -31,7 +31,7 @@ def test_scenario1_two_extra_vms(topo):
     sol, dec = solve_decoded(p)
     hosts = sorted(dec.launched.values(), key=topo.node_position)
     assert hosts == [pm(1), pm(4)]
-    assert dec.cost_delta_vs_baseline > 0
+    assert (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost > 0
     assert dec.kept == {"vm1": pm(2), "vm2": pm(5)}
     assert not dec.terminated
 
@@ -40,7 +40,7 @@ def test_scenario1_one_extra_vm(topo):
     p = problem(topo, scenario1(), 300.0, 3, vs.OVERLOAD, baseline=200.0)
     sol, dec = solve_decoded(p)
     assert list(dec.launched.values()) == [pm(4)]
-    assert dec.cost_delta_vs_baseline > 0
+    assert (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost > 0
 
 
 def test_scenario1_underload_terminates_cross_pod_vm(topo):
@@ -49,7 +49,7 @@ def test_scenario1_underload_terminates_cross_pod_vm(topo):
     sol, dec = solve_decoded(p)
     assert dec.terminated == {"vm2": pm(5)}
     assert dec.kept == {"vm1": pm(2)}
-    assert dec.cost_delta_vs_baseline < 0
+    assert (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost < 0
 
 
 def test_scenario3_launches_cross_rack_pair(topo):
@@ -57,7 +57,7 @@ def test_scenario3_launches_cross_rack_pair(topo):
     sol, dec = solve_decoded(p)
     hosts = sorted(dec.launched.values(), key=topo.node_position)
     assert hosts == [pm(3), pm(4)]
-    assert dec.cost_delta_vs_baseline > 0
+    assert (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost > 0
 
 
 def test_scenario3_underload_keeps_ingress_host(topo):
@@ -66,14 +66,14 @@ def test_scenario3_underload_keeps_ingress_host(topo):
     sol, dec = solve_decoded(p)
     assert dec.kept == {"vm1": pm(1)}
     assert dec.terminated == {"vm2": pm(2)}
-    assert dec.cost_delta_vs_baseline < 0
+    assert (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost < 0
 
 
 def test_scenario4_launches_egress_host(topo):
     p = problem(topo, scenario4(), 400.0, 4, vs.OVERLOAD, baseline=800.0 / 3)
     sol, dec = solve_decoded(p)
     assert list(dec.launched.values()) == [pm(2)]
-    assert dec.cost_delta_vs_baseline > 0
+    assert (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost > 0
 
 
 def test_scenario4_underload_keeps_cheapest_host(topo):
@@ -82,7 +82,7 @@ def test_scenario4_underload_keeps_cheapest_host(topo):
     sol, dec = solve_decoded(p)
     assert dec.kept == {"vm1": pm(3)}
     assert sorted(dec.terminated) == ["vm2", "vm3"]
-    assert dec.cost_delta_vs_baseline < 0
+    assert (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost < 0
 
 
 # -- model structure ---------------------------------------------------------
@@ -228,7 +228,8 @@ def test_flow_conservation_on_every_solution(topo):
     # the decision's own routed flows: switch conservation, PM processing
     # and the endpoint totals, per instance and leg
     for p, sol, dec in every_optimal_decision(topo):
-        assert dec.flows_n and dec.flows_m
+        flows_n, flows_m = scaling.route_flows(p, dec.split)
+        assert flows_n and flows_m
         assert flow_violations(p, dec) == []
 
 
@@ -301,7 +302,8 @@ def test_share_chain_matches_all_pairs_reference(name, p):
 def reference_point(p, dec):
     """A central decision as a point of `reference_relaxation(p)`: every
     share copy at the decision's share, e from the decision, the flows
-    from its routed dicts and each slack from its row's residual.
+    of its split routed by `route_flows` and each slack from its row's
+    residual.
     Returns (model, point)."""
     model = reference_relaxation(p)
     lay = model.layout
@@ -310,7 +312,8 @@ def reference_point(p, dec):
         x[i] = dec.shares[key]
     for k, i in lay.e_idx.items():
         x[i] = dec.e[k]
-    for flows, index in ((dec.flows_n, lay.fv.n_idx), (dec.flows_m, lay.fv.m_idx)):
+    for flows, index in zip(scaling.route_flows(p, dec.split),
+                            (lay.fv.n_idx, lay.fv.m_idx)):
         for k, val in flows.items():
             x[index[k]] = val
     mats = export(model)
@@ -441,7 +444,7 @@ def test_central_decisions_are_exact_on_drawn_problems(p):
         e = {k: float(sol.point[i]) for k, i in lay.e_idx.items()}
         flows_n, flows_m = scaling.route_flows(p, e)
         dec = vs.ScalingDecision(
-            mode=p.mode, e=e, flows_n=flows_n, flows_m=flows_m,
+            e=e,
             shares={key: float(sol.point[i]) for (_, key), i in lay.alpha_idx.items()},
             forwarding_cost=forwarding_cost_of(flows_n, flows_m, p.topology))
     assert_exact(p, dec)
@@ -455,11 +458,12 @@ def test_launched_plus_kept_equals_v_star(topo):
 def test_pm_processing_ratio(topo):
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     sol, dec = solve_decoded(p)
+    flows_n, flows_m = scaling.route_flows(p, dec.split)
     slots, _ = scaling._placement_slots(p)
     for s in slots:
         for q in topo.pms:
-            n_in = sum(v for (_, j, d), v in dec.flows_n.items() if j == q and d == s.key)
-            m_out = sum(v for (i, _, d), v in dec.flows_m.items() if i == q and d == s.key)
+            n_in = sum(v for (_, j, d), v in flows_n.items() if j == q and d == s.key)
+            m_out = sum(v for (i, _, d), v in flows_m.items() if i == q and d == s.key)
             assert m_out == pytest.approx(p.group.gamma * n_in, abs=1e-6)
             assert n_in == pytest.approx(p.traffic * dec.e.get((q, s.key), 0.0), abs=1e-6)
 
@@ -683,34 +687,36 @@ def test_forwarding_cost_of_sums_every_flow_in_order(topo):
     # as one closed-form F(i,j) per flow, added in flow order
     p = problem(topo, scenario1(), 400.0, 4, vs.OVERLOAD)
     _, dec = solve_decoded(p)
+    flows_n, flows_m = scaling.route_flows(p, dec.split)
     total = 0.0
-    for flows in (dec.flows_n, dec.flows_m):
+    for flows in (flows_n, flows_m):
         for (i, j, _), val in flows.items():
             total += forwarding_cost(topo, i, j) * val
-    assert forwarding_cost_of(dec.flows_n, dec.flows_m, topo) == total
+    assert forwarding_cost_of(flows_n, flows_m, topo) == total
 
 
 def priced_decisions(topo):
-    """(topology, decision) for the central decisions above, the k=2 MILP
+    """(problem, decision) for the central decisions above, the k=2 MILP
     corpus and every shipped scenario that decides."""
     for p, _, dec in every_optimal_decision(topo):
-        yield p.topology, dec
+        yield p, dec
     for seed in range(10):
         p = k2_instance(seed)
-        yield p.topology, milp.solve_milp(milp.build_milp(p))
+        yield p, milp.solve_milp(milp.build_milp(p))
     for name in sorted(os.listdir(SCEN_DIR)):
         path = os.path.join(SCEN_DIR, name)
         report = scenario.run_scenario(path)
         if report.decision is not None:
-            yield scenario.load_scenario(path).topology, report.decision
+            sc = scenario.load_scenario(path)
+            yield scenario._problem_for(sc, report.state), report.decision
 
 
 def test_arc_walk_equals_the_unit_cost_price(topo):
     # each decision is priced T * sum of fraction * u(q) over its split;
     # walking its routed flows arc by arc gives the same cost
     checked = 0
-    for topology, dec in priced_decisions(topo):
-        walk = forwarding_cost_of(dec.flows_n, dec.flows_m, topology)
+    for p, dec in priced_decisions(topo):
+        walk = forwarding_cost_of(*scaling.route_flows(p, dec.split), p.topology)
         assert dec.forwarding_cost == pytest.approx(walk, rel=1e-12, abs=0)
         checked += 1
     assert checked == 7 + 10 + 7
@@ -722,7 +728,7 @@ def test_decision_and_flow_csv(topo):
     table = vs.decision_csv(dec)
     assert table.splitlines()[0] == "instance,action,host,share,e_at_host"
     assert table.count("launch") == 2 and table.count("keep") == 2
-    flows = vs.flows_csv(dec)
+    flows = vs.flows_csv(p, dec)
     assert flows.splitlines()[0] == "from,to,instance,flow,value"
     assert len(flows.splitlines()) > 4
 
@@ -815,9 +821,12 @@ def test_baseline_without_baseline_traffic_is_a_clear_error():
         scaling.baseline_forwarding_cost(p)
     with pytest.raises(ValueError, match="no baseline traffic"):
         p.baseline_cost
-    assert p.relative_cost_delta(1.0) is None
+    # the decision does not read the baseline, so a problem without one
+    # still decides; only the relative delta needs the baseline
     _, dec = solve_decoded(p)
-    assert dec.cost_delta_vs_baseline is None
+    assert math.isfinite(dec.forwarding_cost)
+    with pytest.raises(ValueError, match="no baseline traffic"):
+        (dec.forwarding_cost - p.baseline_cost) / p.baseline_cost
 
 
 @st.composite
