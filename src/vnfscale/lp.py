@@ -3,21 +3,29 @@
 LpModel is a registry of variables (name, bounds), a sparse linear
 objective and relational rows, appended in blocks (add_vars, add_rows;
 add_var and add_row append one).  Names are labels only: nothing looks a
-variable up by name, and a name may repeat.  An empty bound interval, a
-bad relation or a row naming an unknown variable or one variable twice
-rejects the whole block, the first fault named, and the model stays as
-it was.  All rows live in one CSR kept as Python lists.
+variable up by name, and a name may repeat.  A block's names or labels
+come as a list or as a `Names` description (a family and one key per
+element), which the model keeps as it is and formats only when
+`var_names`, `_names` or `_labels` is read or an error names one; so a
+decision formats none, and RP-ADMM reads each row's family from its
+block (`row_families`).  An empty bound interval, a bad relation or a
+row naming an unknown variable or one variable twice rejects the whole
+block, the first fault named, and the model stays as it was.  All rows
+live in one CSR kept as Python lists.
 solve() drives one HiGHS object per process (scipy's bundled HiGHS,
 made by the first solve with its options set once) and keeps no model
 between calls: each solve passes its model rowwise, straight from those
 lists, each row in model order as a range of a x, then fixes the
 columns a branch-and-bound node pins and runs the dual simplex from a
 cold start.  RP-ADMM (`rpadmm._scaled`) reads the same lists; nothing
-builds a scipy matrix from them.  The dual simplex is deterministic for
-a fixed model and returns a basic (vertex) optimal point, which
-placement decoding relies on.
+builds a scipy matrix from them.  A model with an objective, matrix or
+right-hand-side value that is not finite raises LpError before HiGHS
+sees it.  The dual simplex is deterministic for a fixed model and
+returns a basic (vertex) optimal point, which placement decoding relies
+on.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -54,14 +62,65 @@ _STATUS = {
 }
 
 class LpError(RuntimeError):
-    """Numeric breakdown inside the solver (not a model status)."""
+    """Numeric breakdown inside the solver (not a model status), or a
+    model with a value that is not finite."""
+
+
+def _format_name(family, key):
+    """family[parts of key joined by commas]; the bare family for ()."""
+    return "%s[%s]" % (family, ",".join(map(str, key))) if key else family
+
+
+class Names:
+    """The names of one block, formatted only when read: element j is
+    `_format_name(family, keys[j])`.  family is one string for the whole
+    block or a list with one family per element; keys holds one tuple
+    per element."""
+
+    __slots__ = ("family", "keys")
+
+    def __init__(self, family, keys):
+        self.family, self.keys = family, keys
+
+    def __len__(self):
+        return len(self.keys)
+
+    def families(self):
+        fam = self.family
+        return [fam] * len(self.keys) if isinstance(fam, str) else fam
+
+    def __getitem__(self, j):
+        return _format_name(self.families()[j], self.keys[j])
+
+
+def _append(blocks, names):
+    """Record a block's names: a Names as it is, a list run onto the
+    list before it, so one block and its one-element calls leave the same
+    record."""
+    if names.__class__ is Names:
+        blocks.append(names)
+    elif blocks and blocks[-1].__class__ is list:
+        blocks[-1] += names
+    else:
+        blocks.append(list(names))
+
+
+def _expand(blocks):
+    out = []
+    for block in blocks:
+        if block.__class__ is Names:
+            out += map(_format_name, block.families(), block.keys)
+        else:
+            out += block
+    return out
 
 
 class LpModel:
     """Variables (name, bounds), a sparse objective and relational rows.
 
-    Rows are one CSR (_indptr, _indices, _data) with a relation, rhs and
-    label per row.
+    Rows are one CSR (_indptr, _indices, _data) with a relation and rhs
+    per row.  Names and labels are kept as their blocks gave them and
+    formatted on each read.
     """
 
     def __init__(self, name="lp"):
@@ -69,33 +128,49 @@ class LpModel:
         self.lower = []
         self.upper = []
         self.objective = {}     # var index -> coefficient
-        self._names = []        # var index -> name
+        self._var_blocks = []   # the variables' names, block by block
         self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
         self._rel, self._rhs = [], []
-        self._labels = []       # row index -> label
+        self._row_blocks = []   # the rows' labels, block by block
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         return self.add_vars([name], [lo], [hi])
 
     def add_vars(self, names, lower, upper):
-        """Append variables names[i] on [lower[i], upper[i]]; returns the
-        index of the first."""
-        first = len(self._names)
+        """Append variables names[i] on [lower[i], upper[i]]; names is a
+        list or a `Names`.  Returns the index of the first."""
+        first = len(self.lower)
         lower, upper = list(map(float, lower)), list(map(float, upper))
         if not len(names) == len(lower) == len(upper):
             raise ValueError("malformed variable block")
         if not all(map(operator.le, lower, upper)):
-            for name, lo, hi in zip(names, lower, upper):
+            for j, (lo, hi) in enumerate(zip(lower, upper)):
                 if not lo <= hi:
-                    raise ValueError("empty bound interval for %r" % name)
-        self._names += names
+                    raise ValueError("empty bound interval for %r" % names[j])
+        _append(self._var_blocks, names)
         self.lower += lower
         self.upper += upper
         return first
 
     @property
     def var_names(self):
-        return self._names
+        """Every variable's name, formatted on this read."""
+        return _expand(self._var_blocks)
+
+    _names = var_names
+
+    @property
+    def _labels(self):
+        """Every row's label, formatted on this read."""
+        return _expand(self._row_blocks)
+
+    def row_families(self):
+        """Every row's family, read from its block without formatting; a
+        row appended with a plain label is its own family."""
+        out = []
+        for block in self._row_blocks:
+            out += block.families() if block.__class__ is Names else block
+        return out
 
     def add_row(self, coeffs, rel, rhs, label=""):
         return self.add_rows(rel, [0, len(coeffs)], list(coeffs),
@@ -103,8 +178,8 @@ class LpModel:
 
     def add_rows(self, rel, ptr, cols, vals, rhs, labels):
         """Append rows `sum of vals[k] * x[cols[k]] over ptr[t] <= k <
-        ptr[t+1]`, rel rhs[t], labelled labels[t] (ptr[0] is 0); returns
-        the index of the first."""
+        ptr[t+1]`, rel rhs[t], labelled labels[t] (ptr[0] is 0; labels a
+        list or a `Names`); returns the index of the first."""
         if rel not in (EQ, LE, GE):
             raise ValueError("bad relation %r" % rel)
         if not (ptr[0] == 0 and ptr[-1] == len(cols) == len(vals)
@@ -114,19 +189,20 @@ class LpModel:
         # an unknown column, or a row with fewer distinct columns than entries
         if cols and not (0 <= min(cols) and max(cols) < n) or \
                 list(map(len, map(set, rows))) != list(map(operator.sub, ptr[1:], ptr)):
-            for lo, hi, label in zip(ptr, ptr[1:], labels):
+            for t, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
                 seen = set()
                 for idx in cols[lo:hi]:
                     if not 0 <= idx < n:
                         raise ValueError("row %r references unknown variable %d"
-                                         % (label, idx))
+                                         % (labels[t], idx))
                     if idx in seen:
-                        raise ValueError("row %r names variable %d twice" % (label, idx))
+                        raise ValueError("row %r names variable %d twice"
+                                         % (labels[t], idx))
                     seen.add(idx)
         first, base = len(self._rhs), len(self._indices)
         self._rhs += map(float, rhs)
         self._rel += [rel] * len(rhs)
-        self._labels += labels
+        _append(self._row_blocks, labels)
         self._indices += cols
         self._data += vals
         self._indptr += [base + k for k in ptr[1:]]
@@ -155,6 +231,12 @@ class LpModel:
 _HIGHS = None
 
 
+def _finite(values):
+    """Whether every value is finite: one sum, and each value only when
+    the sum is not finite (finite values can overflow it too)."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def _load_highs(model):
     """Pass the model to the process's HiGHS object, rowwise: the
     model's CSR lists as they are, each row in model order as a range,
@@ -166,9 +248,8 @@ def _load_highs(model):
     c = [0.0] * n
     for i, v in model.objective.items():
         c[i] = v
-    if not (np.isfinite(c).all() and np.isfinite(model._data).all()
-            and np.isfinite(rhs).all()):
-        raise ValueError("%s: objective and rows must be finite" % model.name)
+    if not (_finite(c) and _finite(model._data) and _finite(rhs)):
+        raise LpError("%s: objective and rows must be finite" % model.name)
     if _HIGHS is None:
         _HIGHS = highs._Highs()
         for key, val in _OPTIONS.items():
@@ -202,8 +283,8 @@ def solve(model, fixed=None):
 
     fixed maps a variable index to the value a branch-and-bound node pins
     it at for this solve; every other column keeps the model's bounds.
-    Infeasible and unbounded come back as statuses; solver failures raise
-    LpError.
+    Infeasible and unbounded come back as statuses; solver failures and
+    a value that is not finite raise LpError.
     """
     if fixed:
         idx = np.fromiter(fixed, int, len(fixed))

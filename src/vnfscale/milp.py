@@ -83,7 +83,8 @@ def build_milp(p):
     Online VMs may sit on (or migrate to) any PM; offline VMs only on the
     group's candidate PMs.  A share is priced by its shortest-path cost.
     Each VM's (b, alpha) pairs come in PM order, online VMs first, and
-    each row family is one block."""
+    each row family is one block, its names described by family and keys
+    (`lp.Names`), not formatted."""
     group = p.group
     if not group.online:
         raise ValueError("group has no online VM")
@@ -92,30 +93,32 @@ def build_milp(p):
     vms = [*group.online, *group.offline_pool]
 
     cap, pen, capped = p.share_cap, p.penalties, p.capped
-    names, tags, b_idx, alpha_idx, at, own, cost = [], [], {}, {}, {}, [], []
+    # keys: each (PM, vm id) twice, naming its b and then its alpha
+    keys, b_idx, alpha_idx, at, own, cost = [], {}, {}, {}, [], []
     for k, vm in enumerate(vms):
         online = k < len(group.online)
         pms = topo.pms if online else group.candidate_pms
-        own.append(range(len(names), len(names) + 2 * len(pms), 2))
+        own.append(range(len(keys), len(keys) + 2 * len(pms), 2))
         for i, q in zip(own[-1], pms):
-            b_idx[(q, vm.id)], alpha_idx[(q, vm.id)] = i, i + 1
+            key = (q, vm.id)
+            b_idx[key], alpha_idx[key] = i, i + 1
             at.setdefault(q.index, []).append((vm, i))
-            tags.append("%s,%s" % (q, vm.id))
-            names += ("b[%s]" % tags[-1], "alpha[%s]" % tags[-1])
+            keys += (key, key)
         cost += [p.weights.deployment * (-pen.retain if online else pen.activate)] * len(pms)
     binaries, alphas = list(b_idx.values()), list(alpha_idx.values())
-    model.add_vars(names, [0.0] * len(names), [1.0, cap] * len(binaries))
+    m = len(binaries)
+    model.add_vars(lp.Names(["b", "alpha"] * m, keys), [0.0] * len(keys),
+                   [1.0, cap] * m)
     # objective: weighted deployment penalties plus forwarding cost
     scale, u = p.traffic * p.weights.forwarding, p.unit_costs
     model.add_objective(dict(zip(binaries, cost)) | {
         i: scale * u[q.index] for (q, _), i in alpha_idx.items()})
 
     # share requires placement and placement requires a minimum share
-    m = len(binaries)
     model.add_rows(lp.LE, range(0, 4 * m + 1, 2),
                    [j for i in binaries for j in (i + 1, i, i, i + 1)],
                    [1.0, -cap, p.epsilon, -1.0] * m, [0.0] * (2 * m),
-                   [f % t for t in tags for f in ("couple_hi[%s]", "couple_lo[%s]")])
+                   lp.Names(["couple_hi", "couple_lo"] * m, keys))
 
     model.add_rows(lp.EQ, [0, m], alphas, [1.0] * m, [1.0], ["coverage"])
     # at least ceil(1 / cap) VMs carry the traffic, with the share-cap
@@ -125,7 +128,7 @@ def build_milp(p):
     model.add_rows(lp.GE, [0, m], binaries, [1.0] * m, [need], ["cover"])
 
     # placed VMs must fit the PM's resources
-    ptr, cols, vals, rhs, labels = [0], [], [], [], []
+    ptr, cols, vals, rhs, caps = [0], [], [], [], []
     for q in topo.pms:
         here = at.get(q.index)
         for r in capped if here else ():
@@ -133,13 +136,13 @@ def build_milp(p):
             vals += [vm.capacity[r] for vm, _ in here]
             ptr.append(len(cols))
             rhs.append(p.pm_capacity[r][q])
-            labels.append("capacity[%s,%s]" % (q, r))
-    model.add_rows(lp.LE, ptr, cols, vals, rhs, labels)
+            caps.append((q, r))
+    model.add_rows(lp.LE, ptr, cols, vals, rhs, lp.Names("capacity", caps))
 
     held = [(vm, b) for vm, b in zip(vms, own) if b]
     model.add_rows(lp.LE, [0, *itertools.accumulate(len(b) for _, b in held)],
                    [i for _, b in held for i in b], [1.0] * m, [1.0] * len(held),
-                   ["one_host[%s]" % (vm.id,) for vm, _ in held])
+                   lp.Names("one_host", [(vm.id,) for vm, _ in held]))
 
     return MilpProblem(base=model, binaries=binaries, problem=p,
                        b_idx=b_idx, alpha_idx=alpha_idx)

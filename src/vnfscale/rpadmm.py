@@ -4,7 +4,10 @@ The central model (`scaling.build_overload_lp` / `build_underload_lp`)
 is already over shares, interests and slacks, with every row an
 equality, so it is split into scalar blocks as it stands: PM q owns
 every interest e[q,s] and its own capacity slacks, a pinned share
-belongs to its host and a new share to the first relevant PM.  Each
+belongs to its host and a new share to the first relevant PM.  The
+owners are read from the layout (each slot's share by its slot key, the
+slacks by their blocks) and each row's family from its row block
+(`LpModel.row_families`), so no name or label is formatted.  Each
 round draws a uniformly random permutation of all scalar blocks, sweeps
 them Gauss-Seidel style against the augmented Lagrangian, then ascends
 every scaled dual by its row residual.
@@ -133,14 +136,11 @@ class ReformulatedSystem:
         return x / self.scale
 
 
-def _family_of(label):
-    return label.split("[", 1)[0] if "[" in label else label
-
-
 def _scaled(central, owners, scale):
     """The system over central's CSR lists with each column multiplied
-    by scale and each row divided by its largest |coefficient|.  The
-    sweep needs equality rows."""
+    by scale and each row divided by its largest |coefficient|, each row
+    in its block's family (`LpModel.row_families`, no label formatted).
+    The sweep needs equality rows."""
     for t, rel in enumerate(central._rel):
         if rel != lp.EQ:
             raise ValueError("the sweep needs equality rows, got %r in %r"
@@ -161,7 +161,7 @@ def _scaled(central, owners, scale):
         b=np.fromiter(central._rhs, float, m) / peak,
         lower=np.asarray(central.lower) * scale,
         upper=np.asarray(central.upper) * scale,
-        row_family=[_family_of(l) for l in central._labels])
+        row_family=central.row_families())
 
 
 def reformulate(p):
@@ -173,12 +173,11 @@ def reformulate(p):
     lay = central.layout
     owners = [None] * central.num_vars
     for s in lay.slots:
-        owners[lay.alpha_idx[(lay.rel_pms[0], s.key)]] = (
-            lay.rel_pms[0] if s.host is None else s.host)
+        owners[lay.alpha_idx[s.key]] = lay.rel_pms[0] if s.host is None else s.host
     for (q, _), i in lay.e_idx.items():
         owners[i] = q
-    for tag, i in lay.slack_idx.items():
-        owners[i] = tag[1]
+    for _, first, keys in lay.slack_blocks:
+        owners[first:first + len(keys)] = [key[0] for key in keys]
     scale = np.ones(central.num_vars)
     scale[list(lay.alpha_idx.values()) + list(lay.e_idx.values())] = \
         p.traffic if p.traffic > 0 else 1.0

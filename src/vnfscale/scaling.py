@@ -44,13 +44,16 @@ traffic.
 
 import io
 import math
+import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
-from .topology import PM, pm_name, source_distances, source_route
+from .topology import PM, NodeId, pm_name, source_distances, source_route
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -145,7 +148,7 @@ class ScalingProblem:
         topo, gamma = self.topology, self.group.gamma
         d_in = source_distances(topo, self.group.ingress_pms)
         d_out = source_distances(topo, self.group.egress_pms)
-        return tuple(i + gamma * o for i, o in zip(d_in, d_out))
+        return tuple(map(operator.add, d_in, map(operator.mul, repeat(gamma), d_out)))
 
     def unit_cost(self, q):
         """u(q) of PM q, read from `unit_costs`."""
@@ -197,10 +200,13 @@ class ScalingProblem:
     @cached_property
     def free_by_index(self):
         """{r: {PM index: r left on the PM by the group's online VMs}}
-        per capped resource, worked out on the first read."""
-        n = self._online_counts
-        return {r: {q.index: max(0.0, c - self.vm_caps[r] * n.get(q.index, 0))
-                    for q, c in self.pm_capacity[r].items()} for r in self.capped}
+        per capped resource, worked out on the first read over the PMs a
+        decision reads: the candidates and the online VMs' hosts."""
+        n, group = self._online_counts, self.group
+        pms = {q.index: q for q in group.candidate_pms}
+        pms.update((vm.host.index, vm.host) for vm in group.online)
+        return {r: {i: max(0.0, self.pm_capacity[r][q] - self.vm_caps[r] * n.get(i, 0))
+                    for i, q in pms.items()} for r in self.capped}
 
     @cached_property
     def launch_slots(self):
@@ -218,9 +224,28 @@ class ScalingProblem:
         return {q: room for q, room in zip(cands, rooms) if room >= 1}
 
 
+class UniformCapacity(Mapping):
+    """{PM: value} over every PM of a tree, answered without a table:
+    the same value for each PM."""
+
+    def __init__(self, topo, value):
+        self._pms, self.value = topo.pms, value
+
+    def __getitem__(self, q):
+        if q.__class__ is NodeId and q.kind == PM and q.index < len(self._pms):
+            return self.value
+        raise KeyError(q)
+
+    def __iter__(self):
+        return iter(self._pms)
+
+    def __len__(self):
+        return len(self._pms)
+
+
 def uniform_capacity(topo, caps):
-    """Expand {resource: value} into per-PM capacity tables."""
-    return {r: dict.fromkeys(topo.pms, float(v)) for r, v in caps.items()}
+    """{resource: value} as per-PM capacity tables, one value per PM."""
+    return {r: UniformCapacity(topo, float(v)) for r, v in caps.items()}
 
 
 class _Layout:
@@ -229,9 +254,16 @@ class _Layout:
     def __init__(self, slots, rel_pms, alpha_idx, e_idx):
         self.slots = slots
         self.rel_pms = rel_pms
-        self.alpha_idx = alpha_idx
-        self.e_idx = e_idx
-        self.slack_idx = {}   # ("cap"|"slots"|"keep", PM, resource?) -> var
+        self.alpha_idx = alpha_idx    # slot key -> its share variable
+        self.e_idx = e_idx            # (PM, slot key) -> interest variable
+        self.slack_blocks = []        # (family, first slack var, keys) per family
+
+    @cached_property
+    def slack_idx(self):
+        """{("cap"|"slots"|"keep", PM, resource?): slack var} over the
+        slack blocks, built on the first read."""
+        return {(family, *key): i for family, first, keys in self.slack_blocks
+                for i, key in enumerate(keys, first)}
 
 
 def _placement_slots(p):
@@ -269,72 +301,80 @@ def _placement_slots(p):
     return slots, rel_pms
 
 
-def _slack_rows(model, family, slack, rows):
-    """Append a block of rows family[tag], one per (key, tag, columns,
-    coefficient, rhs): the coefficient on each column plus a new slack
-    slack[tag] at 1.0, = rhs, keyed (family, *key) in slack_idx."""
-    first, n = model.num_vars, len(rows)
-    model.add_vars(["%s[%s]" % (slack, row[1]) for row in rows], [0.0] * n,
-                   [math.inf] * n)
+def _slack_rows(model, family, slack, keys, columns, coef, rhs):
+    """Append a block of rows family[key], one per key: coef[t] on each
+    of columns[t] plus a new slack slack[key] at 1.0, = rhs[t], recorded
+    as a slack block of the layout."""
+    first, n = model.num_vars, len(keys)
+    model.add_vars(lp.Names(slack, keys), [0.0] * n, [math.inf] * n)
     ptr, cols, vals = [0], [], []
-    for i, (key, _, columns, coef, _) in enumerate(rows, first):
-        model.layout.slack_idx[(family, *key)] = i
-        cols += [*columns, i]
-        vals += [coef] * len(columns) + [1.0]
+    for i, col, a in zip(range(first, first + n), columns, coef):
+        cols += col
+        cols.append(i)
+        vals += [a] * len(col)
+        vals.append(1.0)
         ptr.append(len(cols))
-    model.add_rows(lp.EQ, ptr, cols, vals, [row[4] for row in rows],
-                   ["%s[%s]" % (family, row[1]) for row in rows])
+    model.add_rows(lp.EQ, ptr, cols, vals, rhs, lp.Names(family, keys))
+    model.layout.slack_blocks.append((family, first, keys))
 
 
 def _build_relaxation(p):
     """The relaxation over shares and interests: a unit of interest at q
     costs T * w_fwd * u(q), its shortest-path cost, so no flow variable
-    is needed (see the module docstring).  Each row family is one block.
+    is needed (see the module docstring).  Each row family is one block,
+    its names described by family and keys (`lp.Names`), not formatted.
     Interest needs capacity on its PM (in overload, a free slot too); in
-    underload each host keeps at most its online VMs."""
+    underload each host keeps at most its online VMs.  A slot's share
+    alpha is named at the first relevant PM, a name only."""
     slots, rel_pms = _placement_slots(p)
     model = lp.LpModel("%s_lp" % p.mode)
-    name = {q.index: str(q) for q in rel_pms}
     q0, cap = rel_pms[0], p.share_cap
-    names, upper, alpha_idx, e_idx = [], [], {}, {}
-    at = {i: [] for i in name}          # PM index -> [(slot, e var)]
-    ptr, cols, vals = [0], [], []       # the interest rows
+    fams, keys, upper, alpha_idx, e_idx = [], [], [], {}, {}
+    at = {q.index: [] for q in rel_pms}     # PM index -> [(slot, e var)]
+    ptr, cols, vals = [0], [], []           # the interest rows
     for s in slots:
-        alpha_idx[(q0, s.key)] = a = len(names)
-        names.append("alpha[%s,%s]" % (name[q0.index], s.key))
+        alpha_idx[s.key] = a = len(keys)
+        keys.append((q0, s.key))
         for i, q in enumerate(s.candidates, a + 1):
-            e_idx[(q, s.key)] = i
+            key = (q, s.key)
+            e_idx[key] = i
+            keys.append(key)
             at[q.index].append((s, i))
-            names.append("e[%s,%s]" % (name[q.index], s.key))
-        upper += [cap] + [1.0] * len(s.candidates)
-        cols += [*range(a + 1, len(names)), a]
-        vals += [1.0] * len(s.candidates) + [-1.0]
+        n = len(s.candidates)
+        fams += ["alpha"] + ["e"] * n
+        upper += [cap] + [1.0] * n
+        cols += [*range(a + 1, len(keys)), a]
+        vals += [1.0] * n + [-1.0]
         ptr.append(len(cols))
-    model.add_vars(names, [0.0] * len(names), upper)
+    model.add_vars(lp.Names(fams, keys), [0.0] * len(keys), upper)
     scale, unit = p.traffic * p.weights.forwarding, p.unit_costs
     model.add_objective({i: scale * unit[q.index] for (q, _), i in e_idx.items()})
     model.layout = _Layout(slots, rel_pms, alpha_idx, e_idx)
     model.add_rows(lp.EQ, ptr, cols, vals, [0.0] * len(slots),
-                   ["interest[%s]" % s.key for s in slots])
+                   lp.Names("interest", [(s.key,) for s in slots]))
     alphas = list(alpha_idx.values())
     model.add_rows(lp.EQ, [0, len(alphas)], alphas, [1.0] * len(alphas), [1.0],
                    ["coverage"])
 
-    capped = p.capped
+    # one row per (PM, capped resource), PM-major, or one per PM
+    capped, npms = p.capped, len(rel_pms)
+    interests = [[i for _, i in at[q.index]] for q in rel_pms]
+    cap_keys = [(q, r) for q in rel_pms for r in capped]
     if capped:
-        _slack_rows(model, "cap", "cap_slack", [
-            ((q, r), "%s,%s" % (name[q.index], r), [i for _, i in at[q.index]],
-             p.traffic * p.group.omega[r], p.pm_capacity[r][q])
-            for q in rel_pms for r in capped])
+        _slack_rows(model, "cap", "cap_slack", cap_keys,
+                    [col for col in interests for _ in capped],
+                    [p.traffic * p.group.omega[r] for r in capped] * npms,
+                    [p.pm_capacity[r][q] for q, r in cap_keys])
     if p.mode == UNDERLOAD:
-        _slack_rows(model, "keep", "keep_slack", [
-            ((q,), name[q.index], [i for _, i in at[q.index]], 1.0,
-             float(p.online_count(q))) for q in rel_pms])
+        _slack_rows(model, "keep", "keep_slack", [(q,) for q in rel_pms], interests,
+                    [1.0] * npms, [float(p.online_count(q)) for q in rel_pms])
     elif capped:
-        _slack_rows(model, "slots", "slot_slack", [
-            ((q, r), "%s,%s" % (name[q.index], r),
-             [i for s, i in at[q.index] if s.vm_id is None], p.vm_caps[r],
-             p.free_by_index[r][q.index]) for q in rel_pms for r in capped])
+        free = p.free_by_index
+        _slack_rows(model, "slots", "slot_slack", cap_keys,
+                    [[i for s, i in at[q.index] if s.vm_id is None]
+                     for q in rel_pms for _ in capped],
+                    [p.vm_caps[r] for r in capped] * npms,
+                    [free[r][q.index] for q, r in cap_keys])
     return model
 
 
@@ -390,7 +430,7 @@ def decode(model, point, p):
 
     # + 0.0 turns a solver's -0.0 into 0.0, which prints as 0
     e_vals = {k: float(point[i]) + 0.0 for k, i in layout.e_idx.items()}
-    shares = {key: float(point[i]) + 0.0 for (_, key), i in layout.alpha_idx.items()}
+    shares = {key: float(point[i]) + 0.0 for key, i in layout.alpha_idx.items()}
 
     # how many instances may decode onto each PM, by PM index
     supply = ({q.index: n for q, n in p.launch_slots.items()} if p.mode == OVERLOAD

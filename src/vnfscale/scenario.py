@@ -33,7 +33,6 @@ import math
 import os
 import re
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
@@ -66,16 +65,6 @@ class ScenarioParseError(ValueError):
     pass
 
 
-@contextmanager
-def _bad_values_named(where):
-    """Re-raise a ValueError met inside the block as a ScenarioParseError
-    that starts with `where` (the file and the key or row)."""
-    try:
-        yield
-    except ValueError as err:
-        raise ScenarioParseError("%s: %s" % (where, err)) from None
-
-
 _PM_NAME = re.compile("P([0-9]+)")    # [0-9]: \d and int() take any script's digits
 
 
@@ -96,7 +85,11 @@ def parse_pm_list(text, topo):
     A reversed range is an error, and so, once all names parse, a repeat."""
     n, out = len(topo.pms), []
     for token in text.split():
-        if "-" in token[1:]:
+        name = _PM_NAME.fullmatch(token)
+        index = int(name[1]) - 1 if name else -1
+        if 0 <= index < n:          # a PM name of the tree, parse_pm's success
+            out.append(index)
+        elif "-" in token[1:]:
             ends = [_PM_NAME.fullmatch(end) for end in token.split("-", 1)]
             if None in ends:
                 raise ScenarioParseError("bad PM range %r" % token)
@@ -144,8 +137,11 @@ def _pairs(text):
         k, _, v = token.partition(":")
         if k in out:
             raise ScenarioParseError("%s named twice" % k)
-        with _bad_values_named("bad name:value token %r" % token):
+        try:
             out[k] = _number(v, at_least=0)
+        except ValueError as err:
+            raise ScenarioParseError("bad name:value token %r: %s"
+                                     % (token, err)) from None
     return out
 
 
@@ -223,8 +219,11 @@ def load_scenario(path, overrides=None):
         text = sec.get(section, {"kv": {}})["kv"].get(key, default)
         if text is None:
             raise ScenarioParseError("%s: [%s] needs %s" % (path, section, key))
-        with _bad_values_named("%s: [%s] %s = %s" % (path, section, key, text)):
+        try:
             return convert(text)
+        except ValueError as err:
+            raise ScenarioParseError("%s: [%s] %s = %s: %s"
+                                     % (path, section, key, text, err)) from None
 
     def integer(text):
         return _number(text, int)
@@ -256,13 +255,16 @@ def load_scenario(path, overrides=None):
             raise ScenarioParseError("%s: [vms] row %r needs: id host capacity util"
                                      % (path, " ".join(row)))
         vm_id, host, cap, util = row
-        with _bad_values_named("%s: [vms] row %r" % (path, " ".join(row))):
+        try:
             if any(vm.id == vm_id for vm in online):
                 raise ValueError("VM id %s named twice" % vm_id)
             cap, util = _number(cap, above=0), _number(util, at_least=0)
             online.append(VmInstance(
                 vm_id, vnf_type, chain, {r: cap for r in omega},
                 host=parse_pm(host, topo), utilization={r: util for r in omega}))
+        except ValueError as err:
+            raise ScenarioParseError("%s: [vms] row %r: %s"
+                                     % (path, " ".join(row), err)) from None
     if not online:
         raise ScenarioParseError("%s: [vms] lists no online VM" % path)
     pool_cap = online[0].capacity
@@ -284,17 +286,22 @@ def load_scenario(path, overrides=None):
     ingress = entry("group", "ingress", endpoints)
     egress = entry("group", "egress", endpoints)
     candidates = entry("group", "candidates", pm_list)
-    with _bad_values_named("%s: [group]" % path):
+    try:
         group = VnfGroup(
             chain=chain, vnf_type=vnf_type, online=online, offline_pool=pool,
             thresholds=thresholds, gamma=gamma, phi=phi, omega=omega,
             ingress_pms=ingress, egress_pms=egress, candidate_pms=candidates)
+    except ValueError as err:
+        raise ScenarioParseError("%s: [group]: %s" % (path, err)) from None
 
     def preset(text):
         kind, colon, extra = text.partition(":")
         if kind == "overload":
             extra = _number(extra, int, at_least=0) if colon else 1
-            return baseline * (1.0 + 0.5 * extra)
+            traffic = baseline * (1.0 + 0.5 * extra)
+            if not math.isfinite(traffic):
+                raise ValueError("the traffic it gives is not finite")
+            return traffic
         if text == "underload":
             return baseline * 0.5
         raise ValueError("must be overload, overload:<extra> or underload")
@@ -319,8 +326,10 @@ def load_scenario(path, overrides=None):
     beta = setting("beta", _number, "5.0")
     seed = setting("seed", integer, "0")
     iters = setting("iters", integer, "25")
-    with _bad_values_named("%s: [solver]" % path):
+    try:
         admm_config = rpadmm.AdmmConfig(beta=beta, max_iters=iters, seed=seed)
+    except ValueError as err:
+        raise ScenarioParseError("%s: [solver]: %s" % (path, err)) from None
 
     pm_capacity = entry("pms", "capacity", lambda s: None if s == "none"
                         else uniform_capacity(topo, _pairs(s)), "none")

@@ -136,7 +136,7 @@ def system_from_model(model):
         data=np.array(model._data, dtype=float), b=mats.b,
         lower=np.array(model.lower, dtype=float),
         upper=np.array(model.upper, dtype=float),
-        row_family=[rpadmm._family_of(l) for l in model._labels])
+        row_family=[l.split("[", 1)[0] for l in model._labels])
 
 
 def row_dicts(model):
@@ -485,7 +485,8 @@ def scaled_model(system):
 
 def share_and_interest_vars(p, model, slots, share_pms):
     """Per slot, a share variable at each of share_pms and an interest
-    variable at each candidate; returns the (PM, key) -> var maps."""
+    variable at each candidate; returns the (PM, key) -> var maps (the
+    share copies and the interests)."""
     cap = p.share_cap
     alpha_idx, e_idx = {}, {}
     for s in slots:
@@ -502,7 +503,7 @@ def interest_rows(model):
     lay = model.layout
     for s in lay.slots:
         coeffs = {lay.e_idx[(c, s.key)]: 1.0 for c in s.candidates}
-        coeffs[lay.alpha_idx[(lay.rel_pms[0], s.key)]] = -1.0
+        coeffs[lay.alpha_idx[s.key]] = -1.0
         model.add_row(coeffs, "=", 0.0, "interest[%s]" % s.key)
 
 
@@ -552,7 +553,8 @@ def reference_central_model(p):
     rel_pms = sorted(dict.fromkeys(q for s in slots for q in s.candidates),
                      key=p.topology.node_position)
     model = lp.LpModel("%s_lp" % p.mode)
-    alpha_idx, e_idx = share_and_interest_vars(p, model, slots, rel_pms[:1])
+    copies, e_idx = share_and_interest_vars(p, model, slots, rel_pms[:1])
+    alpha_idx = {key: i for (_, key), i in copies.items()}
     scale = p.traffic * p.weights.forwarding
     model.add_objective({i: scale * p.unit_cost(q) for (q, _), i in e_idx.items()})
     model.layout = scaling._Layout(slots, rel_pms, alpha_idx, e_idx)
@@ -630,15 +632,19 @@ def reference_build_milp(p):
 def flow_skeleton(p, name):
     """Model with per-instance flow variables, a share copy at every
     relevant PM, interest variables and the forwarding objective on the
-    flows, before any constraint rows.  The layout carries the flow net
-    as `fv`."""
+    flows, before any constraint rows.  The layout keys each slot's
+    share by its copy at the first relevant PM, as the central layout
+    does, and carries every copy as `share_copies` ((PM, key) -> var) and
+    the flow net as `fv`."""
     slots, rel_pms = scaling._placement_slots(p)
     model = lp.LpModel(name)
     fv = FlowNet(p.topology, p.group.ingress_pms, p.group.egress_pms)
     fv.add_flow_vars(model, [s.key for s in slots])
-    alpha_idx, e_idx = share_and_interest_vars(p, model, slots, rel_pms)
+    copies, e_idx = share_and_interest_vars(p, model, slots, rel_pms)
     model.add_objective(fv.objective_coeffs(p.weights.forwarding))
-    model.layout = scaling._Layout(slots, rel_pms, alpha_idx, e_idx)
+    model.layout = scaling._Layout(
+        slots, rel_pms, {s.key: copies[(rel_pms[0], s.key)] for s in slots}, e_idx)
+    model.layout.share_copies = copies
     model.layout.fv = fv
     return model
 
@@ -650,7 +656,7 @@ def reference_placement_rows(p, model):
     rows."""
     lay = model.layout
     slots, rel_pms, fv = lay.slots, lay.rel_pms, lay.fv
-    alpha_idx, e_idx = lay.alpha_idx, lay.e_idx
+    alpha_idx, e_idx = lay.share_copies, lay.e_idx
 
     for s in slots:
         if s.host is not None or len(rel_pms) < 2:

@@ -18,8 +18,8 @@ from vnfscale.cli import main as cli_main
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 NAMES = sorted(f for f in os.listdir(SCEN_DIR) if f.endswith(".scn"))
-TOKENS = ["-1", "0", "2", "nan", "inf", "1e309", "abc", "", "P0", "P999",
-          "P3-P1", "cpu:nan"]
+TOKENS = ["-1", "0", "2", "nan", "inf", "1e308", "1e309", "abc", "", "P0",
+          "P999", "P3-P1", "cpu:nan"]
 
 
 def _sites(lines):

@@ -99,7 +99,7 @@ def test_non_finite_objective_or_row_rejected(cost, coef, rhs):
     x = m.add_var("x", 0.0, 10.0)
     m.add_objective({x: cost})
     m.add_row({x: coef}, ">=", rhs)
-    with pytest.raises(ValueError):
+    with pytest.raises(lp.LpError, match="nonfinite: objective and rows must be finite"):
         lp.solve(m)
 
 

@@ -308,7 +308,7 @@ def reference_point(p, dec):
     model = reference_relaxation(p)
     lay = model.layout
     x = np.zeros(model.num_vars)
-    for (_, key), i in lay.alpha_idx.items():
+    for (_, key), i in lay.share_copies.items():
         x[i] = dec.shares[key]
     for k, i in lay.e_idx.items():
         x[i] = dec.e[k]
@@ -445,7 +445,7 @@ def test_central_decisions_are_exact_on_drawn_problems(p):
         flows_n, flows_m = scaling.route_flows(p, e)
         dec = vs.ScalingDecision(
             e=e,
-            shares={key: float(sol.point[i]) for (_, key), i in lay.alpha_idx.items()},
+            shares={key: float(sol.point[i]) for key, i in lay.alpha_idx.items()},
             forwarding_cost=forwarding_cost_of(flows_n, flows_m, p.topology))
     assert_exact(p, dec)
 

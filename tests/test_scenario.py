@@ -189,6 +189,50 @@ def test_presets_scale_the_baseline(tmp_path):
     assert sc.traffic == 123.0
 
 
+# (old, new, message after "<path>: "): one edit of scale_out_v4.scn and
+# the whole message load_scenario raises for it
+LOAD_ERRORS = {
+    "k": ("k = 4", "k = four",
+          "[topology] k = four: invalid literal for int() with base 10: 'four'"),
+    "costs": ("costs = 10 20 40", "costs = 10 20 x",
+              "[topology] costs = 10 20 x: could not convert string to float: 'x'"),
+    "omega": ("gamma = 1.25", "gamma = 1.25\nomega = cpu:1 mem:x",
+              "[group] omega = cpu:1 mem:x: bad name:value token 'mem:x':"
+              " could not convert string to float: 'x'"),
+    "thresholds": ("gamma = 1.25",
+                   "gamma = 1.25\nthresholds = hot:0.9 warm:0.8 cool:0.3",
+                   "[group] thresholds = hot:0.9 warm:0.8 cool:0.3:"
+                   " need exactly hot, warm and cold"),
+    "vm_id_twice": ("vm2  P5  100  0.95", "vm1  P5  100  0.95",
+                    "[vms] row 'vm1 P5 100 0.95': VM id vm1 named twice"),
+    "vm_capacity_zero": ("vm2  P5  100  0.95", "vm2  P5  0  0.95",
+                         "[vms] row 'vm2 P5 0 0.95': must be above 0"),
+    "phi": ("gamma = 1.25", "gamma = 1.25\nphi = 2",
+            "[group]: phi must lie in (0, 1]"),
+    "beta": ("method = lp", "method = lp\nbeta = 0",
+             "[solver]: beta must be positive and finite"),
+    "iters": ("method = lp", "method = lp\niters = 0",
+              "[solver]: max_iters must be at least 1"),
+    "offline": ("offline = 8", "offline = -1",
+                "[group] offline = -1: must be at least 0"),
+    "preset": ("preset = overload:2", "preset = overload:two",
+               "[event] preset = overload:two:"
+               " invalid literal for int() with base 10: 'two'"),
+    "pms_capacity": ("capacity = cpu:100", "capacity = cpu:1e3x",
+                     "[pms] capacity = cpu:1e3x: bad name:value token"
+                     " 'cpu:1e3x': could not convert string to float: '1e3x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_ERRORS))
+def test_every_load_error_message_is_pinned(tmp_path, case):
+    old, new, message = LOAD_ERRORS[case]
+    path = v4_with(tmp_path, old, new)
+    with pytest.raises(scenario.ScenarioParseError) as err:
+        scenario.load_scenario(path)
+    assert str(err.value) == "%s: %s" % (path, message)
+
+
 def test_cli_overrides_beat_file_values(tmp_path):
     path = write_scenario(tmp_path, minimal(method="rpadmm",
                                             extra="seed = 3\nbeta = 2.0"))
@@ -299,6 +343,26 @@ def test_a_run_without_out_dir_routes_no_flows(monkeypatch, name, method):
     assert dec.shares == want.decision.shares
     assert dec.forwarding_cost == want.decision.forwarding_cost
     assert dec.warnings == want.decision.warnings
+
+
+@pytest.mark.parametrize("method, families_read", [
+    ("lp", 0), ("milp", 0), ("rpadmm", 1)])
+def test_a_decision_formats_no_names(monkeypatch, method, families_read):
+    """Names and labels are formatted only when read: a decision reads
+    none, and RP-ADMM reads only the row families."""
+    formatted, families = [], []
+    format_name, row_families = lp._format_name, lp.LpModel.row_families
+    monkeypatch.setattr(lp, "_format_name",
+                        lambda *a: formatted.append(a) or format_name(*a))
+    monkeypatch.setattr(lp.LpModel, "row_families",
+                        lambda self: families.append(self) or row_families(self))
+    report = scenario.run_scenario(scen("scale_out_v4.scn"), overrides={"method": method})
+    assert report.method == method and report.decision.launched
+    assert formatted == [] and len(families) == families_read
+    if families:
+        # the spy sees each name the model formats once it is read
+        names = families[0].var_names
+        assert names[0] == "alpha[PM0,d1]" and len(formatted) == len(names)
 
 
 def test_milp_scenario_migrates_and_reports(tmp_path):
@@ -819,6 +883,38 @@ def test_cli_milp_budget_without_an_incumbent_is_exit_four(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == ("no usable solution: branch-and-bound found no"
                             " integral point within its budget (1 nodes)\n")
+
+
+def v4_with(tmp_path, old, new):
+    """A copy of scale_out_v4.scn with one line edited."""
+    with open(scen("scale_out_v4.scn")) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    return write_scenario(tmp_path, text.replace(old, new), "v4.scn")
+
+
+@pytest.mark.parametrize("old, new", [("gamma = 1.25", "gamma = 1e308"),
+                                      ("costs = 10 20 40", "costs = 10 20 1e308")])
+@pytest.mark.parametrize("argv, model", [(["run", "--solver", "lp"], "overload_lp"),
+                                         (["run", "--solver", "milp"], "milp"),
+                                         (["compare"], "overload_lp")])
+def test_cli_an_overflowing_cost_is_exit_four(tmp_path, capsys, old, new, argv, model):
+    # every unit cost overflows to inf: the model handed to lp.solve is
+    # not finite, a solver fault (exit 4) as RP-ADMM's divergence on it is
+    path = v4_with(tmp_path, old, new)
+    assert cli_main([argv[0], path, *argv[1:]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("no usable solution: %s: objective and rows must be"
+                            " finite\n" % model)
+
+
+def test_cli_a_preset_past_a_finite_traffic_is_exit_two(tmp_path, capsys):
+    path = v4_with(tmp_path, "baseline = 200", "baseline = 1e308")
+    assert cli_main(["run", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s: [event] preset = overload:2: the traffic it gives is not"
+        " finite\n" % path)
 
 
 def test_cli_over_capped_baseline_is_exit_three(tmp_path, capsys):
