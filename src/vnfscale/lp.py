@@ -166,10 +166,11 @@ class LpModel:
 
     def row_families(self):
         """Every row's family, read from its block without formatting; a
-        row appended with a plain label is its own family."""
+        plain label's family is the label up to its first '['."""
         out = []
         for block in self._row_blocks:
-            out += block.families() if block.__class__ is Names else block
+            out += (block.families() if block.__class__ is Names
+                    else [label.split("[", 1)[0] for label in block])
         return out
 
     def add_row(self, coeffs, rel, rhs, label=""):

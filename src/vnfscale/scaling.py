@@ -44,12 +44,10 @@ traffic.
 
 import io
 import math
-import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
@@ -148,7 +146,7 @@ class ScalingProblem:
         topo, gamma = self.topology, self.group.gamma
         d_in = source_distances(topo, self.group.ingress_pms)
         d_out = source_distances(topo, self.group.egress_pms)
-        return tuple(map(operator.add, d_in, map(operator.mul, repeat(gamma), d_out)))
+        return tuple(i + gamma * o for i, o in zip(d_in, d_out))
 
     def unit_cost(self, q):
         """u(q) of PM q, read from `unit_costs`."""
@@ -232,7 +230,7 @@ class UniformCapacity(Mapping):
         self._pms, self.value = topo.pms, value
 
     def __getitem__(self, q):
-        if q.__class__ is NodeId and q.kind == PM and q.index < len(self._pms):
+        if q.__class__ is NodeId and q.kind == PM and 0 <= q.index < len(self._pms):
             return self.value
         raise KeyError(q)
 

@@ -85,11 +85,7 @@ def parse_pm_list(text, topo):
     A reversed range is an error, and so, once all names parse, a repeat."""
     n, out = len(topo.pms), []
     for token in text.split():
-        name = _PM_NAME.fullmatch(token)
-        index = int(name[1]) - 1 if name else -1
-        if 0 <= index < n:          # a PM name of the tree, parse_pm's success
-            out.append(index)
-        elif "-" in token[1:]:
+        if "-" in token[1:]:
             ends = [_PM_NAME.fullmatch(end) for end in token.split("-", 1)]
             if None in ends:
                 raise ScenarioParseError("bad PM range %r" % token)

@@ -199,15 +199,9 @@ def source_distances(t, sources):
     own = {t.node_position(q) for q in sources}     # a PM's position is its index
     racks = {i // per_rack for i in own}
     pods = {rack // half for rack in racks}
-    # the PMs of a pod, and of a rack, are one run of indices
-    out, size = [by_level[3]] * len(t.pms), half * per_rack
-    for pod in pods:
-        out[pod * size:(pod + 1) * size] = [by_level[2]] * size
-    for rack in racks:
-        out[rack * per_rack:(rack + 1) * per_rack] = [by_level[1]] * per_rack
-    for i in own:
-        out[i] = by_level[0]
-    return tuple(out)
+    return tuple(by_level[0 if i in own else 1 if i // per_rack in racks
+                          else 2 if i // per_rack // half in pods else 3]
+                 for i in range(len(t.pms)))
 
 
 def source_route(t, sources, q):

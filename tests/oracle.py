@@ -507,6 +507,19 @@ def interest_rows(model):
         model.add_row(coeffs, "=", 0.0, "interest[%s]" % s.key)
 
 
+def add_slack(model, family, key, name):
+    """A new slack variable `name`, recorded as key of the layout's slack
+    block of family (each family's slacks are consecutive variables)."""
+    slack = model.add_var(name)
+    blocks = model.layout.slack_blocks
+    if not blocks or blocks[-1][0] != family:
+        blocks.append((family, slack, []))
+    _, first, keys = blocks[-1]
+    assert first + len(keys) == slack
+    keys.append(key)
+    return slack
+
+
 def capacity_rows(p, model):
     """Every unit of interest must be backed by capacity on the PM (and,
     in overload, by a free slot); in underload each host keeps at most
@@ -523,8 +536,7 @@ def capacity_rows(p, model):
         here = [s for s in slots if (q, s.key) in e_idx]
         for r in vm_cap:
             coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
-            slack = model.add_var("cap_slack[%s,%s]" % (q, r))
-            lay.slack_idx[("cap", q, r)] = slack
+            slack = add_slack(model, "cap", (q, r), "cap_slack[%s,%s]" % (q, r))
             coeffs[slack] = 1.0
             model.add_row(coeffs, "=", p.pm_capacity[r][q], "cap[%s,%s]" % (q, r))
     if p.mode == OVERLOAD:
@@ -532,16 +544,14 @@ def capacity_rows(p, model):
             newer = [s for s in slots if s.vm_id is None and (q, s.key) in e_idx]
             for r in vm_cap:
                 coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
-                slack = model.add_var("slot_slack[%s,%s]" % (q, r))
-                lay.slack_idx[("slots", q, r)] = slack
+                slack = add_slack(model, "slots", (q, r), "slot_slack[%s,%s]" % (q, r))
                 coeffs[slack] = 1.0
                 free = max(0.0, p.pm_capacity[r][q] - p.group.vm_capacity(r) * online(q))
                 model.add_row(coeffs, "=", free, "slots[%s,%s]" % (q, r))
     else:
         for q in rel_pms:
             coeffs = {e_idx[(q, s.key)]: 1.0 for s in slots if (q, s.key) in e_idx}
-            slack = model.add_var("keep_slack[%s]" % (q,))
-            lay.slack_idx[("keep", q)] = slack
+            slack = add_slack(model, "keep", (q,), "keep_slack[%s]" % (q,))
             coeffs[slack] = 1.0
             model.add_row(coeffs, "=", float(online(q)), "keep[%s]" % (q,))
 
@@ -695,8 +705,7 @@ def reference_placement_rows(p, model):
                 if r not in p.pm_capacity:
                     continue
                 coeffs = {e_idx[(q, s.key)]: p.traffic * p.group.omega[r] for s in here}
-                slack = model.add_var("cap_slack[%s,%s]" % (q, r))
-                lay.slack_idx[("cap", q, r)] = slack
+                slack = add_slack(model, "cap", (q, r), "cap_slack[%s,%s]" % (q, r))
                 coeffs[slack] = 1.0
                 model.add_row(coeffs, "=", p.pm_capacity[r][q], "cap[%s,%s]" % (q, r))
         if p.mode == OVERLOAD:
@@ -706,8 +715,7 @@ def reference_placement_rows(p, model):
                     if r not in p.pm_capacity:
                         continue
                     coeffs = {e_idx[(q, s.key)]: vm_cap[r] for s in newer}
-                    slack = model.add_var("slot_slack[%s,%s]" % (q, r))
-                    lay.slack_idx[("slots", q, r)] = slack
+                    slack = add_slack(model, "slots", (q, r), "slot_slack[%s,%s]" % (q, r))
                     coeffs[slack] = 1.0
                     free = max(0.0, p.pm_capacity[r][q]
                                - vm_cap[r] * sum(vm.host == q for vm in p.group.online))
@@ -715,8 +723,7 @@ def reference_placement_rows(p, model):
     if p.mode == UNDERLOAD:
         for q in rel_pms:
             coeffs = {e_idx[(q, s.key)]: 1.0 for s in slots if (q, s.key) in e_idx}
-            slack = model.add_var("keep_slack[%s]" % (q,))
-            lay.slack_idx[("keep", q)] = slack
+            slack = add_slack(model, "keep", (q,), "keep_slack[%s]" % (q,))
             coeffs[slack] = 1.0
             model.add_row(coeffs, "=", float(p.online_count(q)), "keep[%s]" % (q,))
 

@@ -667,3 +667,16 @@ def test_blocks_append_as_one_element_calls_do(monkeypatch):
     sol = lp.solve(block)
     assert len(passed) == 1 and list(passed[0].a_matrix_.start_) == [0, 2, 4, 5, 5]
     assert sol.objective_value == lp.solve(one).objective_value
+
+
+def test_row_families_cut_a_plain_label_at_its_bracket():
+    """A row's family is its label up to the first '[', whether the block
+    gave a plain list or an lp.Names."""
+    m = lp.LpModel()
+    m.add_vars(["x", "y"], [0.0, 0.0], [1.0, 1.0])
+    m.add_rows("=", [0, 1, 2], [0, 1], [1.0, 1.0], [0.0, 0.0],
+               ["keep[P1]", "coverage"])
+    m.add_rows("<=", [0, 1, 2], [0, 1], [1.0, 1.0], [1.0, 1.0],
+               lp.Names("cap", [("P1", "cpu"), ("P2", "cpu")]))
+    assert m.row_families() == ["keep", "coverage", "cap", "cap"]
+    assert m.row_families() == [label.split("[", 1)[0] for label in m._labels]

@@ -876,3 +876,15 @@ def baseline_problems(draw):
 @given(baseline_problems())
 def test_baseline_matches_lp_on_drawn_problems(p):
     assert_baseline_matches_lp(p)
+
+
+def test_uniform_capacity_reads_as_the_per_pm_table(topo):
+    """Each resource maps every PM of the tree, and only those, to its
+    one value, as the table it stands for would."""
+    caps = vs.uniform_capacity(topo, {"cpu": 2, "mem": 0.5})
+    assert {r: dict(c) for r, c in caps.items()} == \
+        {r: dict.fromkeys(topo.pms, float(v)) for r, v in (("cpu", 2), ("mem", 0.5))}
+    for q in (NodeId(PM, len(topo.pms)), NodeId(TOR, 0), "P1", 0):
+        assert q not in caps["cpu"]
+        with pytest.raises(KeyError):
+            caps["cpu"][q]
