@@ -3,15 +3,15 @@
 LpModel is a registry of variables (name, bounds), a sparse linear
 objective and relational rows, appended in blocks (add_vars, add_rows;
 add_var and add_row append one).  Names are labels only: nothing looks a
-variable up by name, and a name may repeat.  A block's names or labels
-come as a list or as a `Names` description (a family and one key per
-element), which the model keeps as it is and formats only when
-`var_names`, `_names` or `_labels` is read or an error names one; so a
-decision formats none, and RP-ADMM reads each row's family from its
-block (`row_families`).  An empty bound interval, a bad relation or a
-row naming an unknown variable or one variable twice rejects the whole
-block, the first fault named, and the model stays as it was.  All rows
-live in one CSR kept as Python lists.
+variable up by name, and a name may repeat.  The model keeps each
+block's names or labels as one `Names` description (a family and one key
+per element; a plain list becomes one keyless family per name) and
+formats them only when `var_names` or `_labels` is read or an error
+names one; so a decision formats none, and RP-ADMM reads each row's
+family from its block (`row_families`).  An empty bound interval, a bad
+relation or a row naming an unknown variable or one variable twice
+rejects the whole block, the first fault named, and the model stays as
+it was.  All rows live in one CSR kept as Python lists.
 solve() drives one HiGHS object per process (scipy's bundled HiGHS,
 made by the first solve with its options set once) and keeps no model
 between calls: each solve passes its model rowwise, straight from those
@@ -19,10 +19,10 @@ lists, each row in model order as a range of a x, then fixes the
 columns a branch-and-bound node pins and runs the dual simplex from a
 cold start.  RP-ADMM (`rpadmm._scaled`) reads the same lists; nothing
 builds a scipy matrix from them.  A model with an objective, matrix or
-right-hand-side value that is not finite raises LpError before HiGHS
-sees it.  The dual simplex is deterministic for a fixed model and
-returns a basic (vertex) optimal point, which placement decoding relies
-on.
+right-hand-side value that is not finite raises LpError (`check_finite`)
+before HiGHS sees it; `rpadmm.reformulate` checks its model the same
+way.  The dual simplex is deterministic for a fixed model and returns a
+basic (vertex) optimal point, which placement decoding relies on.
 """
 
 import math
@@ -93,25 +93,16 @@ class Names:
         return _format_name(self.families()[j], self.keys[j])
 
 
-def _append(blocks, names):
-    """Record a block's names: a Names as it is, a list run onto the
-    list before it, so one block and its one-element calls leave the same
-    record."""
-    if names.__class__ is Names:
-        blocks.append(names)
-    elif blocks and blocks[-1].__class__ is list:
-        blocks[-1] += names
-    else:
-        blocks.append(list(names))
+def _as_names(names):
+    """A block's names as a `Names`: a plain list as one keyless family
+    per name, which formats as the name itself."""
+    return names if names.__class__ is Names else Names(list(names), [()] * len(names))
 
 
 def _expand(blocks):
     out = []
     for block in blocks:
-        if block.__class__ is Names:
-            out += map(_format_name, block.families(), block.keys)
-        else:
-            out += block
+        out += map(_format_name, block.families(), block.keys)
     return out
 
 
@@ -119,7 +110,7 @@ class LpModel:
     """Variables (name, bounds), a sparse objective and relational rows.
 
     Rows are one CSR (_indptr, _indices, _data) with a relation and rhs
-    per row.  Names and labels are kept as their blocks gave them and
+    per row.  Names and labels are kept as one `Names` per block and
     formatted on each read.
     """
 
@@ -128,10 +119,10 @@ class LpModel:
         self.lower = []
         self.upper = []
         self.objective = {}     # var index -> coefficient
-        self._var_blocks = []   # the variables' names, block by block
+        self._var_blocks = []   # the variables' names, one Names per block
         self._indptr, self._indices, self._data = [0], [], []   # the rows' CSR
         self._rel, self._rhs = [], []
-        self._row_blocks = []   # the rows' labels, block by block
+        self._row_blocks = []   # the rows' labels, one Names per block
 
     def add_var(self, name, lo=0.0, hi=np.inf):
         return self.add_vars([name], [lo], [hi])
@@ -147,7 +138,7 @@ class LpModel:
             for j, (lo, hi) in enumerate(zip(lower, upper)):
                 if not lo <= hi:
                     raise ValueError("empty bound interval for %r" % names[j])
-        _append(self._var_blocks, names)
+        self._var_blocks.append(_as_names(names))
         self.lower += lower
         self.upper += upper
         return first
@@ -157,20 +148,17 @@ class LpModel:
         """Every variable's name, formatted on this read."""
         return _expand(self._var_blocks)
 
-    _names = var_names
-
     @property
     def _labels(self):
         """Every row's label, formatted on this read."""
         return _expand(self._row_blocks)
 
     def row_families(self):
-        """Every row's family, read from its block without formatting; a
-        plain label's family is the label up to its first '['."""
+        """Every row's family up to its first '[', read from its block
+        without formatting."""
         out = []
         for block in self._row_blocks:
-            out += (block.families() if block.__class__ is Names
-                    else [label.split("[", 1)[0] for label in block])
+            out += [fam.split("[", 1)[0] for fam in block.families()]
         return out
 
     def add_row(self, coeffs, rel, rhs, label=""):
@@ -203,7 +191,7 @@ class LpModel:
         first, base = len(self._rhs), len(self._indices)
         self._rhs += map(float, rhs)
         self._rel += [rel] * len(rhs)
-        _append(self._row_blocks, labels)
+        self._row_blocks.append(_as_names(labels))
         self._indices += cols
         self._data += vals
         self._indptr += [base + k for k in ptr[1:]]
@@ -232,10 +220,13 @@ class LpModel:
 _HIGHS = None
 
 
-def _finite(values):
-    """Whether every value is finite: one sum, and each value only when
-    the sum is not finite (finite values can overflow it too)."""
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+def check_finite(model):
+    """Raise LpError unless every objective, matrix and right-hand-side
+    value of the model is finite: one sum per list, and each value only
+    when the sum is not finite (finite values can overflow it too)."""
+    for values in (model.objective.values(), model._data, model._rhs):
+        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+            raise LpError("%s: objective and rows must be finite" % model.name)
 
 
 def _load_highs(model):
@@ -245,12 +236,11 @@ def _load_highs(model):
     turns the rows into columns and drops explicit zeros, and a new model
     drops the last basis.  False when HiGHS rejects the model."""
     global _HIGHS
+    check_finite(model)
     n, rel, rhs = model.num_vars, model._rel, model._rhs
     c = [0.0] * n
     for i, v in model.objective.items():
         c[i] = v
-    if not (_finite(c) and _finite(model._data) and _finite(rhs)):
-        raise LpError("%s: objective and rows must be finite" % model.name)
     if _HIGHS is None:
         _HIGHS = highs._Highs()
         for key, val in _OPTIONS.items():

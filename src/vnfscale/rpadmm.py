@@ -166,10 +166,13 @@ def _scaled(central, owners, scale):
 
 def reformulate(p):
     """The central relaxation of p in per-agent form, in traffic units
-    and with each row divided by its peak (see the module docstring)."""
+    and with each row divided by its peak (see the module docstring).
+    A central model with a value that is not finite raises LpError, as
+    `lp.solve` does."""
     build = (scaling.build_overload_lp if p.mode == OVERLOAD
              else scaling.build_underload_lp)
     central = build(p)
+    lp.check_finite(central)
     lay = central.layout
     owners = [None] * central.num_vars
     for s in lay.slots:

@@ -45,13 +45,12 @@ traffic.
 import io
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
-from .topology import PM, NodeId, pm_name, source_distances, source_route
+from .topology import PM, pm_name, source_distances, source_route
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -222,28 +221,9 @@ class ScalingProblem:
         return {q: room for q, room in zip(cands, rooms) if room >= 1}
 
 
-class UniformCapacity(Mapping):
-    """{PM: value} over every PM of a tree, answered without a table:
-    the same value for each PM."""
-
-    def __init__(self, topo, value):
-        self._pms, self.value = topo.pms, value
-
-    def __getitem__(self, q):
-        if q.__class__ is NodeId and q.kind == PM and 0 <= q.index < len(self._pms):
-            return self.value
-        raise KeyError(q)
-
-    def __iter__(self):
-        return iter(self._pms)
-
-    def __len__(self):
-        return len(self._pms)
-
-
 def uniform_capacity(topo, caps):
     """{resource: value} as per-PM capacity tables, one value per PM."""
-    return {r: UniformCapacity(topo, float(v)) for r, v in caps.items()}
+    return {r: dict.fromkeys(topo.pms, float(v)) for r, v in caps.items()}
 
 
 class _Layout:
@@ -255,13 +235,6 @@ class _Layout:
         self.alpha_idx = alpha_idx    # slot key -> its share variable
         self.e_idx = e_idx            # (PM, slot key) -> interest variable
         self.slack_blocks = []        # (family, first slack var, keys) per family
-
-    @cached_property
-    def slack_idx(self):
-        """{("cap"|"slots"|"keep", PM, resource?): slack var} over the
-        slack blocks, built on the first read."""
-        return {(family, *key): i for family, first, keys in self.slack_blocks
-                for i, key in enumerate(keys, first)}
 
 
 def _placement_slots(p):
@@ -577,14 +550,18 @@ def decision_csv(decision):
     return out.getvalue()
 
 
-def flows_csv(p, decision, threshold=1e-9):
+# flows_csv writes a flow value only when its magnitude exceeds this
+FLOW_THRESHOLD = 1e-9
+
+
+def flows_csv(p, decision):
     """Nonzero flow values of the decision's split routed by
     `route_flows`, one row per (link, instance, flow kind)."""
     out = io.StringIO()
     out.write("from,to,instance,flow,value\n")
     for name, flows in zip("nm", route_flows(p, decision.split)):
         for (i, j, d), val in sorted(flows.items(), key=lambda kv: str(kv[0])):
-            if abs(val) > threshold:
+            if abs(val) > FLOW_THRESHOLD:
                 out.write("%s,%s,%s,%s,%.9g\n"
                           % (pm_name(i), pm_name(j), d, name, val))
     return out.getvalue()

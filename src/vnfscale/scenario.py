@@ -110,7 +110,11 @@ def _number(text, kind=float, at_least=None, above=None):
     """Every numeric value of a scenario file: a finite int or float,
     at least `at_least` and above `above` where those are given."""
     v = kind(text)
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:       # an int past the float range
+        finite = False
+    if not finite:
         raise ValueError("must be a finite number")
     if at_least is not None and v < at_least:
         raise ValueError("must be at least %g" % at_least)

@@ -24,7 +24,7 @@ from oracle import reference_build_milp, reference_central_model
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
-MODEL_FIELDS = ("name", "lower", "upper", "_names", "_indptr", "_indices",
+MODEL_FIELDS = ("name", "lower", "upper", "var_names", "_indptr", "_indices",
                 "_data", "_rel", "_rhs", "_labels")
 
 
@@ -45,7 +45,7 @@ def central_fields(p):
         "slots": repr(lay.slots), "rel_pms": repr(lay.rel_pms),
         "alpha_idx": repr(list(lay.alpha_idx.items())),
         "e_idx": repr(list(lay.e_idx.items())),
-        "slack_idx": repr(list(lay.slack_idx.items()))}
+        "slack_blocks": repr(lay.slack_blocks)}
 
 
 def reference_central_fields(p):
@@ -58,7 +58,7 @@ def reference_central_fields(p):
         "slots": repr(lay.slots), "rel_pms": repr(lay.rel_pms),
         "alpha_idx": repr(list(lay.alpha_idx.items())),
         "e_idx": repr(list(lay.e_idx.items())),
-        "slack_idx": repr(list(lay.slack_idx.items()))}
+        "slack_blocks": repr(lay.slack_blocks)}
 
 
 def milp_fields(mp):

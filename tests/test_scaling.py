@@ -319,9 +319,10 @@ def reference_point(p, dec):
     mats = export(model)
     col = mats.a.tocsc()
     residual = mats.a @ x - mats.b
-    for i in lay.slack_idx.values():
-        (row,) = col.indices[col.indptr[i]:col.indptr[i + 1]]
-        x[i] = -residual[row]
+    for _, first, keys in lay.slack_blocks:
+        for i in range(first, first + len(keys)):
+            (row,) = col.indices[col.indptr[i]:col.indptr[i + 1]]
+            x[i] = -residual[row]
     return model, x
 
 
@@ -880,7 +881,7 @@ def test_baseline_matches_lp_on_drawn_problems(p):
 
 def test_uniform_capacity_reads_as_the_per_pm_table(topo):
     """Each resource maps every PM of the tree, and only those, to its
-    one value, as the table it stands for would."""
+    one value, in a plain table a caller can copy and edit."""
     caps = vs.uniform_capacity(topo, {"cpu": 2, "mem": 0.5})
     assert {r: dict(c) for r, c in caps.items()} == \
         {r: dict.fromkeys(topo.pms, float(v)) for r, v in (("cpu", 2), ("mem", 0.5))}
@@ -888,3 +889,6 @@ def test_uniform_capacity_reads_as_the_per_pm_table(topo):
         assert q not in caps["cpu"]
         with pytest.raises(KeyError):
             caps["cpu"][q]
+    edited = caps["cpu"].copy()
+    edited[topo.pms[0]] = 7.0
+    assert edited[topo.pms[0]] == 7.0 and caps["cpu"][topo.pms[0]] == 2.0

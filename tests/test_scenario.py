@@ -215,9 +215,15 @@ LOAD_ERRORS = {
               "[solver]: max_iters must be at least 1"),
     "offline": ("offline = 8", "offline = -1",
                 "[group] offline = -1: must be at least 0"),
+    # an int past the float range is not finite, and no traceback
+    "offline_past_float": ("offline = 8", "offline = 1" + "0" * 400,
+                           "[group] offline = 1%s: must be a finite number" % ("0" * 400)),
     "preset": ("preset = overload:2", "preset = overload:two",
                "[event] preset = overload:two:"
                " invalid literal for int() with base 10: 'two'"),
+    "preset_past_float": ("preset = overload:2", "preset = overload:1" + "0" * 400,
+                          "[event] preset = overload:1%s: must be a finite number"
+                          % ("0" * 400)),
     "pms_capacity": ("capacity = cpu:100", "capacity = cpu:1e3x",
                      "[pms] capacity = cpu:1e3x: bad name:value token"
                      " 'cpu:1e3x': could not convert string to float: '1e3x'"),
@@ -897,10 +903,13 @@ def v4_with(tmp_path, old, new):
                                       ("costs = 10 20 40", "costs = 10 20 1e308")])
 @pytest.mark.parametrize("argv, model", [(["run", "--solver", "lp"], "overload_lp"),
                                          (["run", "--solver", "milp"], "milp"),
-                                         (["compare"], "overload_lp")])
+                                         (["compare"], "overload_lp"),
+                                         (["run", "--solver", "rpadmm"], "overload_lp")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_an_overflowing_cost_is_exit_four(tmp_path, capsys, old, new, argv, model):
-    # every unit cost overflows to inf: the model handed to lp.solve is
-    # not finite, a solver fault (exit 4) as RP-ADMM's divergence on it is
+    # every unit cost overflows to inf: the model handed to lp.solve or
+    # rpadmm.reformulate is not finite, a solver fault (exit 4) named
+    # before any arithmetic runs on it
     path = v4_with(tmp_path, old, new)
     assert cli_main([argv[0], path, *argv[1:]]) == 4
     captured = capsys.readouterr()

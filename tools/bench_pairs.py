@@ -2,21 +2,34 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload central_lp_k8 --seed 5
 
-Run from the root of a checkout.  The parent revision is checked out into a
-temporary `git worktree`, which is removed afterwards.  Each pair runs
-`perfbench/run.py --workload W --seed S --seconds T` once on the parent and
-once on the working tree, as they are on disk, one after the other; the side
-that goes first alternates from pair to pair.  For every end-to-end metric of
-BENCHMARK.json it prints each side's median and quartiles, then, for the
-metric named by --metric, how many pairs the change won (ties count for
-neither side) and whether the medians differ by more than the distance
-between the parent's quartiles: the rule for claiming a gain.  Last come the
-digests each side printed; a side whose runs disagree lists them all.
+Run from the root of a checkout.  Both sides run from fresh copies in one
+temporary directory, which is removed afterwards: the parent revision as
+`git archive` exports it, and the working tree's files as they are on disk
+(tracked and untracked, not ignored).  So neither side starts with bytecode
+caches or benchmark output the other lacks: with PYTHONDONTWRITEBYTECODE set,
+a checkout holding a `__pycache__` read 10-20% faster on every workload than
+a fresh copy of the same code (a shared 2-CPU host).  Each pair runs
+`perfbench/run.py --workload W --seed S --seconds T` once on each side, one
+after the other; the side that goes first alternates from pair to pair, and
+every run's end-to-end metrics are printed.  For every end-to-end metric of
+BENCHMARK.json it prints each side's median and quartiles and a verdict from
+the metric's `bound`, a fraction of the parent's median:
+- "unresolved" when the parent's quartile spread is wider than the bound and
+  not every change run reads better than every parent run;
+- otherwise "worse by more than its bound" when the change's median is worse
+  than the parent's by more than the bound;
+- otherwise "within its bound".
+Then, for the metric named by --metric, it prints how many pairs the change
+won (ties count for neither side) and whether the medians differ by more than
+the distance between the parent's quartiles: the rule for claiming a gain.
+Last come the digests each side printed; a side whose runs disagree lists
+them all.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +58,21 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def verdict(parent, change, better, bound):
+    """The no-regression verdict of one metric's parent and change runs
+    (see the module docstring)."""
+    sign = 1.0 if better == "higher" else -1.0
+    p1, p_med, p3 = quartiles(parent)
+    c_med = quartiles(change)[1]
+    allowed = bound * abs(p_med)
+    beats_all = min(sign * v for v in change) > max(sign * v for v in parent)
+    if p3 - p1 > allowed and not beats_all:
+        return "unresolved"
+    if sign * (p_med - c_med) > allowed:
+        return "worse by more than its bound"
+    return "within its bound"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="revision to compare against")
@@ -57,39 +85,48 @@ def main():
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    better = {name: m["better"] for name, m in end_to_end.items()}
     if args.metric not in better:
         sys.exit("bench_pairs: %r is not an end-to-end metric" % args.metric)
 
     tmp = tempfile.mkdtemp(prefix="bench_pairs_")
-    tree = os.path.join(tmp, "parent")
-    subprocess.run(["git", "worktree", "add", "--detach", tree, args.parent],
-                   cwd=ROOT, check=True, capture_output=True)
+    trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
     runs = {"parent": [], "change": []}
     try:
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        os.mkdir(trees["parent"])
+        subprocess.run(["tar", "-x", "-C", trees["parent"]], input=archive, check=True)
+        listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                                 "--exclude-standard"], cwd=ROOT, check=True,
+                                capture_output=True, text=True).stdout
+        for name in filter(None, listed.split("\0")):
+            src, dst = os.path.join(ROOT, name), os.path.join(trees["change"], name)
+            if os.path.isfile(src):     # a tracked file deleted on disk is left out
+                os.makedirs(os.path.dirname(dst), exist_ok=True)
+                shutil.copy2(src, dst)
         for pair in range(args.pairs):
-            sides = [("parent", tree), ("change", ROOT)]
+            sides = list(trees.items())
             for side, root in sides if pair % 2 == 0 else sides[::-1]:
                 runs[side].append(run_bench(root, args))
-            print("pair %d: %s parent %.6g, change %.6g" % (
-                pair + 1, args.metric, runs["parent"][-1][0][args.metric],
-                runs["change"][-1][0][args.metric]), flush=True)
+                print("pair %d %s: %s" % (pair + 1, side, ", ".join(
+                    "%s %.6g" % (name, runs[side][-1][0][name]) for name in better)),
+                    flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-        os.rmdir(tmp)
+        shutil.rmtree(tmp)
 
     print("\n%s, seed %d, %d pairs of %g s, parent %s"
           % (args.workload, args.seed, args.pairs, args.seconds, args.parent))
-    print("%-22s %-34s %s" % ("metric", "parent median [q1, q3]",
-                              "change median [q1, q3]"))
-    for name in better:
-        cells = []
-        for side in ("parent", "change"):
-            q1, med, q3 = quartiles([m[name] for m, _ in runs[side]])
-            cells.append("%.6g [%.6g, %.6g]" % (med, q1, q3))
-        print("%-22s %-34s %s" % (name, *cells))
+    print("%-22s %-38s %-38s %s" % ("metric", "parent median [q1, q3]",
+                                    "change median [q1, q3]", "verdict (bound)"))
+    for name, metric in end_to_end.items():
+        values = {side: [m[name] for m, _ in runs[side]] for side in runs}
+        cells = ["%.6g [%.6g, %.6g]" % (med, q1, q3) for q1, med, q3
+                 in (quartiles(values[side]) for side in ("parent", "change"))]
+        print("%-22s %-38s %-38s %s (%g)" % (
+            name, *cells, verdict(values["parent"], values["change"],
+                                  metric["better"], metric["bound"]), metric["bound"]))
 
     sign = 1.0 if better[args.metric] == "higher" else -1.0
     pairs = list(zip((m[args.metric] for m, _ in runs["parent"]),
