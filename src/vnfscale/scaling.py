@@ -33,24 +33,30 @@ the decode degenerates.
 Each capacity fact is worked out once per problem: u_r per resource
 (`ScalingProblem.vm_caps`), and the online VMs and the free capacity of
 each PM by PM index (`free_by_index`).  `launch_slots` lists the launch
-PMs in node order: the candidate PMs with room for at least one new VM,
+PMs in index order: the candidate PMs with room for at least one new VM,
 each with its free slots, floor((free_r + 1e-12) / u_r) at the fewest
 over the capped resources.  The new slots, the room check and decode's
-slot supply all read that table.  The builder groups the interests by
-PM index to emit each capacity row family as one block.  The baseline
-is priced on the problem itself, with the share cap at the baseline
-traffic.
+slot supply all read that table; `prune_launch_pms` cuts it to the
+launch PMs of each interchangeable class that an optimum needs.  The
+builder groups the interests by PM index to emit each capacity row
+family as one block.  The baseline is priced on the problem itself,
+with the share cap at the baseline traffic.
 """
 
+import copy
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 
 from . import lp
 from .chain_state import OVERLOAD, UNDERLOAD
 from .topology import PM, pm_name, source_distances, source_route
+
+
+_by_index = attrgetter("index")     # sort key of PMs: a PM's position is its index
 
 
 class ModelInfeasibleError(RuntimeError):
@@ -208,11 +214,11 @@ class ScalingProblem:
     @cached_property
     def launch_slots(self):
         """{PM: new instances it has room for} over the candidate PMs with
-        room for at least one, in node order, built on the first read and
+        room for at least one, in index order, built on the first read and
         kept.  Per capped resource r a PM fits floor((free + 1e-12) / u_r)
         new VMs, so a PM short of a whole VM by float error takes it; with
         no capped resource every candidate fits any number (inf)."""
-        cands = sorted(self.group.candidate_pms, key=self.topology.node_position)
+        cands = sorted(self.group.candidate_pms, key=_by_index)
         rooms = [math.inf] * len(cands)
         for r in self.capped:
             free, u = self.free_by_index[r], max(self.vm_caps[r], 1e-30)
@@ -224,6 +230,55 @@ class ScalingProblem:
 def uniform_capacity(topo, caps):
     """{resource: value} as per-PM capacity tables, one value per PM."""
     return {r: dict.fromkeys(topo.pms, float(v)) for r, v in caps.items()}
+
+
+def prune_launch_pms(p):
+    """An overload problem with its candidate list cut to the launch PMs
+    its relaxation can need; any other problem is returned as it is.
+
+    A launch PM that hosts no online VM of the group is keyed by its unit
+    cost u(q) and its free capacity on each capped resource; PMs with the
+    same key are interchangeable.  Every host PM is kept, and of each
+    class the n = v* - |V| lowest-indexed PMs, in line with decode's
+    lowest-index tie rule.  The cut problem shares p's tables (unit
+    costs, free capacity, online counts) and has its own `launch_slots`.
+
+    The cut loses no optimum.  A classed PM q hosts no VM of the group,
+    so its cap rows read c_r(q) = free_r(q) (capacities are nonnegative),
+    and it has free_r(q) >= u_r on every capped r: a PM whose room of one
+    rests on the 1e-12 tolerance of `launch_slots` (free_r < u_r) is kept
+    outside any class.  Take an optimum and let m_s be the interest mass
+    of new slot s on a class's PMs; m_s <= alpha_s <= min(1, share_cap),
+    as the shares are nonnegative and sum to 1.  Move all of m_s onto one
+    kept PM of the class, a different one per slot: a cut class keeps n
+    PMs for the n new slots.  There the interest is m_s <= 1, the slot
+    rows hold as u_r * m_s <= u_r <= free_r, and the cap rows hold as
+    T * omega_r * m_s <= T * omega_r * share_cap <= u_r <= c_r(q), for
+    share_cap <= u_r / (omega_r * T) wherever omega_r * T > 0.  Each
+    slot's interest sum, every other PM's rows and, as the class shares
+    u(q), the cost stay as they were.  So the cut LP, which is the full
+    LP with the pruned PMs' columns fixed at zero (where their rows
+    hold), has the full LP's optimum.  The room check gives the same
+    answer and message: a class is cut only when it alone fits the n
+    launches."""
+    if p.mode != OVERLOAD:
+        return p
+    n = p.v_star - len(p.group.online)
+    unit, hosts = p.unit_costs, p._online_counts
+    tables = [(p.free_by_index[r], p.vm_caps[r]) for r in p.capped]
+    taken, kept = Counter(), {}
+    for q, room in p.launch_slots.items():
+        i = q.index
+        if i not in hosts and all(free[i] >= u for free, u in tables):
+            key = (unit[i], *(free[i] for free, _ in tables))
+            taken[key] += 1
+            if taken[key] > n:
+                continue
+        kept[q] = room
+    cut = copy.copy(p)          # the cached tables come along
+    cut.group = replace(p.group, candidate_pms=list(kept))
+    cut.launch_slots = kept
+    return cut
 
 
 class _Layout:
@@ -238,7 +293,7 @@ class _Layout:
 
 
 def _placement_slots(p):
-    """The instance slots and the PMs they may land on, in node order.
+    """The instance slots and the PMs they may land on, in index order.
 
     Overload pins each online VM to its host and spreads v* - |V| new
     slots over the launch PMs; underload spreads v* slots over the hosts.
@@ -249,7 +304,7 @@ def _placement_slots(p):
         raise ModelInfeasibleError(
             "v_star=%d instances at share cap %.4g cannot cover the traffic"
             % (p.v_star, p.share_cap))
-    order, online = p.topology.node_position, p.group.online
+    online = p.group.online
     if p.mode == OVERLOAD:
         new, pool = p.v_star - len(online), len(p.group.offline_pool)
         if new > pool:
@@ -265,10 +320,11 @@ def _placement_slots(p):
         slots += [InstanceSlot("d%d" % (i + 1), None, None, cands)
                   for i in range(len(online), p.v_star)]
     else:
-        hosts = tuple(sorted(set(p.group.host_pms), key=order))
+        hosts = tuple(sorted(p.group.host_pms, key=_by_index))
         slots = [InstanceSlot("d%d" % (i + 1), None, None, hosts)
                  for i in range(p.v_star)]
-    rel_pms = sorted({q.index: q for s in slots for q in s.candidates}.values(), key=order)
+    rel_pms = sorted({q.index: q for s in slots for q in s.candidates}.values(),
+                     key=_by_index)
     return slots, rel_pms
 
 

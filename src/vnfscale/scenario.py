@@ -41,8 +41,8 @@ from . import lp, milp, rpadmm
 from .chain_state import (OVERLOAD, UNDERLOAD, NORMAL, Thresholds, VmInstance,
                           VnfGroup, classify_group, required_instances)
 from .scaling import (ScalingProblem, build_overload_lp, build_underload_lp,
-                      decode, uniform_capacity, decision_csv, decision_table,
-                      flows_csv, ModelInfeasibleError)
+                      decode, prune_launch_pms, uniform_capacity, decision_csv,
+                      decision_table, flows_csv, ModelInfeasibleError)
 from .topology import build_fat_tree, pm_name
 
 DEFAULT_TIME_BUDGET = 1200.0
@@ -440,6 +440,7 @@ def _check_expectations(report, sc):
 # pair of CSVs render all of them.
 
 def _lp(p, admm_config):
+    p = prune_launch_pms(p)
     model = (build_overload_lp if p.mode == OVERLOAD else build_underload_lp)(p)
 
     def solve():

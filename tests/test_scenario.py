@@ -470,8 +470,12 @@ def test_sweep_counts_match_the_small_tree():
 
 
 def test_model_sizes_grow_with_k():
-    sizes = [scenario.model_counts("lp", k)[0] for k in (2, 4, 8)]
-    assert sizes[0] < sizes[1] < sizes[2]
+    # one launch is needed, so the lp entry keeps one PM of each of the
+    # four unit costs, whatever the tree; rpadmm keeps an agent per PM
+    ks = (4, 8, 16, 32, 64)
+    assert {scenario.model_counts("lp", k) for k in ks} == {(21, 16)}
+    sizes = [scenario.model_counts("rpadmm", k)[0] for k in ks]
+    assert sizes == sorted(set(sizes))
 
 
 def test_sweep_reports_a_dead_worker_without_blocking(monkeypatch):
@@ -992,7 +996,7 @@ def test_cli_sweep_and_compare(capsys):
     assert cli_main(["sweep", "--k", "2"]) == 0
     assert "switches" in capsys.readouterr().out
     assert cli_main(["sweep", "--k", "2", "--budget", "5"]) == 0
-    assert re.search(r"^2 +5 +4 +15 +12 +\S+ s$", capsys.readouterr().out, re.M)
+    assert re.search(r"^2 +5 +4 +12 +10 +\S+ s$", capsys.readouterr().out, re.M)
     assert cli_main(["compare", scen("distributed_scale_out.scn"),
                      "--seed", "9", "--iters", "20"]) == 0
     assert "final gap" in capsys.readouterr().out

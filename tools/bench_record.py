@@ -8,7 +8,8 @@ the median is one run's value) and keeps every metric's median and every
 run's digests.  The settings are fixed so that snapshots compare across
 commits.  It times `vnfscale sweep --solver lp|rpadmm` for k = 4, 8, 12 and
 16 the same number of times, runs the tier-1 suite once for its counts, and
-records the host.  The schema is described in README.md.
+records the host, with whether the package's bytecode caches were there
+when it started.  The schema is described in README.md.
 """
 
 import argparse
@@ -91,24 +92,28 @@ def tier1():
             "seconds": round(time.perf_counter() - t0, 1)}
 
 
-def host():
+def host(bytecode_cache):
     import numpy
     import scipy
     return {"cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "machine": platform.machine(), "system": platform.system()}
+            "machine": platform.machine(), "system": platform.system(),
+            "bytecode_cache": bytecode_cache}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_16.json")
     args = ap.parse_args(argv)
+    # the first run writes the caches, and a checkout that holds them reads
+    # faster in reference seconds, so a record says how it started
+    bytecode_cache = os.path.isdir(os.path.join(ROOT, "src", "vnfscale", "__pycache__"))
     commit = run(["git", "describe", "--always", "--dirty"]).strip()
     record = {
         "schema": 1,
         "commit": commit,
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
-        "host": host(),
+        "host": host(bytecode_cache),
         "settings": {"seed": SEED, "seconds": SECONDS, "runs": RUNS,
                      "sweep_k": list(SWEEP_KS)},
         "workloads": {w: workload_record(w) for w in WORKLOADS},
