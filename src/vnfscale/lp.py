@@ -17,12 +17,16 @@ made by the first solve with its options set once) and keeps no model
 between calls: each solve passes its model rowwise, straight from those
 lists, each row in model order as a range of a x, then fixes the
 columns a branch-and-bound node pins and runs the dual simplex from a
-cold start.  RP-ADMM (`rpadmm._scaled`) reads the same lists; nothing
-builds a scipy matrix from them.  A model with an objective, matrix or
-right-hand-side value that is not finite raises LpError (`check_finite`)
-before HiGHS sees it; `rpadmm.reformulate` checks its model the same
-way.  The dual simplex is deterministic for a fixed model and returns a
-basic (vertex) optimal point, which placement decoding relies on.
+cold start, with presolve off.  On the models a decision solves (the cut
+overload LP, the underload LP and the MILP's node LPs, up to k=64)
+HiGHS's presolve takes longer than the simplex it precedes; it pays off
+only on the uncut overload LP, which no decision solves.  RP-ADMM
+(`rpadmm._scaled`) reads the same lists; nothing builds a scipy matrix
+from them.  A model with an objective, matrix or right-hand-side value
+that is not finite raises LpError (`check_finite`) before HiGHS sees
+it; `rpadmm.reformulate` checks its model the same way.  The dual
+simplex is deterministic for a fixed model and returns a basic (vertex)
+optimal point, which placement decoding relies on.
 """
 
 import math
@@ -41,10 +45,11 @@ EQ, LE, GE = "=", "<=", ">="
 # HiGHS primal and dual feasibility tolerance
 FEASIBILITY_TOL = 1e-9
 
-# the options linprog(method="highs-ds") sets: presolve on, dual simplex,
-# both tolerances, no output
+# the dual simplex with both tolerances and no output, as
+# linprog(method="highs-ds") sets it, but with presolve off (see the
+# module docstring)
 _OPTIONS = {
-    "presolve": "on",
+    "presolve": "off",
     "solver": "simplex",
     "simplex_strategy": int(highs.simplex_constants.SimplexStrategy
                             .kSimplexStrategyDual),

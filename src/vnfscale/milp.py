@@ -49,7 +49,7 @@ class MilpProblem:
     """Built template: LP relaxation plus the binary index set."""
 
     base: lp.LpModel
-    binaries: list              # variable indices of the b grid
+    binaries: list              # variable indices of the b grid, in b_idx order
     problem: object             # the originating ScalingProblem
     b_idx: dict                 # (PM, vm id) -> var index
     alpha_idx: dict             # (PM, vm id) -> var index
@@ -164,10 +164,7 @@ def deployment_cost(placement, penalties, online):
 
 
 def _decode(mp, point, total, nodes, proven):
-    placement = {}
-    for (q, j), idx in mp.b_idx.items():
-        if round(point[idx]):
-            placement[j] = q
+    placement = {j: q for (q, j), on in zip(mp.b_idx, point[mp.binaries] > 0.5) if on}
     p = mp.problem
     for vm in (*p.group.online, *p.group.offline_pool):
         placement.setdefault(vm.id, None)

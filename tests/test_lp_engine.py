@@ -258,7 +258,7 @@ def dense_linprog(model, pins):
     return linprog(export(model).c, A_ub=(sign * a)[ub],
                    b_ub=(sign[:, 0] * b)[ub], A_eq=a[eq], b_eq=b[eq],
                    bounds=pinned_bounds(model, pins), method="highs-ds",
-                   options={"presolve": True,
+                   options={"presolve": False,
                             "primal_feasibility_tolerance": feas_tol,
                             "dual_feasibility_tolerance": feas_tol})
 

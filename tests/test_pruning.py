@@ -26,9 +26,9 @@ from test_scaling import assert_exact, load_perfbench_gen, shipped_problems
 SEEDS = (0, 3, 5, 11)
 
 # the problems whose cut decision launches on other PMs of the same class
-# than the full model's, at the same cost: scenario4_more on P8 for P16,
-# admm03.scn both VMs on P7 for P15
-MOVED = {"scenario4_more", "distributed_k4 seed 0 admm03.scn"}
+# than the full model's, at the same cost: scenario3 d3 on P3 for P4,
+# scenario4_more on P8 for P16, admm03.scn both VMs on P7 for P15
+MOVED = {"scenario3", "scenario4_more", "distributed_k4 seed 0 admm03.scn"}
 
 
 def full_decision(p):

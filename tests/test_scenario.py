@@ -603,8 +603,7 @@ def test_a_relaxation_highs_finds_infeasible_is_exit_three(tmp_path, capsys):
 def test_a_solver_breakdown_is_exit_four(monkeypatch, capsys):
     # a fresh process HiGHS object allowed no simplex iteration
     monkeypatch.setattr(lp, "_HIGHS", None)
-    monkeypatch.setattr(lp, "_OPTIONS", {**lp._OPTIONS, "presolve": "off",
-                                         "simplex_iteration_limit": 0})
+    monkeypatch.setattr(lp, "_OPTIONS", {**lp._OPTIONS, "simplex_iteration_limit": 0})
     assert cli_main(["run", scen("scale_out_v3.scn")]) == 4
     assert capsys.readouterr().err == "no usable solution: solver breakdown" \
         " on overload_lp: Iteration limit reached\n"

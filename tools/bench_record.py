@@ -9,7 +9,8 @@ run's digests.  The settings are fixed so that snapshots compare across
 commits.  It times `vnfscale sweep --solver lp|rpadmm` for k = 4, 8, 12 and
 16 the same number of times, runs the tier-1 suite once for its counts, and
 records the host, with whether the package's bytecode caches were there
-when it started.  The schema is described in README.md.
+when it started.  No command it runs writes bytecode caches.  The schema
+is described in README.md.
 """
 
 import argparse
@@ -29,7 +30,10 @@ SOLVERS = ("lp", "rpadmm")
 RUNS = 3
 SEED = 11
 SECONDS = 25
-ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+# no run writes bytecode caches, so a record that starts without them
+# runs every command without them
+ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+           PYTHONDONTWRITEBYTECODE="1")
 
 
 def run(cmd):
@@ -105,8 +109,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_16.json")
     args = ap.parse_args(argv)
-    # the first run writes the caches, and a checkout that holds them reads
-    # faster in reference seconds, so a record says how it started
+    # a checkout that holds the caches reads faster in reference seconds,
+    # and its runs read them, so a record says how it started
     bytecode_cache = os.path.isdir(os.path.join(ROOT, "src", "vnfscale", "__pycache__"))
     commit = run(["git", "describe", "--always", "--dirty"]).strip()
     record = {
