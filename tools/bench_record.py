@@ -9,8 +9,8 @@ run's digests.  The settings are fixed so that snapshots compare across
 commits.  It times `vnfscale sweep --solver lp|rpadmm` for k = 4, 8, 12 and
 16 the same number of times, runs the tier-1 suite once for its counts, and
 records the host, with whether the package's bytecode caches were there
-when it started.  No command it runs writes bytecode caches.  The schema
-is described in README.md.
+when it started.  Its perfbench runs and sweeps write no bytecode caches.
+The schema is described in README.md.
 """
 
 import argparse
@@ -30,8 +30,9 @@ SOLVERS = ("lp", "rpadmm")
 RUNS = 3
 SEED = 11
 SECONDS = 25
-# no run writes bytecode caches, so a record that starts without them
-# runs every command without them
+# no perfbench run or sweep writes bytecode caches, so in a record that
+# starts without them each one runs without them (the tier-1 suite, which
+# runs last, has a test that starts Python with its own environment)
 ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
            PYTHONDONTWRITEBYTECODE="1")
 
