@@ -6,13 +6,12 @@ from .topology import (NodeId, Topology, build_fat_tree, forwarding_cost,
 from .chain_state import (Thresholds, VmInstance, VnfGroup, classify_group,
                           required_instances, OVERLOAD, UNDERLOAD, NORMAL,
                           ClassificationError)
-from .scaling import (ScalingProblem, ScalingDecision, Penalties, Weights,
-                      build_overload_lp, build_underload_lp, decode,
-                      uniform_capacity, baseline_forwarding_cost,
-                      decision_table, decision_csv, flows_csv,
-                      ModelInfeasibleError, DecodeError)
+from .scaling import (ScalingProblem, ScalingDecision, build_overload_lp,
+                      build_underload_lp, decode, uniform_capacity,
+                      baseline_forwarding_cost, decision_table, decision_csv,
+                      flows_csv, ModelInfeasibleError, DecodeError)
 from .milp import (MilpProblem, MilpSolution, build_milp, solve_milp,
-                   deployment_cost, BudgetExhaustedError)
+                   BudgetExhaustedError)
 from .rpadmm import (AdmmConfig, AdmmRecord, AdmmTrace, ReformulatedSystem,
                      reformulate, run, scalar_block_update, message_footprint,
                      UnboundedUpdateError, AdmmDivergenceError)

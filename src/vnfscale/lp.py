@@ -217,9 +217,6 @@ class LpModel:
     def num_rows(self):
         return len(self._rhs)
 
-    def objective_value(self, point):
-        return sum((c * point[i] for i, c in self.objective.items()), 0.0)
-
 
 # the process's one HiGHS object, made by the first solve
 _HIGHS = None

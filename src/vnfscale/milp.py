@@ -1,15 +1,16 @@
 """Exact joint placement model with binary placement.
 
 Placement binaries b couple to traffic shares alpha through box rows
-(eps*b <= alpha <= cap*b), every VM lands on at most one PM, and PM
+(EPSILON*b <= alpha <= cap*b), every VM lands on at most one PM, and PM
 resources bound the placed VMs.  Deployment cost charges activate per
-placed offline VM and credits retain per kept online VM.
+placed offline VM and credits retain per kept online VM, the pair of the
+problem's mode in `PENALTIES`.
 
 Links are uncapacitated, so once the shares are fixed the forwarding
 part is a min-cost flow that sends every unit along a shortest path
 (flow decomposition; Ahuja, Magnanti and Orlin, Network Flows, 1993),
 which on a fat tree climbs to the lowest layer its ends share and comes
-back down.  A share alpha[q,j] is therefore priced at T * w_fwd * u(q),
+back down.  A share alpha[q,j] is therefore priced at T * u(q),
 the closed-form cost of serving it at q (`ScalingProblem.unit_cost`),
 and the model has no flow variable; the decode prices the optimum's
 shares with `ScalingProblem.split_cost`, as the central decode does, and
@@ -34,10 +35,19 @@ import math
 from dataclasses import dataclass, field
 
 from . import lp
-from .scaling import ScalingDecision
+from .chain_state import OVERLOAD, UNDERLOAD
+from .scaling import EPSILON, ScalingDecision
 
 # a binary within this distance of 0 or 1 counts as integral
 INT_TOL = 1e-6
+
+# mode -> (activate, retain): activate is charged per placed offline VM,
+# retain credited per placed online VM.  Overload: retaining online VMs
+# must dominate everything, and activation stays cheap so required
+# capacity can be added.  Underload: activation is priced out and
+# retention is a large negative credit, pressuring the model to shut VMs
+# down.
+PENALTIES = {OVERLOAD: (10.0, 1e4), UNDERLOAD: (1e6, -1e4)}
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -92,7 +102,8 @@ def build_milp(p):
     model = lp.LpModel("milp")
     vms = [*group.online, *group.offline_pool]
 
-    cap, pen, capped = p.share_cap, p.penalties, p.capped
+    cap, capped = p.share_cap, p.capped
+    activate, retain = PENALTIES[p.mode]
     # keys: each (PM, vm id) twice, naming its b and then its alpha
     keys, b_idx, alpha_idx, at, own, cost = [], {}, {}, {}, [], []
     for k, vm in enumerate(vms):
@@ -104,20 +115,20 @@ def build_milp(p):
             b_idx[key], alpha_idx[key] = i, i + 1
             at.setdefault(q.index, []).append((vm, i))
             keys += (key, key)
-        cost += [p.weights.deployment * (-pen.retain if online else pen.activate)] * len(pms)
+        cost += [-retain if online else activate] * len(pms)
     binaries, alphas = list(b_idx.values()), list(alpha_idx.values())
     m = len(binaries)
     model.add_vars(lp.Names(["b", "alpha"] * m, keys), [0.0] * len(keys),
                    [1.0, cap] * m)
-    # objective: weighted deployment penalties plus forwarding cost
-    scale, u = p.traffic * p.weights.forwarding, p.unit_costs
+    # objective: deployment penalties plus forwarding cost
+    u = p.unit_costs
     model.add_objective(dict(zip(binaries, cost)) | {
-        i: scale * u[q.index] for (q, _), i in alpha_idx.items()})
+        i: p.traffic * u[q.index] for (q, _), i in alpha_idx.items()})
 
     # share requires placement and placement requires a minimum share
     model.add_rows(lp.LE, range(0, 4 * m + 1, 2),
                    [j for i in binaries for j in (i + 1, i, i, i + 1)],
-                   [1.0, -cap, p.epsilon, -1.0] * m, [0.0] * (2 * m),
+                   [1.0, -cap, EPSILON, -1.0] * m, [0.0] * (2 * m),
                    lp.Names(["couple_hi", "couple_lo"] * m, keys))
 
     model.add_rows(lp.EQ, [0, m], alphas, [1.0] * m, [1.0], ["coverage"])
@@ -148,21 +159,6 @@ def build_milp(p):
                        b_idx=b_idx, alpha_idx=alpha_idx)
 
 
-def deployment_cost(placement, penalties, online):
-    """Activation charges minus retention credits for a placement map
-    (vm id -> PM or None); online holds the ids of the online VMs."""
-    online = set(online)
-    total = 0.0
-    for j, q in placement.items():
-        if q is None:
-            continue
-        if j in online:
-            total -= penalties.retain
-        else:
-            total += penalties.activate
-    return total
-
-
 def _decode(mp, point, total, nodes, proven):
     placement = {j: q for (q, j), on in zip(mp.b_idx, point[mp.binaries] > 0.5) if on}
     p = mp.problem
@@ -178,7 +174,9 @@ def _decode(mp, point, total, nodes, proven):
     online = {vm.id: vm.host for vm in p.group.online}
     placed = {j: q for j, q in placement.items() if q is not None}
     kept = {j: q for j, q in placed.items() if j in online}
-    dep = deployment_cost(placement, p.penalties, online)
+    # activation charges minus retention credits, in placement order
+    activate, retain = PENALTIES[p.mode]
+    dep = sum((-retain if j in online else activate for j in placed), 0.0)
     return MilpSolution(
         kept=kept, launched={j: q for j, q in placed.items() if j not in online},
         terminated={j: host for j, host in online.items() if j not in placed},

@@ -83,12 +83,12 @@ class FlowNet:
                     self._out[(flow, i, d)][idx] = 1.0
                     self._in[(flow, j, d)][idx] = 1.0
 
-    def objective_coeffs(self, weight=1.0):
+    def objective_coeffs(self):
         """Forwarding-cost coefficients F(i,j) on every n and m variable."""
         coeffs = {}
         for idx_map in (self.n_idx, self.m_idx):
             for (i, j, d), idx in idx_map.items():
-                c = weight * self.cost[(i, j)]
+                c = self.cost[(i, j)]
                 if c:
                     coeffs[idx] = coeffs.get(idx, 0.0) + c
         return coeffs

@@ -16,7 +16,7 @@ lowest layer its ends share and comes back down, so
 `topology.source_distances` gives every PM its cost from the nearest
 ingress and the nearest egress in closed form, and every PM q its unit
 cost u(q) = d_in(q) + gamma * d_out(q), once per problem.  The
-objective is T * w_fwd * u(q) on each e[q,s], and
+objective is T * u(q) on each e[q,s], and
 `ScalingProblem.split_cost` prices the decision by the same u(q).  A
 decision keeps its split, not its flows: `route_flows` routes the split
 on `topology.source_route` when `flows_csv` writes them.  The
@@ -40,7 +40,8 @@ slot supply all read that table; `prune_launch_pms` cuts it to the
 launch PMs of each interchangeable class that an optimum needs.  The
 builder groups the interests by PM index to emit each capacity row
 family as one block.  The baseline is priced on the problem itself,
-with the share cap at the baseline traffic.
+with the share cap at the baseline traffic, by the same u(q) as a
+decision, so the two costs compare.
 """
 
 import copy
@@ -58,6 +59,11 @@ from .topology import PM, pm_name, source_distances, source_route
 
 _by_index = attrgetter("index")     # sort key of PMs: a PM's position is its index
 
+# epsilon, the least share of the traffic an instance should carry: the
+# MILP's couple_lo rows ask it of every placed VM, and decode warns about
+# an instance below it
+EPSILON = 0.01
+
 
 class ModelInfeasibleError(RuntimeError):
     """The requested instance count cannot fit the candidate capacity."""
@@ -65,31 +71,6 @@ class ModelInfeasibleError(RuntimeError):
 
 class DecodeError(RuntimeError):
     """The LP solution carries no usable placement signal."""
-
-
-@dataclass(frozen=True)
-class Penalties:
-    """Deployment penalties: activate is charged per launched offline VM,
-    retain is credited per kept online VM."""
-
-    activate: float
-    retain: float
-
-    @classmethod
-    def for_mode(cls, mode):
-        # Overload: retaining online VMs must dominate everything, and
-        # activation stays cheap so required capacity can be added.
-        # Underload: activation is priced out and retention is a large
-        # negative credit, pressuring the model to shut VMs down.
-        if mode == OVERLOAD:
-            return cls(activate=10.0, retain=1e4)
-        return cls(activate=1e6, retain=-1e4)
-
-
-@dataclass(frozen=True)
-class Weights:
-    deployment: float = 1.0
-    forwarding: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -110,8 +91,6 @@ class ScalingProblem:
     v_star: int
     mode: str
     pm_capacity: dict = None        # resource -> {PM NodeId: capacity}, optional
-    epsilon: float = 0.01
-    weights: Weights = field(default_factory=Weights)
     baseline_traffic: float = None  # pre-event T, used for cost deltas
 
     def __post_init__(self):
@@ -131,11 +110,6 @@ class ScalingProblem:
             raise ValueError("underload requires v_star <= current instance count")
         if not self.group.ingress_pms or not self.group.egress_pms:
             raise ValueError("ingress and egress PM sets must be nonempty")
-
-    @property
-    def penalties(self):
-        """The deployment penalties of the problem's mode."""
-        return Penalties.for_mode(self.mode)
 
     @cached_property
     def baseline_cost(self):
@@ -347,7 +321,7 @@ def _slack_rows(model, family, slack, keys, columns, coef, rhs):
 
 def _build_relaxation(p):
     """The relaxation over shares and interests: a unit of interest at q
-    costs T * w_fwd * u(q), its shortest-path cost, so no flow variable
+    costs T * u(q), its shortest-path cost, so no flow variable
     is needed (see the module docstring).  Each row family is one block,
     its names described by family and keys (`lp.Names`), not formatted.
     Interest needs capacity on its PM (in overload, a free slot too); in
@@ -374,8 +348,8 @@ def _build_relaxation(p):
         vals += [1.0] * n + [-1.0]
         ptr.append(len(cols))
     model.add_vars(lp.Names(fams, keys), [0.0] * len(keys), upper)
-    scale, unit = p.traffic * p.weights.forwarding, p.unit_costs
-    model.add_objective({i: scale * unit[q.index] for (q, _), i in e_idx.items()})
+    unit = p.unit_costs
+    model.add_objective({i: p.traffic * unit[q.index] for (q, _), i in e_idx.items()})
     model.layout = _Layout(slots, rel_pms, alpha_idx, e_idx)
     model.add_rows(lp.EQ, ptr, cols, vals, [0.0] * len(slots),
                    lp.Names("interest", [(s.key,) for s in slots]))
@@ -508,9 +482,9 @@ def decode(model, point, p):
 
     vm_of = {key: vm_id for vm_id, key in vm_slot.items()}
     for s in slots:
-        if shares[s.key] < p.epsilon - 1e-12:
+        if shares[s.key] < EPSILON - 1e-12:
             warnings.append("instance %s share %.4g below minimum collaboration %.4g"
-                            % (vm_of.get(s.key, s.key), shares[s.key], p.epsilon))
+                            % (vm_of.get(s.key, s.key), shares[s.key], EPSILON))
 
     return ScalingDecision(kept=kept, launched=launched, terminated=terminated,
                            e=e_vals, shares=shares,
@@ -569,7 +543,7 @@ def baseline_forwarding_cost(p):
         left -= take
     if left > 1e-9:
         raise ModelInfeasibleError("baseline configuration is infeasible")
-    return traffic * p.weights.forwarding * cost
+    return traffic * cost
 
 
 def _decision_rows(decision):

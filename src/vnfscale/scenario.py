@@ -23,9 +23,9 @@ a PM named twice in one list or a VM id used twice is a parse error
 naming the file and the key.
 
 The runner classifies the group from the recorded utilizations, sizes the
-instance set for the event traffic, picks the penalty profile for the
-detected state, solves with the requested method and renders a decision
-table plus solver statistics.  PM names are 1-based: "P5" is the fifth
+instance set for the event traffic, builds the model of the detected
+state, solves with the requested method and renders a decision table
+plus solver statistics.  PM names are 1-based: "P5" is the fifth
 machine of the tree.
 """
 
@@ -629,10 +629,6 @@ class CompareReport:
         return [abs(o) for o in self.objectives]
 
     @property
-    def converged(self):
-        return self.trace.converged
-
-    @property
     def final_gap(self):
         return self.gaps[-1]
 
@@ -652,8 +648,11 @@ class CompareReport:
 
 
 def compare_solvers(path, overrides=None, out_dir=None):
-    """Gap of the distributed run against the central relaxation optimum;
-    both solve the same central model."""
+    """Gap of the distributed run against the central relaxation optimum.
+    The distributed run solves the central model over every candidate PM;
+    the optimum is that of the model `SOLVERS["lp"]` solves, in overload
+    cut to the launch PMs that can matter (`prune_launch_pms`), which
+    loses no optimum."""
     sc = load_scenario(path, overrides)
     state = classify_group(sc.group)
     if state == NORMAL:
@@ -662,7 +661,8 @@ def compare_solvers(path, overrides=None, out_dir=None):
             % state)
     p = _problem_for(sc, state)
     system = rpadmm.reformulate(p)
-    central = lp.solve(system.central)
+    model, _ = SOLVERS["lp"](p, None)
+    central = lp.solve(model)
     if central.status != lp.OPTIMAL:
         raise ModelInfeasibleError("central relaxation is %s" % central.status)
     x, trace = rpadmm.run(system, sc.admm_config)

@@ -565,8 +565,7 @@ def reference_central_model(p):
     model = lp.LpModel("%s_lp" % p.mode)
     copies, e_idx = share_and_interest_vars(p, model, slots, rel_pms[:1])
     alpha_idx = {key: i for (_, key), i in copies.items()}
-    scale = p.traffic * p.weights.forwarding
-    model.add_objective({i: scale * p.unit_cost(q) for (q, _), i in e_idx.items()})
+    model.add_objective({i: p.traffic * p.unit_cost(q) for (q, _), i in e_idx.items()})
     model.layout = scaling._Layout(slots, rel_pms, alpha_idx, e_idx)
     interest_rows(model)
     model.add_row(dict.fromkeys(alpha_idx.values(), 1.0), "=", 1.0, "coverage")
@@ -601,21 +600,19 @@ def reference_build_milp(p):
             binaries.append(b_idx[(q, j)])
             alpha_idx[(q, j)] = model.add_var("alpha[%s,%s]" % (q, j), 0.0, cap)
 
-    w1, w2 = p.weights.deployment, p.weights.forwarding
-    pen = p.penalties
+    activate, retain = milp.PENALTIES[p.mode]
     offline = set(offline_ids)
     obj = {}
     for (q, j), idx in b_idx.items():
-        obj[idx] = w1 * (pen.activate if j in offline else -pen.retain)
-    scale = p.traffic * w2
+        obj[idx] = activate if j in offline else -retain
     for (q, j), idx in alpha_idx.items():
-        obj[idx] = scale * p.unit_cost(q)
+        obj[idx] = p.traffic * p.unit_cost(q)
     model.add_objective(obj)
 
     for (q, j), idx in alpha_idx.items():
         bi = b_idx[(q, j)]
         model.add_row({idx: 1.0, bi: -cap}, "<=", 0.0, "couple_hi[%s,%s]" % (q, j))
-        model.add_row({bi: p.epsilon, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
+        model.add_row({bi: scaling.EPSILON, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
 
     model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
     need = math.ceil((1.0 - 1e-9) / cap) if cap > 0 else 1
@@ -651,7 +648,7 @@ def flow_skeleton(p, name):
     fv = FlowNet(p.topology, p.group.ingress_pms, p.group.egress_pms)
     fv.add_flow_vars(model, [s.key for s in slots])
     copies, e_idx = share_and_interest_vars(p, model, slots, rel_pms)
-    model.add_objective(fv.objective_coeffs(p.weights.forwarding))
+    model.add_objective(fv.objective_coeffs())
     model.layout = scaling._Layout(
         slots, rel_pms, {s.key: copies[(rel_pms[0], s.key)] for s in slots}, e_idx)
     model.layout.share_copies = copies
@@ -747,8 +744,7 @@ def reference_baseline_cost(p):
     solve it."""
     base = scaling.ScalingProblem(
         topology=p.topology, group=p.group, traffic=p.baseline_traffic,
-        v_star=len(p.group.online), mode=OVERLOAD, pm_capacity=p.pm_capacity,
-        epsilon=p.epsilon, weights=p.weights)
+        v_star=len(p.group.online), mode=OVERLOAD, pm_capacity=p.pm_capacity)
     sol = lp.solve(scaling.build_overload_lp(base))
     if sol.status != lp.OPTIMAL:
         raise scaling.ModelInfeasibleError("baseline configuration is %s" % sol.status)
@@ -786,17 +782,16 @@ def reference_flow_milp(p):
             binaries.append(b_idx[(q, j)])
             alpha_idx[(q, j)] = model.add_var("alpha[%s,%s]" % (q, j), 0.0, cap)
 
-    w1, w2 = p.weights.deployment, p.weights.forwarding
-    pen = p.penalties
+    activate, retain = milp.PENALTIES[p.mode]
     offline = set(offline_ids)
-    model.add_objective({idx: w1 * (pen.activate if j in offline else -pen.retain)
+    model.add_objective({idx: activate if j in offline else -retain
                          for (q, j), idx in b_idx.items()})
-    model.add_objective(fv.objective_coeffs(w2))
+    model.add_objective(fv.objective_coeffs())
 
     for (q, j), idx in alpha_idx.items():
         bi = b_idx[(q, j)]
         model.add_row({idx: 1.0, bi: -cap}, "<=", 0.0, "couple_hi[%s,%s]" % (q, j))
-        model.add_row({bi: p.epsilon, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
+        model.add_row({bi: scaling.EPSILON, idx: -1.0}, "<=", 0.0, "couple_lo[%s,%s]" % (q, j))
 
     model.add_row({idx: 1.0 for idx in alpha_idx.values()}, "=", 1.0, "coverage")
 

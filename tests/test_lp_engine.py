@@ -137,7 +137,7 @@ def test_solution_consistency_roundtrip():
     m, x, y = small_model()
     sol = lp.solve(m)
     # objective recomputed from the point matches the solver's number
-    assert m.objective_value(sol.point) == pytest.approx(sol.objective_value)
+    assert export(m).c @ sol.point == pytest.approx(sol.objective_value)
     assert check_feasibility(m, sol.point, tol=1e-7) == []
 
 

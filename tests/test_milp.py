@@ -161,12 +161,14 @@ def test_solution_feasible_on_template():
 
 
 def test_total_decomposes():
+    """The total is the mode's activation charges minus its retention
+    credits, plus the forwarding cost."""
     p, mp = build(6)
     sol = milp.solve_milp(mp)
-    w = p.weights
-    assert sol.total == pytest.approx(
-        w.deployment * sol.deployment_cost + w.forwarding * sol.forwarding_cost,
-        rel=1e-9, abs=1e-7)
+    activate, retain = milp.PENALTIES[p.mode]
+    assert sol.deployment_cost == activate * len(sol.launched) - retain * len(sol.kept)
+    assert sol.total == pytest.approx(sol.deployment_cost + sol.forwarding_cost,
+                                      rel=1e-9, abs=1e-7)
 
 
 # branch-and-bound as it stands: node count, total and placement per
@@ -265,19 +267,26 @@ def test_tied_underload_lands_on_the_model_order_vertex():
 
 
 def test_deployment_cost_examples():
-    pen = scaling.Penalties(activate=100.0, retain=5.0)
-    online = ["vm1", "vm2"]
-    # all online kept, nothing activated
-    cost = milp.deployment_cost({"vm1": pm(1), "vm2": pm(2)}, pen, online)
-    assert cost == pytest.approx(-10.0)
-    # one activation, one online dropped of two
-    cost = milp.deployment_cost({"vm1": pm(1), "vm2": None, "off1": pm(3)},
-                                pen, online)
-    assert cost == pytest.approx(95.0)
-    # underload-style negative retention: keeping costs
-    pen = scaling.Penalties(activate=1e6, retain=-1e4)
-    cost = milp.deployment_cost({"vm1": pm(1)}, pen, online)
-    assert cost == pytest.approx(1e4)
+    # overload credits each kept VM and charges launches little; underload
+    # prices launches out and charges each kept VM
+    assert milp.PENALTIES == {vs.OVERLOAD: (10.0, 1e4), vs.UNDERLOAD: (1e6, -1e4)}
+    p, mp = build(0, vs.OVERLOAD)
+    # both online VMs kept at their hosts and off1 launched on P1
+    point = np.zeros(mp.base.num_vars)
+    for j, q in (("vm1", p.group.online[0].host), ("vm2", p.group.online[1].host),
+                 ("off1", pm(1))):
+        point[mp.b_idx[(q, j)]] = 1.0
+    assert milp._decode(mp, point, 0.0, 1, True).deployment_cost == 10.0 - 2e4
+    # one online VM dropped: 10 - 1e4
+    point[mp.b_idx[(p.group.online[1].host, "vm2")]] = 0.0
+    assert milp._decode(mp, point, 0.0, 1, True).deployment_cost == 10.0 - 1e4
+    # underload: keeping one VM costs 1e4, nothing placed costs 0
+    p, mp = build(1, vs.UNDERLOAD)
+    point = np.zeros(mp.base.num_vars)
+    point[mp.b_idx[(p.group.online[0].host, "vm1")]] = 1.0
+    assert milp._decode(mp, point, 0.0, 1, True).deployment_cost == 1e4
+    assert milp._decode(mp, np.zeros(mp.base.num_vars), 0.0, 1, True) \
+        .deployment_cost == 0.0
 
 
 def test_empty_group_rejected():
@@ -288,12 +297,13 @@ def test_empty_group_rejected():
 
 
 def test_relaxation_consistency_with_central_lp():
-    """Fixing online hosts and zeroing deployment weight, the relaxed
-    overload model can never cost more than the exact one."""
+    """Fixing online hosts and zeroing the deployment penalties, the
+    relaxed overload model can never cost more than the exact one."""
     for seed in (0, 2, 8):
         p = k2_instance(seed, vs.OVERLOAD)
-        p.weights = scaling.Weights(deployment=0.0, forwarding=1.0)
         mp = milp.build_milp(p)
+        for i in mp.binaries:
+            mp.base.objective[i] = 0.0
         for vm in p.group.online:
             for q in p.topology.pms:
                 idx = mp.b_idx[(q, vm.id)]

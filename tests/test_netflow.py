@@ -44,7 +44,7 @@ def test_objective_costs_match_layers(topo):
     fv = FlowNet(topo, [NodeId(PM, 0)], [NodeId(PM, 0)])
     model = lp.LpModel()
     fv.add_flow_vars(model, ["d1"])
-    coeffs = fv.objective_coeffs(1.0)
+    coeffs = fv.objective_coeffs()
     assert coeffs[fv.n_idx[(NodeId(PM, 0), NodeId(TOR, 0), "d1")]] == 10.0
     assert coeffs.get(fv.n_idx[(NodeId(PM, 0), NodeId(PM, 0), "d1")], 0.0) == 0.0
 
@@ -55,7 +55,7 @@ def test_min_cost_route_same_rack(topo):
     fv = FlowNet(topo, [NodeId(PM, 0)], [NodeId(PM, 0)])
     model = lp.LpModel()
     fv.add_flow_vars(model, ["d1"])
-    model.add_objective(fv.objective_coeffs(1.0))
+    model.add_objective(fv.objective_coeffs())
     fv.add_switch_conservation(model)
     fv.add_pm_processing(model, 1.0)
     fv.add_ingress_total(model, 1.0)

@@ -338,8 +338,7 @@ def assert_exact(p, dec):
     want = lp.solve(model)
     assert want.status == lp.OPTIMAL
     assert export(model).c @ x == pytest.approx(want.objective_value, rel=1e-9, abs=1e-9)
-    assert dec.forwarding_cost * p.weights.forwarding == pytest.approx(
-        want.objective_value, rel=1e-9, abs=1e-9)
+    assert dec.forwarding_cost == pytest.approx(want.objective_value, rel=1e-9, abs=1e-9)
 
 
 def load_perfbench_gen():
@@ -650,13 +649,12 @@ def test_underload_same_pm_tie_keeps_lowest_vm_id(topo):
 def test_share_below_epsilon_warns(topo):
     g = scenario1()
     p = vs.ScalingProblem(topology=topo, group=g, traffic=160.0, v_star=4,
-                          mode=vs.OVERLOAD, pm_capacity=capacity(topo),
-                          epsilon=0.05)
+                          mode=vs.OVERLOAD, pm_capacity=capacity(topo))
     sol, dec = solve_decoded(p)
     # cap 0.625 with 4 instances: the LP zeroes some shares entirely,
     # which decode must surface as warnings, not errors, naming each kept
     # VM by its id and a zero share as 0, never -0
-    assert dec.warnings == ["instance %s share 0 below minimum collaboration 0.05"
+    assert dec.warnings == ["instance %s share 0 below minimum collaboration 0.01"
                             % vm for vm in ("vm1", "vm2")]
 
 
@@ -781,6 +779,21 @@ def test_baseline_matches_lp_on_shipped_scenarios(p):
     assert assert_baseline_matches_lp(p) > 0
 
 
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(SCEN_DIR)
+                                        if n.endswith(".scn")))
+def test_unchanged_configuration_has_zero_cost_delta(name):
+    """The overload problem at the baseline traffic with v* = |V| keeps
+    every VM where it is, and the decision the lp solver makes of it
+    prices to the baseline: its cost delta is zero."""
+    sc = vs.load_scenario(os.path.join(SCEN_DIR, name))
+    p = vs.ScalingProblem(topology=sc.topology, group=sc.group, traffic=sc.baseline,
+                          v_star=len(sc.group.online), mode=vs.OVERLOAD,
+                          pm_capacity=sc.pm_capacity, baseline_traffic=sc.baseline)
+    _, solve = vs.scenario.SOLVERS["lp"](p, None)
+    dec, _, _ = solve()
+    assert dec.forwarding_cost == pytest.approx(p.baseline_cost, rel=1e-9)
+
+
 @pytest.mark.parametrize("load", [0.5, 0.9, 1.0])
 @pytest.mark.parametrize("p", [pytest.param(p, id=name)
                                for name, p in placement_corpus()])
@@ -867,11 +880,9 @@ def baseline_problems(draw):
                            for q in pms}
                        for r in caps.split()}
     base = float(draw(st.integers(10, 100 * len(hosts)), label="baseline"))
-    weight = draw(st.sampled_from([1.0, 0.5]), label="forwarding weight")
     return vs.ScalingProblem(topology=topo, group=g, traffic=base,
                              v_star=len(hosts), mode=vs.OVERLOAD,
-                             pm_capacity=pm_capacity, baseline_traffic=base,
-                             weights=vs.Weights(forwarding=weight))
+                             pm_capacity=pm_capacity, baseline_traffic=base)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

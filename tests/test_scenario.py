@@ -504,7 +504,7 @@ def test_compare_reaches_the_central_optimum():
                                       overrides={"seed": 9})
     assert report.optimum == pytest.approx(126000.0)
     assert report.best_gap <= 0.01
-    assert report.converged
+    assert report.trace.converged
     assert report.final_gap <= 0.01
     assert len(report.gaps) < 25
     assert "best gap" in report.text()
@@ -524,7 +524,7 @@ def test_compare_gap_zero_without_traffic(tmp_path):
     report = scenario.compare_solvers(write_scenario(tmp_path, body))
     assert report.optimum == 0.0
     assert report.gaps[0] == 0.0
-    assert report.converged
+    assert report.trace.converged
 
 
 def test_compare_requires_overload(tmp_path):

@@ -8,7 +8,10 @@ temporary directory, which is removed afterwards: the parent revision as
 (tracked and untracked, not ignored).  So neither side starts with bytecode
 caches or benchmark output the other lacks: with PYTHONDONTWRITEBYTECODE set,
 a checkout holding a `__pycache__` read 10-20% faster on every workload than
-a fresh copy of the same code (a shared 2-CPU host).  Each pair runs
+a fresh copy of the same code (a shared 2-CPU host).  Every run sets
+PYTHONDONTWRITEBYTECODE=1, as `tools/bench_record.py` does, so no run writes
+caches for the runs after it: every pair runs cache-free, like the first
+and like every `BENCH_*.json` record.  Each pair runs
 `perfbench/run.py --workload W --seed S --seconds T` once on each side, one
 after the other; the side that goes first alternates from pair to pair, and
 every run's end-to-end metrics are printed.  For every end-to-end metric of
@@ -42,7 +45,8 @@ def run_bench(root, args):
     """One benchmark run in checkout `root`: (metrics, digests)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds)]
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit("bench_pairs: %s failed in %s:\n%s"
